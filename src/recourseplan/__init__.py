@@ -18,33 +18,33 @@ from .errors import (CapExceeded, CausallyInconsistentRecord, CsvRowError,
                      SchemaMismatch, SemanticError, UnknownScenario)
 from .generate import random_problem
 from .ingest import (DatasetSchema, GoldenStep, Scenario, SCENARIO_NAMES,
-                     builtin_scenario, induce_intervals, load_csv, record_to_state)
+                     builtin_scenario, load_csv, record_to_state)
+from .kernel import CompiledProblem
 from .oracle import (StateSetReport, ValidationReport, bfs_shortest_path,
                      compute_goal_set, delta_oracle, delta_oracle_liberal,
                      enumerate_causally_consistent, enumerate_states,
                      state_set_report, validate_solution_path)
 from .planner import (CandidatePath, PathTrace, TraceEntry, extract_candidate_path,
-                      get_last, get_path, intervene, is_counterfactual,
-                      make_consistent, not_member, pop, update)
+                      get_path, intervene, make_consistent, update)
 from .rules import (Literal, ProblemSpec, Rule, eval_rule, is_causally_consistent,
-                    satisfies_decision)
+                    is_counterfactual, satisfies_decision)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Action", "CandidatePath", "CapExceeded", "CausallyInconsistentRecord",
-    "CsvRowError", "DatasetSchema", "Domains", "EmptyRange", "EmptySequenceError",
-    "FeatureDomain", "GoldenStep", "Interval", "Literal", "NotApplicable",
-    "NotASolution", "OutOfDomain", "ParseError", "PathTrace", "PlanFailure",
-    "PlausibilityConstraint", "ProblemSpec", "RecourseError", "Rule",
+    "CompiledProblem", "CsvRowError", "DatasetSchema", "Domains", "EmptyRange",
+    "EmptySequenceError", "FeatureDomain", "GoldenStep", "Interval", "Literal",
+    "NotApplicable", "NotASolution", "OutOfDomain", "ParseError", "PathTrace",
+    "PlanFailure", "PlausibilityConstraint", "ProblemSpec", "RecourseError", "Rule",
     "SCENARIO_NAMES", "Scenario", "SchemaMismatch", "SemanticError", "State",
     "StateSetReport", "TraceEntry", "UnknownScenario", "ValidationReport",
     "apply_action", "bfs_shortest_path", "build_actions", "build_causal_actions",
     "build_direct_actions", "builtin_scenario", "compute_goal_set", "delta_oracle",
     "delta_oracle_liberal", "enumerate_causally_consistent", "enumerate_states",
-    "eval_rule", "extract_candidate_path", "get_last", "get_path",
-    "induce_intervals", "intervene", "is_causally_consistent", "is_counterfactual",
-    "is_permitted", "load_csv", "make_consistent", "not_member", "parse_problem",
-    "partition_range", "pop", "pretty_print", "random_problem", "record_to_state",
-    "satisfies_decision", "state_set_report", "update", "validate_solution_path",
+    "eval_rule", "extract_candidate_path", "get_path", "intervene",
+    "is_causally_consistent", "is_counterfactual", "is_permitted", "load_csv",
+    "make_consistent", "parse_problem", "partition_range", "pretty_print",
+    "random_problem", "record_to_state", "satisfies_decision", "state_set_report",
+    "update", "validate_solution_path",
 ]

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .domains import Domains, FeatureValue, PlausibilityConstraint, State
 from .errors import NotApplicable
-from .rules import Literal, ProblemSpec, Rule, compile_rule, literal_support
+from .kernel import CompiledProblem
+from .rules import Literal, Pairs, ProblemSpec, Rule, compile_literals, literal_support
 
 
 @dataclass(frozen=True)
@@ -66,44 +67,26 @@ def build_direct_actions(domains: Domains,
     return tuple(actions)
 
 
-def _guard_states(domains: Domains, causal_rules: Sequence[Rule],
-                  guard: tuple[tuple[int, frozenset[int]], ...]) -> Iterable[tuple[int, ...]]:
-    """Index tuples of every state where the guard holds.
+def _always_consistent_after(kernel: CompiledProblem, guard: Pairs,
+                             feature_index: int, new_index: int) -> bool:
+    """Whether setting the feature yields a consistent state from every guard state.
 
     Only features mentioned by some causal rule or by the guard can influence
-    either the guard or consistency, so the sweep enumerates just those and
-    pins the rest, keeping verification cheap on large spaces.
+    either the guard or consistency, so the sweep ranges over just those and
+    pins the rest, keeping verification cheap on large spaces.  A guard
+    feature ranges over the values its literal allows (the last literal, when
+    the guard names a feature twice), and the written feature is fixed at its
+    new value.
     """
     relevant: set[int] = set()
-    for rule in causal_rules:
-        body, head = compile_rule(domains, rule)
+    for body, head_pos, _ in kernel.causal:
         relevant.update(i for i, _ in body)
-        if head is not None:
-            relevant.add(head[0])
-    relevant.update(i for i, _ in guard)
-    axes = [
-        range(f.size) if fi in relevant else range(1)
-        for fi, f in enumerate(domains)
-    ]
-    guard_by_pos = {i: allowed for i, allowed in guard}
-    for idx in itertools.product(*axes):
-        if all(idx[i] in allowed for i, allowed in guard_by_pos.items()):
-            yield idx
-
-
-def _always_consistent_after(domains: Domains, causal_rules: Sequence[Rule],
-                             guard: tuple[tuple[int, frozenset[int]], ...],
-                             feature_index: int, new_index: int) -> bool:
-    compiled = [compile_rule(domains, r) for r in causal_rules]
-    for idx in _guard_states(domains, causal_rules, guard):
-        after = list(idx)
-        after[feature_index] = new_index
-        for body, head in compiled:
-            if all(after[i] in allowed for i, allowed in body):
-                hi, allowed = head  # type: ignore[misc]
-                if after[hi] not in allowed:
-                    return False
-    return True
+        relevant.add(head_pos)
+    axes = [range(f.size) if fi in relevant else range(1) for fi, f in enumerate(kernel.domains)]
+    for fi, allowed in guard:
+        axes[fi] = sorted(allowed)
+    axes[feature_index] = (new_index,)
+    return all(map(kernel.consistent, itertools.product(*axes)))
 
 
 def build_causal_actions(causal_rules: Sequence[Rule], domains: Domains,
@@ -116,6 +99,7 @@ def build_causal_actions(causal_rules: Sequence[Rule], domains: Domains,
     are discarded; the same mutation stays reachable as a direct action.
     """
     domains = _effective_domains(domains, constraints)
+    kernel = CompiledProblem(domains, causal_rules)
     actions = []
     for rule in causal_rules:
         assert rule.head is not None
@@ -123,13 +107,9 @@ def build_causal_actions(causal_rules: Sequence[Rule], domains: Domains,
         f = domains[fi]
         if not f.mutable:
             continue
-        guard_compiled = tuple(
-            (domains.index(lit.feature), literal_support(domains.by_name(lit.feature), lit))
-            for lit in rule.body
-        )
-        head_values = sorted(literal_support(f, rule.head))
-        for vi in head_values:
-            if not _always_consistent_after(domains, causal_rules, guard_compiled, fi, vi):
+        guard = compile_literals(domains, rule.body)
+        for vi in sorted(literal_support(f, rule.head)):
+            if not _always_consistent_after(kernel, guard, fi, vi):
                 continue
             actions.append(Action(
                 id=f"causal:{rule.id}:{f.name}:{f.value_text(vi)}",

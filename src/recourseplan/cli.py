@@ -65,6 +65,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
+        if self.max_states is not None and self.max_states <= 0:
+            raise ValueError(f"--max-states must be a positive integer, got {self.max_states}")
         if self.output_format not in ("table", "structured"):
             raise ValueError(f"unknown format {self.output_format!r}")
 

@@ -288,10 +288,6 @@ class State:
         reps[feature_index] = rep
         return State(self.domains, tuple(idx), tuple(reps))
 
-    def items(self) -> Iterator[tuple[str, str]]:
-        for f, i in zip(self.domains, self.idx):
-            yield f.name, f.value_text(i)
-
     def to_dict(self) -> dict:
         """JSON-ready mapping; numeric entries keep enough to rebuild the state."""
         out: dict = {}

@@ -57,7 +57,7 @@ class PlanFailure(RecourseError):
 
 
 class EmptySequenceError(RecourseError):
-    """get_last/pop called on an empty sequence."""
+    """The last entry of an empty trace was read or popped."""
 
 
 class NotASolution(RecourseError):

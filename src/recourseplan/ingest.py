@@ -18,24 +18,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .domains import Domains, Interval, State, partition_range
+from .domains import Domains, State
 from .dsl import parse_problem
 from .errors import (CausallyInconsistentRecord, CsvRowError, OutOfDomain,
                      SchemaMismatch, UnknownScenario)
 from .rules import ProblemSpec, Rule, is_causally_consistent
-
-
-def induce_intervals(feature: str, thresholds: Iterable[int],
-                     lo: int, hi: int) -> tuple[Interval, ...]:
-    """Partition ``[lo, hi]`` at the given thresholds for one feature.
-
-    Sorted thresholds ``t1 < ... < tk`` give ``[lo, t1], (t1, t2], ...,
-    (tk, hi]``; every comparison against a threshold is then constant on
-    each part.  Raises :class:`EmptyRange` when ``hi < lo``.
-    """
-    return partition_range(lo, hi, thresholds)
 
 
 @dataclass(frozen=True)

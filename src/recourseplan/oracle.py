@@ -3,8 +3,10 @@
 Everything here works by enumeration over the finite state space: the
 causally consistent set, the decision-consistent set, the goal set, the
 one-step transition relation, path validation, and a breadth-first shortest
-path.  None of it consults the planner, so planner runs can be checked
-against these results as an independent reference.
+path.  None of it consults the planner's search, so planner runs can be
+checked against these results.  The strata share the planner's compiled rule
+tests (``recourseplan.kernel``); the one-step relation and the shortest-path
+search work on ``State`` objects, apart from them.
 """
 
 from __future__ import annotations
@@ -17,19 +19,24 @@ from typing import Iterator, Optional, Sequence
 from .actions import Action, apply_action, build_actions, is_permitted
 from .domains import Domains, State
 from .errors import CapExceeded
+from .kernel import CompiledProblem
 from .planner import CandidatePath
-from .rules import (ProblemSpec, Rule, _consistent_idx, _fires_idx,
-                    is_causally_consistent, satisfies_decision)
+from .rules import ProblemSpec, Rule, is_causally_consistent, is_counterfactual
 
 DEFAULT_STATE_CAP = 10**7
 CAP_ENV_VAR = "RECOURSE_MAX_STATES"
 
 
 def resolve_cap(cap: Optional[int] = None) -> int:
+    """The enumeration cap: ``cap`` if given, else the environment, else the default."""
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_STATE_CAP
+    if not env:
+        return DEFAULT_STATE_CAP
+    if not env.strip().isdigit() or int(env) <= 0:
+        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _check_cap(domains: Domains, cap: Optional[int]) -> None:
@@ -46,30 +53,28 @@ def enumerate_states(domains: Domains, cap: Optional[int] = None) -> Iterator[St
         yield State(domains, idx)
 
 
+def _consistent_states(problem: ProblemSpec,
+                       cap: Optional[int]) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The one stratum pass: each causally consistent index tuple, in
+    enumeration order, with whether some decision rule fires there."""
+    domains = problem.domains
+    _check_cap(domains, cap)
+    kernel = CompiledProblem(domains, problem.causal_rules, problem.decision_rules)
+    fires = kernel.fires
+    for idx in filter(kernel.consistent, itertools.product(*(range(f.size) for f in domains))):
+        yield idx, fires(idx)
+
+
 def enumerate_causally_consistent(problem: ProblemSpec,
                                   cap: Optional[int] = None) -> set[State]:
     """The subset of the state space satisfying every causal rule."""
-    domains = problem.domains
-    _check_cap(domains, cap)
-    axes = [range(f.size) for f in domains]
-    return {
-        State(domains, idx)
-        for idx in itertools.product(*axes)
-        if _consistent_idx(domains, problem.causal_rules, idx)
-    }
+    return {State(problem.domains, idx) for idx, _ in _consistent_states(problem, cap)}
 
 
 def compute_goal_set(problem: ProblemSpec, cap: Optional[int] = None) -> set[State]:
     """Causally consistent states where no decision rule fires."""
-    domains = problem.domains
-    _check_cap(domains, cap)
-    axes = [range(f.size) for f in domains]
-    return {
-        State(domains, idx)
-        for idx in itertools.product(*axes)
-        if _consistent_idx(domains, problem.causal_rules, idx)
-        and not _fires_idx(domains, problem.decision_rules, idx)
-    }
+    return {State(problem.domains, idx)
+            for idx, fires in _consistent_states(problem, cap) if not fires}
 
 
 @dataclass(frozen=True)
@@ -95,19 +100,8 @@ def state_set_report(problem: ProblemSpec, cap: Optional[int] = None) -> StateSe
     so the identity ``goal + decision_consistent == causally_consistent``
     always holds.
     """
-    domains = problem.domains
-    _check_cap(domains, cap)
-    axes = [range(f.size) for f in domains]
-    total = consistent = fires = goal = 0
-    for idx in itertools.product(*axes):
-        total += 1
-        if _consistent_idx(domains, problem.causal_rules, idx):
-            consistent += 1
-            if _fires_idx(domains, problem.decision_rules, idx):
-                fires += 1
-            else:
-                goal += 1
-    return StateSetReport(total, consistent, fires, goal)
+    fired = [fires for _, fires in _consistent_states(problem, cap)]
+    return StateSetReport(problem.state_count, len(fired), sum(fired), fired.count(False))
 
 
 # one-step transitions --------------------------------------------------------
@@ -238,8 +232,9 @@ def validate_solution_path(path: CandidatePath, problem: ProblemSpec,
     """Check the five solution-path clauses by enumeration only."""
     if not path.states:
         raise ValueError("cannot validate an empty path")
-    goal = compute_goal_set(problem, cap)
-    consistent = enumerate_causally_consistent(problem, cap)
+    # one stratum pass: each consistent state, mapped to whether a decision rule fires
+    fires = dict(_consistent_states(problem, cap))
+    goal = {idx for idx, fired in fires.items() if not fired}
     states = path.states
     actions = build_actions(problem)
     steps_ok = True
@@ -252,9 +247,9 @@ def validate_solution_path(path: CandidatePath, problem: ProblemSpec,
             divergence = True
     return ValidationReport(
         starts_at_initial=states[0] == problem.initial,
-        ends_in_goal=states[-1] in goal,
-        all_causally_consistent=all(s in consistent for s in states),
-        prefix_avoids_goal=all(s not in goal for s in states[:-1]),
+        ends_in_goal=states[-1].idx in goal,
+        all_causally_consistent=all(s.idx in fires for s in states),
+        prefix_avoids_goal=all(s.idx not in goal for s in states[:-1]),
         steps_are_transitions=steps_ok,
         liberal_divergence=divergence,
     )
@@ -271,15 +266,9 @@ def bfs_shortest_path(problem: ProblemSpec, cap: Optional[int] = None,
     _check_cap(problem.domains, cap)
     if actions is None:
         actions = build_actions(problem)
-    causal_rules = problem.causal_rules
-    decision_rules = problem.decision_rules
-
-    def is_goal(s: State) -> bool:
-        return (is_causally_consistent(s, causal_rules)
-                and not satisfies_decision(s, decision_rules))
-
+    causal_rules, decision_rules = problem.causal_rules, problem.decision_rules
     start = problem.initial
-    if is_goal(start):
+    if is_counterfactual(start, causal_rules, decision_rules):
         return CandidatePath((start,))
     parents: dict[State, State] = {start: start}
     frontier = [start]
@@ -290,7 +279,7 @@ def bfs_shortest_path(problem: ProblemSpec, cap: Optional[int] = None,
                 if t in parents:
                     continue
                 parents[t] = s
-                if is_goal(t):
+                if is_counterfactual(t, causal_rules, decision_rules):
                     chain = [t]
                     while chain[-1] != start:
                         chain.append(parents[chain[-1]])

@@ -16,77 +16,71 @@ goal), ``failure`` (every alternative was exhausted), or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .actions import Action, apply_action, build_actions, is_permitted
+from .actions import Action, apply_action, build_actions
 from .domains import State
 from .errors import EmptySequenceError, NotASolution, PlanFailure
-from .rules import ProblemSpec, Rule, is_causally_consistent, satisfies_decision
+from .kernel import CompiledProblem, Index
+from .rules import ProblemSpec, Rule, is_causally_consistent, is_counterfactual
 
 
-class TraceEntry(tuple):
+class TraceEntry(NamedTuple):
     """A visited state together with the action ids attempted from it."""
 
-    __slots__ = ()
-
-    def __new__(cls, state: State, actions_taken: tuple[str, ...] = ()):
-        return super().__new__(cls, (state, tuple(actions_taken)))
-
-    @property
-    def state(self) -> State:
-        return self[0]
-
-    @property
-    def actions_taken(self) -> tuple[str, ...]:
-        return self[1]
+    state: State
+    actions_taken: tuple[str, ...] = ()
 
 
 # chain completion ----------------------------------------------------------
 
-ChainEdge = tuple[State, Action]
-ChainResult = Optional[tuple[State, tuple[ChainEdge, ...]]]
+Reps = tuple[Optional[int], ...]
+ChainEdge = tuple[Index, int]
+ChainResult = Optional[tuple[Index, tuple[ChainEdge, ...]]]
 
 
-def _complete(start: State, causal_rules: tuple[Rule, ...],
-              actions: Sequence[Action],
-              excluded_first: frozenset[str] = frozenset()) -> ChainResult:
+def _complete(kernel: CompiledProblem, start: Index,
+              excluded_first: frozenset[int] = frozenset()) -> ChainResult:
     """First causally consistent state reachable from ``start``.
 
     Depth-first over repair chains: at every inconsistent state the ordered
     action list is tried (causal repairs first), never re-entering a state
     already seen within this chain.  Returns the consistent endpoint plus the
-    (state, action) edges leading to it, or ``None`` when no completion
-    exists.  ``excluded_first`` removes already-attempted action ids from the
-    first hop only.
+    (state, action position) edges leading to it, or ``None`` when no
+    completion exists.  ``excluded_first`` removes already-attempted action
+    positions from the first hop only.
     """
-    if is_causally_consistent(start, causal_rules):
+    consistent, step = kernel.consistent, kernel.step
+    if consistent(start):
         return start, ()
+    positions = range(len(kernel.moves))
     seen = {start}
-    stack: list[tuple[State, Iterator[Action]]] = [(start, iter(actions))]
+    stack: list[tuple[Index, Iterator[int]]] = [(start, iter(positions))]
     edges: list[ChainEdge] = []
     while stack:
-        state, pending = stack[-1]
-        advanced = False
-        for a in pending:
-            if len(stack) == 1 and a.id in excluded_first:
+        idx, pending = stack[-1]
+        for k in pending:
+            if k in excluded_first and len(stack) == 1:
                 continue
-            if not is_permitted(a, state):
+            nxt = step(k, idx)
+            if nxt is None or nxt in seen:
                 continue
-            nxt = apply_action(a, state)
-            if nxt in seen:
-                continue
-            edges.append((state, a))
-            if is_causally_consistent(nxt, causal_rules):
+            edges.append((idx, k))
+            if consistent(nxt):
                 return nxt, tuple(edges)
             seen.add(nxt)
-            stack.append((nxt, iter(actions)))
-            advanced = True
+            stack.append((nxt, iter(positions)))
             break
-        if not advanced:
+        else:
             stack.pop()
             if edges:
                 edges.pop()
     return None
+
+
+def _written(reps: Reps, feature_index: int) -> Reps:
+    """Witnesses after an action writes the feature: its concrete value is gone."""
+    return reps[:feature_index] + (None,) + reps[feature_index + 1:]
 
 
 # the trace -------------------------------------------------------------------
@@ -97,8 +91,9 @@ class PathTrace:
 
     ``entries`` is the visited-states list in visit order, including causally
     inconsistent intermediates of repair chains.  The trace also carries the
-    run bookkeeping: which states sit on the current path, which are known
-    dead ends, and memoized repair-chain outcomes.
+    run bookkeeping, keyed by index tuples: which states sit on the current
+    path, which are known dead ends, and memoized repair-chain outcomes
+    together with the witnesses of the state each was first computed from.
     """
 
     causal_rules: tuple[Rule, ...] = ()
@@ -106,52 +101,49 @@ class PathTrace:
     status: str = "in-progress"  # then: success | failure | budget-exhausted
     expansions: int = 0
     _consistent: list[bool] = field(default_factory=list, repr=False)
-    _live: dict[State, int] = field(default_factory=dict, repr=False)
-    _exhausted: set[State] = field(default_factory=set, repr=False)
-    _chain_memo: dict[State, ChainResult] = field(default_factory=dict, repr=False)
+    _live: dict[Index, int] = field(default_factory=dict, repr=False)
+    _exhausted: set[Index] = field(default_factory=set, repr=False)
+    _chain_memo: dict[Index, tuple[Reps, ChainResult]] = field(default_factory=dict, repr=False)
 
     def append(self, entry: TraceEntry) -> None:
-        self.entries.append(entry)
-        self._consistent.append(is_causally_consistent(entry.state, self.causal_rules))
-        self._live[entry.state] = self._live.get(entry.state, 0) + 1
+        self._push(entry, is_causally_consistent(entry.state, self.causal_rules))
 
-    def pop_last(self) -> TraceEntry:
+    def _push(self, entry: TraceEntry, consistent: bool) -> None:
+        self.entries.append(entry)
+        self._consistent.append(consistent)
+        idx = entry.state.idx
+        self._live[idx] = self._live.get(idx, 0) + 1
+
+    def _pop(self) -> tuple[TraceEntry, bool]:
         if not self.entries:
             raise EmptySequenceError("trace is empty")
         entry = self.entries.pop()
-        self._consistent.pop()
-        n = self._live[entry.state] - 1
+        idx = entry.state.idx
+        n = self._live[idx] - 1
         if n:
-            self._live[entry.state] = n
+            self._live[idx] = n
         else:
-            del self._live[entry.state]
-        return entry
+            del self._live[idx]
+        return entry, self._consistent.pop()
+
+    def pop_last(self) -> TraceEntry:
+        return self._pop()[0]
 
     def last(self) -> TraceEntry:
         if not self.entries:
             raise EmptySequenceError("trace is empty")
         return self.entries[-1]
 
-    def live_contains(self, state: State) -> bool:
-        return state in self._live
-
-    def is_exhausted(self, state: State) -> bool:
-        return state in self._exhausted
-
-    def mark_exhausted(self, state: State) -> None:
-        self._exhausted.add(state)
-
     def discard_inconsistent_tail(self) -> None:
         while self.entries and not self._consistent[-1]:
-            self.pop_last()
+            self._pop()
 
-    def complete_from(self, state: State, actions: Sequence[Action],
-                      excluded_first: frozenset[str] = frozenset()) -> ChainResult:
-        if excluded_first:
-            return _complete(state, self.causal_rules, actions, excluded_first)
-        if state not in self._chain_memo:
-            self._chain_memo[state] = _complete(state, self.causal_rules, actions)
-        return self._chain_memo[state]
+    def _chain(self, kernel: CompiledProblem, idx: Index, reps: Reps) -> tuple[Reps, ChainResult]:
+        """Memoized repair chain from ``idx``, with the witnesses it was first found with."""
+        hit = self._chain_memo.get(idx)
+        if hit is None:
+            hit = self._chain_memo[idx] = (reps, _complete(kernel, idx))
+        return hit
 
     def entry_records(self) -> Iterator[tuple[TraceEntry, bool]]:
         return zip(self.entries, self._consistent)
@@ -170,43 +162,7 @@ class CandidatePath:
         return iter(self.states)
 
 
-# sequence helpers ------------------------------------------------------------
-
-def not_member(x, seq) -> bool:
-    """True when ``x`` is neither an element of ``seq`` nor contained in any
-    tuple element (recursively), so a state or action id hiding inside a
-    ``(state, actions_taken)`` pair counts as a member."""
-    return not any(_occurs(x, e) for e in seq)
-
-
-def _occurs(x, obj) -> bool:
-    if isinstance(obj, (list, tuple)):
-        return obj == x or any(_occurs(x, e) for e in obj)
-    return obj == x
-
-
-def get_last(seq):
-    """Last element, non-destructively."""
-    if not seq:
-        raise EmptySequenceError("get_last on empty sequence")
-    return seq[-1]
-
-
-def pop(seq: list):
-    """Remove and return the last element; returns ``(element, seq)``."""
-    if not seq:
-        raise EmptySequenceError("pop on empty sequence")
-    return seq.pop(), seq
-
-
 # the algorithm ----------------------------------------------------------------
-
-def is_counterfactual(state: State, causal_rules: Sequence[Rule],
-                      decision_rules: Sequence[Rule]) -> bool:
-    """Goal test: the state satisfies every causal rule and no decision rule."""
-    return (is_causally_consistent(state, causal_rules)
-            and not satisfies_decision(state, decision_rules))
-
 
 def update(state: State, trace: PathTrace, actions_taken: Sequence[str],
            action: Action) -> tuple[tuple[State, tuple[str, ...]], PathTrace]:
@@ -232,47 +188,61 @@ def make_consistent(state: State, actions_taken: Sequence[str], trace: PathTrace
     until a causally consistent one surfaces and is returned as the current
     state again; an emptied trace is a planning failure.
     """
-    causal_rules = tuple(causal_rules)
-    taken = tuple(actions_taken)
-    if is_causally_consistent(state, causal_rules):
-        return TraceEntry(state, taken), trace
-    result = trace.complete_from(state, actions, excluded_first=frozenset(taken))
+    kernel = CompiledProblem(state.domains, causal_rules, (), actions)
+    return _make_consistent(trace, kernel, state.idx, state.reps, tuple(actions_taken)), trace
+
+
+def _make_consistent(trace: PathTrace, kernel: CompiledProblem, idx: Index,
+                     reps: Reps, taken: tuple[str, ...]) -> TraceEntry:
+    domains = kernel.domains
+    if kernel.consistent(idx):
+        return TraceEntry(State(domains, idx, reps), taken)
+    if taken:
+        excluded = frozenset(k for k, action_id in enumerate(kernel.ids) if action_id in taken)
+        result = _complete(kernel, idx, excluded)
+    else:
+        # a memoized chain replays with the witnesses it was first found with
+        reps, result = trace._chain(kernel, idx, reps)
     if result is None:
         while trace.entries:
-            entry = trace.pop_last()
-            if is_causally_consistent(entry.state, causal_rules):
-                return entry, trace
+            entry, consistent = trace._pop()
+            if consistent:
+                return entry
         raise PlanFailure("no causally consistent completion reachable")
-    final, chain_edges = result
-    current, current_taken = state, taken
-    for source, action in chain_edges:
-        assert source == current
-        (current, current_taken), trace = update(source, trace, current_taken, action)
-    assert current == final
-    return TraceEntry(current, current_taken), trace
+    final, edges = result
+    for source, k in edges:
+        trace._push(TraceEntry(State(domains, source, reps), taken + (kernel.ids[k],)), False)
+        reps, taken = _written(reps, kernel.moves[k][0]), ()
+    return TraceEntry(State(domains, final, reps), taken)
 
 
-def _select_action(trace: PathTrace, state: State, taken: tuple[str, ...],
-                   actions: Sequence[Action]) -> Optional[Action]:
+def _select_action(trace: PathTrace, kernel: CompiledProblem, state: State,
+                   taken: tuple[str, ...]) -> Optional[tuple[int, Index]]:
     """First action whose consistent outcome is new to this run.
 
     Skips actions already attempted from this entry, actions not permitted
     here, actions with no consistent completion, and actions whose outcome
     is the current state, sits on the current path, or is a known dead end.
+    Returns the action's position and its raw outcome.
     """
-    for a in actions:
-        if a.id in taken:
+    consistent, step, moves = kernel.consistent, kernel.step, kernel.moves
+    idx, live, exhausted = state.idx, trace._live, trace._exhausted
+    for k, action_id in enumerate(kernel.ids):
+        if action_id in taken:
             continue
-        if not is_permitted(a, state):
+        raw = step(k, idx)
+        if raw is None:
             continue
-        raw = apply_action(a, state)
-        result = trace.complete_from(raw, actions)
-        if result is None:
+        if consistent(raw):
+            final = raw
+        else:
+            result = trace._chain(kernel, raw, _written(state.reps, moves[k][0]))[1]
+            if result is None:
+                continue
+            final = result[0]
+        if final == idx or final in live or final in exhausted:
             continue
-        final, _ = result
-        if final == state or trace.live_contains(final) or trace.is_exhausted(final):
-            continue
-        return a
+        return k, raw
     return None
 
 
@@ -284,30 +254,29 @@ def intervene(trace: PathTrace, causal_rules: Sequence[Rule],
     Raises :class:`PlanFailure` when backtracking exhausts the trace; the
     exhausted root entry is kept for diagnostics.
     """
-    causal_rules = tuple(causal_rules)
     if not trace.entries:
         raise PlanFailure("intervene on an empty trace")
-    state, taken = trace.pop_last()
-    while True:
-        action = _select_action(trace, state, taken, actions)
-        if action is not None:
-            break
-        trace.mark_exhausted(state)
-        trace.discard_inconsistent_tail()
-        if not trace.entries:
-            root = TraceEntry(state, taken)
-            trace.append(root)
-            raise PlanFailure("backtracking exhausted the search space", last_entry=root)
-        state, taken = trace.pop_last()
-    (current, current_taken), trace = update(state, trace, taken, action)
-    entry, trace = make_consistent(current, current_taken, trace, causal_rules, actions)
-    trace.append(entry)
+    _intervene(trace, CompiledProblem(trace.last().state.domains, causal_rules, (), actions))
     return trace
 
 
-def default_budget(problem: ProblemSpec, actions: Sequence[Action]) -> int:
-    """Default expansion budget: generous for any enumerable instance."""
-    return max(1, 10 * len(actions) * len(problem.domains))
+def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
+    entry, consistent = trace._pop()
+    while True:
+        choice = _select_action(trace, kernel, entry.state, entry.actions_taken)
+        if choice is not None:
+            break
+        trace._exhausted.add(entry.state.idx)
+        trace.discard_inconsistent_tail()
+        if not trace.entries:
+            trace._push(entry, consistent)
+            raise PlanFailure("backtracking exhausted the search space", last_entry=entry)
+        entry, consistent = trace._pop()
+    k, raw = choice
+    state = entry.state
+    trace._push(TraceEntry(state, entry.actions_taken + (kernel.ids[k],)), consistent)
+    reps = _written(state.reps, kernel.moves[k][0])
+    trace._push(_make_consistent(trace, kernel, raw, reps, ()), True)
 
 
 def get_path(problem: ProblemSpec) -> PathTrace:
@@ -318,17 +287,18 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     or in ``budget-exhausted`` when the expansion budget ran out.
     """
     actions = build_actions(problem)
-    causal_rules = problem.causal_rules
-    decision_rules = problem.decision_rules
-    budget = problem.action_budget or default_budget(problem, actions)
-    trace = PathTrace(causal_rules=causal_rules)
-    trace.append(TraceEntry(problem.initial, ()))
-    while not is_counterfactual(trace.last().state, causal_rules, decision_rules):
+    kernel = CompiledProblem(problem.domains, problem.causal_rules,
+                             problem.decision_rules, actions)
+    # the default budget is generous for any enumerable instance
+    budget = problem.action_budget or max(1, 10 * len(actions) * len(problem.domains))
+    trace = PathTrace(causal_rules=problem.causal_rules)
+    trace._push(TraceEntry(problem.initial, ()), kernel.consistent(problem.initial.idx))
+    while not kernel.goal(trace.entries[-1].state.idx):
         if trace.expansions >= budget:
             trace.status = "budget-exhausted"
             return trace
         try:
-            intervene(trace, causal_rules, actions)
+            _intervene(trace, kernel)
         except PlanFailure:
             trace.status = "failure"
             return trace

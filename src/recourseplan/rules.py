@@ -118,27 +118,22 @@ def literal_support(domain: FeatureDomain, lit: Literal) -> frozenset[int]:
     return frozenset(hold)
 
 
-CompiledRule = tuple[tuple[tuple[int, frozenset[int]], ...],
-                     Optional[tuple[int, frozenset[int]]]]
+Pairs = tuple[tuple[int, frozenset[int]], ...]
+CompiledRule = tuple[Pairs, Optional[tuple[int, frozenset[int]]]]
+
+
+def compile_literals(domains: Domains, literals: Sequence[Literal]) -> Pairs:
+    """Resolve literals to (feature position, allowed indices) pairs."""
+    return tuple((domains.index(lit.feature), literal_support(domains.by_name(lit.feature), lit))
+                 for lit in literals)
 
 
 @lru_cache(maxsize=None)
 def compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
-    """Resolve a rule's literals to (feature position, allowed indices) pairs."""
-    body = tuple(
-        (domains.index(lit.feature), literal_support(domains.by_name(lit.feature), lit))
-        for lit in rule.body
-    )
-    head = None
-    if rule.head is not None:
-        head = (domains.index(rule.head.feature),
-                literal_support(domains.by_name(rule.head.feature), rule.head))
+    """A rule's body pairs, and its head pair when it has one."""
+    body = compile_literals(domains, rule.body)
+    head = compile_literals(domains, (rule.head,))[0] if rule.head is not None else None
     return body, head
-
-
-def body_holds(domains: Domains, rule: Rule, idx: tuple[int, ...]) -> bool:
-    body, _ = compile_rule(domains, rule)
-    return all(idx[i] in allowed for i, allowed in body)
 
 
 def eval_rule(rule: Rule, state: State) -> bool:
@@ -166,24 +161,11 @@ def satisfies_decision(state: State, decision_rules: Sequence[Rule]) -> bool:
     return any(eval_rule(r, state) for r in decision_rules)
 
 
-def _consistent_idx(domains: Domains, causal_rules: Sequence[Rule],
-                    idx: tuple[int, ...]) -> bool:
-    for r in causal_rules:
-        body, head = compile_rule(domains, r)
-        if all(idx[i] in allowed for i, allowed in body):
-            hi, allowed = head  # type: ignore[misc]
-            if idx[hi] not in allowed:
-                return False
-    return True
-
-
-def _fires_idx(domains: Domains, decision_rules: Sequence[Rule],
-               idx: tuple[int, ...]) -> bool:
-    for r in decision_rules:
-        body, _ = compile_rule(domains, r)
-        if all(idx[i] in allowed for i, allowed in body):
-            return True
-    return False
+def is_counterfactual(state: State, causal_rules: Sequence[Rule],
+                      decision_rules: Sequence[Rule]) -> bool:
+    """Goal test: the state satisfies every causal rule and no decision rule."""
+    return (is_causally_consistent(state, causal_rules)
+            and not satisfies_decision(state, decision_rules))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,10 @@ def test_random_scenario_is_seed_deterministic():
 def test_max_states_cap_exit_code():
     code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", "10")
     assert code == 4
+    for bad in ("-1", "0"):
+        code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", bad)
+        assert code == 1
+        assert "--max-states" in err
 
 
 def test_env_var_overrides_cap(tmp_path, monkeypatch):
@@ -201,6 +205,11 @@ def test_env_var_overrides_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("RECOURSE_MAX_STATES", "1000")
     code, out, err = run_cli("enumerate", "--scenario", "car")
     assert code == 0
+    for bad in ("-5", "0", "abc"):
+        monkeypatch.setenv("RECOURSE_MAX_STATES", bad)
+        code, out, err = run_cli("enumerate", "--scenario", "car")
+        assert code == 1
+        assert "RECOURSE_MAX_STATES" in err
 
 
 def test_file_problems_plan_like_scenarios(tmp_path):

@@ -2,29 +2,29 @@ import csv
 
 import pytest
 
-from recourseplan.domains import Interval
+from recourseplan.domains import Interval, partition_range
 from recourseplan.errors import (CausallyInconsistentRecord, CsvRowError,
                                  EmptyRange, OutOfDomain, SchemaMismatch,
                                  UnknownScenario)
 from recourseplan.ingest import (SCENARIO_NAMES, DatasetSchema, builtin_scenario,
-                                 induce_intervals, load_csv, record_to_state)
+                                 load_csv, record_to_state)
 from recourseplan.rules import is_causally_consistent, satisfies_decision
 
 
 # interval induction ---------------------------------------------------------
 
 def test_induce_intervals_duration():
-    parts = induce_intervals("duration_months", {7, 72}, 1, 120)
+    parts = partition_range(1, 120, {7, 72})
     assert parts == (Interval(1, 7), Interval(7, 72, True), Interval(72, 120, True))
 
 
 def test_induce_intervals_without_thresholds():
-    assert induce_intervals("n", (), 5, 9) == (Interval(5, 9),)
+    assert partition_range(5, 9, ()) == (Interval(5, 9),)
 
 
 def test_induce_intervals_empty_range():
     with pytest.raises(EmptyRange):
-        induce_intervals("n", (), 9, 5)
+        partition_range(9, 5, ())
 
 
 # csv loading ------------------------------------------------------------------

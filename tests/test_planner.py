@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,59 +7,15 @@ from hypothesis import given, settings, strategies as st
 from recourseplan.actions import build_actions
 from recourseplan.domains import Domains, FeatureDomain
 from recourseplan.dsl import parse_problem
-from recourseplan.errors import EmptySequenceError, NotASolution, PlanFailure
+from recourseplan.errors import NotASolution, PlanFailure
 from recourseplan.generate import random_problem
+from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.oracle import delta_oracle
 from recourseplan.planner import (PathTrace, TraceEntry,
-                                  extract_candidate_path, get_last, get_path,
+                                  extract_candidate_path, get_path,
                                   intervene, is_counterfactual, make_consistent,
-                                  not_member, pop, update)
+                                  update)
 from recourseplan.rules import ProblemSpec, is_causally_consistent
-
-
-# sequence helpers ------------------------------------------------------------
-
-def test_not_member_plain_and_tuple_membership():
-    assert not_member(3, [1, 2])
-    assert not not_member(2, [1, 2])
-    # membership of an element buried inside a tuple entry counts
-    assert not not_member("a", [("s1", ["a"]), ("s2", [])])
-    assert not_member("b", [("s1", ["a"]), ("s2", [])])
-
-
-def test_not_member_sees_states_inside_trace_entries(car):
-    entry = TraceEntry(car.problem.initial, ("direct:persons:4",))
-    assert not not_member(car.problem.initial, [entry])
-    assert not not_member("direct:persons:4", [entry])
-
-
-def test_get_last_is_non_destructive():
-    seq = [1, 2]
-    assert get_last(seq) == 2
-    assert seq == [1, 2]
-    with pytest.raises(EmptySequenceError):
-        get_last([])
-
-
-def test_pop_removes_last():
-    seq = [1, 2]
-    element, rest = pop(seq)
-    assert element == 2 and rest is seq and seq == [1]
-    with pytest.raises(EmptySequenceError):
-        pop([])
-
-
-@given(st.lists(st.integers(), min_size=1))
-def test_pop_then_append_is_identity(items):
-    copy = list(items)
-    element, rest = pop(copy)
-    rest.append(element)
-    assert copy == items
-
-
-@given(st.lists(st.integers(-5, 5)), st.integers(-5, 5))
-def test_not_member_matches_plain_containment_on_flat_lists(items, x):
-    assert not_member(x, items) == (x not in items)
 
 
 # update ----------------------------------------------------------------------
@@ -298,3 +255,26 @@ def test_candidate_paths_move_along_oracle_transitions(seed):
     actions = build_actions(problem)
     for a, b in zip(path.states, path.states[1:]):
         assert b in delta_oracle(a, problem, actions)
+
+
+# trace identity ---------------------------------------------------------------------
+
+# SHA-256 over every trace of the four bundled scenarios and of
+# random_problem(seed, max_features=8, max_values=5) for seeds 0-99: status,
+# expansions, and per entry the state's indices and witnesses, the attempted
+# action ids and the consistency flag.  Any change to search order, repair
+# chains or witness bookkeeping changes it.
+TRACE_DIGEST = "66d1ae1c6d958fb6ccbd91aaaaf09f9456f37bd809ad6fa0b96ff746a75745fe"
+
+
+def test_traces_match_pinned_digest():
+    problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
+    problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(100)]
+    digest = hashlib.sha256()
+    for problem in problems:
+        trace = get_path(problem)
+        record = (trace.status, trace.expansions,
+                  [(e.state.idx, e.state.reps, e.actions_taken, ok)
+                   for e, ok in trace.entry_records()])
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == TRACE_DIGEST
