@@ -74,17 +74,16 @@ def _always_consistent_after(kernel: CompiledProblem, guard: Pairs,
     Only features mentioned by some causal rule or by the guard can influence
     either the guard or consistency, so the sweep ranges over just those and
     pins the rest, keeping verification cheap on large spaces.  A guard
-    feature ranges over the values its literal allows (the last literal, when
-    the guard names a feature twice), and the written feature is fixed at its
-    new value.
+    feature ranges over the values all of its literals allow, and the written
+    feature is fixed at its new value.
     """
-    relevant: set[int] = set()
+    relevant = {fi for fi, _ in guard}
     for body, head_pos, _ in kernel.causal:
         relevant.update(i for i, _ in body)
         relevant.add(head_pos)
     axes = [range(f.size) if fi in relevant else range(1) for fi, f in enumerate(kernel.domains)]
     for fi, allowed in guard:
-        axes[fi] = sorted(allowed)
+        axes[fi] = sorted(allowed.intersection(axes[fi]))
     axes[feature_index] = (new_index,)
     return all(map(kernel.consistent, itertools.product(*axes)))
 

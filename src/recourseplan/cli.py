@@ -9,15 +9,16 @@ Three subcommands::
 ``plan`` renders the candidate path as a per-feature table (changed cells
 carry the action kind) or as a structured JSON record that includes the full
 trace with causally inconsistent intermediates.  ``validate`` checks the five
-solution-path clauses with the enumeration oracle, either on a fresh planning
-run or on a previously saved structured record.  ``enumerate`` prints the
-state-space cardinalities.
+solution-path clauses with the oracle, either on a fresh planning run or on a
+previously saved structured record, and prints the state-set counts.
+``enumerate`` prints the state-space cardinalities.
 
 Exit codes: 0 success, 1 usage or parse error, 2 planning failure,
 3 expansion budget exhausted, 4 enumeration cap exceeded.  Results go to
 stdout, diagnostics to stderr.  The ``RECOURSE_MAX_STATES`` environment
 variable overrides the default enumeration cap; ``--max-states`` overrides
-both.
+both.  Only the state-set counts enumerate: path validation is path-local,
+so ``plan --validate`` is not subject to the cap.
 """
 
 from __future__ import annotations
@@ -200,8 +201,7 @@ def cmd_plan(config: RunConfig, out: TextIO = sys.stdout, err: TextIO = sys.stde
     trace = get_path(problem)
     report = None
     if config.validate and trace.status == "success":
-        report = oracle.validate_solution_path(
-            extract_candidate_path(trace), problem, cap=config.max_states)
+        report = oracle.validate_solution_path(extract_candidate_path(trace), problem)
     if config.output_format == "structured":
         record = _structured_record(name, problem, trace)
         if report is not None:
@@ -282,7 +282,7 @@ def cmd_validate(config: RunConfig, out: TextIO = sys.stdout, err: TextIO = sys.
             err.write(f"nothing to validate: planning ended with {trace.status}\n")
             return EXIT_FAILURE if trace.status == "failure" else EXIT_BUDGET
         path = extract_candidate_path(trace)
-    report = oracle.validate_solution_path(path, problem, cap=config.max_states)
+    report = oracle.validate_solution_path(path, problem)
     counts = oracle.state_set_report(problem, cap=config.max_states)
     if config.output_format == "structured":
         _emit_json({
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, metavar="N",
                        help="seed for --scenario random")
         p.add_argument("--validate", action="store_true",
-                       help="run the enumeration oracle on the result")
+                       help="run the oracle's path validation on the result")
         p.add_argument("--max-states", type=int, default=None, metavar="N",
                        help="enumeration cap override")
         if command == "validate":

@@ -1,27 +1,31 @@
 """Exhaustive ground truth for planning runs.
 
-Everything here works by enumeration over the finite state space: the
-causally consistent set, the decision-consistent set, the goal set, the
-one-step transition relation, path validation, and a breadth-first shortest
-path.  None of it consults the planner's search, so planner runs can be
-checked against these results.  The strata share the planner's compiled rule
-tests (``recourseplan.kernel``); the one-step relation and the shortest-path
-search work on ``State`` objects, apart from them.
+The oracle computes the causally consistent set, the decision-consistent
+set, the goal set, the one-step transition relation, path validation, and a
+breadth-first shortest path.  None of it consults the planner's search, and
+it evaluates rules and actions with its own tables (:class:`_Tables`), not
+the planner's compiled kernel: a literal's truth on an interval is read off
+the interval's smallest and largest elements, on a categorical value off
+label equality.  Only the action list itself comes from ``build_actions``.
+
+The strata are computed by enumeration; path validation is path-local: the
+five clauses are predicates on the path states plus one-step checks, so it
+enumerates nothing and no state cap applies to it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .actions import Action, apply_action, build_actions, is_permitted
+from .actions import Action, build_actions
 from .domains import Domains, State
 from .errors import CapExceeded
-from .kernel import CompiledProblem
 from .planner import CandidatePath
-from .rules import ProblemSpec, Rule, is_causally_consistent, is_counterfactual
+from .rules import Literal, ProblemSpec
 
 DEFAULT_STATE_CAP = 10**7
 CAP_ENV_VAR = "RECOURSE_MAX_STATES"
@@ -45,6 +49,225 @@ def _check_cap(domains: Domains, cap: Optional[int]) -> None:
         raise CapExceeded(domains.state_count, limit)
 
 
+# the oracle's rule and action tables ---------------------------------------------
+
+Index = tuple[int, ...]
+Reps = tuple[Optional[int], ...]
+Table = tuple[tuple[int, frozenset[int]], ...]
+Successors = tuple[tuple[int, Index, bool], ...]
+
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "=<": operator.le,
+            "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+def _literal_table(domains: Domains, lit: Literal) -> tuple[int, frozenset[int]]:
+    """The literal's feature position and the value indices where it holds.
+
+    A categorical value holds when its label equality matches the operator.
+    An interval holds when the comparison is true at both its smallest and
+    its largest element (rule constants are interval boundaries, so the two
+    agree on every interval of a valid problem).
+    """
+    pos = domains.index(lit.feature)
+    f = domains[pos]
+    if f.kind == "categorical":
+        wanted = lit.op == "="
+        held = (i for i, label in enumerate(f.labels) if (label == str(lit.const)) == wanted)
+    else:
+        compare = _COMPARE[lit.op]
+        held = (i for i, iv in enumerate(f.intervals)
+                if compare(iv.min_element, lit.const) and compare(iv.max_element, lit.const))
+    return pos, frozenset(held)
+
+
+def _table(domains: Domains, literals: Sequence[Literal]) -> Table:
+    return tuple(_literal_table(domains, lit) for lit in literals)
+
+
+def _holds(table: Table, idx: Index) -> bool:
+    for i, allowed in table:
+        if idx[i] not in allowed:
+            return False
+    return True
+
+
+def _may_leave(domains: Domains, action: Action) -> frozenset[int]:
+    """Current values of the written feature from which the action may move
+    it: none when the feature is immutable, never the target itself, and only
+    from the side of the target that the feature's monotonicity allows."""
+    f, target = domains[action.feature_index], action.new_index
+    if not f.mutable:
+        return frozenset()
+    if f.monotonicity == "nondecreasing":
+        return frozenset(range(target))
+    if f.monotonicity == "nonincreasing":
+        return frozenset(range(target + 1, f.size))
+    return frozenset(range(f.size)) - {target}
+
+
+class _Tables:
+    """One problem's rules and actions, tabled by the oracle on index tuples.
+
+    ``causal`` holds one ``(body, head position, head values)`` triple per
+    causal rule, ``decision`` the body table of each decision rule, and
+    ``moves`` one ``(feature index, new index, permission table)`` triple per
+    action in action order; the permission table pairs the written feature
+    with :func:`_may_leave` and adds the guard.  One object serves one
+    top-level call and remembers, for that call, every state's consistency,
+    the successor list of every causally inconsistent state it expands and
+    the canonical repair of every raw outcome.
+    """
+
+    __slots__ = ("causal", "decision", "moves", "_consistent", "_region", "_repairs")
+
+    def __init__(self, problem: ProblemSpec, actions: Sequence[Action] = ()) -> None:
+        domains = problem.domains
+        self.causal = tuple((_table(domains, r.body), *_literal_table(domains, r.head))
+                            for r in problem.causal_rules)
+        self.decision = tuple(_table(domains, r.body) for r in problem.decision_rules)
+        self.moves = tuple((a.feature_index, a.new_index,
+                            ((a.feature_index, _may_leave(domains, a)),) + _table(domains, a.guard))
+                           for a in actions)
+        self._consistent: dict[Index, bool] = {}
+        self._region: dict[Index, Successors] = {}
+        self._repairs: dict[Index, Optional[tuple[Index, tuple[int, ...]]]] = {}
+
+    def consistent(self, idx: Index) -> bool:
+        """Every causal implication holds."""
+        for body, head_pos, head_values in self.causal:
+            if idx[head_pos] not in head_values and _holds(body, idx):
+                return False
+        return True
+
+    def fires(self, idx: Index) -> bool:
+        """Some decision rule's body holds."""
+        for body in self.decision:
+            if _holds(body, idx):
+                return True
+        return False
+
+    def goal(self, idx: Index) -> bool:
+        return self._is_consistent(idx) and not self.fires(idx)
+
+    def _is_consistent(self, idx: Index) -> bool:
+        ok = self._consistent.get(idx)
+        if ok is None:
+            ok = self._consistent[idx] = self.consistent(idx)
+        return ok
+
+    def successors(self, idx: Index) -> Successors:
+        """``(action position, outcome, outcome consistent)`` for every action
+        permitted at ``idx``, in action order."""
+        out = []
+        known = self._consistent
+        for k, (fi, target, permission) in enumerate(self.moves):
+            for i, allowed in permission:
+                if idx[i] not in allowed:
+                    break
+            else:
+                nxt = idx[:fi] + (target,) + idx[fi + 1:]
+                ok = known.get(nxt)
+                if ok is None:
+                    ok = known[nxt] = self.consistent(nxt)
+                out.append((k, nxt, ok))
+        return tuple(out)
+
+    def _region_successors(self, idx: Index) -> Successors:
+        # inconsistent states are revisited by many repair chains and regions
+        hit = self._region.get(idx)
+        if hit is None:
+            hit = self._region[idx] = self.successors(idx)
+        return hit
+
+    def _repair(self, raw: Index) -> Optional[tuple[Index, tuple[int, ...]]]:
+        """The repair policy from an inconsistent raw outcome: the first
+        consistent state of a depth-first walk that tries actions in order
+        (causal repairs first) and enters no state twice, with the action
+        positions of the chain; ``None`` when no completion exists."""
+        if raw in self._repairs:
+            return self._repairs[raw]
+        result = None
+        seen = {raw}
+        # (state, next position in its successor list); ``chain`` holds the
+        # action positions of the edges between stacked states
+        stack: list[tuple[Index, int]] = [(raw, 0)]
+        chain: list[int] = []
+        while stack and result is None:
+            current, position = stack[-1]
+            succ = self._region_successors(current)
+            for j in range(position, len(succ)):
+                k, nxt, ok = succ[j]
+                if nxt in seen:
+                    continue
+                if ok:
+                    result = nxt, tuple(chain) + (k,)
+                    break
+                seen.add(nxt)
+                stack[-1] = (current, j + 1)
+                stack.append((nxt, 0))
+                chain.append(k)
+                break
+            else:
+                stack.pop()
+                if chain:
+                    chain.pop()
+        self._repairs[raw] = result
+        return result
+
+    def canonical_routes(self, idx: Index,
+                         succ: Successors) -> Iterator[tuple[Index, tuple[int, ...]]]:
+        """The repair policy's outcome of each permitted action, in action
+        order, with the positions of the actions that wrote it; outcomes equal
+        to ``idx`` are left out, and one outcome may come by several routes."""
+        for k, raw, ok in succ:
+            if ok:
+                yield raw, (k,)
+                continue
+            repaired = self._repair(raw)
+            if repaired is not None and repaired[0] != idx:
+                yield repaired[0], (k,) + repaired[1]
+
+    def canonical(self, idx: Index) -> dict[Index, tuple[int, ...]]:
+        """The consistent one-step successors of ``idx``, each with the
+        written positions of its first route."""
+        out: dict[Index, tuple[int, ...]] = {}
+        for final, written in self.canonical_routes(idx, self.successors(idx)):
+            out.setdefault(final, written)
+        return out
+
+    def liberal_exits(self, succ: Successors) -> Iterator[Index]:
+        """Every consistent state some repair order reaches in one step.
+
+        One traversal of the causally inconsistent region below all the raw
+        outcomes, so exits may repeat and may include the source state.
+        """
+        seen: set[Index] = set()
+        for _, raw, ok in succ:
+            if ok:
+                yield raw
+                continue
+            if raw in seen:
+                continue
+            seen.add(raw)
+            frontier = [raw]
+            while frontier:
+                for _, nxt, nxt_ok in self._region_successors(frontier.pop()):
+                    if nxt_ok:
+                        yield nxt
+                    elif nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+
+    def witnesses(self, reps: Reps, written: tuple[int, ...]) -> Reps:
+        """Witnesses after the given actions: a written feature loses its own."""
+        out = list(reps)
+        for k in written:
+            out[self.moves[k][0]] = None
+        return tuple(out)
+
+
+# enumeration -----------------------------------------------------------------------
+
 def enumerate_states(domains: Domains, cap: Optional[int] = None) -> Iterator[State]:
     """Every state exactly once, in declaration-then-domain order."""
     _check_cap(domains, cap)
@@ -54,14 +277,14 @@ def enumerate_states(domains: Domains, cap: Optional[int] = None) -> Iterator[St
 
 
 def _consistent_states(problem: ProblemSpec,
-                       cap: Optional[int]) -> Iterator[tuple[tuple[int, ...], bool]]:
+                       cap: Optional[int]) -> Iterator[tuple[Index, bool]]:
     """The one stratum pass: each causally consistent index tuple, in
     enumeration order, with whether some decision rule fires there."""
     domains = problem.domains
     _check_cap(domains, cap)
-    kernel = CompiledProblem(domains, problem.causal_rules, problem.decision_rules)
-    fires = kernel.fires
-    for idx in filter(kernel.consistent, itertools.product(*(range(f.size) for f in domains))):
+    tables = _Tables(problem)
+    fires = tables.fires
+    for idx in filter(tables.consistent, itertools.product(*(range(f.size) for f in domains))):
         yield idx, fires(idx)
 
 
@@ -106,34 +329,6 @@ def state_set_report(problem: ProblemSpec, cap: Optional[int] = None) -> StateSe
 
 # one-step transitions --------------------------------------------------------
 
-def _repair(state: State, causal_rules: tuple[Rule, ...],
-            actions: Sequence[Action], seen: set[State]) -> Optional[State]:
-    # Depth-first repair: causal actions come first in the action order, no
-    # state is entered twice within one chain.  Explicit stack of
-    # (state, next action position) pairs so chain depth is unbounded.
-    stack: list[tuple[State, int]] = [(state, 0)]
-    while stack:
-        current, position = stack[-1]
-        descended = False
-        for i in range(position, len(actions)):
-            a = actions[i]
-            if not is_permitted(a, current):
-                continue
-            nxt = apply_action(a, current)
-            if nxt in seen:
-                continue
-            if is_causally_consistent(nxt, causal_rules):
-                return nxt
-            seen.add(nxt)
-            stack[-1] = (current, i + 1)
-            stack.append((nxt, 0))
-            descended = True
-            break
-        if not descended:
-            stack.pop()
-    return None
-
-
 def delta_oracle(state: State, problem: ProblemSpec,
                  actions: Optional[Sequence[Action]] = None) -> set[State]:
     """All causally consistent states reachable from ``state`` in one step.
@@ -142,58 +337,27 @@ def delta_oracle(state: State, problem: ProblemSpec,
     the deterministic repair policy (causal actions first, declaration order,
     no revisits within the chain).  The input state itself is never a member.
     """
-    if actions is None:
-        actions = build_actions(problem)
-    causal_rules = problem.causal_rules
-    out: set[State] = set()
-    for a in actions:
-        if not is_permitted(a, state):
-            continue
-        raw = apply_action(a, state)
-        if is_causally_consistent(raw, causal_rules):
-            final: Optional[State] = raw
-        else:
-            final = _repair(raw, causal_rules, actions, {raw})
-        if final is not None and final != state:
-            out.add(final)
-    return out
+    tables = _Tables(problem, build_actions(problem) if actions is None else actions)
+    return {State(problem.domains, idx, tables.witnesses(state.reps, written))
+            for idx, written in tables.canonical(state.idx).items()}
 
 
 def delta_oracle_liberal(state: State, problem: ProblemSpec,
                          actions: Optional[Sequence[Action]] = None) -> set[State]:
     """One-step successors under any repair order, not just the normative one.
 
-    Explores the whole causally inconsistent region reachable from each raw
-    action outcome and collects every consistent exit.  Always a superset of
+    Explores the whole causally inconsistent region reachable from the raw
+    action outcomes and collects every consistent exit.  Always a superset of
     :func:`delta_oracle`; a strict superset signals that repair order matters
-    at this state.
+    at this state.  Each member keeps the witnesses of ``state`` on the
+    features it leaves unchanged.
     """
-    if actions is None:
-        actions = build_actions(problem)
-    causal_rules = problem.causal_rules
-    out: set[State] = set()
-    for a in actions:
-        if not is_permitted(a, state):
-            continue
-        raw = apply_action(a, state)
-        if is_causally_consistent(raw, causal_rules):
-            out.add(raw)
-            continue
-        seen = {raw}
-        frontier = [raw]
-        while frontier:
-            u = frontier.pop()
-            for b in actions:
-                if not is_permitted(b, u):
-                    continue
-                v = apply_action(b, u)
-                if is_causally_consistent(v, causal_rules):
-                    out.add(v)
-                elif v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-    out.discard(state)
-    return out
+    tables = _Tables(problem, build_actions(problem) if actions is None else actions)
+    exits = set(tables.liberal_exits(tables.successors(state.idx)))
+    exits.discard(state.idx)
+    return {State(problem.domains, idx,
+                  tuple(r if i == j else None for r, i, j in zip(state.reps, state.idx, idx)))
+            for idx in exits}
 
 
 # path validation ---------------------------------------------------------------
@@ -227,29 +391,53 @@ class ValidationReport:
         return all(self.clause_results)
 
 
-def validate_solution_path(path: CandidatePath, problem: ProblemSpec,
-                           cap: Optional[int] = None) -> ValidationReport:
-    """Check the five solution-path clauses by enumeration only."""
+def _check_step(tables: _Tables, a: Index, b: Index, look_for_divergence: bool) -> tuple[bool, bool]:
+    """Whether ``b`` is a one-step successor of ``a``, and, when asked,
+    whether some repair order reaches a consistent state from ``a`` that the
+    canonical policy does not (canonical successors are a subset of the
+    liberal ones, so the first such exit settles it).  Canonical successors
+    are produced only as far as these tests need them."""
+    succ = tables.successors(a)
+    routes = (final for final, _ in tables.canonical_routes(a, succ))
+    reached: set[Index] = set()
+
+    def is_canonical(t: Index) -> bool:
+        if t in reached:
+            return True
+        for final in routes:
+            reached.add(final)
+            if final == t:
+                return True
+        return False
+
+    diverges = look_for_divergence and any(
+        t != a and not is_canonical(t) for t in tables.liberal_exits(succ))
+    return is_canonical(b), diverges
+
+
+def validate_solution_path(path: CandidatePath, problem: ProblemSpec) -> ValidationReport:
+    """Check the five solution-path clauses on the path's own states.
+
+    Consistency and goal membership are tested state by state, and each step
+    against :func:`delta_oracle`'s relation, so nothing is enumerated.  The
+    repair-order flag is looked for only until one step shows it.
+    """
     if not path.states:
         raise ValueError("cannot validate an empty path")
-    # one stratum pass: each consistent state, mapped to whether a decision rule fires
-    fires = dict(_consistent_states(problem, cap))
-    goal = {idx for idx, fired in fires.items() if not fired}
-    states = path.states
-    actions = build_actions(problem)
+    tables = _Tables(problem, build_actions(problem))
+    idxs = [s.idx for s in path.states]
+    goal = [tables.goal(idx) for idx in idxs]
     steps_ok = True
     divergence = False
-    for a, b in zip(states, states[1:]):
-        canonical = delta_oracle(a, problem, actions)
-        if b not in canonical:
-            steps_ok = False
-        if delta_oracle_liberal(a, problem, actions) != canonical:
-            divergence = True
+    for a, b in zip(idxs, idxs[1:]):
+        step_ok, diverges = _check_step(tables, a, b, not divergence)
+        steps_ok = steps_ok and step_ok
+        divergence = divergence or diverges
     return ValidationReport(
-        starts_at_initial=states[0] == problem.initial,
-        ends_in_goal=states[-1].idx in goal,
-        all_causally_consistent=all(s.idx in fires for s in states),
-        prefix_avoids_goal=all(s.idx not in goal for s in states[:-1]),
+        starts_at_initial=path.states[0] == problem.initial,
+        ends_in_goal=goal[-1],
+        all_causally_consistent=all(map(tables.consistent, idxs)),
+        prefix_avoids_goal=not any(goal[:-1]),
         steps_are_transitions=steps_ok,
         liberal_divergence=divergence,
     )
@@ -264,26 +452,28 @@ def bfs_shortest_path(problem: ProblemSpec, cap: Optional[int] = None,
     it returns a path, no correct run can be shorter.
     """
     _check_cap(problem.domains, cap)
-    if actions is None:
-        actions = build_actions(problem)
-    causal_rules, decision_rules = problem.causal_rules, problem.decision_rules
+    tables = _Tables(problem, build_actions(problem) if actions is None else actions)
     start = problem.initial
-    if is_counterfactual(start, causal_rules, decision_rules):
+    if tables.goal(start.idx):
         return CandidatePath((start,))
-    parents: dict[State, State] = {start: start}
-    frontier = [start]
+    # each reached state: the state it was first reached from, and its witnesses
+    reached: dict[Index, tuple[Optional[Index], Reps]] = {start.idx: (None, start.reps)}
+    frontier = [start.idx]
     while frontier:
-        nxt_frontier: list[State] = []
+        nxt_frontier: list[Index] = []
         for s in frontier:
-            for t in sorted(delta_oracle(s, problem, actions), key=lambda x: x.idx):
-                if t in parents:
+            reps = reached[s][1]
+            successors = tables.canonical(s)
+            for t in sorted(successors):
+                if t in reached:
                     continue
-                parents[t] = s
-                if is_counterfactual(t, causal_rules, decision_rules):
-                    chain = [t]
-                    while chain[-1] != start:
-                        chain.append(parents[chain[-1]])
-                    return CandidatePath(tuple(reversed(chain)))
+                reached[t] = (s, tables.witnesses(reps, successors[t]))
+                if tables.goal(t):
+                    chain: list[Optional[Index]] = [t]
+                    while chain[-1] != start.idx:
+                        chain.append(reached[chain[-1]][0])
+                    return CandidatePath(tuple(State(problem.domains, i, reached[i][1])
+                                               for i in reversed(chain)))
                 nxt_frontier.append(t)
         frontier = nxt_frontier
     return None

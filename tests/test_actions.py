@@ -66,6 +66,22 @@ def test_causal_action_safety_exhaustive(husband_toy):
             assert is_causally_consistent(after, husband_toy.causal_rules)
 
 
+def test_guard_sweep_does_not_depend_on_literal_order():
+    # r1's guard names n twice; the sweep must cover 3 =< n =< 7 only, where
+    # setting y = t breaks no rule, whichever literal comes first
+    ids = []
+    for body in ("n >= 3, n =< 7", "n =< 7, n >= 3"):
+        problem = parse_problem(
+            "feature n: numeric [0, 10].\n"
+            "feature y: categorical {t, f}.\n"
+            f"causal r1: y = t :- {body}.\n"
+            "causal r2: y = f :- n =< 2.\n"
+            "initial { n = 0, y = f }.\n")
+        ids.append([a.id for a in build_causal_actions(problem.causal_rules, problem.domains)])
+    assert ids[0] == ids[1]
+    assert "causal:r1:y:t" in ids[0]
+
+
 def test_conflicting_repairs_are_discarded():
     # two rules demand different values of b when a = t; neither repair can
     # guarantee consistency, so no causal action survives

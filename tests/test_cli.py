@@ -1,5 +1,10 @@
+import hashlib
 import json
 
+import pytest
+
+from recourseplan.dsl import pretty_print
+from recourseplan.generate import random_problem
 from recourseplan.ingest import GERMAN_TEXT
 from tests.conftest import UNREACHABLE_GOAL, run_cli
 
@@ -192,6 +197,12 @@ def test_random_scenario_is_seed_deterministic():
 def test_max_states_cap_exit_code():
     code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", "10")
     assert code == 4
+    # validate counts the state sets, so the cap applies; path validation
+    # alone enumerates nothing
+    code, out, err = run_cli("validate", "--scenario", "car", "--max-states", "10")
+    assert code == 4
+    code, out, err = run_cli("plan", "--validate", "--scenario", "car", "--max-states", "10")
+    assert code == 0
     for bad in ("-1", "0"):
         code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", bad)
         assert code == 1
@@ -240,3 +251,26 @@ def test_validate_structured_record():
         "prefix_avoids_goal", "steps_are_transitions"}
     assert all(record["clauses"].values())
     assert record["counts"]["goal"] == 1
+
+
+# ``validate --format structured`` on random_problem(seed, max_features=10,
+# max_values=6) printed to a file, for the seeds whose validation used to
+# enumerate the liberal one-step relation for seconds to a minute; digests
+# recorded before validation became path-local
+SLOW_VALIDATION_DIGESTS = {
+    8: "4edf187930b0c2aded911d8972197f3dfbdc8abe26bd39e08a2fedd8811a0ab0",
+    47: "d656986f4577d7716473a86823cbf47b6f0963c20418d1f5ff7260bd3ab31138",
+    61: "a0267647290e93dba2042411b17a46e577c0c03d13e50596185025e8fe379f5d",
+    102: "347563c01fe510bfca31b3c5ed46dba28f6a56dcd6dbd1cd1af16de1816d2904",
+    106: "d43670b270e458c3422c1dd63dad0bacbc7fea7682da4c51e17937bb9585e4e7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SLOW_VALIDATION_DIGESTS))
+def test_validate_output_of_formerly_slow_seeds_is_pinned(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = f"seed-{seed}.rp"
+    (tmp_path / name).write_text(pretty_print(random_problem(seed, max_features=10, max_values=6)))
+    code, out, err = run_cli("validate", "--file", name, "--format", "structured")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SLOW_VALIDATION_DIGESTS[seed]
