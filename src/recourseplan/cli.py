@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -325,7 +326,9 @@ def cmd_enumerate(config: RunConfig, out: TextIO = sys.stdout, err: TextIO = sys
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="recourseplan",
         description="plan and check recourse paths for rule-based decisions",

@@ -8,18 +8,24 @@ the planner's compiled kernel: a literal's truth on an interval is read off
 the interval's smallest and largest elements, on a categorical value off
 label equality.  Only the action list itself comes from ``build_actions``.
 
-The strata are computed by enumeration; path validation is path-local: the
-five clauses are predicates on the path states plus one-step checks, so it
-enumerates nothing and no state cap applies to it.
+The strata are exact counts from one enumeration of the relevant
+projection: the features some causal rule names (body or head) or some
+decision rule's body names.  No other feature changes consistency or whether
+a decision fires, so each projected member stands for every combination of
+the other features' values; the cap still bounds the declared state space.
+Path validation is path-local: the five clauses are predicates on the path
+states plus one-step checks, so it enumerates nothing and no state cap
+applies to it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .actions import Action, build_actions
 from .domains import Domains, State
@@ -114,11 +120,11 @@ class _Tables:
     action in action order; the permission table pairs the written feature
     with :func:`_may_leave` and adds the guard.  One object serves one
     top-level call and remembers, for that call, every state's consistency,
-    the successor list of every causally inconsistent state it expands and
-    the canonical repair of every raw outcome.
+    the successor list of every causally inconsistent state it expands, the
+    canonical repair of every raw outcome and the states no repair leaves.
     """
 
-    __slots__ = ("causal", "decision", "moves", "_consistent", "_region", "_repairs")
+    __slots__ = ("causal", "decision", "moves", "_consistent", "_region", "_repairs", "_dead")
 
     def __init__(self, problem: ProblemSpec, actions: Sequence[Action] = ()) -> None:
         domains = problem.domains
@@ -131,6 +137,7 @@ class _Tables:
         self._consistent: dict[Index, bool] = {}
         self._region: dict[Index, Successors] = {}
         self._repairs: dict[Index, Optional[tuple[Index, tuple[int, ...]]]] = {}
+        self._dead: set[Index] = set()
 
     def consistent(self, idx: Index) -> bool:
         """Every causal implication holds."""
@@ -148,6 +155,26 @@ class _Tables:
 
     def goal(self, idx: Index) -> bool:
         return self._is_consistent(idx) and not self.fires(idx)
+
+    def relevant(self) -> Index:
+        """The positions some causal rule's body or head, or some decision
+        rule's body, names, in ascending order."""
+        named = {head_pos for _, head_pos, _ in self.causal}
+        for body in [body for body, _, _ in self.causal] + list(self.decision):
+            named.update(i for i, _ in body)
+        return tuple(sorted(named))
+
+    def project(self, positions: Index) -> None:
+        """Rewrite the rule tables onto tuples that hold only ``positions``,
+        in that order; every position a rule names must be among them."""
+        at = {p: j for j, p in enumerate(positions)}
+
+        def moved(table: Table) -> Table:
+            return tuple((at[i], allowed) for i, allowed in table)
+
+        self.causal = tuple((moved(body), at[head_pos], head_values)
+                            for body, head_pos, head_values in self.causal)
+        self.decision = tuple(moved(body) for body in self.decision)
 
     def _is_consistent(self, idx: Index) -> bool:
         ok = self._consistent.get(idx)
@@ -183,11 +210,15 @@ class _Tables:
         """The repair policy from an inconsistent raw outcome: the first
         consistent state of a depth-first walk that tries actions in order
         (causal repairs first) and enters no state twice, with the action
-        positions of the chain; ``None`` when no completion exists."""
+        positions of the chain; ``None`` when no completion exists.
+
+        A failed walk expanded every state it entered, so no consistent state
+        is reachable from any of them: later walks skip them like entered
+        ones, which changes no result."""
         if raw in self._repairs:
             return self._repairs[raw]
         result = None
-        seen = {raw}
+        seen, dead = {raw}, self._dead
         # (state, next position in its successor list); ``chain`` holds the
         # action positions of the edges between stacked states
         stack: list[tuple[Index, int]] = [(raw, 0)]
@@ -197,7 +228,7 @@ class _Tables:
             succ = self._region_successors(current)
             for j in range(position, len(succ)):
                 k, nxt, ok = succ[j]
-                if nxt in seen:
+                if nxt in seen or nxt in dead:
                     continue
                 if ok:
                     result = nxt, tuple(chain) + (k,)
@@ -211,6 +242,8 @@ class _Tables:
                 stack.pop()
                 if chain:
                     chain.pop()
+        if result is None:
+            dead.update(seen)
         self._repairs[raw] = result
         return result
 
@@ -277,27 +310,47 @@ def enumerate_states(domains: Domains, cap: Optional[int] = None) -> Iterator[St
 
 
 def _consistent_states(problem: ProblemSpec,
-                       cap: Optional[int]) -> Iterator[tuple[Index, bool]]:
-    """The one stratum pass: each causally consistent index tuple, in
-    enumeration order, with whether some decision rule fires there."""
+                       cap: Optional[int]) -> tuple[Index, list[tuple[Index, bool]]]:
+    """The one stratum pass, over the relevant projection: the relevant
+    positions, and each causally consistent tuple over them, in enumeration
+    order, with whether some decision rule fires there.  A member stands for
+    every state that agrees with it on those positions."""
     domains = problem.domains
     _check_cap(domains, cap)
     tables = _Tables(problem)
+    positions = tables.relevant()
+    tables.project(positions)
     fires = tables.fires
-    for idx in filter(tables.consistent, itertools.product(*(range(f.size) for f in domains))):
-        yield idx, fires(idx)
+    axes = (range(domains[i].size) for i in positions)
+    return positions, [(idx, fires(idx))
+                       for idx in filter(tables.consistent, itertools.product(*axes))]
+
+
+def _full_states(domains: Domains, positions: Index, members: Iterable[Index]) -> Iterator[State]:
+    """Every state whose values at ``positions`` are those of some member."""
+    free = [i for i in range(len(domains)) if i not in positions]
+    # where each position's value sits in a member followed by the free values
+    order = [positions.index(i) if i in positions else len(positions) + free.index(i)
+             for i in range(len(domains))]
+    axes = [range(domains[i].size) for i in free]
+    for member in members:
+        for rest in itertools.product(*axes):
+            values = member + rest
+            yield State(domains, tuple([values[i] for i in order]))
 
 
 def enumerate_causally_consistent(problem: ProblemSpec,
                                   cap: Optional[int] = None) -> set[State]:
     """The subset of the state space satisfying every causal rule."""
-    return {State(problem.domains, idx) for idx, _ in _consistent_states(problem, cap)}
+    positions, members = _consistent_states(problem, cap)
+    return set(_full_states(problem.domains, positions, (idx for idx, _ in members)))
 
 
 def compute_goal_set(problem: ProblemSpec, cap: Optional[int] = None) -> set[State]:
     """Causally consistent states where no decision rule fires."""
-    return {State(problem.domains, idx)
-            for idx, fires in _consistent_states(problem, cap) if not fires}
+    positions, members = _consistent_states(problem, cap)
+    return set(_full_states(problem.domains, positions,
+                            (idx for idx, fires in members if not fires)))
 
 
 @dataclass(frozen=True)
@@ -321,10 +374,14 @@ def state_set_report(problem: ProblemSpec, cap: Optional[int] = None) -> StateSe
 
     Decision consistency is counted within the causally consistent stratum,
     so the identity ``goal + decision_consistent == causally_consistent``
-    always holds.
+    always holds.  The pass runs over the relevant projection, so each member
+    counts once per value combination of the other features.
     """
-    fired = [fires for _, fires in _consistent_states(problem, cap)]
-    return StateSetReport(problem.state_count, len(fired), sum(fired), fired.count(False))
+    positions, members = _consistent_states(problem, cap)
+    per_member = math.prod(f.size for i, f in enumerate(problem.domains) if i not in positions)
+    fired = sum(fires for _, fires in members)
+    return StateSetReport(problem.state_count, len(members) * per_member, fired * per_member,
+                          (len(members) - fired) * per_member)
 
 
 # one-step transitions --------------------------------------------------------

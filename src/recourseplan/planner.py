@@ -40,7 +40,8 @@ ChainResult = Optional[tuple[Index, tuple[ChainEdge, ...]]]
 
 
 def _complete(kernel: CompiledProblem, start: Index,
-              excluded_first: frozenset[int] = frozenset()) -> ChainResult:
+              excluded_first: frozenset[int] = frozenset(),
+              dead: Optional[set[Index]] = None) -> ChainResult:
     """First causally consistent state reachable from ``start``.
 
     Depth-first over repair chains: at every inconsistent state the ordered
@@ -49,10 +50,17 @@ def _complete(kernel: CompiledProblem, start: Index,
     (state, action position) edges leading to it, or ``None`` when no
     completion exists.  ``excluded_first`` removes already-attempted action
     positions from the first hop only.
+
+    ``dead`` holds inconsistent states from which no consistent state is
+    reachable; they are skipped like seen ones, which changes no result.  A
+    failed search without exclusions expanded every state it saw with every
+    action, so all of them are added to it.
     """
     consistent, step = kernel.consistent, kernel.step
     if consistent(start):
         return start, ()
+    if dead is None:
+        dead = set()
     positions = range(len(kernel.moves))
     seen = {start}
     stack: list[tuple[Index, Iterator[int]]] = [(start, iter(positions))]
@@ -63,7 +71,7 @@ def _complete(kernel: CompiledProblem, start: Index,
             if k in excluded_first and len(stack) == 1:
                 continue
             nxt = step(k, idx)
-            if nxt is None or nxt in seen:
+            if nxt is None or nxt in seen or nxt in dead:
                 continue
             edges.append((idx, k))
             if consistent(nxt):
@@ -75,6 +83,8 @@ def _complete(kernel: CompiledProblem, start: Index,
             stack.pop()
             if edges:
                 edges.pop()
+    if not excluded_first:
+        dead.update(seen)
     return None
 
 
@@ -92,8 +102,9 @@ class PathTrace:
     ``entries`` is the visited-states list in visit order, including causally
     inconsistent intermediates of repair chains.  The trace also carries the
     run bookkeeping, keyed by index tuples: which states sit on the current
-    path, which are known dead ends, and memoized repair-chain outcomes
-    together with the witnesses of the state each was first computed from.
+    path, which are known dead ends, memoized repair-chain outcomes together
+    with the witnesses of the state each was first computed from, and the
+    inconsistent states from which no repair chain completes.
     """
 
     causal_rules: tuple[Rule, ...] = ()
@@ -104,6 +115,7 @@ class PathTrace:
     _live: dict[Index, int] = field(default_factory=dict, repr=False)
     _exhausted: set[Index] = field(default_factory=set, repr=False)
     _chain_memo: dict[Index, tuple[Reps, ChainResult]] = field(default_factory=dict, repr=False)
+    _dead: set[Index] = field(default_factory=set, repr=False)
 
     def append(self, entry: TraceEntry) -> None:
         self._push(entry, is_causally_consistent(entry.state, self.causal_rules))
@@ -140,9 +152,11 @@ class PathTrace:
 
     def _chain(self, kernel: CompiledProblem, idx: Index, reps: Reps) -> tuple[Reps, ChainResult]:
         """Memoized repair chain from ``idx``, with the witnesses it was first found with."""
+        if idx in self._dead:
+            return reps, None
         hit = self._chain_memo.get(idx)
         if hit is None:
-            hit = self._chain_memo[idx] = (reps, _complete(kernel, idx))
+            hit = self._chain_memo[idx] = (reps, _complete(kernel, idx, dead=self._dead))
         return hit
 
     def entry_records(self) -> Iterator[tuple[TraceEntry, bool]]:
@@ -199,7 +213,7 @@ def _make_consistent(trace: PathTrace, kernel: CompiledProblem, idx: Index,
         return TraceEntry(State(domains, idx, reps), taken)
     if taken:
         excluded = frozenset(k for k, action_id in enumerate(kernel.ids) if action_id in taken)
-        result = _complete(kernel, idx, excluded)
+        result = _complete(kernel, idx, excluded, trace._dead)
     else:
         # a memoized chain replays with the witnesses it was first found with
         reps, result = trace._chain(kernel, idx, reps)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from recourseplan import cli, oracle
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
 from recourseplan.ingest import GERMAN_TEXT
@@ -195,6 +196,8 @@ def test_random_scenario_is_seed_deterministic():
 
 
 def test_max_states_cap_exit_code():
+    # car's rules name 2 of its 4 features (9 of its 144 states), and the cap
+    # bounds the declared space, not that projection
     code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", "10")
     assert code == 4
     # validate counts the state sets, so the cap applies; path validation
@@ -274,3 +277,50 @@ def test_validate_output_of_formerly_slow_seeds_is_pinned(seed, tmp_path, monkey
     code, out, err = run_cli("validate", "--file", name, "--format", "structured")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SLOW_VALIDATION_DIGESTS[seed]
+
+
+# one parser per process -------------------------------------------------------------
+
+PARSER_SEQUENCE = [
+    ("validate", "--scenario", "german", "--no-such-flag"),
+    ("validate", "--scenario", "german", "--format", "structured"),
+    ("plan", "--scenario", "car"),
+    # --path-file belongs to validate alone
+    ("plan", "--scenario", "german", "--path-file", "record.json"),
+]
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys):
+    fresh = []
+    for args in PARSER_SEQUENCE:
+        cli._build_parser.cache_clear()
+        fresh.append((run_cli(*args), capsys.readouterr()))
+    reused = [(run_cli(*args), capsys.readouterr()) for args in PARSER_SEQUENCE]
+    assert reused == fresh
+    assert cli._build_parser.cache_info().currsize == 1
+    assert [code for (code, _, _), _ in reused] == [1, 0, 0, 1]
+    # argparse reports usage errors on the process's stderr
+    assert "unrecognized arguments: --path-file" in reused[3][1].err
+
+
+# the layer calls the benchmark traces --------------------------------------------
+
+def test_main_looks_up_layer_calls_at_call_time(tmp_path, monkeypatch):
+    """``cli.main`` must reach these functions through the module attributes,
+    so that wrappers swapped in there (as the benchmark's tracer does) see
+    every call."""
+    called = []
+    for module, name in ((cli, "parse_problem"), (cli, "builtin_scenario"), (cli, "get_path"),
+                         (oracle, "validate_solution_path"), (oracle, "state_set_report")):
+        def wrapper(*args, name=name, original=getattr(module, name), **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    f = tmp_path / "german.rp"
+    f.write_text(GERMAN_TEXT)
+    assert run_cli("validate", "--file", str(f))[0] == 0
+    assert called == ["parse_problem", "get_path", "validate_solution_path", "state_set_report"]
+    called.clear()
+    assert run_cli("validate", "--scenario", "german")[0] == 0
+    assert called == ["builtin_scenario", "get_path", "validate_solution_path",
+                      "state_set_report"]

@@ -1,18 +1,21 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recourseplan.actions import build_actions
-from recourseplan.domains import Domains, FeatureDomain
+from recourseplan.domains import Domains, FeatureDomain, State
 from recourseplan.dsl import parse_problem
 from recourseplan.errors import CapExceeded
 from recourseplan.generate import random_problem
-from recourseplan.oracle import (bfs_shortest_path, compute_goal_set,
+from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
+from recourseplan.oracle import (_consistent_states, bfs_shortest_path, compute_goal_set,
                                  delta_oracle, delta_oracle_liberal,
                                  enumerate_causally_consistent, enumerate_states,
                                  state_set_report, validate_solution_path)
 from recourseplan.planner import (CandidatePath, extract_candidate_path, get_path,
                                   is_counterfactual)
-from recourseplan.rules import ProblemSpec, is_causally_consistent
+from recourseplan.rules import ProblemSpec, is_causally_consistent, satisfies_decision
 
 REPAIR_ORDER_SENSITIVE = """\
 feature a: categorical {f, t}.
@@ -115,6 +118,77 @@ def test_report_matches_enumerations(seed):
     assert report.causally_consistent == len(consistent)
     assert report.goal == len(goal)
     assert report.decision_consistent == len(consistent) - len(goal)
+
+
+# the strata over the relevant projection, against a state-by-state count ---------
+
+NO_RULES = """\
+feature a: categorical {x, y, z}.
+feature n: numeric [0, 10].
+initial { a = x, n = 3 }.
+"""
+
+DECISION_ONLY = """\
+feature a: categorical {x, y, z}.
+feature b: categorical {p, q}.
+feature n: numeric [0, 10].
+decision d1 :- a = x.
+decision d2 :- b = q, n >= 4.
+initial { a = x, b = p, n = 2 }.
+"""
+
+# u and w are named by no rule, so the stratum pass leaves them out
+UNNAMED_FEATURES = """\
+feature u: categorical {u0, u1, u2}.
+feature a: categorical {f, t}.
+feature w: categorical {w0, w1, w2, w3}.
+feature b: categorical {f, t}.
+feature c: categorical {f, t}.
+causal r: b = t :- a = t.
+decision q :- c = f.
+initial { u = u0, a = f, w = w0, b = f, c = f }.
+"""
+
+STRATA_PROBLEMS = (
+    [(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
+    + [(f"random {seed}", lambda seed=seed: random_problem(seed, max_features=6, max_values=4))
+       for seed in range(50)]
+    + [(name, lambda text=text: parse_problem(text))
+       for name, text in (("no rules", NO_RULES), ("decision only", DECISION_ONLY),
+                          ("unnamed features", UNNAMED_FEATURES))])
+
+
+def _counted_state_by_state(problem: ProblemSpec) -> tuple[set, set]:
+    domains = problem.domains
+    consistent, goal = set(), set()
+    for idx in itertools.product(*(range(f.size) for f in domains)):
+        state = State(domains, idx)
+        if is_causally_consistent(state, problem.causal_rules):
+            consistent.add(state)
+            if not satisfies_decision(state, problem.decision_rules):
+                goal.add(state)
+    return consistent, goal
+
+
+@pytest.mark.parametrize("make", [make for _, make in STRATA_PROBLEMS],
+                         ids=[name for name, _ in STRATA_PROBLEMS])
+def test_projected_strata_match_a_state_by_state_count(make):
+    problem = make()
+    consistent, goal = _counted_state_by_state(problem)
+    report = state_set_report(problem)
+    assert (report.total_states, report.causally_consistent, report.decision_consistent,
+            report.goal) == (problem.state_count, len(consistent),
+                             len(consistent) - len(goal), len(goal))
+    assert enumerate_causally_consistent(problem) == consistent
+    assert compute_goal_set(problem) == goal
+
+
+def test_stratum_pass_leaves_out_features_no_rule_names():
+    problem = parse_problem(UNNAMED_FEATURES)
+    positions, members = _consistent_states(problem, None)
+    assert [problem.domains[i].name for i in positions] == ["a", "b", "c"]
+    assert len(members) == 6
+    assert _consistent_states(parse_problem(NO_RULES), None) == ((), [((), False)])
 
 
 # transitions ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,9 @@ from recourseplan.dsl import parse_problem
 from recourseplan.errors import NotASolution, PlanFailure
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
-from recourseplan.oracle import delta_oracle
-from recourseplan.planner import (PathTrace, TraceEntry,
+from recourseplan.kernel import CompiledProblem
+from recourseplan.oracle import bfs_shortest_path, delta_oracle
+from recourseplan.planner import (PathTrace, TraceEntry, _complete,
                                   extract_candidate_path, get_path,
                                   intervene, is_counterfactual, make_consistent,
                                   update)
@@ -255,6 +257,43 @@ def test_candidate_paths_move_along_oracle_transitions(seed):
     actions = build_actions(problem)
     for a, b in zip(path.states, path.states[1:]):
         assert b in delta_oracle(a, problem, actions)
+
+
+# dead regions -----------------------------------------------------------------------
+
+def _kernel(problem: ProblemSpec) -> CompiledProblem:
+    return CompiledProblem(problem.domains, problem.causal_rules, problem.decision_rules,
+                           build_actions(problem))
+
+
+@pytest.mark.parametrize("seed", [172, 329])
+def test_dead_set_changes_no_repair_chain(seed):
+    problem = random_problem(seed, max_features=8, max_values=5)
+    kernel = _kernel(problem)
+    dead: set = set()
+    for idx in itertools.product(*(range(f.size) for f in problem.domains)):
+        if not kernel.consistent(idx):
+            assert _complete(kernel, idx, dead=dead) == _complete(kernel, idx)
+    # seed 329 has chains that fail, so later calls ran against a filled set
+    assert bool(dead) == (seed == 329)
+
+
+def test_failed_chain_with_excluded_first_hop_marks_nothing_dead(repair_chain):
+    kernel = _kernel(repair_chain)
+    start = repair_chain.domains.make_state(
+        {"marital_status": "married", "relationship": "unmarried", "sex": "male"}).idx
+    assert _complete(kernel, start) is not None
+    dead: set = set()
+    assert _complete(kernel, start, frozenset(range(len(kernel.moves))), dead) is None
+    assert dead == set()
+
+
+def test_wide_seed_68_fails_and_bfs_finds_no_goal():
+    # used to re-explore the same dead region for each of 1,392 repair chains
+    problem = random_problem(68, max_features=12, max_values=6, max_causal=10)
+    trace = get_path(problem)
+    assert (trace.status, trace.expansions) == ("failure", 319)
+    assert bfs_shortest_path(problem) is None
 
 
 # trace identity ---------------------------------------------------------------------
