@@ -25,7 +25,7 @@ from .oracle import (StateSetReport, ValidationReport, bfs_shortest_path,
                      enumerate_causally_consistent, enumerate_states,
                      state_set_report, validate_solution_path)
 from .planner import (CandidatePath, PathTrace, TraceEntry, extract_candidate_path,
-                      get_path, intervene, make_consistent, update)
+                      get_path)
 from .rules import (Literal, ProblemSpec, Rule, eval_rule, is_causally_consistent,
                     is_counterfactual, satisfies_decision)
 
@@ -42,9 +42,8 @@ __all__ = [
     "apply_action", "bfs_shortest_path", "build_actions", "build_causal_actions",
     "build_direct_actions", "builtin_scenario", "compute_goal_set", "delta_oracle",
     "delta_oracle_liberal", "enumerate_causally_consistent", "enumerate_states",
-    "eval_rule", "extract_candidate_path", "get_path", "intervene",
-    "is_causally_consistent", "is_counterfactual", "is_permitted", "load_csv",
-    "make_consistent", "parse_problem", "partition_range", "pretty_print",
-    "random_problem", "record_to_state", "satisfies_decision", "state_set_report",
-    "update", "validate_solution_path",
+    "eval_rule", "extract_candidate_path", "get_path", "is_causally_consistent",
+    "is_counterfactual", "is_permitted", "load_csv", "parse_problem",
+    "partition_range", "pretty_print", "random_problem", "record_to_state",
+    "satisfies_decision", "state_set_report", "validate_solution_path",
 ]

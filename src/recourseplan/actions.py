@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domains import Domains, FeatureValue, PlausibilityConstraint, State
+from .domains import Domains, FeatureValue, State
 from .errors import NotApplicable
 from .kernel import CompiledProblem
 from .rules import Literal, Pairs, ProblemSpec, Rule, compile_literals, literal_support
@@ -43,15 +43,8 @@ class Action:
         return f.labels[self.new_index] if f.kind == "categorical" else f.intervals[self.new_index]
 
 
-def _effective_domains(domains: Domains,
-                       constraints: Sequence[PlausibilityConstraint]) -> Domains:
-    return domains.with_constraints(constraints) if constraints else domains
-
-
-def build_direct_actions(domains: Domains,
-                         constraints: Sequence[PlausibilityConstraint] = ()) -> tuple[Action, ...]:
+def build_direct_actions(domains: Domains) -> tuple[Action, ...]:
     """One action per (mutable feature, value), in declaration then domain order."""
-    domains = _effective_domains(domains, constraints)
     actions = []
     for fi, f in enumerate(domains):
         if not f.mutable:
@@ -88,8 +81,7 @@ def _always_consistent_after(kernel: CompiledProblem, guard: Pairs,
     return all(map(kernel.consistent, itertools.product(*axes)))
 
 
-def build_causal_actions(causal_rules: Sequence[Rule], domains: Domains,
-                         constraints: Sequence[PlausibilityConstraint] = ()) -> tuple[Action, ...]:
+def build_causal_actions(causal_rules: Sequence[Rule], domains: Domains) -> tuple[Action, ...]:
     """Verified repairs derived from causal rules.
 
     For each rule ``body => head`` and each head-feature value satisfying the
@@ -97,7 +89,6 @@ def build_causal_actions(causal_rules: Sequence[Rule], domains: Domains,
     that can produce an inconsistent state from any guard-satisfying state
     are discarded; the same mutation stays reachable as a direct action.
     """
-    domains = _effective_domains(domains, constraints)
     kernel = CompiledProblem(domains, causal_rules)
     actions = []
     for rule in causal_rules:

@@ -69,8 +69,6 @@ class RunConfig:
             raise ValueError("budget must be positive")
         if self.max_states is not None and self.max_states <= 0:
             raise ValueError(f"--max-states must be a positive integer, got {self.max_states}")
-        if self.output_format not in ("table", "structured"):
-            raise ValueError(f"unknown format {self.output_format!r}")
 
 
 def _load_problem(config: RunConfig) -> tuple[str, ProblemSpec]:
@@ -340,13 +338,15 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--scenario", metavar="NAME",
                          help=f"bundled scenario ({', '.join(SCENARIO_NAMES)}) or 'random'")
         src.add_argument("--file", metavar="PATH", help="problem file to parse")
-        p.add_argument("--budget", type=int, default=None, metavar="N",
-                       help="maximum planner expansions")
+        if command != "enumerate":
+            p.add_argument("--budget", type=int, default=None, metavar="N",
+                           help="maximum planner expansions")
         p.add_argument("--format", choices=("table", "structured"), default="table")
         p.add_argument("--seed", type=int, default=0, metavar="N",
                        help="seed for --scenario random")
-        p.add_argument("--validate", action="store_true",
-                       help="run the oracle's path validation on the result")
+        if command == "plan":
+            p.add_argument("--validate", action="store_true",
+                           help="run the oracle's path validation on the result")
         p.add_argument("--max-states", type=int, default=None, metavar="N",
                        help="enumeration cap override")
         if command == "validate":
@@ -367,10 +367,10 @@ def main(argv: Optional[Sequence[str]] = None,
         config = RunConfig(
             input=ns.scenario or ns.file,
             is_file=ns.file is not None,
-            budget=ns.budget,
+            budget=getattr(ns, "budget", None),
             output_format=ns.format,
             seed=ns.seed,
-            validate=ns.validate,
+            validate=getattr(ns, "validate", False),
             max_states=ns.max_states,
             path_file=getattr(ns, "path_file", None),
         )

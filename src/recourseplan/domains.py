@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
-from .errors import EmptyRange, SemanticError
+from .errors import EmptyRange, OutOfDomain, SemanticError
 
 Kind = Literal["categorical", "numeric"]
 Monotonicity = Literal["none", "nondecreasing", "nonincreasing"]
@@ -216,19 +216,33 @@ class Domains:
         return Domains(tuple(updated))
 
     def make_state(self, values: Mapping[str, Union[str, int]]) -> "State":
-        """Build a state from concrete values; numeric values keep their witness."""
+        """Build a state from concrete values; numeric values keep their witness.
+
+        A numeric value maps to its containing interval.  A missing feature,
+        an unknown label, a non-integer or an out-of-range number raises
+        :class:`OutOfDomain`.
+        """
         idx = []
         reps: list[Optional[int]] = []
         for f in self.features:
             if f.name not in values:
-                raise KeyError(f"missing value for feature {f.name!r}")
+                raise OutOfDomain(f.name, "record has no value for this feature")
             v = values[f.name]
             if f.kind == "categorical":
-                idx.append(f.index_of_label(str(v)))
+                try:
+                    idx.append(f.index_of_label(str(v)))
+                except KeyError:
+                    raise OutOfDomain(f.name, f"{str(v)!r} is not a declared value") from None
                 reps.append(None)
             else:
-                x = int(v)
-                idx.append(f.interval_index_of(x))
+                try:
+                    x = int(v)
+                except (TypeError, ValueError):
+                    raise OutOfDomain(f.name, f"{v!r} is not an integer") from None
+                try:
+                    idx.append(f.interval_index_of(x))
+                except KeyError:
+                    raise OutOfDomain(f.name, f"{x} is outside the declared range") from None
                 reps.append(x)
         return State(self, tuple(idx), tuple(reps))
 

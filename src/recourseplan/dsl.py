@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
-from .errors import ParseError, SemanticError
+from .errors import OutOfDomain, ParseError, SemanticError
 from .rules import COMPARATORS, Literal, ProblemSpec, Rule
 
 _TOKEN_RE = re.compile(
@@ -326,31 +326,13 @@ def _build_initial(parsed: _Parsed, domains: Domains) -> State:
     if missing:
         raise SemanticError("missing-initial",
                             f"initial block missing features: {', '.join(missing)}")
-    idx = []
-    reps: list[Optional[int]] = []
-    for f in domains:
-        v = parsed.initial[f.name]
-        if f.kind == "categorical":
-            label = str(v)
-            if label not in f.labels:
-                raise SemanticError("type-mismatch",
-                                    f"initial {f.name} = {label!r} is not a declared value")
-            idx.append(f.index_of_label(label))
-            reps.append(None)
-        else:
-            if not isinstance(v, int):
-                raise SemanticError("type-mismatch",
-                                    f"initial {f.name} = {v!r} must be an integer")
-            try:
-                idx.append(f.interval_index_of(v))
-            except KeyError:
-                raise SemanticError("type-mismatch",
-                                    f"initial {f.name} = {v} is outside the declared range") from None
-            reps.append(v)
-    return State(domains, tuple(idx), tuple(reps))
+    try:
+        return domains.make_state(parsed.initial)
+    except OutOfDomain as exc:
+        raise SemanticError("type-mismatch", f"initial {exc}") from None
 
 
-def parse_problem(text: str, action_budget: Optional[int] = None) -> ProblemSpec:
+def parse_problem(text: str) -> ProblemSpec:
     """Parse problem text into a validated :class:`ProblemSpec`.
 
     Raises :class:`ParseError` with position information for malformed text
@@ -367,7 +349,6 @@ def parse_problem(text: str, action_budget: Optional[int] = None) -> ProblemSpec
         decision_rules=tuple(parsed.decision),
         constraints=tuple(parsed.constraints),
         initial=initial,
-        action_budget=action_budget,
     )
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .domains import Domains, State
 from .dsl import parse_problem
-from .errors import (CausallyInconsistentRecord, CsvRowError, OutOfDomain,
-                     SchemaMismatch, UnknownScenario)
+from .errors import (CausallyInconsistentRecord, CsvRowError, SchemaMismatch,
+                     UnknownScenario)
 from .rules import ProblemSpec, Rule, is_causally_consistent
 
 
@@ -102,34 +102,11 @@ def record_to_state(record: Mapping[str, Union[str, int]], domains: Domains,
                     causal_rules: Sequence[Rule] = ()) -> State:
     """Convert one record to a state, checking domains and causal rules.
 
-    Numeric values map to their containing interval and keep the concrete
-    value as a display witness.  Missing features, unknown labels and
-    out-of-range numbers raise :class:`OutOfDomain`; a state violating a
-    causal rule raises :class:`CausallyInconsistentRecord`.
+    The record decodes as in :meth:`Domains.make_state`, which raises
+    :class:`OutOfDomain` for a value outside its feature's domain; a state
+    violating a causal rule raises :class:`CausallyInconsistentRecord`.
     """
-    idx = []
-    reps: list[Optional[int]] = []
-    for f in domains:
-        if f.name not in record:
-            raise OutOfDomain(f.name, "record has no value for this feature")
-        v = record[f.name]
-        if f.kind == "categorical":
-            label = str(v)
-            if label not in f.labels:
-                raise OutOfDomain(f.name, f"{label!r} is not a declared value")
-            idx.append(f.index_of_label(label))
-            reps.append(None)
-        else:
-            try:
-                x = int(v)
-            except (TypeError, ValueError):
-                raise OutOfDomain(f.name, f"{v!r} is not an integer") from None
-            try:
-                idx.append(f.interval_index_of(x))
-            except KeyError:
-                raise OutOfDomain(f.name, f"{x} is outside the declared range") from None
-            reps.append(x)
-    state = State(domains, tuple(idx), tuple(reps))
+    state = domains.make_state(record)
     if not is_causally_consistent(state, causal_rules):
         raise CausallyInconsistentRecord("record violates a causal rule")
     return state

@@ -16,13 +16,14 @@ goal), ``failure`` (every alternative was exhausted), or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
-from .actions import Action, apply_action, build_actions
+from .actions import build_actions
 from .domains import State
 from .errors import EmptySequenceError, NotASolution, PlanFailure
 from .kernel import CompiledProblem, Index
-from .rules import ProblemSpec, Rule, is_causally_consistent, is_counterfactual
+from .rules import ProblemSpec
+from .rules import is_counterfactual as is_counterfactual  # re-export: callers import it from here
 
 
 class TraceEntry(NamedTuple):
@@ -39,28 +40,23 @@ ChainEdge = tuple[Index, int]
 ChainResult = Optional[tuple[Index, tuple[ChainEdge, ...]]]
 
 
-def _complete(kernel: CompiledProblem, start: Index,
-              excluded_first: frozenset[int] = frozenset(),
-              dead: Optional[set[Index]] = None) -> ChainResult:
+def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> ChainResult:
     """First causally consistent state reachable from ``start``.
 
     Depth-first over repair chains: at every inconsistent state the ordered
     action list is tried (causal repairs first), never re-entering a state
     already seen within this chain.  Returns the consistent endpoint plus the
     (state, action position) edges leading to it, or ``None`` when no
-    completion exists.  ``excluded_first`` removes already-attempted action
-    positions from the first hop only.
+    completion exists.
 
     ``dead`` holds inconsistent states from which no consistent state is
     reachable; they are skipped like seen ones, which changes no result.  A
-    failed search without exclusions expanded every state it saw with every
-    action, so all of them are added to it.
+    failed search expanded every state it saw with every action, so all of
+    them are added to it.
     """
     consistent, step = kernel.consistent, kernel.step
     if consistent(start):
         return start, ()
-    if dead is None:
-        dead = set()
     positions = range(len(kernel.moves))
     seen = {start}
     stack: list[tuple[Index, Iterator[int]]] = [(start, iter(positions))]
@@ -68,8 +64,6 @@ def _complete(kernel: CompiledProblem, start: Index,
     while stack:
         idx, pending = stack[-1]
         for k in pending:
-            if k in excluded_first and len(stack) == 1:
-                continue
             nxt = step(k, idx)
             if nxt is None or nxt in seen or nxt in dead:
                 continue
@@ -83,8 +77,7 @@ def _complete(kernel: CompiledProblem, start: Index,
             stack.pop()
             if edges:
                 edges.pop()
-    if not excluded_first:
-        dead.update(seen)
+    dead.update(seen)
     return None
 
 
@@ -107,7 +100,6 @@ class PathTrace:
     inconsistent states from which no repair chain completes.
     """
 
-    causal_rules: tuple[Rule, ...] = ()
     entries: list[TraceEntry] = field(default_factory=list)
     status: str = "in-progress"  # then: success | failure | budget-exhausted
     expansions: int = 0
@@ -116,9 +108,6 @@ class PathTrace:
     _exhausted: set[Index] = field(default_factory=set, repr=False)
     _chain_memo: dict[Index, tuple[Reps, ChainResult]] = field(default_factory=dict, repr=False)
     _dead: set[Index] = field(default_factory=set, repr=False)
-
-    def append(self, entry: TraceEntry) -> None:
-        self._push(entry, is_causally_consistent(entry.state, self.causal_rules))
 
     def _push(self, entry: TraceEntry, consistent: bool) -> None:
         self.entries.append(entry)
@@ -140,11 +129,6 @@ class PathTrace:
 
     def pop_last(self) -> TraceEntry:
         return self._pop()[0]
-
-    def last(self) -> TraceEntry:
-        if not self.entries:
-            raise EmptySequenceError("trace is empty")
-        return self.entries[-1]
 
     def discard_inconsistent_tail(self) -> None:
         while self.entries and not self._consistent[-1]:
@@ -178,56 +162,23 @@ class CandidatePath:
 
 # the algorithm ----------------------------------------------------------------
 
-def update(state: State, trace: PathTrace, actions_taken: Sequence[str],
-           action: Action) -> tuple[tuple[State, tuple[str, ...]], PathTrace]:
-    """Record an attempted action and step the current state.
-
-    Appends the action to ``actions_taken``, appends the pair to the trace,
-    and returns the successor with a fresh (empty) attempt record.
-    """
-    taken = tuple(actions_taken) + (action.id,)
-    trace.append(TraceEntry(state, taken))
-    return (apply_action(action, state), ()), trace
-
-
-def make_consistent(state: State, actions_taken: Sequence[str], trace: PathTrace,
-                    causal_rules: Sequence[Rule], actions: Sequence[Action],
-                    ) -> tuple[TraceEntry, PathTrace]:
-    """Reach a causally consistent state from ``state``.
-
-    A consistent input comes back unchanged with the trace untouched.
-    Otherwise a repair chain runs, preferring causal actions over direct
-    ones, and every inconsistent intermediate is recorded in the trace.  If
-    no completion exists the inconsistent suffix is handed back: entries pop
-    until a causally consistent one surfaces and is returned as the current
-    state again; an emptied trace is a planning failure.
-    """
-    kernel = CompiledProblem(state.domains, causal_rules, (), actions)
-    return _make_consistent(trace, kernel, state.idx, state.reps, tuple(actions_taken)), trace
-
-
 def _make_consistent(trace: PathTrace, kernel: CompiledProblem, idx: Index,
-                     reps: Reps, taken: tuple[str, ...]) -> TraceEntry:
+                     reps: Reps) -> TraceEntry:
+    """The consistent entry an action's raw outcome ``idx`` settles in.
+
+    An inconsistent outcome replays its memoized repair chain, with the
+    witnesses it was first found with, and records every inconsistent
+    intermediate in the trace.
+    """
     domains = kernel.domains
     if kernel.consistent(idx):
-        return TraceEntry(State(domains, idx, reps), taken)
-    if taken:
-        excluded = frozenset(k for k, action_id in enumerate(kernel.ids) if action_id in taken)
-        result = _complete(kernel, idx, excluded, trace._dead)
-    else:
-        # a memoized chain replays with the witnesses it was first found with
-        reps, result = trace._chain(kernel, idx, reps)
-    if result is None:
-        while trace.entries:
-            entry, consistent = trace._pop()
-            if consistent:
-                return entry
-        raise PlanFailure("no causally consistent completion reachable")
-    final, edges = result
+        return TraceEntry(State(domains, idx, reps))
+    reps, result = trace._chain(kernel, idx, reps)
+    final, edges = result  # _select_action only picks outcomes whose chain completes
     for source, k in edges:
-        trace._push(TraceEntry(State(domains, source, reps), taken + (kernel.ids[k],)), False)
-        reps, taken = _written(reps, kernel.moves[k][0]), ()
-    return TraceEntry(State(domains, final, reps), taken)
+        trace._push(TraceEntry(State(domains, source, reps), (kernel.ids[k],)), False)
+        reps = _written(reps, kernel.moves[k][0])
+    return TraceEntry(State(domains, final, reps))
 
 
 def _select_action(trace: PathTrace, kernel: CompiledProblem, state: State,
@@ -260,20 +211,6 @@ def _select_action(trace: PathTrace, kernel: CompiledProblem, state: State,
     return None
 
 
-def intervene(trace: PathTrace, causal_rules: Sequence[Rule],
-              actions: Sequence[Action]) -> PathTrace:
-    """One transition: move the trace from its last state to a new
-    causally consistent state, backtracking through dead ends as needed.
-
-    Raises :class:`PlanFailure` when backtracking exhausts the trace; the
-    exhausted root entry is kept for diagnostics.
-    """
-    if not trace.entries:
-        raise PlanFailure("intervene on an empty trace")
-    _intervene(trace, CompiledProblem(trace.last().state.domains, causal_rules, (), actions))
-    return trace
-
-
 def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
     entry, consistent = trace._pop()
     while True:
@@ -290,7 +227,7 @@ def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
     state = entry.state
     trace._push(TraceEntry(state, entry.actions_taken + (kernel.ids[k],)), consistent)
     reps = _written(state.reps, kernel.moves[k][0])
-    trace._push(_make_consistent(trace, kernel, raw, reps, ()), True)
+    trace._push(_make_consistent(trace, kernel, raw, reps), True)
 
 
 def get_path(problem: ProblemSpec) -> PathTrace:
@@ -305,7 +242,7 @@ def get_path(problem: ProblemSpec) -> PathTrace:
                              problem.decision_rules, actions)
     # the default budget is generous for any enumerable instance
     budget = problem.action_budget or max(1, 10 * len(actions) * len(problem.domains))
-    trace = PathTrace(causal_rules=problem.causal_rules)
+    trace = PathTrace()
     trace._push(TraceEntry(problem.initial, ()), kernel.consistent(problem.initial.idx))
     while not kernel.goal(trace.entries[-1].state.idx):
         if trace.expansions >= budget:

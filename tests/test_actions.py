@@ -96,9 +96,9 @@ def test_conflicting_repairs_are_discarded():
 
 
 def test_causal_action_for_immutable_head_discarded(husband_toy):
-    constrained = (PlausibilityConstraint("relationship", "immutable"),)
-    actions = build_causal_actions(husband_toy.causal_rules, husband_toy.domains,
-                                   constrained)
+    constrained = husband_toy.domains.with_constraints(
+        (PlausibilityConstraint("relationship", "immutable"),))
+    actions = build_causal_actions(husband_toy.causal_rules, constrained)
     assert actions == ()
 
 

@@ -285,8 +285,12 @@ PARSER_SEQUENCE = [
     ("validate", "--scenario", "german", "--no-such-flag"),
     ("validate", "--scenario", "german", "--format", "structured"),
     ("plan", "--scenario", "car"),
-    # --path-file belongs to validate alone
+    # each flag is registered only on the subcommands that read it:
+    # --path-file on validate, --validate on plan, --budget on plan and validate
     ("plan", "--scenario", "german", "--path-file", "record.json"),
+    ("enumerate", "--scenario", "car", "--validate"),
+    ("validate", "--scenario", "car", "--validate"),
+    ("enumerate", "--scenario", "car", "--budget", "3"),
 ]
 
 
@@ -298,9 +302,12 @@ def test_reused_parser_answers_like_a_fresh_one(capsys):
     reused = [(run_cli(*args), capsys.readouterr()) for args in PARSER_SEQUENCE]
     assert reused == fresh
     assert cli._build_parser.cache_info().currsize == 1
-    assert [code for (code, _, _), _ in reused] == [1, 0, 0, 1]
+    assert [code for (code, _, _), _ in reused] == [1, 0, 0, 1, 1, 1, 1]
     # argparse reports usage errors on the process's stderr
     assert "unrecognized arguments: --path-file" in reused[3][1].err
+    for (_, out, _), captured in reused[4:]:
+        assert out == ""
+        assert "unrecognized arguments: --" in captured.err
 
 
 # the layer calls the benchmark traces --------------------------------------------

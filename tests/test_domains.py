@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from recourseplan.domains import (Domains, FeatureDomain, Interval, State,
                                   partition_range)
-from recourseplan.errors import EmptyRange, SemanticError
+from recourseplan.errors import EmptyRange, OutOfDomain, SemanticError
 from recourseplan.rules import Literal, literal_support
 
 
@@ -88,6 +88,23 @@ def test_make_state_maps_numeric_to_interval():
     assert s.display("gain") == "1000"
     s2 = d.make_state({"gain": 7000})
     assert s2.idx == (1,)
+
+
+@pytest.mark.parametrize("values, feature, message", [
+    ({"color": "red"}, "n", "no value"),
+    ({"color": "green", "n": 3}, "color", "not a declared value"),
+    ({"color": "red", "n": "three"}, "n", "not an integer"),
+    ({"color": "red", "n": 10}, "n", "outside the declared range"),
+])
+def test_make_state_rejects_values_outside_the_domain(values, feature, message):
+    d = Domains((
+        FeatureDomain("color", "categorical", labels=("red", "blue")),
+        FeatureDomain("n", "numeric", intervals=partition_range(0, 9, {4})),
+    ))
+    with pytest.raises(OutOfDomain) as exc:
+        d.make_state(values)
+    assert exc.value.feature == feature
+    assert message in str(exc.value)
 
 
 def test_state_equality_is_interval_based():

@@ -193,6 +193,16 @@ def test_initial_value_out_of_range():
     assert exc.value.kind == "type-mismatch"
 
 
+@pytest.mark.parametrize("initial", ["a = z, n = 1", "a = x, n = y"])
+def test_initial_value_outside_its_domain_is_a_type_mismatch(initial):
+    with pytest.raises(SemanticError) as exc:
+        parse_problem(
+            "feature a: categorical {x, y}.\n"
+            "feature n: numeric [0, 9].\n"
+            f"initial {{ {initial} }}.\n")
+    assert exc.value.kind == "type-mismatch"
+
+
 def test_empty_numeric_range_rejected():
     with pytest.raises(SemanticError) as exc:
         parse_problem("feature n: numeric [17, 9].\ninitial { n = 10 }.\n")

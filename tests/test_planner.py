@@ -1,154 +1,23 @@
+import ast
 import dataclasses
 import hashlib
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recourseplan import planner
 from recourseplan.actions import build_actions
-from recourseplan.domains import Domains, FeatureDomain
 from recourseplan.dsl import parse_problem
-from recourseplan.errors import NotASolution, PlanFailure
+from recourseplan.errors import NotASolution
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, delta_oracle
-from recourseplan.planner import (PathTrace, TraceEntry, _complete,
-                                  extract_candidate_path, get_path,
-                                  intervene, is_counterfactual, make_consistent,
-                                  update)
+from recourseplan.planner import (TraceEntry, _complete, extract_candidate_path,
+                                  get_path, is_counterfactual)
 from recourseplan.rules import ProblemSpec, is_causally_consistent
-
-
-# update ----------------------------------------------------------------------
-
-def test_update_records_attempt_and_steps(car):
-    p = car.problem
-    actions = build_actions(p)
-    move = next(a for a in actions if a.id == "direct:persons:4")
-    trace = PathTrace(causal_rules=p.causal_rules)
-    (state, taken), trace = update(p.initial, trace, (), move)
-    assert trace.entries == [TraceEntry(p.initial, (move.id,))]
-    assert state.value("persons") == "4"
-    assert taken == ()
-
-
-def test_two_updates_from_same_state_accumulate_attempts(car):
-    p = car.problem
-    actions = build_actions(p)
-    a1 = next(a for a in actions if a.id == "direct:persons:4")
-    a2 = next(a for a in actions if a.id == "direct:persons:more")
-    trace = PathTrace(causal_rules=p.causal_rules)
-    _, trace = update(p.initial, trace, (), a1)
-    popped = trace.pop_last()
-    _, trace = update(popped.state, trace, popped.actions_taken, a2)
-    assert trace.entries[-1].actions_taken == (a1.id, a2.id)
-
-
-def test_update_never_mutates_prior_entries(car):
-    p = car.problem
-    actions = build_actions(p)
-    a1 = next(a for a in actions if a.id == "direct:persons:4")
-    a2 = next(a for a in actions if a.id == "direct:maint:low")
-    trace = PathTrace(causal_rules=p.causal_rules)
-    (s1, taken1), trace = update(p.initial, trace, (), a1)
-    first = trace.entries[0]
-    update(s1, trace, taken1, a2)
-    assert trace.entries[0] is first
-
-
-# make_consistent ---------------------------------------------------------------
-
-def test_make_consistent_noop_on_consistent_state(husband_toy):
-    p = husband_toy
-    actions = build_actions(p)
-    trace = PathTrace(causal_rules=p.causal_rules)
-    entry, trace = make_consistent(p.initial, ("x",), trace, p.causal_rules, actions)
-    assert entry == TraceEntry(p.initial, ("x",))
-    assert trace.entries == []
-
-
-def test_make_consistent_applies_causal_repair(husband_toy):
-    p = husband_toy
-    actions = build_actions(p)
-    broken = p.domains.make_state(
-        {"sex": "male", "marital_status": "married", "relationship": "unmarried"})
-    trace = PathTrace(causal_rules=p.causal_rules)
-    entry, trace = make_consistent(broken, (), trace, p.causal_rules, actions)
-    assert entry.state.value("relationship") == "husband"
-    assert is_causally_consistent(entry.state, p.causal_rules)
-    # the inconsistent input was recorded, with the repair as its attempt
-    assert len(trace.entries) == 1
-    assert trace.entries[0].state == broken
-    assert trace.entries[0].actions_taken[-1].startswith("causal:spouse_role")
-
-
-def test_make_consistent_fails_when_no_completion_exists():
-    text = (
-        "feature a: categorical {f, t}.\n"
-        "feature b: categorical {f, t}.\n"
-        "causal r1: b = t :- a = t.\n"
-        "causal r2: b = f :- a = t.\n"
-        "constraint immutable a.\n"
-        "constraint immutable b.\n"
-        "initial { a = f, b = f }.\n")
-    p = parse_problem(text)
-    actions = build_actions(p)
-    stuck = p.domains.make_state({"a": "t", "b": "f"})
-    trace = PathTrace(causal_rules=p.causal_rules)
-    with pytest.raises(PlanFailure):
-        make_consistent(stuck, (), trace, p.causal_rules, actions)
-
-
-def test_make_consistent_falls_back_to_prior_consistent_entry():
-    text = (
-        "feature a: categorical {f, t}.\n"
-        "feature b: categorical {f, t}.\n"
-        "causal r1: b = t :- a = t.\n"
-        "causal r2: b = f :- a = t.\n"
-        "constraint immutable a.\n"
-        "constraint immutable b.\n"
-        "initial { a = f, b = f }.\n")
-    p = parse_problem(text)
-    actions = build_actions(p)
-    stuck = p.domains.make_state({"a": "t", "b": "f"})
-    trace = PathTrace(causal_rules=p.causal_rules)
-    trace.append(TraceEntry(p.initial, ("earlier",)))
-    entry, trace = make_consistent(stuck, (), trace, p.causal_rules, actions)
-    assert entry == TraceEntry(p.initial, ("earlier",))
-    assert trace.entries == []
-
-
-# intervene ---------------------------------------------------------------------
-
-def test_intervene_takes_first_productive_move(german):
-    p = german.problem
-    actions = build_actions(p)
-    trace = PathTrace(causal_rules=p.causal_rules)
-    trace.append(TraceEntry(p.initial, ()))
-    trace = intervene(trace, p.causal_rules, actions)
-    last = trace.last().state
-    assert str(last.value("duration_months")) == "(7, 72]"
-    assert last.value("checking_account_status") == "no_checking_account"
-
-
-def test_intervene_fails_with_no_actions():
-    domains = Domains((FeatureDomain("only", "categorical", labels=("one",)),))
-    p = ProblemSpec(domains=domains, initial=domains.make_state({"only": "one"}))
-    trace = PathTrace()
-    trace.append(TraceEntry(p.initial, ()))
-    with pytest.raises(PlanFailure):
-        intervene(trace, p.causal_rules, build_actions(p))
-    assert trace.entries == [TraceEntry(p.initial, ())]  # root kept for diagnostics
-
-
-def test_intervene_steps_are_oracle_transitions(german):
-    p = german.problem
-    actions = build_actions(p)
-    trace = PathTrace(causal_rules=p.causal_rules)
-    trace.append(TraceEntry(p.initial, ()))
-    trace = intervene(trace, p.causal_rules, actions)
-    assert trace.last().state in delta_oracle(p.initial, p, actions)
 
 
 # goal test ----------------------------------------------------------------------
@@ -176,6 +45,31 @@ def test_initial_goal_gives_single_entry_success(boolean_pair):
     assert trace.status == "success"
     assert trace.entries == [TraceEntry(boolean_pair.initial, ())]
     assert extract_candidate_path(trace).states == (boolean_pair.initial,)
+
+
+def test_first_expansion_takes_first_productive_move(german):
+    trace = get_path(dataclasses.replace(german.problem, action_budget=1))
+    last = trace.entries[-1].state
+    assert str(last.value("duration_months")) == "(7, 72]"
+    assert last.value("checking_account_status") == "no_checking_account"
+
+
+def test_first_expansion_is_an_oracle_transition(german):
+    p = german.problem
+    trace = get_path(dataclasses.replace(p, action_budget=1))
+    assert trace.entries[-1].state in delta_oracle(p.initial, p, build_actions(p))
+
+
+def test_fails_without_actions_and_keeps_the_root():
+    p = parse_problem(
+        "feature only: categorical {one}.\n"
+        "decision q :- only = one.\n"
+        "constraint immutable only.\n"
+        "initial { only = one }.\n")
+    assert build_actions(p) == ()
+    trace = get_path(p)
+    assert trace.status == "failure"
+    assert trace.entries == [TraceEntry(p.initial, ())]  # root kept for diagnostics
 
 
 def test_unreachable_goal_fails(unreachable_goal):
@@ -238,6 +132,15 @@ def test_inconsistent_intermediates_are_filtered(repair_chain):
     assert goal.value("relationship") == "husband"
 
 
+def test_repair_chain_records_each_intermediate_with_its_repair(repair_chain):
+    trace = get_path(repair_chain)
+    (broken,) = [e for e, ok in trace.entry_records() if not ok]
+    assert broken.state.value("marital_status") == "married"
+    assert broken.state.value("relationship") == "unmarried"
+    assert len(broken.actions_taken) == 1
+    assert broken.actions_taken[0].startswith("causal:spouse_role")
+
+
 def test_candidate_path_starts_at_initial_and_ends_in_goal(adult):
     p = adult.problem
     trace = get_path(p)
@@ -273,19 +176,9 @@ def test_dead_set_changes_no_repair_chain(seed):
     dead: set = set()
     for idx in itertools.product(*(range(f.size) for f in problem.domains)):
         if not kernel.consistent(idx):
-            assert _complete(kernel, idx, dead=dead) == _complete(kernel, idx)
+            assert _complete(kernel, idx, dead) == _complete(kernel, idx, set())
     # seed 329 has chains that fail, so later calls ran against a filled set
     assert bool(dead) == (seed == 329)
-
-
-def test_failed_chain_with_excluded_first_hop_marks_nothing_dead(repair_chain):
-    kernel = _kernel(repair_chain)
-    start = repair_chain.domains.make_state(
-        {"marital_status": "married", "relationship": "unmarried", "sex": "male"}).idx
-    assert _complete(kernel, start) is not None
-    dead: set = set()
-    assert _complete(kernel, start, frozenset(range(len(kernel.moves))), dead) is None
-    assert dead == set()
 
 
 def test_wide_seed_68_fails_and_bfs_finds_no_goal():
@@ -294,6 +187,17 @@ def test_wide_seed_68_fails_and_bfs_finds_no_goal():
     trace = get_path(problem)
     assert (trace.status, trace.expansions) == ("failure", 319)
     assert bfs_shortest_path(problem) is None
+
+
+# one search path -----------------------------------------------------------------
+
+def test_planner_steps_and_checks_states_only_through_the_kernel():
+    tree = ast.parse(pathlib.Path(planner.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"apply_action", "is_causally_consistent"}
 
 
 # trace identity ---------------------------------------------------------------------
