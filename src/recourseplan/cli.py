@@ -16,9 +16,11 @@ previously saved structured record, and prints the state-set counts.
 Exit codes: 0 success, 1 usage or parse error, 2 planning failure,
 3 expansion budget exhausted, 4 enumeration cap exceeded.  Results go to
 stdout, diagnostics to stderr.  The ``RECOURSE_MAX_STATES`` environment
-variable overrides the default enumeration cap; ``--max-states`` overrides
+variable overrides the default enumeration cap; ``--max-states`` (on
+``validate`` and ``enumerate``, the subcommands that enumerate) overrides
 both.  Only the state-set counts enumerate: path validation is path-local,
-so ``plan --validate`` is not subject to the cap.
+so ``plan --validate`` is not subject to the cap.  ``--seed`` goes only
+with ``--scenario random``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class RunConfig:
     is_file: bool = False
     budget: Optional[int] = None
     output_format: str = "table"     # "table" | "structured"
-    seed: int = 0
+    seed: Optional[int] = None       # only with input "random", which defaults to 0
     validate: bool = False
     max_states: Optional[int] = None
     path_file: Optional[str] = None
@@ -69,6 +71,8 @@ class RunConfig:
             raise ValueError("budget must be positive")
         if self.max_states is not None and self.max_states <= 0:
             raise ValueError(f"--max-states must be a positive integer, got {self.max_states}")
+        if self.seed is not None and (self.is_file or self.input != "random"):
+            raise ValueError("--seed applies only to --scenario random")
 
 
 def _load_problem(config: RunConfig) -> tuple[str, ProblemSpec]:
@@ -77,8 +81,9 @@ def _load_problem(config: RunConfig) -> tuple[str, ProblemSpec]:
             problem = parse_problem(handle.read())
         name = config.input
     elif config.input == "random":
-        problem = random_problem(config.seed)
-        name = f"random:{config.seed}"
+        seed = config.seed or 0
+        problem = random_problem(seed)
+        name = f"random:{seed}"
     else:
         scenario = builtin_scenario(config.input)
         problem = scenario.problem
@@ -342,13 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=None, metavar="N",
                            help="maximum planner expansions")
         p.add_argument("--format", choices=("table", "structured"), default="table")
-        p.add_argument("--seed", type=int, default=0, metavar="N",
-                       help="seed for --scenario random")
+        p.add_argument("--seed", type=int, default=None, metavar="N",
+                       help="seed for --scenario random (default 0)")
         if command == "plan":
             p.add_argument("--validate", action="store_true",
                            help="run the oracle's path validation on the result")
-        p.add_argument("--max-states", type=int, default=None, metavar="N",
-                       help="enumeration cap override")
+        else:
+            p.add_argument("--max-states", type=int, default=None, metavar="N",
+                           help="enumeration cap override")
         if command == "validate":
             p.add_argument("--path-file", metavar="PATH", default=None,
                            help="validate a saved structured planning record")
@@ -371,7 +377,7 @@ def main(argv: Optional[Sequence[str]] = None,
             output_format=ns.format,
             seed=ns.seed,
             validate=getattr(ns, "validate", False),
-            max_states=ns.max_states,
+            max_states=getattr(ns, "max_states", None),
             path_file=getattr(ns, "path_file", None),
         )
         return handler(config, out, err)

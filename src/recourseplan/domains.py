@@ -187,6 +187,11 @@ class Domains:
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Each feature's number of values, in declaration order."""
+        return tuple(f.size for f in self.features)
+
     def index(self, name: str) -> int:
         try:
             return self._by_name[name]
@@ -271,8 +276,8 @@ class State:
             object.__setattr__(self, "reps", (None,) * len(self.idx))
         elif len(self.reps) != len(self.idx):
             raise ValueError("witness arity does not match the declared features")
-        for f, i in zip(self.domains, self.idx):
-            if not 0 <= i < f.size:
+        for i, size, f in zip(self.idx, self.domains.sizes, self.domains.features):
+            if not 0 <= i < size:
                 raise ValueError(f"{f.name}: value index {i} out of range")
 
     def value(self, name: str) -> FeatureValue:

@@ -21,28 +21,30 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
 from .errors import OutOfDomain, ParseError, SemanticError
 from .rules import COMPARATORS, Literal, ProblemSpec, Rule
 
+# Whitespace and comments before a token are skipped by the same match; the
+# token group is left unmatched at the end of the input and at a character
+# no token starts with.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>%[^\n]*)
-  | (?P<newline>\n)
-  | (?P<decimal>-?\d+\.\d+)          # matched only to reject it with a clear message
-  | (?P<int>-?\d+(?!\w))
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>:-|=<|>=|!=|[{}\[\](),.:=<>])
+    (?:[ \t\r\n]+|%[^\n]*)*
+    (?:
+      (?P<decimal>-?\d+\.\d+)          # matched only to reject it with a clear message
+    | (?P<int>-?\d+(?!\w))
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>:-|=<|>=|!=|[{}\[\](),.:=<>])
+    )?
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "eof"
     text: str
     line: int
@@ -50,26 +52,28 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens with 1-based line and column; a tab or ``\\r`` is one column."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    match = _TOKEN_RE.match
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = match(text, pos)
         kind = m.lastgroup
-        lexeme = m.group()
+        start = m.start(kind) if kind else m.end()
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, start) + 1
+        col = start - line_start + 1
+        if kind is None:
+            if start == len(text):
+                break
+            raise ParseError(f"unexpected character {text[start]!r}", line, col)
+        lexeme = m.group(kind)
         if kind == "decimal":
             raise ParseError(f"decimal constant {lexeme} is not supported, use integers",
                              line, col)
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            tokens.append(_Token(kind, lexeme, line, col))  # type: ignore[arg-type]
-            col += len(lexeme)
+        tokens.append(_Token(kind, lexeme, line, col))
         pos = m.end()
     tokens.append(_Token("eof", "", line, col))
     return tokens

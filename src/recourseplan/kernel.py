@@ -46,12 +46,14 @@ class CompiledProblem:
     """Rules and actions of one problem, compiled against its domains.
 
     ``causal`` holds one ``(body pairs, head position, head allowed)`` triple
-    per causal rule, ``decision`` the body pairs of each decision rule, and
-    ``moves`` one ``(feature index, new index, precondition pairs)`` triple
-    per action, in action order; ``ids`` are the action ids in that order.
+    per causal rule, and ``causal_on`` the triples of the rules that name each
+    feature, in feature order.  ``decision`` holds the body pairs of each
+    decision rule, and ``moves`` one ``(feature index, new index, precondition
+    pairs)`` triple per action, in action order; ``ids`` are the action ids in
+    that order.
     """
 
-    __slots__ = ("domains", "ids", "causal", "decision", "moves")
+    __slots__ = ("domains", "ids", "causal", "causal_on", "decision", "moves")
 
     def __init__(self, domains: Domains, causal_rules: Sequence[Rule] = (),
                  decision_rules: Sequence[Rule] = (),
@@ -60,6 +62,14 @@ class CompiledProblem:
         self.ids = tuple(a.id for a in actions)
         self.causal = tuple((body, *head) for body, head in
                             (compile_rule(domains, rule) for rule in causal_rules))
+        causal_on: list[tuple] = [()] * len(domains.features)
+        for rule in self.causal:
+            named = {rule[1]}
+            for i, _ in rule[0]:
+                named.add(i)
+            for fi in named:
+                causal_on[fi] += (rule,)
+        self.causal_on = tuple(causal_on)
         self.decision = tuple(compile_rule(domains, rule)[0] for rule in decision_rules)
         self.moves = tuple((a.feature_index, a.new_index, _preconditions(domains, a))
                            for a in actions)
@@ -67,6 +77,18 @@ class CompiledProblem:
     def consistent(self, idx: Index) -> bool:
         """Every causal implication holds."""
         for body, head_pos, head_allowed in self.causal:
+            if idx[head_pos] not in head_allowed and _holds(body, idx):
+                return False
+        return True
+
+    def consistent_after(self, feature_index: int, idx: Index) -> bool:
+        """Every causal implication that names the feature holds.
+
+        Equal to ``consistent(idx)`` when ``idx`` differs from a causally
+        consistent state in that feature alone: the other rules read the same
+        values as there, where they hold.
+        """
+        for body, head_pos, head_allowed in self.causal_on[feature_index]:
             if idx[head_pos] not in head_allowed and _holds(body, idx):
                 return False
         return True

@@ -8,6 +8,18 @@ passes through, and appends the consistent outcome.  Dead ends backtrack:
 the exhausted state is remembered so it is never entered again, which bounds
 the whole run by one expansion per consistent state.
 
+Repair chains share a per-run exit table (:func:`_complete`).  A state's
+first entry steps its actions lazily; its second entry stores every exit,
+which later entries read.  Tabling on second entry pays only for states that
+chains come back to: on some runs a few thousand states take hundreds of
+thousands of entries, on others nearly every state is entered once.  The
+scan for the next move (:func:`_select_action`) checks only the causal rules
+that name the feature an action writes, since out of a consistent entry no
+other rule can change.  A rescan after backtracking resumes after the last
+attempted action, which is exact because every earlier skip still holds:
+permission, completion and outcomes never change, the path below the entry
+is the same, and the exhausted set only grows.
+
 A run ends in one of three statuses: ``success`` (the last trace state is a
 goal), ``failure`` (every alternative was exhausted), or
 ``budget-exhausted`` (the expansion budget ran out first).
@@ -38,9 +50,12 @@ class TraceEntry(NamedTuple):
 Reps = tuple[Optional[int], ...]
 ChainEdge = tuple[Index, int]
 ChainResult = Optional[tuple[Index, tuple[ChainEdge, ...]]]
+Exit = tuple[int, Index, bool]  # action position, successor, successor consistent
+ExitTable = dict[Index, Optional[list[Exit]]]
 
 
-def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> ChainResult:
+def _complete(kernel: CompiledProblem, start: Index, dead: set[Index],
+              exits: ExitTable) -> ChainResult:
     """First causally consistent state reachable from ``start``.
 
     Depth-first over repair chains: at every inconsistent state the ordered
@@ -53,25 +68,49 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> ChainR
     reachable; they are skipped like seen ones, which changes no result.  A
     failed search expanded every state it saw with every action, so all of
     them are added to it.
+
+    ``exits`` is the run's exit table.  The first time any chain enters a
+    state, it is stepped lazily, one action at a time as the search reads it
+    (most states of some runs are entered once, and left after one step).
+    The second entry steps every action once and stores the state's
+    ``(position, successor, consistent)`` triples, which every later entry
+    reads instead of stepping.  ``seen`` and ``dead`` are tested as each exit
+    is read, so a stored exit yields exactly what stepping would have.
     """
     consistent, step = kernel.consistent, kernel.step
     if consistent(start):
         return start, ()
     positions = range(len(kernel.moves))
     seen = {start}
-    stack: list[tuple[Index, Iterator[int]]] = [(start, iter(positions))]
+
+    def stepped(idx: Index) -> Iterator[Exit]:
+        for k in positions:
+            nxt = step(k, idx)
+            if nxt is not None and nxt not in seen and nxt not in dead:
+                yield k, nxt, consistent(nxt)
+
+    def exits_of(idx: Index) -> Iterator[Exit]:
+        if idx not in exits:
+            exits[idx] = None
+            return stepped(idx)
+        table = exits[idx]
+        if table is None:
+            table = exits[idx] = [(k, nxt, consistent(nxt)) for k in positions
+                                  if (nxt := step(k, idx)) is not None]
+        return iter(table)
+
+    stack: list[tuple[Index, Iterator[Exit]]] = [(start, exits_of(start))]
     edges: list[ChainEdge] = []
     while stack:
         idx, pending = stack[-1]
-        for k in pending:
-            nxt = step(k, idx)
-            if nxt is None or nxt in seen or nxt in dead:
+        for k, nxt, ok in pending:
+            if nxt in seen or nxt in dead:
                 continue
             edges.append((idx, k))
-            if consistent(nxt):
+            if ok:
                 return nxt, tuple(edges)
             seen.add(nxt)
-            stack.append((nxt, iter(positions)))
+            stack.append((nxt, exits_of(nxt)))
             break
         else:
             stack.pop()
@@ -96,8 +135,9 @@ class PathTrace:
     inconsistent intermediates of repair chains.  The trace also carries the
     run bookkeeping, keyed by index tuples: which states sit on the current
     path, which are known dead ends, memoized repair-chain outcomes together
-    with the witnesses of the state each was first computed from, and the
-    inconsistent states from which no repair chain completes.
+    with the witnesses of the state each was first computed from, the
+    inconsistent states from which no repair chain completes, and the exit
+    table the repair chains share (see :func:`_complete`).
     """
 
     entries: list[TraceEntry] = field(default_factory=list)
@@ -108,6 +148,7 @@ class PathTrace:
     _exhausted: set[Index] = field(default_factory=set, repr=False)
     _chain_memo: dict[Index, tuple[Reps, ChainResult]] = field(default_factory=dict, repr=False)
     _dead: set[Index] = field(default_factory=set, repr=False)
+    _exits: ExitTable = field(default_factory=dict, repr=False)
 
     def _push(self, entry: TraceEntry, consistent: bool) -> None:
         self.entries.append(entry)
@@ -134,14 +175,21 @@ class PathTrace:
         while self.entries and not self._consistent[-1]:
             self._pop()
 
-    def _chain(self, kernel: CompiledProblem, idx: Index, reps: Reps) -> tuple[Reps, ChainResult]:
-        """Memoized repair chain from ``idx``, with the witnesses it was first found with."""
+    def _chain(self, kernel: CompiledProblem, idx: Index, reps: Reps,
+               feature_index: int) -> ChainResult:
+        """Memoized repair chain from ``idx``, the raw outcome of writing the
+        feature of a state with witnesses ``reps``.
+
+        The memo also keeps the outcome's witnesses from the state the chain
+        was first found from; they are built only then.
+        """
         if idx in self._dead:
-            return reps, None
+            return None
         hit = self._chain_memo.get(idx)
         if hit is None:
-            hit = self._chain_memo[idx] = (reps, _complete(kernel, idx, dead=self._dead))
-        return hit
+            hit = self._chain_memo[idx] = (_written(reps, feature_index),
+                                           _complete(kernel, idx, self._dead, self._exits))
+        return hit[1]
 
     def entry_records(self) -> Iterator[tuple[TraceEntry, bool]]:
         return zip(self.entries, self._consistent)
@@ -162,59 +210,68 @@ class CandidatePath:
 
 # the algorithm ----------------------------------------------------------------
 
-def _make_consistent(trace: PathTrace, kernel: CompiledProblem, idx: Index,
-                     reps: Reps) -> TraceEntry:
-    """The consistent entry an action's raw outcome ``idx`` settles in.
-
-    An inconsistent outcome replays its memoized repair chain, with the
-    witnesses it was first found with, and records every inconsistent
-    intermediate in the trace.
-    """
+def _replay_chain(trace: PathTrace, kernel: CompiledProblem, idx: Index) -> None:
+    """Record the memoized repair chain from an action's inconsistent outcome
+    ``idx``, with the witnesses it was first found with: every inconsistent
+    intermediate, then the consistent endpoint."""
     domains = kernel.domains
-    if kernel.consistent(idx):
-        return TraceEntry(State(domains, idx, reps))
-    reps, result = trace._chain(kernel, idx, reps)
-    final, edges = result  # _select_action only picks outcomes whose chain completes
+    reps, (final, edges) = trace._chain_memo[idx]  # _select_action only picks completing chains
     for source, k in edges:
         trace._push(TraceEntry(State(domains, source, reps), (kernel.ids[k],)), False)
         reps = _written(reps, kernel.moves[k][0])
-    return TraceEntry(State(domains, final, reps))
+    trace._push(TraceEntry(State(domains, final, reps)), True)
 
 
-def _select_action(trace: PathTrace, kernel: CompiledProblem, state: State,
-                   taken: tuple[str, ...]) -> Optional[tuple[int, Index]]:
-    """First action whose consistent outcome is new to this run.
+def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
+                   entry_consistent: bool) -> Optional[tuple[int, Index, bool]]:
+    """First action after the entry's last attempted one whose consistent
+    outcome is new to this run.
 
-    Skips actions already attempted from this entry, actions not permitted
-    here, actions with no consistent completion, and actions whose outcome
-    is the current state, sits on the current path, or is a known dead end.
-    Returns the action's position and its raw outcome.
+    Skips actions not permitted here, actions with no consistent completion,
+    and actions whose outcome is the current state, sits on the current path,
+    or is a known dead end.  Returns the action's position, its raw outcome
+    and whether that outcome is causally consistent.
+
+    Resuming a rescan after backtracking changes no choice: every earlier
+    action was attempted or skipped, and each skip still holds.  Permission,
+    completion and the outcome of an action never change; the path below the
+    entry is the one it had when it was first scanned; and the exhausted set
+    only grows.  Out of a consistent entry an action writes one feature, so
+    only the causal rules that name it are checked.
     """
-    consistent, step, moves = kernel.consistent, kernel.step, kernel.moves
-    idx, live, exhausted = state.idx, trace._live, trace._exhausted
-    for k, action_id in enumerate(kernel.ids):
-        if action_id in taken:
-            continue
+    state, taken = entry.state, entry.actions_taken
+    idx, reps = state.idx, state.reps
+    step, moves = kernel.step, kernel.moves
+    live, exhausted = trace._live, trace._exhausted
+    if entry_consistent:
+        consistent = kernel.consistent_after
+    else:  # an inconsistent root: rules off the written feature may fail too
+        def consistent(feature_index: int, raw: Index) -> bool:
+            return kernel.consistent(raw)
+    start = kernel.ids.index(taken[-1]) + 1 if taken else 0  # action ids are unique
+    for k in range(start, len(moves)):
         raw = step(k, idx)
         if raw is None:
             continue
-        if consistent(raw):
+        fi = moves[k][0]
+        ok = consistent(fi, raw)
+        if ok:
             final = raw
         else:
-            result = trace._chain(kernel, raw, _written(state.reps, moves[k][0]))[1]
+            result = trace._chain(kernel, raw, reps, fi)
             if result is None:
                 continue
             final = result[0]
         if final == idx or final in live or final in exhausted:
             continue
-        return k, raw
+        return k, raw, ok
     return None
 
 
 def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
     entry, consistent = trace._pop()
     while True:
-        choice = _select_action(trace, kernel, entry.state, entry.actions_taken)
+        choice = _select_action(trace, kernel, entry, consistent)
         if choice is not None:
             break
         trace._exhausted.add(entry.state.idx)
@@ -223,11 +280,14 @@ def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
             trace._push(entry, consistent)
             raise PlanFailure("backtracking exhausted the search space", last_entry=entry)
         entry, consistent = trace._pop()
-    k, raw = choice
+    k, raw, ok = choice
     state = entry.state
     trace._push(TraceEntry(state, entry.actions_taken + (kernel.ids[k],)), consistent)
-    reps = _written(state.reps, kernel.moves[k][0])
-    trace._push(_make_consistent(trace, kernel, raw, reps), True)
+    if ok:
+        reps = _written(state.reps, kernel.moves[k][0])
+        trace._push(TraceEntry(State(kernel.domains, raw, reps)), True)
+    else:
+        _replay_chain(trace, kernel, raw)
 
 
 def get_path(problem: ProblemSpec) -> PathTrace:

@@ -195,7 +195,7 @@ def test_random_scenario_is_seed_deterministic():
     assert a == b
 
 
-def test_max_states_cap_exit_code():
+def test_max_states_cap_exit_code(monkeypatch):
     # car's rules name 2 of its 4 features (9 of its 144 states), and the cap
     # bounds the declared space, not that projection
     code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", "10")
@@ -204,8 +204,14 @@ def test_max_states_cap_exit_code():
     # alone enumerates nothing
     code, out, err = run_cli("validate", "--scenario", "car", "--max-states", "10")
     assert code == 4
+    # plan enumerates nothing, so it has no cap to set, and the default cap
+    # does not apply to it
     code, out, err = run_cli("plan", "--validate", "--scenario", "car", "--max-states", "10")
+    assert (code, out) == (1, "")
+    monkeypatch.setenv("RECOURSE_MAX_STATES", "10")
+    code, out, err = run_cli("plan", "--validate", "--scenario", "car")
     assert code == 0
+    monkeypatch.delenv("RECOURSE_MAX_STATES")
     for bad in ("-1", "0"):
         code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", bad)
         assert code == 1
@@ -286,11 +292,16 @@ PARSER_SEQUENCE = [
     ("validate", "--scenario", "german", "--format", "structured"),
     ("plan", "--scenario", "car"),
     # each flag is registered only on the subcommands that read it:
-    # --path-file on validate, --validate on plan, --budget on plan and validate
+    # --path-file on validate, --validate on plan, --budget on plan and validate,
+    # --max-states on validate and enumerate
     ("plan", "--scenario", "german", "--path-file", "record.json"),
     ("enumerate", "--scenario", "car", "--validate"),
     ("validate", "--scenario", "car", "--validate"),
     ("enumerate", "--scenario", "car", "--budget", "3"),
+    ("plan", "--scenario", "car", "--max-states", "10"),
+    # --seed goes only with --scenario random
+    ("enumerate", "--scenario", "car", "--seed", "5"),
+    ("plan", "--file", "problem.rp", "--seed", "3"),
 ]
 
 
@@ -302,12 +313,15 @@ def test_reused_parser_answers_like_a_fresh_one(capsys):
     reused = [(run_cli(*args), capsys.readouterr()) for args in PARSER_SEQUENCE]
     assert reused == fresh
     assert cli._build_parser.cache_info().currsize == 1
-    assert [code for (code, _, _), _ in reused] == [1, 0, 0, 1, 1, 1, 1]
+    assert [code for (code, _, _), _ in reused] == [1, 0, 0, 1, 1, 1, 1, 1, 1, 1]
     # argparse reports usage errors on the process's stderr
     assert "unrecognized arguments: --path-file" in reused[3][1].err
-    for (_, out, _), captured in reused[4:]:
+    for (_, out, _), captured in reused[4:8]:
         assert out == ""
         assert "unrecognized arguments: --" in captured.err
+    for (_, out, err), _ in reused[8:]:
+        assert out == ""
+        assert err == "error: --seed applies only to --scenario random\n"
 
 
 # the layer calls the benchmark traces --------------------------------------------

@@ -76,6 +76,20 @@ def test_state_count_is_product():
         FeatureDomain("b", "numeric", intervals=partition_range(0, 10, {5})),
     ))
     assert d.state_count == 6
+    assert d.sizes == (3, 2)
+
+
+@pytest.mark.parametrize("idx, message", [
+    ((3, 0), "a: value index 3 out of range"),
+    ((0, -1), "b: value index -1 out of range"),
+])
+def test_state_rejects_value_indices_outside_the_domain(idx, message):
+    d = Domains((
+        FeatureDomain("a", "categorical", labels=("x", "y", "z")),
+        FeatureDomain("b", "numeric", intervals=partition_range(0, 10, {5})),
+    ))
+    with pytest.raises(ValueError, match=message):
+        State(d, idx)
 
 
 def test_make_state_maps_numeric_to_interval():

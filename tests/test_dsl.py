@@ -99,6 +99,20 @@ def test_syntax_error_carries_position():
     assert "':'" in exc.value.expected
 
 
+# a tab is one column, and a comment runs to the end of its line
+@pytest.mark.parametrize("text, message, line, col", [
+    ("feature a:\tcategorical {x}.\n\t@", "unexpected character '@'", 2, 2),
+    ("feature\ta categorical {x}.\n", "unexpected 'categorical'", 1, 11),
+    ("% note\nfeature a: categorical {x}. % 1.5 ~\n\n  1.5", "decimal constant 1.5", 4, 3),
+    ("feature a: categorical {x}. % ~\n\t~", "unexpected character '~'", 2, 2),
+])
+def test_error_position_after_a_tab_or_a_comment(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert message in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_missing_terminator():
     with pytest.raises(ParseError):
         parse_problem("feature a: categorical {x}\nfeature b: categorical {y}.\n")

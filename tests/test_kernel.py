@@ -1,5 +1,6 @@
 """The compiled kernel agrees with the State-level rule and action API on
-every state of small problems."""
+every state of small problems, and its one-feature consistency check with
+the full one after every action out of a consistent state."""
 
 import pytest
 
@@ -30,9 +31,13 @@ def test_kernel_matches_state_api_on_every_state(make):
     causal, decision = problem.causal_rules, problem.decision_rules
     for state in enumerate_states(domains):
         idx = state.idx
-        assert kernel.consistent(idx) == is_causally_consistent(state, causal)
+        consistent = kernel.consistent(idx)
+        assert consistent == is_causally_consistent(state, causal)
         assert kernel.fires(idx) == satisfies_decision(state, decision)
         assert kernel.goal(idx) == is_counterfactual(state, causal, decision)
         for k, action in enumerate(actions):
             expected = apply_action(action, state).idx if is_permitted(action, state) else None
             assert kernel.step(k, idx) == expected
+            if consistent and expected is not None:
+                assert (kernel.consistent_after(action.feature_index, expected)
+                        == kernel.consistent(expected))

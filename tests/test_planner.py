@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from recourseplan import planner
 from recourseplan.actions import build_actions
-from recourseplan.dsl import parse_problem
+from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import NotASolution
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
@@ -169,16 +169,67 @@ def _kernel(problem: ProblemSpec) -> CompiledProblem:
                            build_actions(problem))
 
 
+def _inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
+    for idx in itertools.product(*(range(f.size) for f in problem.domains)):
+        if not kernel.consistent(idx):
+            yield idx
+
+
 @pytest.mark.parametrize("seed", [172, 329])
 def test_dead_set_changes_no_repair_chain(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = _kernel(problem)
     dead: set = set()
-    for idx in itertools.product(*(range(f.size) for f in problem.domains)):
-        if not kernel.consistent(idx):
-            assert _complete(kernel, idx, dead) == _complete(kernel, idx, set())
+    exits: dict = {}
+    for idx in _inconsistent_states(problem, kernel):
+        assert _complete(kernel, idx, dead, exits) == _complete(kernel, idx, set(), {})
     # seed 329 has chains that fail, so later calls ran against a filled set
     assert bool(dead) == (seed == 329)
+
+
+def _stepping_complete(kernel, start, dead):
+    """The repair-chain search as it was before the exit table: every entry
+    steps its state afresh.  Kept verbatim as the reference."""
+    consistent, step = kernel.consistent, kernel.step
+    if consistent(start):
+        return start, ()
+    positions = range(len(kernel.moves))
+    seen = {start}
+    stack = [(start, iter(positions))]
+    edges = []
+    while stack:
+        idx, pending = stack[-1]
+        for k in pending:
+            nxt = step(k, idx)
+            if nxt is None or nxt in seen or nxt in dead:
+                continue
+            edges.append((idx, k))
+            if consistent(nxt):
+                return nxt, tuple(edges)
+            seen.add(nxt)
+            stack.append((nxt, iter(positions)))
+            break
+        else:
+            stack.pop()
+            if edges:
+                edges.pop()
+    dead.update(seen)
+    return None
+
+
+@pytest.mark.parametrize("seed", [106, 111, 172, 329])
+def test_tabled_chains_match_the_stepping_reference(seed):
+    problem = random_problem(seed, max_features=8, max_values=5)
+    kernel = _kernel(problem)
+    # one table and one dead set for all calls, as in a run: later calls read
+    # the exits that earlier ones stored
+    dead: set = set()
+    exits: dict = {}
+    reference_dead: set = set()
+    for idx in _inconsistent_states(problem, kernel):
+        assert _complete(kernel, idx, dead, exits) == _stepping_complete(kernel, idx, reference_dead)
+    assert dead == reference_dead
+    assert any(table is not None for table in exits.values())
 
 
 def test_wide_seed_68_fails_and_bfs_finds_no_goal():
@@ -202,6 +253,17 @@ def test_planner_steps_and_checks_states_only_through_the_kernel():
 
 # trace identity ---------------------------------------------------------------------
 
+def _trace_digest(problems) -> str:
+    digest = hashlib.sha256()
+    for problem in problems:
+        trace = get_path(problem)
+        record = (trace.status, trace.expansions,
+                  [(e.state.idx, e.state.reps, e.actions_taken, ok)
+                   for e, ok in trace.entry_records()])
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
 # SHA-256 over every trace of the four bundled scenarios and of
 # random_problem(seed, max_features=8, max_values=5) for seeds 0-99: status,
 # expansions, and per entry the state's indices and witnesses, the attempted
@@ -213,11 +275,20 @@ TRACE_DIGEST = "66d1ae1c6d958fb6ccbd91aaaaf09f9456f37bd809ad6fa0b96ff746a75745fe
 def test_traces_match_pinned_digest():
     problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
     problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(100)]
-    digest = hashlib.sha256()
-    for problem in problems:
-        trace = get_path(problem)
-        record = (trace.status, trace.expansions,
-                  [(e.state.idx, e.state.reps, e.actions_taken, ok)
-                   for e, ok in trace.entry_records()])
-        digest.update(repr(record).encode())
-    assert digest.hexdigest() == TRACE_DIGEST
+    assert _trace_digest(problems) == TRACE_DIGEST
+
+
+# The same digest over runs that TRACE_DIGEST leaves out:
+# random_problem(seed, max_features=8, max_values=5) for seeds 106, 111, 172,
+# 196, 268 and 271, then the printed and reparsed random_problem(seed,
+# max_features=10, max_values=6) for seeds 11, 24, 52, 81 and 83.  Recorded
+# before repair chains read an exit table.
+WIDE_TRACE_DIGEST = "58a5cfe879e419ef935c7d4403007477b8fd6dfe9052569d02128c13da9ea7fa"
+
+
+def test_more_traces_match_second_pinned_digest():
+    problems = [random_problem(seed, max_features=8, max_values=5)
+                for seed in (106, 111, 172, 196, 268, 271)]
+    problems += [parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
+                 for seed in (11, 24, 52, 81, 83)]
+    assert _trace_digest(problems) == WIDE_TRACE_DIGEST
