@@ -48,14 +48,6 @@ class NotApplicable(RecourseError):
     """An action was applied to a state where it is not permitted."""
 
 
-class PlanFailure(RecourseError):
-    """Backtracking exhausted every alternative without reaching a goal."""
-
-    def __init__(self, message: str = "search space exhausted", last_entry=None):
-        super().__init__(message)
-        self.last_entry = last_entry
-
-
 class EmptySequenceError(RecourseError):
     """The last entry of an empty trace was read or popped."""
 

@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
-from .rules import Literal, ProblemSpec, Rule
+from .rules import Literal, ProblemSpec, Rule, is_causally_consistent
 
 
 def _random_feature(rng: random.Random, name: str, max_values: int) -> FeatureDomain:
@@ -88,8 +88,6 @@ def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
 
 def _consistent_initial(rng: random.Random, domains: Domains,
                         causal: tuple[Rule, ...], tries: int = 300) -> Optional[State]:
-    from .rules import is_causally_consistent
-
     for _ in range(tries):
         state = State(domains, tuple(rng.randrange(f.size) for f in domains))
         if is_causally_consistent(state, causal):

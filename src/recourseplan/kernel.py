@@ -1,22 +1,22 @@
 """One compiled form of a problem for the hot loops.
 
-Search, the causal-repair guard sweep and the state-space enumeration all
-test plain index tuples against the rules and step them by actions, millions
-of times on large spaces.  :class:`CompiledProblem` resolves every rule and
-action to (feature position, allowed value indices) pairs once, so those
+Search and the causal-repair guard sweep test plain index tuples against the
+rules and step them by actions, millions of times on large spaces.
+:class:`CompiledProblem` resolves every rule to (feature position, allowed
+value indices) pairs once per problem, runs the guard sweep on them and
+derives the action list and every action's precondition from them, so those
 loops never touch :class:`~recourseplan.domains.State`, the domain tree or a
-cache keyed by it.  ``State`` objects exist only at the API boundary.
+cache keyed by it.  ``State`` and :class:`~recourseplan.actions.Action`
+objects exist only at the API boundary.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+import itertools
+from typing import Optional, Sequence
 
-from .domains import Domains
-from .rules import Pairs, Rule, compile_literals, compile_rule
-
-if TYPE_CHECKING:
-    from .actions import Action
+from .domains import FeatureDomain
+from .rules import Pairs, ProblemSpec, Rule, compile_rule
 
 Index = tuple[int, ...]
 
@@ -28,18 +28,15 @@ def _holds(pairs: Pairs, idx: Index) -> bool:
     return True
 
 
-def _preconditions(domains: Domains, action: Action) -> Pairs:
-    """Pairs that hold exactly where the action is permitted: its guard, and
-    the written feature mutable, off the target, and on the side of it that
-    the feature's monotonicity allows."""
-    f = domains[action.feature_index]
-    target = action.new_index
-    sources = frozenset(
-        v for v in range(f.size)
-        if f.mutable and v != target
-        and not (f.monotonicity == "nondecreasing" and target < v)
-        and not (f.monotonicity == "nonincreasing" and target > v))
-    return ((action.feature_index, sources),) + compile_literals(domains, action.guard)
+def _sources(f: FeatureDomain, target: int) -> frozenset[int]:
+    """Values a mutable feature may move to ``target`` from: any other value
+    on the side of it that the feature's monotonicity allows."""
+    below, above = range(target), range(target + 1, f.size)
+    if f.monotonicity == "nondecreasing":
+        return frozenset(below)
+    if f.monotonicity == "nonincreasing":
+        return frozenset(above)
+    return frozenset(itertools.chain(below, above))
 
 
 class CompiledProblem:
@@ -48,18 +45,23 @@ class CompiledProblem:
     ``causal`` holds one ``(body pairs, head position, head allowed)`` triple
     per causal rule, and ``causal_on`` the triples of the rules that name each
     feature, in feature order.  ``decision`` holds the body pairs of each
-    decision rule, and ``moves`` one ``(feature index, new index, precondition
-    pairs)`` triple per action, in action order; ``ids`` are the action ids in
-    that order.
+    decision rule.
+
+    The action list comes in order: verified causal repairs first, then one
+    direct move per (mutable feature, value), in declaration then domain
+    order.  ``ids`` are the action ids, ``rules`` the causal rule each action
+    repairs (``None`` for a direct move), and ``moves`` one ``(feature index,
+    new index, precondition pairs)`` triple per action.  A precondition holds
+    exactly where the action is permitted: the feature off the target, on the
+    side of it that monotonicity allows, and a repair's guard (its rule's
+    body pairs).
     """
 
-    __slots__ = ("domains", "ids", "causal", "causal_on", "decision", "moves")
+    __slots__ = ("domains", "causal", "causal_on", "decision", "ids", "rules", "moves")
 
-    def __init__(self, domains: Domains, causal_rules: Sequence[Rule] = (),
-                 decision_rules: Sequence[Rule] = (),
-                 actions: Sequence[Action] = ()) -> None:
-        self.domains = domains
-        self.ids = tuple(a.id for a in actions)
+    def __init__(self, problem: ProblemSpec) -> None:
+        domains = self.domains = problem.domains
+        causal_rules = problem.causal_rules
         self.causal = tuple((body, *head) for body, head in
                             (compile_rule(domains, rule) for rule in causal_rules))
         causal_on: list[tuple] = [()] * len(domains.features)
@@ -70,9 +72,44 @@ class CompiledProblem:
             for fi in named:
                 causal_on[fi] += (rule,)
         self.causal_on = tuple(causal_on)
-        self.decision = tuple(compile_rule(domains, rule)[0] for rule in decision_rules)
-        self.moves = tuple((a.feature_index, a.new_index, _preconditions(domains, a))
-                           for a in actions)
+        self.decision = tuple(compile_rule(domains, rule)[0] for rule in problem.decision_rules)
+
+        ids: list[str] = []
+        rules: list[Optional[Rule]] = []
+        moves: list[tuple[int, int, Pairs]] = []
+        axes = [range(f.size) if causal_on[fi] else range(1) for fi, f in enumerate(domains)]
+        for rule, (body, fi, allowed) in zip(causal_rules, self.causal):
+            f = domains[fi]
+            if not f.mutable:
+                continue
+            for vi in sorted(allowed):
+                if self._always_consistent_after(axes, body, fi, vi):
+                    ids.append(f"causal:{rule.id}:{f.name}:{f.value_text(vi)}")
+                    rules.append(rule)
+                    moves.append((fi, vi, ((fi, _sources(f, vi)),) + body))
+        for fi, f in enumerate(domains):
+            if f.mutable:
+                for vi in range(f.size):
+                    ids.append(f"direct:{f.name}:{f.value_text(vi)}")
+                    rules.append(None)
+                    moves.append((fi, vi, ((fi, _sources(f, vi)),)))
+        self.ids, self.rules, self.moves = tuple(ids), tuple(rules), tuple(moves)
+
+    def _always_consistent_after(self, axes: Sequence[Sequence[int]], guard: Pairs,
+                                 feature_index: int, new_index: int) -> bool:
+        """Whether setting the feature yields a consistent state from every
+        guard state: the causal-repair guard sweep.
+
+        ``axes`` ranges over the features some causal rule names and pins
+        the rest, since no other feature can influence the guard or
+        consistency.  A guard feature ranges over the values all of its
+        literals allow, and the written feature is fixed at its new value.
+        """
+        axes = list(axes)
+        for fi, allowed in guard:
+            axes[fi] = sorted(allowed.intersection(axes[fi]))
+        axes[feature_index] = (new_index,)
+        return all(map(self.consistent, itertools.product(*axes)))
 
     def consistent(self, idx: Index) -> bool:
         """Every causal implication holds."""

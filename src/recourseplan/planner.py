@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from .actions import build_actions
 from .domains import State
-from .errors import EmptySequenceError, NotASolution, PlanFailure
+from .errors import EmptySequenceError, NotASolution
 from .kernel import CompiledProblem, Index
 from .rules import ProblemSpec
 from .rules import is_counterfactual as is_counterfactual  # re-export: callers import it from here
@@ -268,7 +267,9 @@ def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
     return None
 
 
-def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
+def _intervene(trace: PathTrace, kernel: CompiledProblem) -> bool:
+    """Take the next move from the last trace entry, backtracking past
+    exhausted entries; ``False`` when backtracking exhausts the space."""
     entry, consistent = trace._pop()
     while True:
         choice = _select_action(trace, kernel, entry, consistent)
@@ -278,7 +279,7 @@ def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
         trace.discard_inconsistent_tail()
         if not trace.entries:
             trace._push(entry, consistent)
-            raise PlanFailure("backtracking exhausted the search space", last_entry=entry)
+            return False
         entry, consistent = trace._pop()
     k, raw, ok = choice
     state = entry.state
@@ -288,6 +289,7 @@ def _intervene(trace: PathTrace, kernel: CompiledProblem) -> None:
         trace._push(TraceEntry(State(kernel.domains, raw, reps)), True)
     else:
         _replay_chain(trace, kernel, raw)
+    return True
 
 
 def get_path(problem: ProblemSpec) -> PathTrace:
@@ -297,20 +299,16 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     goal state last, in ``failure`` when the reachable space holds no goal,
     or in ``budget-exhausted`` when the expansion budget ran out.
     """
-    actions = build_actions(problem)
-    kernel = CompiledProblem(problem.domains, problem.causal_rules,
-                             problem.decision_rules, actions)
+    kernel = CompiledProblem(problem)
     # the default budget is generous for any enumerable instance
-    budget = problem.action_budget or max(1, 10 * len(actions) * len(problem.domains))
+    budget = problem.action_budget or max(1, 10 * len(kernel.moves) * len(problem.domains))
     trace = PathTrace()
     trace._push(TraceEntry(problem.initial, ()), kernel.consistent(problem.initial.idx))
     while not kernel.goal(trace.entries[-1].state.idx):
         if trace.expansions >= budget:
             trace.status = "budget-exhausted"
             return trace
-        try:
-            _intervene(trace, kernel)
-        except PlanFailure:
+        if not _intervene(trace, kernel):
             trace.status = "failure"
             return trace
         trace.expansions += 1

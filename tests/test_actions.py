@@ -1,35 +1,40 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recourseplan.actions import (apply_action, build_actions, build_causal_actions,
-                                  build_direct_actions, is_permitted)
+from recourseplan.actions import apply_action, build_actions, is_permitted
 from recourseplan.domains import Domains, FeatureDomain, PlausibilityConstraint
 from recourseplan.dsl import parse_problem
 from recourseplan.errors import NotApplicable
 from recourseplan.generate import random_problem
+from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.oracle import enumerate_states
-from recourseplan.rules import is_causally_consistent
+from recourseplan.rules import ProblemSpec, is_causally_consistent
+
+
+def _of_kind(problem, kind):
+    return tuple(a for a in build_actions(problem) if a.kind == kind)
 
 
 def test_direct_action_count_is_sum_of_mutable_domain_sizes(car):
-    domains = car.problem.domains
-    actions = build_direct_actions(domains)
+    actions = _of_kind(car.problem, "direct")
     assert len(actions) == 3 + 4 + 4 + 3
 
 
 def test_car_has_the_persons_four_action(car):
-    actions = build_direct_actions(car.problem.domains)
+    actions = _of_kind(car.problem, "direct")
     assert any(a.feature == "persons" and a.new_value(car.problem.domains) == "4"
                for a in actions)
 
 
 def test_immutable_feature_gets_no_actions(adult):
-    actions = build_direct_actions(adult.problem.domains)
+    actions = _of_kind(adult.problem, "direct")
     assert not any(a.feature == "sex" for a in actions)
 
 
 def test_direct_actions_in_declaration_then_domain_order(german):
-    actions = build_direct_actions(german.problem.domains)
+    actions = _of_kind(german.problem, "direct")
     assert [a.id for a in actions[:4]] == [
         "direct:duration_months:[1, 7]",
         "direct:duration_months:(7, 72]",
@@ -44,11 +49,11 @@ def test_builders_are_deterministic(adult):
 
 
 def test_no_causal_rules_no_causal_actions(car):
-    assert build_causal_actions(car.problem.causal_rules, car.problem.domains) == ()
+    assert _of_kind(car.problem, "causal") == ()
 
 
 def test_husband_rule_yields_one_guarded_action(husband_toy):
-    actions = build_causal_actions(husband_toy.causal_rules, husband_toy.domains)
+    actions = _of_kind(husband_toy, "causal")
     assert len(actions) == 1
     (a,) = actions
     assert a.kind == "causal"
@@ -59,7 +64,7 @@ def test_husband_rule_yields_one_guarded_action(husband_toy):
 
 def test_causal_action_safety_exhaustive(husband_toy):
     # from every guard-satisfying state the action lands in a consistent state
-    (action,) = build_causal_actions(husband_toy.causal_rules, husband_toy.domains)
+    (action,) = _of_kind(husband_toy, "causal")
     for state in enumerate_states(husband_toy.domains):
         if is_permitted(action, state):
             after = apply_action(action, state)
@@ -77,7 +82,7 @@ def test_guard_sweep_does_not_depend_on_literal_order():
             f"causal r1: y = t :- {body}.\n"
             "causal r2: y = f :- n =< 2.\n"
             "initial { n = 0, y = f }.\n")
-        ids.append([a.id for a in build_causal_actions(problem.causal_rules, problem.domains)])
+        ids.append([a.id for a in _of_kind(problem, "causal")])
     assert ids[0] == ids[1]
     assert "causal:r1:y:t" in ids[0]
 
@@ -92,19 +97,21 @@ def test_conflicting_repairs_are_discarded():
         "causal r2: b = f :- a = t.\n"
         "initial { a = f, b = f }.\n")
     problem = parse_problem(text)
-    assert build_causal_actions(problem.causal_rules, problem.domains) == ()
+    assert _of_kind(problem, "causal") == ()
 
 
 def test_causal_action_for_immutable_head_discarded(husband_toy):
-    constrained = husband_toy.domains.with_constraints(
-        (PlausibilityConstraint("relationship", "immutable"),))
-    actions = build_causal_actions(husband_toy.causal_rules, constrained)
+    constrained = ProblemSpec(
+        domains=husband_toy.domains, causal_rules=husband_toy.causal_rules,
+        constraints=(PlausibilityConstraint("relationship", "immutable"),),
+        initial=husband_toy.initial)
+    actions = _of_kind(constrained, "causal")
     assert actions == ()
 
 
 def test_apply_changes_exactly_the_target(german):
     p = german.problem
-    actions = build_direct_actions(p.domains)
+    actions = _of_kind(p, "direct")
     move = next(a for a in actions if a.id == "direct:duration_months:(7, 72]")
     after = apply_action(move, p.initial)
     assert after.value("duration_months").lower_open
@@ -115,7 +122,7 @@ def test_apply_changes_exactly_the_target(german):
 
 def test_apply_to_same_value_not_applicable(car):
     p = car.problem
-    actions = build_direct_actions(p.domains)
+    actions = _of_kind(p, "direct")
     stay = next(a for a in actions if a.id == "direct:persons:2")
     assert not is_permitted(stay, p.initial)
     with pytest.raises(NotApplicable):
@@ -123,7 +130,7 @@ def test_apply_to_same_value_not_applicable(car):
 
 
 def test_guard_failure_not_applicable(husband_toy):
-    (action,) = build_causal_actions(husband_toy.causal_rules, husband_toy.domains)
+    (action,) = _of_kind(husband_toy, "causal")
     assert not is_permitted(action, husband_toy.initial)  # never_married
     with pytest.raises(NotApplicable):
         apply_action(action, husband_toy.initial)
@@ -136,7 +143,7 @@ def test_monotone_feature_cannot_move_down():
         "constraint nondecreasing age.\n"
         "initial { age = 40 }.\n")
     problem = parse_problem(text)
-    actions = build_direct_actions(problem.domains)
+    actions = _of_kind(problem, "direct")
     down = next(a for a in actions if a.id.endswith("[17, 30]"))
     assert not is_permitted(down, problem.initial)
     with pytest.raises(NotApplicable):
@@ -148,8 +155,8 @@ def test_nonincreasing_is_symmetric():
         FeatureDomain("level", "categorical", labels=("low", "mid", "high"),
                       monotonicity="nonincreasing"),
     ))
-    actions = build_direct_actions(domains)
     mid = domains.make_state({"level": "mid"})
+    actions = _of_kind(ProblemSpec(domains=domains, initial=mid), "direct")
     permitted = {a.new_value(domains) for a in actions if is_permitted(a, mid)}
     assert permitted == {"low"}
 
@@ -188,7 +195,7 @@ def test_every_application_writes_exactly_one_feature(seed):
 @given(st.integers(0, 2000))
 def test_causal_actions_always_land_consistent(seed):
     problem = random_problem(seed)
-    causal = build_causal_actions(problem.causal_rules, problem.domains)
+    causal = _of_kind(problem, "causal")
     states = list(enumerate_states(problem.domains))[:40]
     for state in states:
         for action in causal:
@@ -224,3 +231,23 @@ def test_monotone_features_never_move_backwards_along_walks(seed):
                     seen.add(succ)
                     nxt.add(succ)
         frontier = nxt
+
+
+# SHA-256 over build_actions for the four bundled scenarios and for
+# random_problem seeds 0-199 at the default tier and at max_features=8,
+# max_values=5: per action its id, kind, feature index, new index and guard.
+# Any change to which repairs survive, the action order or an id changes it.
+# Recorded before the action list moved into CompiledProblem.
+ACTIONS_DIGEST = "33a76e82bcaec7f49bdd79e93eb99934800a728206e893326d24ba2ad3acfdf1"
+
+
+def test_action_lists_match_pinned_digest():
+    problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
+    problems += [random_problem(seed) for seed in range(200)]
+    problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(200)]
+    digest = hashlib.sha256()
+    for problem in problems:
+        record = [(a.id, a.kind, a.feature_index, a.new_index, a.guard)
+                  for a in build_actions(problem)]
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == ACTIONS_DIGEST

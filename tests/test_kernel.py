@@ -1,10 +1,11 @@
 """The compiled kernel agrees with the State-level rule and action API on
-every state of small problems, and its one-feature consistency check with
-the full one after every action out of a consistent state."""
+every state of small problems, its action list with ``build_actions``, and
+its one-feature consistency check with the full one after every action out
+of a consistent state."""
 
 import pytest
 
-from recourseplan.actions import Action, apply_action, build_actions, is_permitted
+from recourseplan.actions import apply_action, build_actions, is_permitted
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
@@ -22,12 +23,10 @@ PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem) for name i
 def test_kernel_matches_state_api_on_every_state(make):
     problem = make()
     domains = problem.domains
-    # the planner's actions plus every single-feature write, so immutable and
-    # monotone features are stepped too
-    actions = build_actions(problem) + tuple(
-        Action(f"any:{f.name}:{vi}", "direct", f.name, fi, vi)
-        for fi, f in enumerate(domains) for vi in range(f.size))
-    kernel = CompiledProblem(domains, problem.causal_rules, problem.decision_rules, actions)
+    kernel = CompiledProblem(problem)
+    actions = build_actions(problem)
+    assert kernel.ids == tuple(a.id for a in actions)
+    assert all(domains[fi].mutable for fi, _, _ in kernel.moves)
     causal, decision = problem.causal_rules, problem.decision_rules
     for state in enumerate_states(domains):
         idx = state.idx

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recourseplan import planner
+from recourseplan import kernel as kernel_module, planner
 from recourseplan.actions import build_actions
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import NotASolution
@@ -164,11 +164,6 @@ def test_candidate_paths_move_along_oracle_transitions(seed):
 
 # dead regions -----------------------------------------------------------------------
 
-def _kernel(problem: ProblemSpec) -> CompiledProblem:
-    return CompiledProblem(problem.domains, problem.causal_rules, problem.decision_rules,
-                           build_actions(problem))
-
-
 def _inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
     for idx in itertools.product(*(range(f.size) for f in problem.domains)):
         if not kernel.consistent(idx):
@@ -178,7 +173,7 @@ def _inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
 @pytest.mark.parametrize("seed", [172, 329])
 def test_dead_set_changes_no_repair_chain(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
-    kernel = _kernel(problem)
+    kernel = CompiledProblem(problem)
     dead: set = set()
     exits: dict = {}
     for idx in _inconsistent_states(problem, kernel):
@@ -220,7 +215,7 @@ def _stepping_complete(kernel, start, dead):
 @pytest.mark.parametrize("seed", [106, 111, 172, 329])
 def test_tabled_chains_match_the_stepping_reference(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
-    kernel = _kernel(problem)
+    kernel = CompiledProblem(problem)
     # one table and one dead set for all calls, as in a run: later calls read
     # the exits that earlier ones stored
     dead: set = set()
@@ -248,7 +243,36 @@ def test_planner_steps_and_checks_states_only_through_the_kernel():
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
-    assert not imported & {"apply_action", "is_causally_consistent"}
+    assert not imported & {"apply_action", "is_causally_consistent", "build_actions"}
+
+
+# problems with both causal and decision rules
+PROBLEMS_WITH_RULES = ([("adult", lambda: builtin_scenario("adult").problem)]
+                       + [(f"random {seed}",
+                           lambda seed=seed: random_problem(seed, max_features=8, max_values=5))
+                          for seed in (106, 111, 172)])
+
+
+@pytest.mark.parametrize("make", [make for _, make in PROBLEMS_WITH_RULES],
+                         ids=[name for name, _ in PROBLEMS_WITH_RULES])
+def test_get_path_compiles_the_problem_once(make, monkeypatch):
+    problem = make()
+    built, compiled = [], []
+    real_kernel, real_compile = planner.CompiledProblem, kernel_module.compile_rule
+
+    def counting_kernel(*args):
+        built.append(args)
+        return real_kernel(*args)
+
+    def counting_compile(domains, rule):
+        compiled.append(rule)
+        return real_compile(domains, rule)
+
+    monkeypatch.setattr(planner, "CompiledProblem", counting_kernel)
+    monkeypatch.setattr(kernel_module, "compile_rule", counting_compile)
+    get_path(problem)
+    assert len(built) == 1
+    assert compiled == list(problem.causal_rules + problem.decision_rules)
 
 
 # trace identity ---------------------------------------------------------------------
