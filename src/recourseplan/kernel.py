@@ -2,23 +2,25 @@
 
 Search and the causal-repair guard sweep test plain index tuples against the
 rules and step them by actions, millions of times on large spaces.
-:class:`CompiledProblem` resolves every rule to (feature position, allowed
-value indices) pairs once per problem, runs the guard sweep on them and
-derives the action list and every action's precondition from them, so those
-loops never touch :class:`~recourseplan.domains.State`, the domain tree or a
-cache keyed by it.  ``State`` and :class:`~recourseplan.actions.Action`
-objects exist only at the API boundary.
+:class:`CompiledProblem` reads the (feature position, allowed value indices)
+tables the :class:`~recourseplan.rules.ProblemSpec` compiled for every rule,
+decides each causal repair with a per-rule box test and derives the action
+list and every action's precondition from them, so those loops never touch
+:class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
+it.  Set-up compiles nothing and enumerates no states: each repair candidate
+costs one test per causal rule.  ``State`` and
+:class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
-from .domains import FeatureDomain
-from .rules import Pairs, ProblemSpec, Rule, compile_rule
+from .rules import Pairs, ProblemSpec, Rule
 
 Index = tuple[int, ...]
+# one rule's body literals intersected per feature, its head position and allowed values
+Merged = tuple[Pairs, int, frozenset[int]]
 
 
 def _holds(pairs: Pairs, idx: Index) -> bool:
@@ -28,15 +30,33 @@ def _holds(pairs: Pairs, idx: Index) -> bool:
     return True
 
 
-def _sources(f: FeatureDomain, target: int) -> frozenset[int]:
-    """Values a mutable feature may move to ``target`` from: any other value
-    on the side of it that the feature's monotonicity allows."""
-    below, above = range(target), range(target + 1, f.size)
-    if f.monotonicity == "nondecreasing":
-        return frozenset(below)
-    if f.monotonicity == "nonincreasing":
-        return frozenset(above)
-    return frozenset(itertools.chain(below, above))
+def _merge(body: Pairs) -> Pairs:
+    """Body pairs with every feature's literals intersected into one pair."""
+    merged: dict[int, frozenset[int]] = {}
+    for i, allowed in body:
+        merged[i] = merged[i] & allowed if i in merged else allowed
+    return tuple(merged.items())
+
+
+def _always_consistent_after(merged: Sequence[Merged], box: Sequence[frozenset[int]]) -> bool:
+    """Whether every state of the box is causally consistent: the causal-repair
+    guard sweep, decided without enumerating the box.
+
+    ``box`` holds one non-empty value set per feature.  A rule is violated
+    somewhere in the product exactly when its head's axis leaves the head's
+    allowed values and every body feature's axis meets the rule's literals
+    there: the head feature is never in its own body, and the axes vary
+    independently.
+    """
+    for body, head, allowed in merged:
+        if box[head] <= allowed:
+            continue
+        for i, meets in body:
+            if box[i].isdisjoint(meets):
+                break
+        else:
+            return False
+    return True
 
 
 class CompiledProblem:
@@ -45,7 +65,7 @@ class CompiledProblem:
     ``causal`` holds one ``(body pairs, head position, head allowed)`` triple
     per causal rule, and ``causal_on`` the triples of the rules that name each
     feature, in feature order.  ``decision`` holds the body pairs of each
-    decision rule.
+    decision rule.  All come from the problem's ``rule_tables``.
 
     The action list comes in order: verified causal repairs first, then one
     direct move per (mutable feature, value), in declaration then domain
@@ -55,6 +75,12 @@ class CompiledProblem:
     exactly where the action is permitted: the feature off the target, on the
     side of it that monotonicity allows, and a repair's guard (its rule's
     body pairs).
+
+    A repair setting a feature to a value survives when every state of its
+    guard box is consistent afterwards.  The box ranges over every feature's
+    values, narrowed on each guard feature to what all of its literals allow
+    and pinned at the new value on the written feature; an empty guard axis
+    keeps the repair, since the box then holds no state.
     """
 
     __slots__ = ("domains", "causal", "causal_on", "decision", "ids", "rules", "moves")
@@ -62,8 +88,8 @@ class CompiledProblem:
     def __init__(self, problem: ProblemSpec) -> None:
         domains = self.domains = problem.domains
         causal_rules = problem.causal_rules
-        self.causal = tuple((body, *head) for body, head in
-                            (compile_rule(domains, rule) for rule in causal_rules))
+        tables = problem.rule_tables
+        self.causal = tuple((body, *head) for body, head in tables[:len(causal_rules)])
         causal_on: list[tuple] = [()] * len(domains.features)
         for rule in self.causal:
             named = {rule[1]}
@@ -72,44 +98,53 @@ class CompiledProblem:
             for fi in named:
                 causal_on[fi] += (rule,)
         self.causal_on = tuple(causal_on)
-        self.decision = tuple(compile_rule(domains, rule)[0] for rule in problem.decision_rules)
+        self.decision = tuple(body for body, _ in tables[len(causal_rules):])
 
+        # per mutable feature and value: its text and the direct move's
+        # precondition, the values that may move there under monotonicity
+        full = [frozenset(range(n)) for n in domains.sizes]
+        texts: list[list[str]] = [[] for _ in full]
+        pre: list[list[Pairs]] = [[] for _ in full]
+        direct_ids: list[str] = []
+        direct_moves: list[tuple[int, int, Pairs]] = []
+        for fi, f in enumerate(domains):
+            if not f.mutable:
+                continue
+            size, monotonicity = len(full[fi]), f.monotonicity
+            for vi in range(size):
+                if monotonicity == "nondecreasing":
+                    sources = frozenset(range(vi))
+                elif monotonicity == "nonincreasing":
+                    sources = frozenset(range(vi + 1, size))
+                else:
+                    sources = full[fi] - {vi}
+                text = f.value_text(vi)
+                texts[fi].append(text)
+                pre[fi].append(((fi, sources),))
+                direct_ids.append(f"direct:{f.name}:{text}")
+                direct_moves.append((fi, vi, pre[fi][vi]))
+
+        merged = [(_merge(body), head, allowed) for body, head, allowed in self.causal]
         ids: list[str] = []
         rules: list[Optional[Rule]] = []
         moves: list[tuple[int, int, Pairs]] = []
-        axes = [range(f.size) if causal_on[fi] else range(1) for fi, f in enumerate(domains)]
-        for rule, (body, fi, allowed) in zip(causal_rules, self.causal):
+        for rule, (body, fi, allowed), (guard, _, _) in zip(causal_rules, self.causal, merged):
             f = domains[fi]
             if not f.mutable:
                 continue
+            box = list(full)
+            for i, meets in guard:
+                box[i] = meets
+            vacuous = not all(box)
             for vi in sorted(allowed):
-                if self._always_consistent_after(axes, body, fi, vi):
-                    ids.append(f"causal:{rule.id}:{f.name}:{f.value_text(vi)}")
+                box[fi] = frozenset((vi,))
+                if vacuous or _always_consistent_after(merged, box):
+                    ids.append(f"causal:{rule.id}:{f.name}:{texts[fi][vi]}")
                     rules.append(rule)
-                    moves.append((fi, vi, ((fi, _sources(f, vi)),) + body))
-        for fi, f in enumerate(domains):
-            if f.mutable:
-                for vi in range(f.size):
-                    ids.append(f"direct:{f.name}:{f.value_text(vi)}")
-                    rules.append(None)
-                    moves.append((fi, vi, ((fi, _sources(f, vi)),)))
-        self.ids, self.rules, self.moves = tuple(ids), tuple(rules), tuple(moves)
-
-    def _always_consistent_after(self, axes: Sequence[Sequence[int]], guard: Pairs,
-                                 feature_index: int, new_index: int) -> bool:
-        """Whether setting the feature yields a consistent state from every
-        guard state: the causal-repair guard sweep.
-
-        ``axes`` ranges over the features some causal rule names and pins
-        the rest, since no other feature can influence the guard or
-        consistency.  A guard feature ranges over the values all of its
-        literals allow, and the written feature is fixed at its new value.
-        """
-        axes = list(axes)
-        for fi, allowed in guard:
-            axes[fi] = sorted(allowed.intersection(axes[fi]))
-        axes[feature_index] = (new_index,)
-        return all(map(self.consistent, itertools.product(*axes)))
+                    moves.append((fi, vi, pre[fi][vi] + body))
+        self.ids = tuple(ids + direct_ids)
+        self.rules = tuple(rules) + (None,) * len(direct_ids)
+        self.moves = tuple(moves + direct_moves)
 
     def consistent(self, idx: Index) -> bool:
         """Every causal implication holds."""

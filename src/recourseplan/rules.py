@@ -9,7 +9,7 @@ every realistic state must satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -177,6 +177,10 @@ class ProblemSpec:
     mirrored into the domains), the initial state, and an optional cap on
     planner expansions.  The initial state must satisfy every causal rule;
     construction rejects it otherwise.
+
+    Construction compiles every rule once against the mirrored domains:
+    ``rule_tables`` holds one :func:`compile_rule` result per rule of
+    ``causal_rules + decision_rules``, in that order.
     """
 
     domains: Domains
@@ -185,6 +189,8 @@ class ProblemSpec:
     constraints: tuple[PlausibilityConstraint, ...] = ()
     initial: State = None  # type: ignore[assignment]
     action_budget: Optional[int] = None
+    rule_tables: tuple[CompiledRule, ...] = field(default=(), init=False, compare=False,
+                                                  repr=False)
 
     def __post_init__(self) -> None:
         mirrored = self.domains.with_constraints(self.constraints)
@@ -201,14 +207,18 @@ class ProblemSpec:
         for rule in self.decision_rules:
             if rule.role != "decision":
                 raise ValueError(f"rule {rule.id!r} listed as decision but has role {rule.role!r}")
-        for rule in self.causal_rules + self.decision_rules:
-            compile_rule(mirrored, rule)  # validates features, kinds, alignment
+        # validates features, kinds, alignment
+        tables = tuple(compile_rule(mirrored, rule)
+                       for rule in self.causal_rules + self.decision_rules)
+        object.__setattr__(self, "rule_tables", tables)
         rule_ids = [r.id for r in self.causal_rules + self.decision_rules]
         if len(set(rule_ids)) != len(rule_ids):
             raise SemanticError("duplicate-declaration", "rule id declared twice")
         if self.action_budget is not None and self.action_budget <= 0:
             raise ValueError("action budget must be positive")
-        if not is_causally_consistent(self.initial, self.causal_rules):
+        idx = self.initial.idx
+        if any(idx[i] not in allowed and all(idx[j] in a for j, a in body)
+               for body, (i, allowed) in tables[:len(self.causal_rules)]):
             raise SemanticError("causally-inconsistent-initial",
                                 "initial state violates a causal rule")
 

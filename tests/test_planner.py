@@ -3,11 +3,12 @@ import dataclasses
 import hashlib
 import itertools
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recourseplan import kernel as kernel_module, planner
+from recourseplan import planner, rules as rules_module
 from recourseplan.actions import build_actions
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import NotASolution
@@ -256,9 +257,8 @@ PROBLEMS_WITH_RULES = ([("adult", lambda: builtin_scenario("adult").problem)]
 @pytest.mark.parametrize("make", [make for _, make in PROBLEMS_WITH_RULES],
                          ids=[name for name, _ in PROBLEMS_WITH_RULES])
 def test_get_path_compiles_the_problem_once(make, monkeypatch):
-    problem = make()
     built, compiled = [], []
-    real_kernel, real_compile = planner.CompiledProblem, kernel_module.compile_rule
+    real_kernel, real_compile = planner.CompiledProblem, rules_module.compile_rule
 
     def counting_kernel(*args):
         built.append(args)
@@ -268,11 +268,20 @@ def test_get_path_compiles_the_problem_once(make, monkeypatch):
         compiled.append(rule)
         return real_compile(domains, rule)
 
+    problem = make()
     monkeypatch.setattr(planner, "CompiledProblem", counting_kernel)
-    monkeypatch.setattr(kernel_module, "compile_rule", counting_compile)
+    for module in list(sys.modules.values()):  # every module that imported the name too
+        if (getattr(module, "__name__", "").startswith("recourseplan")
+                and getattr(module, "compile_rule", None) is real_compile):
+            monkeypatch.setattr(module, "compile_rule", counting_compile)
+    # construction compiles each rule once, in rule order ...
+    problem = dataclasses.replace(problem)
+    assert compiled == list(problem.causal_rules + problem.decision_rules)
+    # ... and planning reads those tables
+    compiled.clear()
     get_path(problem)
     assert len(built) == 1
-    assert compiled == list(problem.causal_rules + problem.decision_rules)
+    assert compiled == []
 
 
 # trace identity ---------------------------------------------------------------------
