@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
 from .errors import OutOfDomain, ParseError, SemanticError
 from .rules import COMPARATORS, Literal, ProblemSpec, Rule
 
-# Whitespace and comments before a token are skipped by the same match; the
-# token group is left unmatched at the end of the input and at a character
-# no token starts with.
+# Whitespace and comments before a token are skipped by the same match, and a
+# character no token starts with is a one-character ``bad`` token, so the
+# matches of one ``finditer`` pass are contiguous and only the match at the
+# end of the input has no token.
 _TOKEN_RE = re.compile(
     r"""
     (?:[ \t\r\n]+|%[^\n]*)*
@@ -38,119 +39,118 @@ _TOKEN_RE = re.compile(
     | (?P<int>-?\d+(?!\w))
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>:-|=<|>=|!=|[{}\[\](),.:=<>])
+    | (?P<bad>.)
     )?
     """,
     re.VERBOSE,
 )
 
+# (kind, text, offset): kind is "ident" | "int" | "punct" | "eof"
+_Token = tuple[str, str, int]
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset; a tab or ``\\r`` is one column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """Tokens with 1-based line and column; a tab or ``\\r`` is one column."""
+    """Tokens with their offsets, ending in an ``eof`` token at the end of the input."""
     tokens: list[_Token] = []
-    match = _TOKEN_RE.match
-    line, line_start, pos = 1, 0, 0
-    while True:
-        m = match(text, pos)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start = m.start(kind) if kind else m.end()
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", pos, start) + 1
-        col = start - line_start + 1
         if kind is None:
-            if start == len(text):
-                break
-            raise ParseError(f"unexpected character {text[start]!r}", line, col)
-        lexeme = m.group(kind)
-        if kind == "decimal":
-            raise ParseError(f"decimal constant {lexeme} is not supported, use integers",
-                             line, col)
-        tokens.append(_Token(kind, lexeme, line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            break
+        if kind == "bad" or kind == "decimal":
+            start = m.start(kind)
+            message = (f"unexpected character {text[start]!r}" if kind == "bad" else
+                       f"decimal constant {m[kind]} is not supported, use integers")
+            raise ParseError(message, *_position(text, start))
+        append((kind, m[kind], m.start(kind)))
+    append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
     # token plumbing ------------------------------------------------------
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
     def _fail(self, expected: str) -> ParseError:
-        tok = self.cur
-        got = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return ParseError(f"unexpected {got}", tok.line, tok.col, expected=expected)
+        kind, lexeme, offset = self.tokens[self.pos]
+        got = "end of input" if kind == "eof" else repr(lexeme)
+        return ParseError(f"unexpected {got}", *_position(self.text, offset), expected=expected)
+
+    def _at_punct(self, text: str) -> bool:
+        kind, lexeme, _ = self.tokens[self.pos]
+        return kind == "punct" and lexeme == text
 
     def take_punct(self, text: str) -> None:
-        if self.cur.kind == "punct" and self.cur.text == text:
+        kind, lexeme, _ = self.tokens[self.pos]
+        if kind == "punct" and lexeme == text:
             self.pos += 1
             return
         raise self._fail(repr(text))
 
     def take_ident(self, what: str = "identifier") -> str:
-        if self.cur.kind == "ident":
-            tok = self.cur
+        kind, lexeme, _ = self.tokens[self.pos]
+        if kind == "ident":
             self.pos += 1
-            return tok.text
+            return lexeme
         raise self._fail(what)
 
     def take_int(self) -> int:
-        if self.cur.kind == "int":
-            tok = self.cur
+        kind, lexeme, _ = self.tokens[self.pos]
+        if kind == "int":
             self.pos += 1
-            return int(tok.text)
+            return int(lexeme)
         raise self._fail("integer")
 
     def take_value(self) -> Union[str, int]:
         """A literal constant or initial value: identifier or integer."""
-        if self.cur.kind == "ident":
-            return self.take_ident()
-        if self.cur.kind == "int":
-            return self.take_int()
+        kind, lexeme, _ = self.tokens[self.pos]
+        if kind == "ident":
+            self.pos += 1
+            return lexeme
+        if kind == "int":
+            self.pos += 1
+            return int(lexeme)
         raise self._fail("value")
 
     def take_comparator(self) -> str:
-        if self.cur.kind == "punct" and self.cur.text in COMPARATORS:
-            op = self.cur.text
+        kind, lexeme, _ = self.tokens[self.pos]
+        if kind == "punct" and lexeme in COMPARATORS:
             self.pos += 1
-            return op
+            return lexeme
         raise self._fail("comparator (= != =< < >= >)")
 
     # grammar -------------------------------------------------------------
 
     def parse(self) -> "_Parsed":
         parsed = _Parsed()
-        while self.cur.kind != "eof":
-            tok = self.cur
-            if tok.kind != "ident":
+        while True:
+            kind, keyword, _ = self.tokens[self.pos]
+            if kind == "eof":
+                return parsed
+            if kind != "ident":
                 raise self._fail("statement keyword")
-            if tok.text == "feature":
+            if keyword == "feature":
                 self._feature(parsed)
-            elif tok.text == "decision":
+            elif keyword == "decision":
                 self._decision(parsed)
-            elif tok.text == "causal":
+            elif keyword == "causal":
                 self._causal(parsed)
-            elif tok.text == "constraint":
+            elif keyword == "constraint":
                 self._constraint(parsed)
-            elif tok.text == "initial":
+            elif keyword == "initial":
                 self._initial(parsed)
             else:
                 raise self._fail("one of feature/decision/causal/constraint/initial")
-        return parsed
 
     def _feature(self, parsed: "_Parsed") -> None:
         self.pos += 1
@@ -160,7 +160,7 @@ class _Parser:
         if kind == "categorical":
             self.take_punct("{")
             labels = [str(self.take_value())]
-            while self.cur.kind == "punct" and self.cur.text == ",":
+            while self._at_punct(","):
                 self.pos += 1
                 labels.append(str(self.take_value()))
             self.take_punct("}")
@@ -193,7 +193,7 @@ class _Parser:
 
     def _body(self) -> tuple[Literal, ...]:
         lits = [self._literal()]
-        while self.cur.kind == "punct" and self.cur.text == ",":
+        while self._at_punct(","):
             self.pos += 1
             lits.append(self._literal())
         return tuple(lits)
@@ -227,7 +227,6 @@ class _Parser:
         parsed.constraints.append(PlausibilityConstraint(feature, kind))  # type: ignore[arg-type]
 
     def _initial(self, parsed: "_Parsed") -> None:
-        tok = self.cur
         self.pos += 1
         if parsed.initial is not None:
             raise SemanticError("duplicate-declaration", "more than one initial block")
@@ -241,14 +240,13 @@ class _Parser:
                 raise SemanticError("duplicate-declaration",
                                     f"initial value for {feature!r} given twice")
             values[feature] = value
-            if self.cur.kind == "punct" and self.cur.text == ",":
+            if self._at_punct(","):
                 self.pos += 1
                 continue
             break
         self.take_punct("}")
         self.take_punct(".")
         parsed.initial = values
-        parsed.initial_pos = (tok.line, tok.col)
 
 
 @dataclass
@@ -267,7 +265,6 @@ class _Parsed:
         self.decision: list[Rule] = []
         self.constraints: list[PlausibilityConstraint] = []
         self.initial: Optional[dict[str, Union[str, int]]] = None
-        self.initial_pos = (0, 0)
 
     def add_rule(self, rule: Rule) -> None:
         ids = {r.id for r in self.causal + self.decision}

@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
-from .rules import Literal, ProblemSpec, Rule, is_causally_consistent
+from .rules import Literal, ProblemSpec, Rule, _compile_rule
 
 
 def _random_feature(rng: random.Random, name: str, max_values: int) -> FeatureDomain:
@@ -88,8 +88,15 @@ def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
 
 def _consistent_initial(rng: random.Random, domains: Domains,
                         causal: tuple[Rule, ...], tries: int = 300) -> Optional[State]:
+    """The first sampled state that satisfies every causal rule.
+
+    Samples index tuples against the rules compiled once, and builds a
+    :class:`State` for the accepted tuple only.
+    """
+    tables = [_compile_rule(domains, rule) for rule in causal]
     for _ in range(tries):
-        state = State(domains, tuple(rng.randrange(f.size) for f in domains))
-        if is_causally_consistent(state, causal):
-            return state
+        idx = tuple(rng.randrange(f.size) for f in domains)
+        if all(idx[i] in allowed or not all(idx[j] in a for j, a in body)
+               for body, (i, allowed) in tables):
+            return State(domains, idx)
     return None

@@ -70,8 +70,7 @@ class Rule:
         return f"causal {self.id}: {self.head} :- {body}."
 
 
-@lru_cache(maxsize=None)
-def literal_support(domain: FeatureDomain, lit: Literal) -> frozenset[int]:
+def _literal_support(domain: FeatureDomain, lit: Literal) -> frozenset[int]:
     """Value indices of ``domain`` on which the literal holds.
 
     For numeric features the partition must align with the constant, i.e. the
@@ -122,18 +121,20 @@ Pairs = tuple[tuple[int, frozenset[int]], ...]
 CompiledRule = tuple[Pairs, Optional[tuple[int, frozenset[int]]]]
 
 
-def compile_literals(domains: Domains, literals: Sequence[Literal]) -> Pairs:
-    """Resolve literals to (feature position, allowed indices) pairs."""
-    return tuple((domains.index(lit.feature), literal_support(domains.by_name(lit.feature), lit))
-                 for lit in literals)
+def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
+    """A rule's body pairs (feature position, allowed value indices), and its
+    head pair when it has one."""
+    def pair(lit: Literal) -> tuple[int, frozenset[int]]:
+        i = domains.index(lit.feature)
+        return i, _literal_support(domains[i], lit)
+    return tuple(map(pair, rule.body)), None if rule.head is None else pair(rule.head)
 
 
-@lru_cache(maxsize=None)
-def compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
-    """A rule's body pairs, and its head pair when it has one."""
-    body = compile_literals(domains, rule.body)
-    head = compile_literals(domains, (rule.head,))[0] if rule.head is not None else None
-    return body, head
+# Cached views of the two functions above for the State-level evaluators
+# (`eval_rule`, `actions.is_permitted`).  Problem construction calls the
+# uncached functions, so it neither hashes a `Domains` tree nor fills these.
+literal_support = lru_cache(maxsize=None)(_literal_support)
+compile_rule = lru_cache(maxsize=None)(_compile_rule)
 
 
 def eval_rule(rule: Rule, state: State) -> bool:
@@ -178,9 +179,9 @@ class ProblemSpec:
     planner expansions.  The initial state must satisfy every causal rule;
     construction rejects it otherwise.
 
-    Construction compiles every rule once against the mirrored domains:
-    ``rule_tables`` holds one :func:`compile_rule` result per rule of
-    ``causal_rules + decision_rules``, in that order.
+    Construction compiles every rule once against the mirrored domains,
+    without a cache: ``rule_tables`` holds one :func:`compile_rule` result
+    per rule of ``causal_rules + decision_rules``, in that order.
     """
 
     domains: Domains
@@ -208,7 +209,7 @@ class ProblemSpec:
             if rule.role != "decision":
                 raise ValueError(f"rule {rule.id!r} listed as decision but has role {rule.role!r}")
         # validates features, kinds, alignment
-        tables = tuple(compile_rule(mirrored, rule)
+        tables = tuple(_compile_rule(mirrored, rule)
                        for rule in self.causal_rules + self.decision_rules)
         object.__setattr__(self, "rule_tables", tables)
         rule_ids = [r.id for r in self.causal_rules + self.decision_rules]

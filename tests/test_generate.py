@@ -1,3 +1,5 @@
+import hashlib
+
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
 from recourseplan.rules import is_causally_consistent
@@ -30,3 +32,23 @@ def test_generated_problems_respect_the_advertised_bounds():
 
 def test_budget_passthrough():
     assert random_problem(5, action_budget=77).action_budget == 77
+
+
+# SHA-256 over the printed text and the budget of every problem in four
+# blocks of seeds and size tiers (features/values[/causal]): 8/5, 10/6, the
+# default tier and 12/6/C10.  It changes only when a seed's problem changes.
+GENERATED_DIGEST = "0928c5c02f9f32e9d553c4f1427f576d19956a4f34f9f9b30827ac0c0c62b2f5"
+
+
+def test_generated_problems_match_pinned_digest():
+    blocks = [(range(350), {"max_features": 8, "max_values": 5}),
+              (range(120), {"max_features": 10, "max_values": 6}),
+              (range(200), {}),
+              (range(60), {"max_features": 12, "max_values": 6, "max_causal": 10})]
+    digest = hashlib.sha256()
+    for seeds, params in blocks:
+        for seed in seeds:
+            p = random_problem(seed, **params)
+            digest.update(pretty_print(p).encode())
+            digest.update(repr(p.action_budget).encode())
+    assert digest.hexdigest() == GENERATED_DIGEST

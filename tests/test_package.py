@@ -1,3 +1,4 @@
+import os
 import pathlib
 import runpy
 import subprocess
@@ -6,6 +7,9 @@ import sys
 import pytest
 
 import recourseplan
+from recourseplan.dsl import pretty_print
+from recourseplan.generate import random_problem
+from tests.conftest import run_cli
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
@@ -33,3 +37,27 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "selftest: ok" in done.stdout
+
+
+def _run_module(*args):
+    root = pathlib.Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-m", "recourseplan", *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_runs_the_cli_from_the_checkout(tmp_path):
+    problem_file = tmp_path / "problem.rp"
+    problem_file.write_text(pretty_print(random_problem(3, max_features=10, max_values=6)))
+    args = ("validate", "--file", str(problem_file), "--format", "structured")
+    done = _run_module(*args)
+    code, out, _ = run_cli(*args)
+    assert (done.returncode, done.stdout) == (code, out)
+
+
+def test_python_m_reports_a_stray_character_with_its_position(tmp_path):
+    problem_file = tmp_path / "bad.rp"
+    problem_file.write_text("feature a: categorical {x, y}.\n\n% a comment\n  @ initial { a = x }.\n")
+    done = _run_module("validate", "--file", str(problem_file))
+    assert done.returncode == 1
+    assert done.stderr == "error: line 4, col 3: unexpected character '@'\n"

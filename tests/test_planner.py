@@ -258,7 +258,7 @@ PROBLEMS_WITH_RULES = ([("adult", lambda: builtin_scenario("adult").problem)]
                          ids=[name for name, _ in PROBLEMS_WITH_RULES])
 def test_get_path_compiles_the_problem_once(make, monkeypatch):
     built, compiled = [], []
-    real_kernel, real_compile = planner.CompiledProblem, rules_module.compile_rule
+    real_kernel, real_compile = planner.CompiledProblem, rules_module._compile_rule
 
     def counting_kernel(*args):
         built.append(args)
@@ -272,8 +272,8 @@ def test_get_path_compiles_the_problem_once(make, monkeypatch):
     monkeypatch.setattr(planner, "CompiledProblem", counting_kernel)
     for module in list(sys.modules.values()):  # every module that imported the name too
         if (getattr(module, "__name__", "").startswith("recourseplan")
-                and getattr(module, "compile_rule", None) is real_compile):
-            monkeypatch.setattr(module, "compile_rule", counting_compile)
+                and getattr(module, "_compile_rule", None) is real_compile):
+            monkeypatch.setattr(module, "_compile_rule", counting_compile)
     # construction compiles each rule once, in rule order ...
     problem = dataclasses.replace(problem)
     assert compiled == list(problem.causal_rules + problem.decision_rules)

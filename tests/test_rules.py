@@ -3,11 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from recourseplan.actions import build_actions, is_permitted
 from recourseplan.domains import Domains, FeatureDomain, PlausibilityConstraint, partition_range
+from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import SemanticError
 from recourseplan.generate import random_problem
+from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.oracle import enumerate_causally_consistent, enumerate_states
-from recourseplan.rules import (Literal, ProblemSpec, Rule, eval_rule,
+from recourseplan.planner import get_path
+from recourseplan.rules import (Literal, ProblemSpec, Rule, compile_rule, eval_rule,
                                 is_causally_consistent, literal_support,
                                 satisfies_decision)
 
@@ -162,3 +166,25 @@ def test_constraints_are_mirrored_into_domains():
     )
     assert not problem.domains.by_name("x").mutable
     assert problem.domains.by_name("y").monotonicity == "nondecreasing"
+
+
+def test_construction_and_planning_leave_the_rule_caches_empty():
+    # the caches serve only the State-level evaluators; building a problem
+    # compiles its rules without them, and get_path reads those tables
+    compile_rule.cache_clear()
+    literal_support.cache_clear()
+    texts = ([builtin_scenario(name).text for name in SCENARIO_NAMES]
+             + [pretty_print(random_problem(seed, max_features=10, max_values=6))
+                for seed in range(20)])
+    problems = [parse_problem(text) for text in texts]
+    problems += [random_problem(seed) for seed in range(20)]
+    for problem in problems:
+        get_path(problem)
+    assert compile_rule.cache_info().currsize == 0
+    assert literal_support.cache_info().currsize == 0
+    # the State-level evaluators still fill them
+    problem, repair = next((p, a) for p in problems for a in build_actions(p) if a.guard)
+    eval_rule(problem.causal_rules[0], problem.initial)
+    assert compile_rule.cache_info().currsize == 1
+    is_permitted(repair, problem.initial)
+    assert literal_support.cache_info().currsize >= 1
