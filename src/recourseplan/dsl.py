@@ -181,9 +181,9 @@ class _Parser:
         else:
             raise self._fail("categorical or numeric")
         self.take_punct(".")
-        if any(d.name == name for d in parsed.features):
+        if name in parsed.features:
             raise SemanticError("duplicate-declaration", f"feature {name!r} declared twice")
-        parsed.features.append(decl)
+        parsed.features[name] = decl
 
     def _literal(self) -> Literal:
         feature = self.take_ident("feature name")
@@ -260,16 +260,17 @@ class _FeatureDecl:
 
 class _Parsed:
     def __init__(self) -> None:
-        self.features: list[_FeatureDecl] = []
+        self.features: dict[str, _FeatureDecl] = {}  # by name, in declaration order
         self.causal: list[Rule] = []
         self.decision: list[Rule] = []
+        self.rule_ids: set[str] = set()
         self.constraints: list[PlausibilityConstraint] = []
         self.initial: Optional[dict[str, Union[str, int]]] = None
 
     def add_rule(self, rule: Rule) -> None:
-        ids = {r.id for r in self.causal + self.decision}
-        if rule.id in ids:
+        if rule.id in self.rule_ids:
             raise SemanticError("duplicate-declaration", f"rule id {rule.id!r} declared twice")
+        self.rule_ids.add(rule.id)
         (self.causal if rule.role == "causal" else self.decision).append(rule)
 
 
@@ -290,16 +291,14 @@ def _boundaries_for(op: str, const: int) -> tuple[int, ...]:
 
 
 def _build_domains(parsed: _Parsed) -> Domains:
-    declared = {d.name for d in parsed.features}
-    thresholds: dict[str, set[int]] = {d.name: set() for d in parsed.features}
-    all_rules = parsed.causal + parsed.decision
-    for rule in all_rules:
+    thresholds: dict[str, set[int]] = {name: set() for name in parsed.features}
+    for rule in parsed.causal + parsed.decision:
         literals = rule.body + ((rule.head,) if rule.head else ())
         for lit in literals:
-            if lit.feature not in declared:
+            decl = parsed.features.get(lit.feature)
+            if decl is None:
                 raise SemanticError("undeclared-feature",
                                     f"rule {rule.id!r} mentions undeclared feature {lit.feature!r}")
-            decl = next(d for d in parsed.features if d.name == lit.feature)
             if decl.kind == "numeric":
                 if not isinstance(lit.const, int):
                     raise SemanticError("type-mismatch",
@@ -307,7 +306,7 @@ def _build_domains(parsed: _Parsed) -> Domains:
                 thresholds[lit.feature].update(_boundaries_for(lit.op, lit.const))
 
     features = []
-    for d in parsed.features:
+    for d in parsed.features.values():
         if d.kind == "categorical":
             features.append(FeatureDomain(d.name, "categorical", labels=d.labels))
         else:
@@ -320,7 +319,7 @@ def _build_initial(parsed: _Parsed, domains: Domains) -> State:
     if parsed.initial is None:
         raise SemanticError("missing-initial", "problem has no initial block")
     for name in parsed.initial:
-        if name not in domains.names:
+        if name not in parsed.features:
             raise SemanticError("undeclared-feature",
                                 f"initial block mentions undeclared feature {name!r}")
     missing = [f.name for f in domains if f.name not in parsed.initial]

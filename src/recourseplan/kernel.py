@@ -69,12 +69,13 @@ class CompiledProblem:
 
     The action list comes in order: verified causal repairs first, then one
     direct move per (mutable feature, value), in declaration then domain
-    order.  ``ids`` are the action ids, ``rules`` the causal rule each action
-    repairs (``None`` for a direct move), and ``moves`` one ``(feature index,
-    new index, precondition pairs)`` triple per action.  A precondition holds
-    exactly where the action is permitted: the feature off the target, on the
-    side of it that monotonicity allows, and a repair's guard (its rule's
-    body pairs).
+    order.  ``rules`` holds the causal rule each action repairs (``None`` for
+    a direct move), and ``moves`` one ``(feature index, new index,
+    precondition pairs)`` triple per action.  A precondition holds exactly
+    where the action is permitted: the feature off the target, on the side
+    of it that monotonicity allows, and a repair's guard (its rule's body
+    pairs).  Set-up formats no action id: :meth:`action_id` formats one when
+    a run records it, and ``ids`` formats them all.
 
     A repair setting a feature to a value survives when every state of its
     guard box is consistent afterwards.  The box ranges over every feature's
@@ -83,7 +84,7 @@ class CompiledProblem:
     keeps the repair, since the box then holds no state.
     """
 
-    __slots__ = ("domains", "causal", "causal_on", "decision", "ids", "rules", "moves")
+    __slots__ = ("domains", "causal", "causal_on", "decision", "rules", "moves", "_ids")
 
     def __init__(self, problem: ProblemSpec) -> None:
         domains = self.domains = problem.domains
@@ -100,12 +101,10 @@ class CompiledProblem:
         self.causal_on = tuple(causal_on)
         self.decision = tuple(body for body, _ in tables[len(causal_rules):])
 
-        # per mutable feature and value: its text and the direct move's
-        # precondition, the values that may move there under monotonicity
+        # per mutable feature and value: the direct move's precondition, the
+        # values that may move there under monotonicity
         full = [frozenset(range(n)) for n in domains.sizes]
-        texts: list[list[str]] = [[] for _ in full]
         pre: list[list[Pairs]] = [[] for _ in full]
-        direct_ids: list[str] = []
         direct_moves: list[tuple[int, int, Pairs]] = []
         for fi, f in enumerate(domains):
             if not f.mutable:
@@ -118,19 +117,14 @@ class CompiledProblem:
                     sources = frozenset(range(vi + 1, size))
                 else:
                     sources = full[fi] - {vi}
-                text = f.value_text(vi)
-                texts[fi].append(text)
                 pre[fi].append(((fi, sources),))
-                direct_ids.append(f"direct:{f.name}:{text}")
                 direct_moves.append((fi, vi, pre[fi][vi]))
 
         merged = [(_merge(body), head, allowed) for body, head, allowed in self.causal]
-        ids: list[str] = []
         rules: list[Optional[Rule]] = []
         moves: list[tuple[int, int, Pairs]] = []
         for rule, (body, fi, allowed), (guard, _, _) in zip(causal_rules, self.causal, merged):
-            f = domains[fi]
-            if not f.mutable:
+            if not domains[fi].mutable:
                 continue
             box = list(full)
             for i, meets in guard:
@@ -139,12 +133,27 @@ class CompiledProblem:
             for vi in sorted(allowed):
                 box[fi] = frozenset((vi,))
                 if vacuous or _always_consistent_after(merged, box):
-                    ids.append(f"causal:{rule.id}:{f.name}:{texts[fi][vi]}")
                     rules.append(rule)
                     moves.append((fi, vi, pre[fi][vi] + body))
-        self.ids = tuple(ids + direct_ids)
-        self.rules = tuple(rules) + (None,) * len(direct_ids)
+        self.rules = tuple(rules) + (None,) * len(direct_moves)
         self.moves = tuple(moves + direct_moves)
+        self._ids: dict[int, str] = {}
+
+    def action_id(self, k: int) -> str:
+        """Action ``k``'s id, formatted the first time it is asked for:
+        ``causal:{rule}:{feature}:{value}`` or ``direct:{feature}:{value}``."""
+        aid = self._ids.get(k)
+        if aid is None:
+            fi, vi, _ = self.moves[k]
+            f, rule = self.domains[fi], self.rules[k]
+            prefix = "direct" if rule is None else f"causal:{rule.id}"
+            aid = self._ids[k] = f"{prefix}:{f.name}:{f.value_text(vi)}"
+        return aid
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Every action's id, in action order."""
+        return tuple(map(self.action_id, range(len(self.moves))))
 
     def consistent(self, idx: Index) -> bool:
         """Every causal implication holds."""

@@ -15,8 +15,9 @@ chains come back to: on some runs a few thousand states take hundreds of
 thousands of entries, on others nearly every state is entered once.  The
 scan for the next move (:func:`_select_action`) checks only the causal rules
 that name the feature an action writes, since out of a consistent entry no
-other rule can change.  A rescan after backtracking resumes after the last
-attempted action, which is exact because every earlier skip still holds:
+other rule can change.  A rescan after backtracking resumes from the
+position stored with the entry, one past its last attempted action, which is
+exact because every earlier skip still holds:
 permission, completion and outcomes never change, the path below the entry
 is the same, and the exhausted set only grows.
 
@@ -131,31 +132,35 @@ class PathTrace:
     """Mutable record of one planning run.
 
     ``entries`` is the visited-states list in visit order, including causally
-    inconsistent intermediates of repair chains.  The trace also carries the
-    run bookkeeping, keyed by index tuples: which states sit on the current
-    path, which are known dead ends, memoized repair-chain outcomes together
-    with the witnesses of the state each was first computed from, the
-    inconsistent states from which no repair chain completes, and the exit
-    table the repair chains share (see :func:`_complete`).
+    inconsistent intermediates of repair chains.  Next to each entry the
+    trace keeps whether it is causally consistent and the action position a
+    rescan of it resumes from.  It also carries the run bookkeeping, keyed by
+    index tuples: which states sit on the current path, which are known dead
+    ends, memoized repair-chain outcomes together with the witnesses of the
+    state each was first computed from, the inconsistent states from which no
+    repair chain completes, and the exit table the repair chains share (see
+    :func:`_complete`).
     """
 
     entries: list[TraceEntry] = field(default_factory=list)
     status: str = "in-progress"  # then: success | failure | budget-exhausted
     expansions: int = 0
     _consistent: list[bool] = field(default_factory=list, repr=False)
+    _resume: list[int] = field(default_factory=list, repr=False)
     _live: dict[Index, int] = field(default_factory=dict, repr=False)
     _exhausted: set[Index] = field(default_factory=set, repr=False)
     _chain_memo: dict[Index, tuple[Reps, ChainResult]] = field(default_factory=dict, repr=False)
     _dead: set[Index] = field(default_factory=set, repr=False)
     _exits: ExitTable = field(default_factory=dict, repr=False)
 
-    def _push(self, entry: TraceEntry, consistent: bool) -> None:
+    def _push(self, entry: TraceEntry, consistent: bool, resume: int = 0) -> None:
         self.entries.append(entry)
         self._consistent.append(consistent)
+        self._resume.append(resume)
         idx = entry.state.idx
         self._live[idx] = self._live.get(idx, 0) + 1
 
-    def _pop(self) -> tuple[TraceEntry, bool]:
+    def _pop(self) -> tuple[TraceEntry, bool, int]:
         if not self.entries:
             raise EmptySequenceError("trace is empty")
         entry = self.entries.pop()
@@ -165,7 +170,7 @@ class PathTrace:
             self._live[idx] = n
         else:
             del self._live[idx]
-        return entry, self._consistent.pop()
+        return entry, self._consistent.pop(), self._resume.pop()
 
     def pop_last(self) -> TraceEntry:
         return self._pop()[0]
@@ -216,15 +221,15 @@ def _replay_chain(trace: PathTrace, kernel: CompiledProblem, idx: Index) -> None
     domains = kernel.domains
     reps, (final, edges) = trace._chain_memo[idx]  # _select_action only picks completing chains
     for source, k in edges:
-        trace._push(TraceEntry(State(domains, source, reps), (kernel.ids[k],)), False)
+        trace._push(TraceEntry(State(domains, source, reps), (kernel.action_id(k),)), False, k + 1)
         reps = _written(reps, kernel.moves[k][0])
     trace._push(TraceEntry(State(domains, final, reps)), True)
 
 
 def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
-                   entry_consistent: bool) -> Optional[tuple[int, Index, bool]]:
-    """First action after the entry's last attempted one whose consistent
-    outcome is new to this run.
+                   entry_consistent: bool, start: int) -> Optional[tuple[int, Index, bool]]:
+    """First action from position ``start`` on (one past the entry's last
+    attempted action) whose consistent outcome is new to this run.
 
     Skips actions not permitted here, actions with no consistent completion,
     and actions whose outcome is the current state, sits on the current path,
@@ -238,7 +243,7 @@ def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
     only grows.  Out of a consistent entry an action writes one feature, so
     only the causal rules that name it are checked.
     """
-    state, taken = entry.state, entry.actions_taken
+    state = entry.state
     idx, reps = state.idx, state.reps
     step, moves = kernel.step, kernel.moves
     live, exhausted = trace._live, trace._exhausted
@@ -247,7 +252,6 @@ def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
     else:  # an inconsistent root: rules off the written feature may fail too
         def consistent(feature_index: int, raw: Index) -> bool:
             return kernel.consistent(raw)
-    start = kernel.ids.index(taken[-1]) + 1 if taken else 0  # action ids are unique
     for k in range(start, len(moves)):
         raw = step(k, idx)
         if raw is None:
@@ -270,20 +274,20 @@ def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
 def _intervene(trace: PathTrace, kernel: CompiledProblem) -> bool:
     """Take the next move from the last trace entry, backtracking past
     exhausted entries; ``False`` when backtracking exhausts the space."""
-    entry, consistent = trace._pop()
+    entry, consistent, resume = trace._pop()
     while True:
-        choice = _select_action(trace, kernel, entry, consistent)
+        choice = _select_action(trace, kernel, entry, consistent, resume)
         if choice is not None:
             break
         trace._exhausted.add(entry.state.idx)
         trace.discard_inconsistent_tail()
         if not trace.entries:
-            trace._push(entry, consistent)
+            trace._push(entry, consistent, resume)
             return False
-        entry, consistent = trace._pop()
+        entry, consistent, resume = trace._pop()
     k, raw, ok = choice
     state = entry.state
-    trace._push(TraceEntry(state, entry.actions_taken + (kernel.ids[k],)), consistent)
+    trace._push(TraceEntry(state, entry.actions_taken + (kernel.action_id(k),)), consistent, k + 1)
     if ok:
         reps = _written(state.reps, kernel.moves[k][0])
         trace._push(TraceEntry(State(kernel.domains, raw, reps)), True)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +166,21 @@ def test_duplicate_feature_declaration():
     assert exc.value.kind == "duplicate-declaration"
 
 
+@pytest.mark.parametrize("rules", [
+    "decision x :- a = p.\ndecision x :- a = q.\n",
+    "causal x: b = p :- a = p.\ndecision x :- a = q.\n",
+], ids=["two decision rules", "causal and decision rule"])
+def test_duplicate_rule_id(rules):
+    with pytest.raises(SemanticError) as exc:
+        parse_problem(
+            "feature a: categorical {p, q}.\n"
+            "feature b: categorical {p, q}.\n"
+            f"{rules}"
+            "initial { a = q, b = q }.\n")
+    assert exc.value.kind == "duplicate-declaration"
+    assert str(exc.value) == "duplicate-declaration: rule id 'x' declared twice"
+
+
 def test_missing_initial_block():
     with pytest.raises(SemanticError) as exc:
         parse_problem("feature a: categorical {x}.\n")
@@ -256,3 +273,26 @@ def test_random_problem_round_trip(seed):
     printed = pretty_print(problem)
     assert parse_problem(printed) == problem
     assert pretty_print(parse_problem(printed)) == printed
+
+
+def _chain_text(n: int) -> str:
+    """N two-valued features, N decision rules and N - 1 causal rules."""
+    lines = [f"feature f{i}: categorical {{a, b}}." for i in range(n)]
+    lines += [f"decision d{i} :- f{i} = a." for i in range(n)]
+    lines += [f"causal c{i}: f{i + 1} = a :- f{i} = a." for i in range(n - 1)]
+    lines.append("initial { " + ", ".join(f"f{i} = b" for i in range(n)) + " }.")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_time_is_linear_in_features_and_rules():
+    def best_of_3(text: str) -> float:
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            parse_problem(text)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    small, large = _chain_text(250), _chain_text(1000)
+    # 4x the input: about 4x the time when linear, 16x when quadratic
+    assert best_of_3(large) / best_of_3(small) < 7

@@ -6,6 +6,7 @@ of a consistent state."""
 import pytest
 
 from recourseplan.actions import apply_action, build_actions, is_permitted
+from recourseplan.domains import FeatureDomain
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
@@ -40,3 +41,24 @@ def test_kernel_matches_state_api_on_every_state(make):
             if consistent and expected is not None:
                 assert (kernel.consistent_after(action.feature_index, expected)
                         == kernel.consistent(expected))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_ids_are_formatted_on_first_use(name, monkeypatch):
+    problem = builtin_scenario(name).problem
+    calls = []
+    real_value_text = FeatureDomain.value_text
+
+    def counting_value_text(self, index):
+        calls.append((self.name, index))
+        return real_value_text(self, index)
+
+    monkeypatch.setattr(FeatureDomain, "value_text", counting_value_text)
+    kernel = CompiledProblem(problem)
+    assert calls == []
+    # formatted one at a time and in any order, each id is formatted once
+    # and is the action list's
+    last_first = [kernel.action_id(k) for k in reversed(range(len(kernel.moves)))]
+    assert kernel.ids == tuple(reversed(last_first))
+    assert len(calls) == len(kernel.moves)
+    assert kernel.ids == tuple(a.id for a in build_actions(problem))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from recourseplan import planner, rules as rules_module
 from recourseplan.actions import build_actions
+from recourseplan.domains import FeatureDomain
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import NotASolution
 from recourseplan.generate import random_problem
@@ -282,6 +283,38 @@ def test_get_path_compiles_the_problem_once(make, monkeypatch):
     get_path(problem)
     assert len(built) == 1
     assert compiled == []
+
+
+def test_planner_never_reads_the_full_id_tuple():
+    tree = ast.parse(pathlib.Path(planner.__file__).read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "ids"]
+    assert reads == []
+
+
+@pytest.mark.parametrize("make", [make for _, make in PROBLEMS_WITH_RULES],
+                         ids=[name for name, _ in PROBLEMS_WITH_RULES])
+def test_get_path_formats_only_the_ids_it_records(make, monkeypatch):
+    problem = make()
+    calls = []
+    real_value_text = FeatureDomain.value_text
+
+    def counting_value_text(self, index):
+        calls.append((self.name, index))
+        return real_value_text(self, index)
+
+    # every id the run records, also on entries that backtracking pops later
+    recorded = set()
+    real_push = planner.PathTrace._push
+
+    def recording_push(self, entry, *args):
+        recorded.update(entry.actions_taken)
+        return real_push(self, entry, *args)
+
+    monkeypatch.setattr(FeatureDomain, "value_text", counting_value_text)
+    monkeypatch.setattr(planner.PathTrace, "_push", recording_push)
+    get_path(problem)
+    assert len(calls) <= len(recorded) < len(CompiledProblem(problem).moves)
 
 
 # trace identity ---------------------------------------------------------------------
