@@ -8,7 +8,8 @@ decides each causal repair with a per-rule box test and derives the action
 list and every action's precondition from them, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Set-up compiles nothing and enumerates no states: each repair candidate
-costs one test per causal rule.  ``State`` and
+costs one test per causal rule, and the action list is built only for a run
+that steps.  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
@@ -62,12 +63,16 @@ def _always_consistent_after(merged: Sequence[Merged], box: Sequence[frozenset[i
 class CompiledProblem:
     """Rules and actions of one problem, compiled against its domains.
 
-    ``causal`` holds one ``(body pairs, head position, head allowed)`` triple
-    per causal rule, and ``causal_on`` the triples of the rules that name each
-    feature, in feature order.  ``decision`` holds the body pairs of each
-    decision rule.  All come from the problem's ``rule_tables``.
+    Construction builds the rule tables.  ``causal`` holds one ``(body
+    pairs, head position, head allowed)`` triple per causal rule, and
+    ``causal_on`` the triples of the rules that name each feature, in feature
+    order.  ``decision`` holds the body pairs of each decision rule.  All come
+    from the problem's ``rule_tables``, and they are all that deciding
+    consistency and goal membership reads.
 
-    The action list comes in order: verified causal repairs first, then one
+    :meth:`compile_actions` builds the action list, so a run builds it only
+    at its first expansion: a start in the goal set takes no step and needs
+    none.  The list comes in order: verified causal repairs first, then one
     direct move per (mutable feature, value), in declaration then domain
     order.  ``rules`` holds the causal rule each action repairs (``None`` for
     a direct move), and ``moves`` one ``(feature index, new index,
@@ -84,11 +89,12 @@ class CompiledProblem:
     keeps the repair, since the box then holds no state.
     """
 
-    __slots__ = ("domains", "causal", "causal_on", "decision", "rules", "moves", "_ids")
+    __slots__ = ("domains", "causal", "causal_on", "decision", "rules", "moves",
+                 "_causal_rules", "_ids")
 
     def __init__(self, problem: ProblemSpec) -> None:
         domains = self.domains = problem.domains
-        causal_rules = problem.causal_rules
+        causal_rules = self._causal_rules = problem.causal_rules
         tables = problem.rule_tables
         self.causal = tuple((body, *head) for body, head in tables[:len(causal_rules)])
         causal_on: list[tuple] = [()] * len(domains.features)
@@ -100,7 +106,12 @@ class CompiledProblem:
                 causal_on[fi] += (rule,)
         self.causal_on = tuple(causal_on)
         self.decision = tuple(body for body, _ in tables[len(causal_rules):])
+        self._ids: dict[int, str] = {}
 
+    def compile_actions(self) -> None:
+        """Build the action list, ``rules`` and ``moves``: the guard sweep
+        decides the causal repairs, then the direct moves follow."""
+        domains = self.domains
         # per mutable feature and value: the direct move's precondition, the
         # values that may move there under monotonicity
         full = [frozenset(range(n)) for n in domains.sizes]
@@ -123,7 +134,8 @@ class CompiledProblem:
         merged = [(_merge(body), head, allowed) for body, head, allowed in self.causal]
         rules: list[Optional[Rule]] = []
         moves: list[tuple[int, int, Pairs]] = []
-        for rule, (body, fi, allowed), (guard, _, _) in zip(causal_rules, self.causal, merged):
+        for rule, (body, fi, allowed), (guard, _, _) in zip(self._causal_rules, self.causal,
+                                                            merged):
             if not domains[fi].mutable:
                 continue
             box = list(full)
@@ -137,7 +149,6 @@ class CompiledProblem:
                     moves.append((fi, vi, pre[fi][vi] + body))
         self.rules = tuple(rules) + (None,) * len(direct_moves)
         self.moves = tuple(moves + direct_moves)
-        self._ids: dict[int, str] = {}
 
     def action_id(self, k: int) -> str:
         """Action ``k``'s id, formatted the first time it is asked for:

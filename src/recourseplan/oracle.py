@@ -6,7 +6,8 @@ breadth-first shortest path.  None of it consults the planner's search, and
 it evaluates rules and actions with its own tables (:class:`_Tables`), not
 the planner's compiled kernel: a literal's truth on an interval is read off
 the interval's smallest and largest elements, on a categorical value off
-label equality.  Only the action list itself comes from ``build_actions``.
+label equality.  Only the action list itself comes from ``build_actions``,
+and path validation asks for it only when the path has a step to check.
 
 The strata are exact counts from one enumeration of the relevant
 projection: the features some causal rule names (body or head) or some
@@ -477,11 +478,13 @@ def validate_solution_path(path: CandidatePath, problem: ProblemSpec) -> Validat
 
     Consistency and goal membership are tested state by state, and each step
     against :func:`delta_oracle`'s relation, so nothing is enumerated.  The
-    repair-order flag is looked for only until one step shows it.
+    repair-order flag is looked for only until one step shows it.  A
+    one-state path has no step, so its step clause holds with nothing to
+    check and the action list is not built.
     """
     if not path.states:
         raise ValueError("cannot validate an empty path")
-    tables = _Tables(problem, build_actions(problem))
+    tables = _Tables(problem, build_actions(problem) if len(path.states) > 1 else ())
     idxs = [s.idx for s in path.states]
     goal = [tables.goal(idx) for idx in idxs]
     steps_ok = True

@@ -23,7 +23,9 @@ is the same, and the exhausted set only grows.
 
 A run ends in one of three statuses: ``success`` (the last trace state is a
 goal), ``failure`` (every alternative was exhausted), or
-``budget-exhausted`` (the expansion budget ran out first).
+``budget-exhausted`` (the expansion budget ran out first).  A run whose
+initial state is a goal succeeds with that one entry, and only a run that
+takes a step builds the action list (the causal-repair guard sweep).
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ def _replay_chain(trace: PathTrace, kernel: CompiledProblem, idx: Index) -> None
 
 
 def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
-                   entry_consistent: bool, start: int) -> Optional[tuple[int, Index, bool]]:
+                   start: int) -> Optional[tuple[int, Index, bool]]:
     """First action from position ``start`` on (one past the entry's last
     attempted action) whose consistent outcome is new to this run.
 
@@ -240,18 +242,15 @@ def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
     action was attempted or skipped, and each skip still holds.  Permission,
     completion and the outcome of an action never change; the path below the
     entry is the one it had when it was first scanned; and the exhausted set
-    only grows.  Out of a consistent entry an action writes one feature, so
+    only grows.  The entry is consistent (the initial state is, and only
+    consistent entries are expanded), and an action writes one feature, so
     only the causal rules that name it are checked.
     """
     state = entry.state
     idx, reps = state.idx, state.reps
     step, moves = kernel.step, kernel.moves
     live, exhausted = trace._live, trace._exhausted
-    if entry_consistent:
-        consistent = kernel.consistent_after
-    else:  # an inconsistent root: rules off the written feature may fail too
-        def consistent(feature_index: int, raw: Index) -> bool:
-            return kernel.consistent(raw)
+    consistent = kernel.consistent_after
     for k in range(start, len(moves)):
         raw = step(k, idx)
         if raw is None:
@@ -276,7 +275,7 @@ def _intervene(trace: PathTrace, kernel: CompiledProblem) -> bool:
     exhausted entries; ``False`` when backtracking exhausts the space."""
     entry, consistent, resume = trace._pop()
     while True:
-        choice = _select_action(trace, kernel, entry, consistent, resume)
+        choice = _select_action(trace, kernel, entry, resume)
         if choice is not None:
             break
         trace._exhausted.add(entry.state.idx)
@@ -302,13 +301,21 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     Deterministic for a given problem.  The trace ends in ``success`` with a
     goal state last, in ``failure`` when the reachable space holds no goal,
     or in ``budget-exhausted`` when the expansion budget ran out.
+
+    A start in the goal set ends the run at once, with one entry and no
+    expansion, before the action list is built: only a run that steps
+    builds it, and the default budget counts its actions.
     """
     kernel = CompiledProblem(problem)
+    trace = PathTrace()
+    trace._push(TraceEntry(problem.initial, ()), True)  # construction rejects an inconsistent start
+    if kernel.goal(problem.initial.idx):
+        trace.status = "success"
+        return trace
+    kernel.compile_actions()
     # the default budget is generous for any enumerable instance
     budget = problem.action_budget or max(1, 10 * len(kernel.moves) * len(problem.domains))
-    trace = PathTrace()
-    trace._push(TraceEntry(problem.initial, ()), kernel.consistent(problem.initial.idx))
-    while not kernel.goal(trace.entries[-1].state.idx):
+    while True:
         if trace.expansions >= budget:
             trace.status = "budget-exhausted"
             return trace
@@ -316,8 +323,9 @@ def get_path(problem: ProblemSpec) -> PathTrace:
             trace.status = "failure"
             return trace
         trace.expansions += 1
-    trace.status = "success"
-    return trace
+        if kernel.goal(trace.entries[-1].state.idx):
+            trace.status = "success"
+            return trace
 
 
 def extract_candidate_path(trace: PathTrace) -> CandidatePath:

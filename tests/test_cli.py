@@ -6,7 +6,9 @@ import pytest
 from recourseplan import cli, oracle
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
-from recourseplan.ingest import GERMAN_TEXT
+from recourseplan.ingest import GERMAN_TEXT, SCENARIO_NAMES
+from recourseplan.planner import CandidatePath
+from recourseplan.rules import ProblemSpec
 from tests.conftest import UNREACHABLE_GOAL, run_cli
 
 
@@ -285,6 +287,27 @@ def test_validate_output_of_formerly_slow_seeds_is_pinned(seed, tmp_path, monkey
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SLOW_VALIDATION_DIGESTS[seed]
 
 
+# (exit code, stdout, stderr) of ``validate --format structured`` on the four
+# scenarios and on random_problem(seed, max_features=10, max_values=6) printed
+# to a file, seeds 0-119: 64 goal starts, 26 failures and 34 paths with steps;
+# recorded before goal starts stopped building the action list
+CERTIFY_DIGEST = "2b61b5231caba7940568e028c3a83851ee64adc3ba15ef20c5507e12f154cf3d"
+
+
+def test_validate_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sources = [("--scenario", name) for name in SCENARIO_NAMES]
+    for seed in range(120):
+        name = f"seed-{seed}.rp"
+        (tmp_path / name).write_text(pretty_print(random_problem(seed, max_features=10,
+                                                                 max_values=6)))
+        sources.append(("--file", name))
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(repr(run_cli("validate", *source, "--format", "structured")).encode())
+    assert digest.hexdigest() == CERTIFY_DIGEST
+
+
 # one parser per process -------------------------------------------------------------
 
 PARSER_SEQUENCE = [
@@ -329,19 +352,26 @@ def test_reused_parser_answers_like_a_fresh_one(capsys):
 def test_main_looks_up_layer_calls_at_call_time(tmp_path, monkeypatch):
     """``cli.main`` must reach these functions through the module attributes,
     so that wrappers swapped in there (as the benchmark's tracer does) see
-    every call."""
-    called = []
+    every call, and must call the oracle with the argument shapes the
+    benchmark's planted faulty oracles take: ``(path, problem)`` and
+    ``(problem, cap=...)``."""
+    called, shapes = [], {}
     for module, name in ((cli, "parse_problem"), (cli, "builtin_scenario"), (cli, "get_path"),
                          (oracle, "validate_solution_path"), (oracle, "state_set_report")):
         def wrapper(*args, name=name, original=getattr(module, name), **kwargs):
             called.append(name)
+            shapes[name] = ([type(a) for a in args], kwargs)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
     f = tmp_path / "german.rp"
     f.write_text(GERMAN_TEXT)
     assert run_cli("validate", "--file", str(f))[0] == 0
     assert called == ["parse_problem", "get_path", "validate_solution_path", "state_set_report"]
+    assert shapes["validate_solution_path"] == ([CandidatePath, ProblemSpec], {})
+    assert shapes["state_set_report"] == ([ProblemSpec], {"cap": None})
     called.clear()
-    assert run_cli("validate", "--scenario", "german")[0] == 0
+    assert run_cli("validate", "--scenario", "german", "--max-states", "100")[0] == 0
     assert called == ["builtin_scenario", "get_path", "validate_solution_path",
                       "state_set_report"]
+    assert shapes["validate_solution_path"] == ([CandidatePath, ProblemSpec], {})
+    assert shapes["state_set_report"] == ([ProblemSpec], {"cap": 100})

@@ -33,6 +33,7 @@ def _enumerating_sweep(kernel, axes, guard, feature_index, new_index):
 def _compare(problem):
     """Check every repair candidate; return (kept, checked, skipped) counts."""
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     domains = problem.domains
     axes = [range(f.size) if kernel.causal_on[fi] else range(1)
             for fi, f in enumerate(domains)]
@@ -160,6 +161,7 @@ def test_box_test_matches_enumeration_on_edge_cases(name):
     problem = parse_problem(text)
     _compare(problem)
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     assert [aid for aid, rule in zip(kernel.ids, kernel.rules) if rule is not None] == kept
 
 
@@ -193,6 +195,7 @@ def test_kernel_enumerates_no_guard_box(monkeypatch):
 
     monkeypatch.setattr(CompiledProblem, "consistent", counting)
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     assert calls == []
     # the list the enumerating sweep gives: r1's repair survives, and every
     # r2-r7 repair leaves the other five rules violated

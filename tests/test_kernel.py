@@ -25,6 +25,7 @@ def test_kernel_matches_state_api_on_every_state(make):
     problem = make()
     domains = problem.domains
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     actions = build_actions(problem)
     assert kernel.ids == tuple(a.id for a in actions)
     assert all(domains[fi].mutable for fi, _, _ in kernel.moves)
@@ -55,6 +56,7 @@ def test_ids_are_formatted_on_first_use(name, monkeypatch):
 
     monkeypatch.setattr(FeatureDomain, "value_text", counting_value_text)
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     assert calls == []
     # formatted one at a time and in any order, each id is formatted once
     # and is the action list's

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recourseplan import oracle
 from recourseplan.actions import build_actions
 from recourseplan.domains import Domains, FeatureDomain, State
 from recourseplan.dsl import parse_problem
@@ -312,6 +313,28 @@ def test_validation_records_order_sensitivity_note():
 def test_validation_rejects_empty_path(german):
     with pytest.raises(ValueError):
         validate_solution_path(CandidatePath(()), german.problem)
+
+
+def test_validation_builds_the_action_list_only_for_a_path_with_a_step(boolean_pair, german,
+                                                                       monkeypatch):
+    built = []
+    real_build = oracle.build_actions
+
+    def counting_build(problem):
+        built.append(problem)
+        return real_build(problem)
+
+    monkeypatch.setattr(oracle, "build_actions", counting_build)
+    # one state, a goal or not: the step clause holds with no step to check
+    report = validate_solution_path(CandidatePath((boolean_pair.initial,)), boolean_pair)
+    assert report.clause_results == (True, True, True, True, True)
+    p = german.problem
+    report = validate_solution_path(CandidatePath((p.initial,)), p)
+    assert report.clause_results == (True, False, True, True, True)
+    assert built == []
+    report = validate_solution_path(extract_candidate_path(get_path(p)), p)
+    assert report.overall
+    assert built == [p]
 
 
 # shortest paths ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recourseplan import planner, rules as rules_module
+from recourseplan import kernel as kernel_module, planner, rules as rules_module
 from recourseplan.actions import build_actions
 from recourseplan.domains import FeatureDomain
 from recourseplan.dsl import parse_problem, pretty_print
@@ -176,6 +176,7 @@ def _inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
 def test_dead_set_changes_no_repair_chain(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     dead: set = set()
     exits: dict = {}
     for idx in _inconsistent_states(problem, kernel):
@@ -218,6 +219,7 @@ def _stepping_complete(kernel, start, dead):
 def test_tabled_chains_match_the_stepping_reference(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     # one table and one dead set for all calls, as in a run: later calls read
     # the exits that earlier ones stored
     dead: set = set()
@@ -248,11 +250,13 @@ def test_planner_steps_and_checks_states_only_through_the_kernel():
     assert not imported & {"apply_action", "is_causally_consistent", "build_actions"}
 
 
-# problems with both causal and decision rules
+# problems with both causal and decision rules; the last one starts in the goal set
 PROBLEMS_WITH_RULES = ([("adult", lambda: builtin_scenario("adult").problem)]
                        + [(f"random {seed}",
                            lambda seed=seed: random_problem(seed, max_features=8, max_values=5))
-                          for seed in (106, 111, 172)])
+                          for seed in (106, 111, 172)]
+                       + [("goal start",
+                           lambda: random_problem(28, max_features=10, max_values=6))])
 
 
 @pytest.mark.parametrize("make", [make for _, make in PROBLEMS_WITH_RULES],
@@ -285,6 +289,26 @@ def test_get_path_compiles_the_problem_once(make, monkeypatch):
     assert compiled == []
 
 
+def test_goal_start_builds_no_action_list(monkeypatch):
+    problem = random_problem(28, max_features=10, max_values=6)
+    assert problem.causal_rules and problem.decision_rules
+    swept = []
+    real_sweep = kernel_module._always_consistent_after
+
+    def counting_sweep(*args):
+        swept.append(args)
+        return real_sweep(*args)
+
+    monkeypatch.setattr(kernel_module, "_always_consistent_after", counting_sweep)
+    build_actions(problem)
+    assert swept  # building the action list decides a repair candidate here
+    swept.clear()
+    trace = get_path(problem)
+    assert swept == []
+    assert (trace.status, trace.expansions) == ("success", 0)
+    assert list(trace.entry_records()) == [(TraceEntry(problem.initial, ()), True)]
+
+
 def test_planner_never_reads_the_full_id_tuple():
     tree = ast.parse(pathlib.Path(planner.__file__).read_text())
     reads = [node.lineno for node in ast.walk(tree)
@@ -314,7 +338,7 @@ def test_get_path_formats_only_the_ids_it_records(make, monkeypatch):
     monkeypatch.setattr(FeatureDomain, "value_text", counting_value_text)
     monkeypatch.setattr(planner.PathTrace, "_push", recording_push)
     get_path(problem)
-    assert len(calls) <= len(recorded) < len(CompiledProblem(problem).moves)
+    assert len(calls) <= len(recorded) < len(build_actions(problem))
 
 
 # trace identity ---------------------------------------------------------------------
