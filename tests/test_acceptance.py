@@ -1,5 +1,6 @@
 """Acceptance suite: three golden scenario paths, property checks over 1000
-seeded random instances, and the determinism contract.
+seeded random instances and over 100 larger ones, the verdicts of the
+slowest known seeds, and the determinism contract.
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see one verdict line per
 criterion.
@@ -182,3 +183,71 @@ def test_criterion_09_byte_identical_structured_output():
         assert code1 == code2 == 0
         assert first == second
     print("\nACCEPTANCE 9 PASS: repeated runs produce byte-identical structured output")
+
+
+# acceptance at scale ------------------------------------------------------------------
+
+# random_problem(seed, max_features=9, max_values=5) for these seeds spans
+# about 9,000 states on average and 216,000 at most, where the 1000-instance
+# suite above averages about 42.
+SCALE_SEEDS = range(1000, 1100)
+
+
+@pytest.fixture(scope="module")
+def scale_suite():
+    entries = []
+    for seed in SCALE_SEEDS:
+        problem = random_problem(seed, max_features=9, max_values=5)
+        entries.append((seed, problem, get_path(problem)))
+    return entries
+
+
+def _trace_record(trace: PathTrace):
+    return (trace.status, trace.expansions,
+            [(e.state.idx, e.state.reps, e.actions_taken, ok) for e, ok in trace.entry_records()])
+
+
+def test_scale_successes_validate_and_are_no_shorter_than_bfs(scale_suite):
+    successes = 0
+    for seed, problem, trace in scale_suite:
+        if trace.status != "success":
+            continue
+        successes += 1
+        path = extract_candidate_path(trace)
+        assert validate_solution_path(path, problem).overall, seed
+        assert len(path) >= len(bfs_shortest_path(problem)), seed
+    assert successes > 0
+
+
+def test_scale_failures_match_unreachability(scale_suite):
+    failures = [(seed, problem) for seed, problem, trace in scale_suite
+                if trace.status == "failure"]
+    assert failures
+    assert [seed for seed, problem in failures if bfs_shortest_path(problem) is not None] == []
+
+
+def test_scale_runs_are_deterministic(scale_suite):
+    for seed, problem, trace in scale_suite:
+        assert _trace_record(get_path(problem)) == _trace_record(trace), seed
+
+
+# the slowest seeds seen on the 8/5 and 12/6/C10 tiers, with their verdicts
+NAMED_SLOW_SEEDS = [
+    ("8/5 263", dict(max_features=8, max_values=5), 263, ("failure", 1614)),
+    ("12/6/C10 25", dict(max_features=12, max_values=6, max_causal=10), 25, ("failure", 923)),
+    ("12/6/C10 29", dict(max_features=12, max_values=6, max_causal=10), 29, ("failure", 944)),
+    ("12/6/C10 53", dict(max_features=12, max_values=6, max_causal=10), 53,
+     ("budget-exhausted", 4290)),
+]
+
+
+@pytest.mark.parametrize("tier, seed, expected",
+                         [(tier, seed, expected) for _, tier, seed, expected in NAMED_SLOW_SEEDS],
+                         ids=[name for name, *_ in NAMED_SLOW_SEEDS])
+def test_named_slow_seed_verdicts(tier, seed, expected):
+    trace = get_path(random_problem(seed, **tier))
+    assert (trace.status, trace.expansions) == expected
+
+
+def test_seed_263_fails_and_bfs_finds_no_goal():
+    assert bfs_shortest_path(random_problem(263, max_features=8, max_values=5)) is None
