@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .domains import FeatureDomain
 from .rules import Pairs, ProblemSpec, Rule
 
 Index = tuple[int, ...]
@@ -58,6 +59,18 @@ def _always_consistent_after(merged: Sequence[Merged], box: Sequence[frozenset[i
         else:
             return False
     return True
+
+
+def _reach(feature: FeatureDomain, vi: int) -> range:
+    """Every value index the feature can take from ``vi`` on: only ``vi``
+    when it is immutable, else those on the side its monotonicity allows."""
+    if not feature.mutable:
+        return range(vi, vi + 1)
+    if feature.monotonicity == "nondecreasing":
+        return range(vi, feature.size)
+    if feature.monotonicity == "nonincreasing":
+        return range(vi + 1)
+    return range(feature.size)
 
 
 class CompiledProblem:
@@ -184,6 +197,25 @@ class CompiledProblem:
             if idx[head_pos] not in head_allowed and _holds(body, idx):
                 return False
         return True
+
+    def unrepairable(self, idx: Index) -> bool:
+        """Some causal rule is violated at ``idx`` and at every state reachable
+        from it, so no sequence of actions leads to a consistent state.
+
+        That holds when the values the head feature can still reach miss the
+        head's allowed ones, and those each body feature can still reach stay
+        inside its literals, since every action keeps to mutability and
+        monotonicity.
+        """
+        features = self.domains.features
+        for body, head_pos, head_allowed in self.causal:
+            if idx[head_pos] in head_allowed or not _holds(body, idx):
+                continue
+            if not head_allowed.isdisjoint(_reach(features[head_pos], idx[head_pos])):
+                continue
+            if all(allowed.issuperset(_reach(features[i], idx[i])) for i, allowed in body):
+                return True
+        return False
 
     def fires(self, idx: Index) -> bool:
         """Some decision rule's body holds."""

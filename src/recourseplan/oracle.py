@@ -209,44 +209,37 @@ class _Tables:
 
     def _repair(self, raw: Index) -> Optional[tuple[Index, tuple[int, ...]]]:
         """The repair policy from an inconsistent raw outcome: the first
-        consistent state of a depth-first walk that tries actions in order
-        (causal repairs first) and enters no state twice, with the action
-        positions of the chain; ``None`` when no completion exists.
+        consistent state in breadth-first order, where the frontier is
+        expanded in order, each state by its successors in action order
+        (causal repairs first), a state is tested when it is discovered and
+        none is entered twice; with the action positions of the chain, or
+        ``None`` when no completion exists.
 
-        A failed walk expanded every state it entered, so no consistent state
-        is reachable from any of them: later walks skip them like entered
-        ones, which changes no result."""
+        A failed search saw only states from which no consistent state is
+        reachable: later searches skip them like entered ones, which changes
+        no result."""
         if raw in self._repairs:
             return self._repairs[raw]
-        result = None
-        seen, dead = {raw}, self._dead
-        # (state, next position in its successor list); ``chain`` holds the
-        # action positions of the edges between stacked states
-        stack: list[tuple[Index, int]] = [(raw, 0)]
-        chain: list[int] = []
-        while stack and result is None:
-            current, position = stack[-1]
-            succ = self._region_successors(current)
-            for j in range(position, len(succ)):
-                k, nxt, ok = succ[j]
-                if nxt in seen or nxt in dead:
+        dead = self._dead
+        # each entered state: the state it was discovered from and the action
+        parent: dict[Index, Optional[tuple[Index, int]]] = {raw: None}
+        frontier = [raw]
+        for current in frontier:  # grows while it is read: a queue in discovery order
+            for k, nxt, ok in self._region_successors(current):
+                if nxt in parent or nxt in dead:
                     continue
                 if ok:
-                    result = nxt, tuple(chain) + (k,)
-                    break
-                seen.add(nxt)
-                stack[-1] = (current, j + 1)
-                stack.append((nxt, 0))
-                chain.append(k)
-                break
-            else:
-                stack.pop()
-                if chain:
-                    chain.pop()
-        if result is None:
-            dead.update(seen)
-        self._repairs[raw] = result
-        return result
+                    chain = [k]
+                    while (link := parent[current]) is not None:
+                        current, position = link
+                        chain.append(position)
+                    result = self._repairs[raw] = nxt, tuple(reversed(chain))
+                    return result
+                parent[nxt] = current, k
+                frontier.append(nxt)
+        dead.update(parent)
+        self._repairs[raw] = None
+        return None
 
     def canonical_routes(self, idx: Index,
                          succ: Successors) -> Iterator[tuple[Index, tuple[int, ...]]]:
@@ -392,8 +385,9 @@ def delta_oracle(state: State, problem: ProblemSpec,
     """All causally consistent states reachable from ``state`` in one step.
 
     Each permitted action is applied; an inconsistent outcome continues along
-    the deterministic repair policy (causal actions first, declaration order,
-    no revisits within the chain).  The input state itself is never a member.
+    the deterministic repair policy: the first consistent state in
+    breadth-first order, with actions tried in order (causal actions first,
+    then declaration order).  The input state itself is never a member.
     """
     tables = _Tables(problem, build_actions(problem) if actions is None else actions)
     return {State(problem.domains, idx, tables.witnesses(state.reps, written))

@@ -8,18 +8,15 @@ passes through, and appends the consistent outcome.  Dead ends backtrack:
 the exhausted state is remembered so it is never entered again, which bounds
 the whole run by one expansion per consistent state.
 
-Repair chains share a per-run exit table (:func:`_complete`).  A state's
-first entry steps its actions lazily; its second entry stores every exit,
-which later entries read.  Tabling on second entry pays only for states that
-chains come back to: on some runs a few thousand states take hundreds of
-thousands of entries, on others nearly every state is entered once.  The
-scan for the next move (:func:`_select_action`) checks only the causal rules
-that name the feature an action writes, since out of a consistent entry no
-other rule can change.  A rescan after backtracking resumes from the
-position stored with the entry, one past its last attempted action, which is
-exact because every earlier skip still holds:
-permission, completion and outcomes never change, the path below the entry
-is the same, and the exhausted set only grows.
+An action whose outcome breaks a causal rule continues through a repair
+chain (:func:`_complete`): the first causally consistent state in
+breadth-first order from the raw outcome.  The scan for the next move
+(:func:`_select_action`) checks only the causal rules that name the feature
+an action writes, since out of a consistent entry no other rule can change.
+A rescan after backtracking resumes from the position stored with the entry,
+one past its last attempted action, which is exact because every earlier
+skip still holds: permission, completion and outcomes never change, the path
+below the entry is the same, and the exhausted set only grows.
 
 A run ends in one of three statuses: ``success`` (the last trace state is a
 goal), ``failure`` (every alternative was exhausted), or
@@ -52,73 +49,50 @@ class TraceEntry(NamedTuple):
 Reps = tuple[Optional[int], ...]
 ChainEdge = tuple[Index, int]
 ChainResult = Optional[tuple[Index, tuple[ChainEdge, ...]]]
-Exit = tuple[int, Index, bool]  # action position, successor, successor consistent
-ExitTable = dict[Index, Optional[list[Exit]]]
 
 
-def _complete(kernel: CompiledProblem, start: Index, dead: set[Index],
-              exits: ExitTable) -> ChainResult:
-    """First causally consistent state reachable from ``start``.
+def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> ChainResult:
+    """First causally consistent state reachable from ``start``, in
+    breadth-first order.
 
-    Depth-first over repair chains: at every inconsistent state the ordered
-    action list is tried (causal repairs first), never re-entering a state
-    already seen within this chain.  Returns the consistent endpoint plus the
+    The frontier is expanded in order, each state by the ordered action list
+    (causal repairs first), and no state is entered twice.  A state's
+    consistency is tested when it is discovered: a consistent one ends the
+    chain and is never expanded.  Returns the consistent endpoint plus the
     (state, action position) edges leading to it, or ``None`` when no
-    completion exists.
+    completion exists.  So the chain is a shortest one, and where some action
+    repairs the start in one step it is the first such action.
 
     ``dead`` holds inconsistent states from which no consistent state is
-    reachable; they are skipped like seen ones, which changes no result.  A
-    failed search expanded every state it saw with every action, so all of
-    them are added to it.
-
-    ``exits`` is the run's exit table.  The first time any chain enters a
-    state, it is stepped lazily, one action at a time as the search reads it
-    (most states of some runs are entered once, and left after one step).
-    The second entry steps every action once and stores the state's
-    ``(position, successor, consistent)`` triples, which every later entry
-    reads instead of stepping.  ``seen`` and ``dead`` are tested as each exit
-    is read, so a stored exit yields exactly what stepping would have.
+    reachable; they are skipped like seen ones, which changes no result, since
+    every state reachable from a dead state is dead too.  A failed search saw
+    only states of that kind, so all of them are added to it.  So is a start
+    that :meth:`~recourseplan.kernel.CompiledProblem.unrepairable` rules out
+    before any search.
     """
     consistent, step = kernel.consistent, kernel.step
     if consistent(start):
         return start, ()
+    if kernel.unrepairable(start):
+        dead.add(start)
+        return None
     positions = range(len(kernel.moves))
-    seen = {start}
-
-    def stepped(idx: Index) -> Iterator[Exit]:
+    # each entered state: the edge it was discovered along
+    parent: dict[Index, Optional[ChainEdge]] = {start: None}
+    frontier = [start]
+    for idx in frontier:  # grows while it is read: a queue in discovery order
         for k in positions:
             nxt = step(k, idx)
-            if nxt is not None and nxt not in seen and nxt not in dead:
-                yield k, nxt, consistent(nxt)
-
-    def exits_of(idx: Index) -> Iterator[Exit]:
-        if idx not in exits:
-            exits[idx] = None
-            return stepped(idx)
-        table = exits[idx]
-        if table is None:
-            table = exits[idx] = [(k, nxt, consistent(nxt)) for k in positions
-                                  if (nxt := step(k, idx)) is not None]
-        return iter(table)
-
-    stack: list[tuple[Index, Iterator[Exit]]] = [(start, exits_of(start))]
-    edges: list[ChainEdge] = []
-    while stack:
-        idx, pending = stack[-1]
-        for k, nxt, ok in pending:
-            if nxt in seen or nxt in dead:
+            if nxt is None or nxt in parent or nxt in dead:
                 continue
-            edges.append((idx, k))
-            if ok:
-                return nxt, tuple(edges)
-            seen.add(nxt)
-            stack.append((nxt, exits_of(nxt)))
-            break
-        else:
-            stack.pop()
-            if edges:
-                edges.pop()
-    dead.update(seen)
+            if consistent(nxt):
+                edges: list[ChainEdge] = [(idx, k)]
+                while (edge := parent[edges[-1][0]]) is not None:
+                    edges.append(edge)
+                return nxt, tuple(reversed(edges))
+            parent[nxt] = idx, k
+            frontier.append(nxt)
+    dead.update(parent)
     return None
 
 
@@ -139,9 +113,8 @@ class PathTrace:
     rescan of it resumes from.  It also carries the run bookkeeping, keyed by
     index tuples: which states sit on the current path, which are known dead
     ends, memoized repair-chain outcomes together with the witnesses of the
-    state each was first computed from, the inconsistent states from which no
-    repair chain completes, and the exit table the repair chains share (see
-    :func:`_complete`).
+    state each was first computed from, and the inconsistent states from which
+    no repair chain completes (see :func:`_complete`).
     """
 
     entries: list[TraceEntry] = field(default_factory=list)
@@ -153,7 +126,6 @@ class PathTrace:
     _exhausted: set[Index] = field(default_factory=set, repr=False)
     _chain_memo: dict[Index, tuple[Reps, ChainResult]] = field(default_factory=dict, repr=False)
     _dead: set[Index] = field(default_factory=set, repr=False)
-    _exits: ExitTable = field(default_factory=dict, repr=False)
 
     def _push(self, entry: TraceEntry, consistent: bool, resume: int = 0) -> None:
         self.entries.append(entry)
@@ -194,7 +166,7 @@ class PathTrace:
         hit = self._chain_memo.get(idx)
         if hit is None:
             hit = self._chain_memo[idx] = (_written(reps, feature_index),
-                                           _complete(kernel, idx, self._dead, self._exits))
+                                           _complete(kernel, idx, self._dead))
         return hit[1]
 
     def entry_records(self) -> Iterator[tuple[TraceEntry, bool]]:

@@ -1,8 +1,9 @@
-import time
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recourseplan import dsl
 from recourseplan.domains import Interval
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import ParseError, SemanticError
@@ -284,15 +285,30 @@ def _chain_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_parse_time_is_linear_in_features_and_rules():
-    def best_of_3(text: str) -> float:
-        times = []
-        for _ in range(3):
-            started = time.perf_counter()
-            parse_problem(text)
-            times.append(time.perf_counter() - started)
-        return min(times)
+def _parse_lines_run(text: str) -> int:
+    """The number of lines of ``dsl.py`` executed while parsing ``text``: a
+    count of work that does not depend on the machine's load."""
+    count = 0
 
-    small, large = _chain_text(250), _chain_text(1000)
-    # 4x the input: about 4x the time when linear, 16x when quadratic
-    assert best_of_3(large) / best_of_3(small) < 7
+    def in_dsl(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return in_dsl
+
+    def calls(frame, event, arg):
+        return in_dsl if frame.f_code.co_filename == dsl.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        parse_problem(text)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_parse_time_is_linear_in_features_and_rules():
+    small, large = _parse_lines_run(_chain_text(100)), _parse_lines_run(_chain_text(400))
+    # 4x the input: about 4x the work when linear, 16x when quadratic
+    assert large / small < 7

@@ -2,7 +2,8 @@
 references, on every state of small problems.
 
 The references below are the oracle's earlier ``State``-level algorithms,
-kept verbatim: they step states with ``is_permitted``/``apply_action`` and
+kept verbatim apart from the repair walk, which follows the breadth-first
+repair policy: they step states with ``is_permitted``/``apply_action`` and
 test them with the ``rules`` evaluators, which share nothing with the
 oracle's index-tuple tables.
 """
@@ -53,7 +54,7 @@ initial { n = 2, m = 1, x = f }.
 PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
             + [(f"random {seed}", lambda seed=seed: _random(seed)) for seed in SEEDS]
             + [("witnesses", lambda: parse_problem(WITNESSES)),
-               # repair walks that back out of a dead end (immutable and
+               # repair searches that meet dead ends (immutable and
                # monotone features), which no problem above exercises
                ("random 105", lambda: _random(105))])
 IDS = [name for name, _ in PROBLEMS]
@@ -63,16 +64,14 @@ MAKERS = [make for _, make in PROBLEMS]
 # State-level references ------------------------------------------------------------
 
 def _repair(state: State, causal_rules: tuple[Rule, ...],
-            actions: Sequence[Action], seen: set[State]) -> Optional[State]:
-    # Depth-first repair: causal actions come first in the action order, no
-    # state is entered twice within one chain.  Explicit stack of
-    # (state, next action position) pairs so chain depth is unbounded.
-    stack: list[tuple[State, int]] = [(state, 0)]
-    while stack:
-        current, position = stack[-1]
-        descended = False
-        for i in range(position, len(actions)):
-            a = actions[i]
+            actions: Sequence[Action]) -> Optional[State]:
+    # Breadth-first repair: the frontier is expanded in order, each state by
+    # the actions in order (causal actions first), a state is tested when it
+    # is discovered, and none is entered twice.
+    seen = {state}
+    frontier = [state]
+    for current in frontier:
+        for a in actions:
             if not is_permitted(a, current):
                 continue
             nxt = apply_action(a, current)
@@ -81,12 +80,7 @@ def _repair(state: State, causal_rules: tuple[Rule, ...],
             if is_causally_consistent(nxt, causal_rules):
                 return nxt
             seen.add(nxt)
-            stack[-1] = (current, i + 1)
-            stack.append((nxt, 0))
-            descended = True
-            break
-        if not descended:
-            stack.pop()
+            frontier.append(nxt)
     return None
 
 
@@ -103,7 +97,7 @@ def reference_delta(state: State, problem: ProblemSpec,
         if is_causally_consistent(raw, causal_rules):
             final: Optional[State] = raw
         else:
-            final = _repair(raw, causal_rules, actions, {raw})
+            final = _repair(raw, causal_rules, actions)
         if final is not None and final != state:
             out.add(final)
     return out

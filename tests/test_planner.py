@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -178,16 +179,75 @@ def test_dead_set_changes_no_repair_chain(seed):
     kernel = CompiledProblem(problem)
     kernel.compile_actions()
     dead: set = set()
-    exits: dict = {}
     for idx in _inconsistent_states(problem, kernel):
-        assert _complete(kernel, idx, dead, exits) == _complete(kernel, idx, set(), {})
+        assert _complete(kernel, idx, dead) == _complete(kernel, idx, set())
     # seed 329 has chains that fail, so later calls ran against a filled set
     assert bool(dead) == (seed == 329)
 
 
-def _stepping_complete(kernel, start, dead):
-    """The repair-chain search as it was before the exit table: every entry
-    steps its state afresh.  Kept verbatim as the reference."""
+def _breadth_first_complete(kernel, start):
+    """The repair policy stated plainly: breadth-first over ``kernel.step``
+    from ``start``, actions in order, ending at the first consistent state
+    discovered, with no dead set and no unrepairability test."""
+    if kernel.consistent(start):
+        return start, ()
+    parent = {start: None}
+    queue = collections.deque([start])
+    while queue:
+        idx = queue.popleft()
+        for k in range(len(kernel.moves)):
+            nxt = kernel.step(k, idx)
+            if nxt is None or nxt in parent:
+                continue
+            parent[nxt] = (idx, k)
+            if kernel.consistent(nxt):
+                edges = []
+                node = nxt
+                while parent[node] is not None:
+                    edges.append(parent[node])
+                    node = parent[node][0]
+                return nxt, tuple(reversed(edges))
+            queue.append(nxt)
+    return None
+
+
+def _reaches_a_consistent_state(kernel, sources) -> bool:
+    reached = set(sources)
+    frontier = list(reached)
+    while frontier:
+        idx = frontier.pop()
+        for k in range(len(kernel.moves)):
+            nxt = kernel.step(k, idx)
+            if nxt is None or nxt in reached:
+                continue
+            if kernel.consistent(nxt):
+                return True
+            reached.add(nxt)
+            frontier.append(nxt)
+    return False
+
+
+@pytest.mark.parametrize("seed", [106, 111, 172, 329])
+def test_chains_match_the_breadth_first_reference(seed):
+    problem = random_problem(seed, max_features=8, max_values=5)
+    kernel = CompiledProblem(problem)
+    kernel.compile_actions()
+    # one dead set for all calls, as in a run; a chain that fails leaves its
+    # start dead, and the last assertion covers the reference on dead states
+    dead: set = set()
+    for idx in _inconsistent_states(problem, kernel):
+        result = _complete(kernel, idx, dead)
+        if result is None:
+            assert idx in dead
+        else:
+            assert result == _breadth_first_complete(kernel, idx)
+    assert not _reaches_a_consistent_state(kernel, dead)
+
+
+def _depth_first_complete(kernel, start, dead):
+    """The repair-chain search before chains became breadth-first, in the
+    form that steps every state afresh (its exit-table form took the same
+    steps).  Kept verbatim as the reference."""
     consistent, step = kernel.consistent, kernel.step
     if consistent(start):
         return start, ()
@@ -215,20 +275,54 @@ def _stepping_complete(kernel, start, dead):
     return None
 
 
-@pytest.mark.parametrize("seed", [106, 111, 172, 329])
-def test_tabled_chains_match_the_stepping_reference(seed):
+# 8/5 seeds of 0-119 with at most 2,000 states
+ONE_EDGE_SEEDS = [seed for seed in range(120)
+                  if random_problem(seed, max_features=8, max_values=5).state_count <= 2000]
+
+
+def test_one_edge_repairs_are_those_of_the_depth_first_walk():
+    # Where the depth-first walk repairs in one edge, the first consistent
+    # outcome in action order is also the first breadth-first order meets:
+    # why the change of policy kept the scenario paths.
+    one_edge = 0
+    for seed in ONE_EDGE_SEEDS:
+        problem = random_problem(seed, max_features=8, max_values=5)
+        kernel = CompiledProblem(problem)
+        kernel.compile_actions()
+        dead: set = set()
+        reference_dead: set = set()
+        for idx in _inconsistent_states(problem, kernel):
+            walked = _depth_first_complete(kernel, idx, reference_dead)
+            if walked is not None and len(walked[1]) == 1:
+                one_edge += 1
+                assert _complete(kernel, idx, dead) == walked
+    assert one_edge > 1000
+
+
+def test_seed_263_repair_chains_are_short(monkeypatch):
+    # the depth-first walk made chains of 301 steps on average here
+    steps = []
+    real_complete = planner._complete
+
+    def counting_complete(*args):
+        result = real_complete(*args)
+        steps.append(0 if result is None else len(result[1]))
+        return result
+
+    monkeypatch.setattr(planner, "_complete", counting_complete)
+    get_path(random_problem(263, max_features=8, max_values=5))
+    assert steps
+    assert sum(steps) / len(steps) <= 2
+
+
+@pytest.mark.parametrize("seed", [4, 14, 20, 48, 63, 66, 72, 92])
+def test_unrepairable_states_reach_no_consistent_state(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
     kernel.compile_actions()
-    # one table and one dead set for all calls, as in a run: later calls read
-    # the exits that earlier ones stored
-    dead: set = set()
-    exits: dict = {}
-    reference_dead: set = set()
-    for idx in _inconsistent_states(problem, kernel):
-        assert _complete(kernel, idx, dead, exits) == _stepping_complete(kernel, idx, reference_dead)
-    assert dead == reference_dead
-    assert any(table is not None for table in exits.values())
+    ruled_out = [idx for idx in _inconsistent_states(problem, kernel) if kernel.unrepairable(idx)]
+    assert ruled_out
+    assert not _reaches_a_consistent_state(kernel, ruled_out)
 
 
 def test_wide_seed_68_fails_and_bfs_finds_no_goal():
@@ -358,8 +452,9 @@ def _trace_digest(problems) -> str:
 # random_problem(seed, max_features=8, max_values=5) for seeds 0-99: status,
 # expansions, and per entry the state's indices and witnesses, the attempted
 # action ids and the consistency flag.  Any change to search order, repair
-# chains or witness bookkeeping changes it.
-TRACE_DIGEST = "66d1ae1c6d958fb6ccbd91aaaaf09f9456f37bd809ad6fa0b96ff746a75745fe"
+# chains or witness bookkeeping changes it.  Re-recorded when repair chains
+# became breadth-first, which changed the trace of seed 86.
+TRACE_DIGEST = "5ae08a3580b06a9fa8cec5f1abfe030faf3f95fad8e88b7b02b23388e79184b9"
 
 
 def test_traces_match_pinned_digest():
@@ -372,7 +467,8 @@ def test_traces_match_pinned_digest():
 # random_problem(seed, max_features=8, max_values=5) for seeds 106, 111, 172,
 # 196, 268 and 271, then the printed and reparsed random_problem(seed,
 # max_features=10, max_values=6) for seeds 11, 24, 52, 81 and 83.  Recorded
-# before repair chains read an exit table.
+# when repair chains were depth-first walks; breadth-first chains left it
+# unchanged.
 WIDE_TRACE_DIGEST = "58a5cfe879e419ef935c7d4403007477b8fd6dfe9052569d02128c13da9ea7fa"
 
 
