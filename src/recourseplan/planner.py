@@ -64,8 +64,8 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> ChainR
     repairs the start in one step it is the first such action.
 
     ``dead`` holds inconsistent states from which no consistent state is
-    reachable; they are skipped like seen ones, which changes no result, since
-    every state reachable from a dead state is dead too.  A failed search saw
+    reachable; they are skipped like entered ones, which changes no result,
+    since every state reachable from a dead state is dead too.  A failed search saw
     only states of that kind, so all of them are added to it.  So is a start
     that :meth:`~recourseplan.kernel.CompiledProblem.unrepairable` rules out
     before any search.
