@@ -9,7 +9,11 @@ list and every action's precondition from them, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Set-up compiles nothing and enumerates no states: each repair candidate
 costs one test per causal rule, and the action list is built only for a run
-that steps.  ``State`` and
+that steps.  Two tests read mutability and monotonicity off the domains at
+call time to rule a state out before any search:
+:meth:`~CompiledProblem.unrepairable` (no action sequence restores some
+causal rule) and :meth:`~CompiledProblem.doomed` (some decision rule fires
+at every reachable state).  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
@@ -81,11 +85,12 @@ class CompiledProblem:
     ``causal_on`` the triples of the rules that name each feature, in feature
     order.  ``decision`` holds the body pairs of each decision rule.  All come
     from the problem's ``rule_tables``, and they are all that deciding
-    consistency and goal membership reads.
+    consistency and goal membership reads.  :meth:`unrepairable` and
+    :meth:`doomed` read them too, with the domains, and keep no table.
 
     :meth:`compile_actions` builds the action list, so a run builds it only
-    at its first expansion: a start in the goal set takes no step and needs
-    none.  The list comes in order: verified causal repairs first, then one
+    at its first expansion: a start in the goal set, or a doomed one, takes
+    no step and needs none.  The list comes in order: verified causal repairs first, then one
     direct move per (mutable feature, value), in declaration then domain
     order.  ``rules`` holds the causal rule each action repairs (``None`` for
     a direct move), and ``moves`` one ``(feature index, new index,
@@ -213,6 +218,21 @@ class CompiledProblem:
                 continue
             if not head_allowed.isdisjoint(_reach(features[head_pos], idx[head_pos])):
                 continue
+            if all(allowed.issuperset(_reach(features[i], idx[i])) for i, allowed in body):
+                return True
+        return False
+
+    def doomed(self, idx: Index) -> bool:
+        """Some decision rule fires at ``idx`` and at every state reachable
+        from it, so no sequence of actions leads to a goal.
+
+        That holds when the values each of the rule's body features can still
+        reach stay inside its literals, since every action (a direct move, a
+        causal repair and so every repair-chain step) keeps to mutability and
+        monotonicity.
+        """
+        features = self.domains.features
+        for body in self.decision:
             if all(allowed.issuperset(_reach(features[i], idx[i])) for i, allowed in body):
                 return True
         return False

@@ -19,10 +19,13 @@ skip still holds: permission, completion and outcomes never change, the path
 below the entry is the same, and the exhausted set only grows.
 
 A run ends in one of three statuses: ``success`` (the last trace state is a
-goal), ``failure`` (every alternative was exhausted), or
+goal), ``failure`` (every alternative was exhausted, or none exists), or
 ``budget-exhausted`` (the expansion budget ran out first).  A run whose
-initial state is a goal succeeds with that one entry, and only a run that
-takes a step builds the action list (the causal-repair guard sweep).
+initial state is a goal succeeds with that one entry.  A run whose initial
+state is doomed (:meth:`~recourseplan.kernel.CompiledProblem.doomed`: some
+decision rule fires at every state reachable from it) fails with that one
+entry, before any budget is counted.  Only a run that takes a step builds
+the action list (the causal-repair guard sweep).
 """
 
 from __future__ import annotations
@@ -274,15 +277,20 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     goal state last, in ``failure`` when the reachable space holds no goal,
     or in ``budget-exhausted`` when the expansion budget ran out.
 
-    A start in the goal set ends the run at once, with one entry and no
-    expansion, before the action list is built: only a run that steps
-    builds it, and the default budget counts its actions.
+    A start in the goal set ends the run at once in ``success``, and a
+    doomed start (some decision rule fires at every state reachable from
+    it) in ``failure``, each with the one root entry, no attempted action
+    and no expansion, before the action list is built: only a run that
+    steps builds it, and the default budget counts its actions.
     """
     kernel = CompiledProblem(problem)
     trace = PathTrace()
     trace._push(TraceEntry(problem.initial, ()), True)  # construction rejects an inconsistent start
     if kernel.goal(problem.initial.idx):
         trace.status = "success"
+        return trace
+    if kernel.doomed(problem.initial.idx):
+        trace.status = "failure"
         return trace
     kernel.compile_actions()
     # the default budget is generous for any enumerable instance

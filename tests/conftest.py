@@ -27,6 +27,15 @@ decision q1 :- x = v1.
 initial { x = v0 }.
 """
 
+# a decision rule names an immutable feature, so it fires at every reachable state
+DOOMED_START = """\
+feature age: categorical {young, old}.
+feature income: categorical {low, high}.
+decision too_young :- age = young.
+constraint immutable age.
+initial { age = young, income = low }.
+"""
+
 REPAIR_CHAIN = """\
 feature marital_status: categorical {never_married, married}.
 feature relationship: categorical {unmarried, husband}.

@@ -9,7 +9,7 @@ from recourseplan.generate import random_problem
 from recourseplan.ingest import GERMAN_TEXT, SCENARIO_NAMES
 from recourseplan.planner import CandidatePath
 from recourseplan.rules import ProblemSpec
-from tests.conftest import UNREACHABLE_GOAL, run_cli
+from tests.conftest import DOOMED_START, UNREACHABLE_GOAL, run_cli
 
 
 def test_plan_car_table_marks_direct_on_persons():
@@ -76,6 +76,22 @@ def test_plan_failure_exit_code(tmp_path):
     code, out, err = run_cli("plan", "--file", str(f))
     assert code == 2
     assert "failed" in err
+
+
+def test_plan_doomed_start_fails_before_expanding(tmp_path):
+    f = tmp_path / "doomed.rp"
+    f.write_text(DOOMED_START)
+    failed = "planning failed: no reachable counterfactual state\n"
+    code, out, err = run_cli("plan", "--file", str(f), "--format", "structured")
+    assert (code, err) == (2, failed)
+    record = json.loads(out)
+    assert (record["status"], record["expansions"]) == ("failure", 0)
+    assert [entry["actions_taken"] for entry in record["trace"]] == [[]]
+    # the verdict comes before the first expansion, so no budget runs out
+    assert run_cli("plan", "--file", str(f), "--budget", "1") == (2, "", failed)
+    assert run_cli("plan", "--file", str(f)) == (2, "", failed)
+    assert run_cli("validate", "--file", str(f)) == (
+        2, "", "nothing to validate: planning ended with failure\n")
 
 
 def test_enumerate_counts(tmp_path):

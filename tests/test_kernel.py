@@ -1,7 +1,9 @@
 """The compiled kernel agrees with the State-level rule and action API on
-every state of small problems, its action list with ``build_actions``, and
-its one-feature consistency check with the full one after every action out
-of a consistent state."""
+every state of small problems, its action list with ``build_actions``, its
+one-feature consistency check with the full one after every action out of a
+consistent state, and its doomed-state test with the oracle's reachability."""
+
+import dataclasses
 
 import pytest
 
@@ -10,7 +12,7 @@ from recourseplan.domains import FeatureDomain
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
-from recourseplan.oracle import enumerate_states
+from recourseplan.oracle import bfs_shortest_path, enumerate_causally_consistent, enumerate_states
 from recourseplan.planner import is_counterfactual
 from recourseplan.rules import is_causally_consistent, satisfies_decision
 
@@ -42,6 +44,19 @@ def test_kernel_matches_state_api_on_every_state(make):
             if consistent and expected is not None:
                 assert (kernel.consistent_after(action.feature_index, expected)
                         == kernel.consistent(expected))
+
+
+def test_no_goal_is_reachable_from_a_doomed_state():
+    problems = ([builtin_scenario(name).problem for name in SCENARIO_NAMES]
+                + [random_problem(seed, max_features=6, max_values=4) for seed in range(25)])
+    doomed = 0
+    for problem in problems:
+        kernel = CompiledProblem(problem)
+        for state in enumerate_causally_consistent(problem):
+            if kernel.doomed(state.idx):
+                doomed += 1
+                assert bfs_shortest_path(dataclasses.replace(problem, initial=state)) is None
+    assert doomed
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

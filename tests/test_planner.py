@@ -18,9 +18,10 @@ from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, delta_oracle
-from recourseplan.planner import (TraceEntry, _complete, extract_candidate_path,
-                                  get_path, is_counterfactual)
+from recourseplan.planner import (PathTrace, TraceEntry, _complete,
+                                  extract_candidate_path, get_path, is_counterfactual)
 from recourseplan.rules import ProblemSpec, is_causally_consistent
+from tests.conftest import DOOMED_START
 
 
 # goal test ----------------------------------------------------------------------
@@ -73,6 +74,38 @@ def test_fails_without_actions_and_keeps_the_root():
     trace = get_path(p)
     assert trace.status == "failure"
     assert trace.entries == [TraceEntry(p.initial, ())]  # root kept for diagnostics
+
+
+# a decision rule fires at every state reachable from the start, though other
+# features can move
+DOOMED_STARTS = {
+    "immutable feature": DOOMED_START,
+    "monotone feature at its end value": (
+        "feature age: numeric [17, 90].\n"
+        "feature income: categorical {low, high}.\n"
+        "decision too_old :- age > 60, income = low.\n"
+        "decision still_old :- age > 60.\n"
+        "constraint nondecreasing age.\n"
+        "initial { age = 70, income = low }.\n"),
+}
+
+
+@pytest.mark.parametrize("text", DOOMED_STARTS.values(), ids=DOOMED_STARTS)
+def test_doomed_start_fails_without_expanding(text, monkeypatch):
+    problem = parse_problem(text)
+    assert build_actions(problem)  # a search would have moves to try
+    compiled = []
+    real_compile = CompiledProblem.compile_actions
+
+    def counting_compile(self):
+        compiled.append(self)
+        return real_compile(self)
+
+    monkeypatch.setattr(CompiledProblem, "compile_actions", counting_compile)
+    trace = get_path(problem)
+    assert (trace.status, trace.expansions) == ("failure", 0)
+    assert trace.entries == [TraceEntry(problem.initial, ())]
+    assert compiled == []
 
 
 def test_unreachable_goal_fails(unreachable_goal):
@@ -437,10 +470,28 @@ def test_get_path_formats_only_the_ids_it_records(make, monkeypatch):
 
 # trace identity ---------------------------------------------------------------------
 
-def _trace_digest(problems) -> str:
+def _search(problem: ProblemSpec) -> PathTrace:
+    """``get_path``'s search loop with no doomed-start test and no budget."""
+    kernel = CompiledProblem(problem)
+    trace = PathTrace()
+    trace._push(TraceEntry(problem.initial, ()), True)
+    if kernel.goal(problem.initial.idx):
+        trace.status = "success"
+        return trace
+    kernel.compile_actions()
+    while planner._intervene(trace, kernel):
+        trace.expansions += 1
+        if kernel.goal(trace.entries[-1].state.idx):
+            trace.status = "success"
+            return trace
+    trace.status = "failure"
+    return trace
+
+
+def _trace_digest(problems, plan=get_path) -> str:
     digest = hashlib.sha256()
     for problem in problems:
-        trace = get_path(problem)
+        trace = plan(problem)
         record = (trace.status, trace.expansions,
                   [(e.state.idx, e.state.reps, e.actions_taken, ok)
                    for e, ok in trace.entry_records()])
@@ -453,23 +504,31 @@ def _trace_digest(problems) -> str:
 # expansions, and per entry the state's indices and witnesses, the attempted
 # action ids and the consistency flag.  Any change to search order, repair
 # chains or witness bookkeeping changes it.  Re-recorded when repair chains
-# became breadth-first, which changed the trace of seed 86.
-TRACE_DIGEST = "5ae08a3580b06a9fa8cec5f1abfe030faf3f95fad8e88b7b02b23388e79184b9"
+# became breadth-first, which changed the trace of seed 86, and when doomed
+# starts began to fail at once, which turned the traces of seeds 5, 6, 9, 10,
+# 22, 29, 33, 36, 37, 51, 55, 56, 70, 78, 81, 87, 92, 93, 94, 96, 98 and 99
+# into the one-entry failure and left every other trace as it was.
+# SEARCH_TRACE_DIGEST is the digest of the search loop run past that test,
+# which still gives the traces from before it.
+TRACE_DIGEST = "073976c37730581bd7367e200e787d9dd20a5f5b5f89c8ef38f87a0706d0e9ee"
+SEARCH_TRACE_DIGEST = "5ae08a3580b06a9fa8cec5f1abfe030faf3f95fad8e88b7b02b23388e79184b9"
 
 
 def test_traces_match_pinned_digest():
     problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
     problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(100)]
     assert _trace_digest(problems) == TRACE_DIGEST
+    assert _trace_digest(problems, _search) == SEARCH_TRACE_DIGEST
 
 
-# The same digest over runs that TRACE_DIGEST leaves out:
+# The same digests over runs that TRACE_DIGEST leaves out:
 # random_problem(seed, max_features=8, max_values=5) for seeds 106, 111, 172,
 # 196, 268 and 271, then the printed and reparsed random_problem(seed,
-# max_features=10, max_values=6) for seeds 11, 24, 52, 81 and 83.  Recorded
-# when repair chains were depth-first walks; breadth-first chains left it
-# unchanged.
-WIDE_TRACE_DIGEST = "58a5cfe879e419ef935c7d4403007477b8fd6dfe9052569d02128c13da9ea7fa"
+# max_features=10, max_values=6) for seeds 11, 24, 52, 81 and 83.  Every start
+# but 172's is doomed, so WIDE_TRACE_DIGEST pins 172's search and ten
+# one-entry failures, and WIDE_SEARCH_TRACE_DIGEST the searches of all eleven.
+WIDE_TRACE_DIGEST = "a4f67fa6d2bbc2a4f9fb8ca82eafce071b5ca422c630c605870948e1565515c2"
+WIDE_SEARCH_TRACE_DIGEST = "58a5cfe879e419ef935c7d4403007477b8fd6dfe9052569d02128c13da9ea7fa"
 
 
 def test_more_traces_match_second_pinned_digest():
@@ -478,3 +537,18 @@ def test_more_traces_match_second_pinned_digest():
     problems += [parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
                  for seed in (11, 24, 52, 81, 83)]
     assert _trace_digest(problems) == WIDE_TRACE_DIGEST
+    assert _trace_digest(problems, _search) == WIDE_SEARCH_TRACE_DIGEST
+
+
+def test_search_fails_from_every_doomed_start():
+    problems = [random_problem(seed, max_features=8, max_values=5) for seed in range(350)]
+    problems += [parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
+                 for seed in range(120)]
+    doomed = []
+    for problem in problems:
+        kernel = CompiledProblem(problem)
+        idx = problem.initial.idx
+        if not kernel.goal(idx) and kernel.doomed(idx):
+            doomed.append(problem)
+    assert doomed
+    assert {_search(problem).status for problem in doomed} == {"failure"}
