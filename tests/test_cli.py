@@ -324,6 +324,36 @@ def test_validate_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, mon
     assert digest.hexdigest() == CERTIFY_DIGEST
 
 
+# (exit code, stdout, stderr) of ``plan`` and ``plan --validate``, each in table
+# and structured form, on the same four scenarios and 120 printed seeds (98
+# successes, 26 failures); recorded before the CLI stopped mirroring its parsed
+# arguments in a config object
+PLAN_DIGEST = "c6b6febe938e4405ec699c2b141f26c367dde64a16b0361353e9941c589872fe"
+
+
+def test_plan_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sources = [("--scenario", name) for name in SCENARIO_NAMES]
+    for seed in range(120):
+        name = f"seed-{seed}.rp"
+        (tmp_path / name).write_text(pretty_print(random_problem(seed, max_features=10,
+                                                                 max_values=6)))
+        sources.append(("--file", name))
+    digest = hashlib.sha256()
+    for source in sources:
+        for flags in ((), ("--validate",)):
+            for fmt in ("table", "structured"):
+                digest.update(repr(run_cli("plan", *source, *flags, "--format", fmt)).encode())
+    assert digest.hexdigest() == PLAN_DIGEST
+
+
+@pytest.mark.parametrize("command", ["plan", "validate"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_non_positive_budget_is_usage_error(command, budget):
+    assert run_cli(command, "--scenario", "german", "--budget", budget) == (
+        1, "", "error: budget must be positive\n")
+
+
 # one parser per process -------------------------------------------------------------
 
 PARSER_SEQUENCE = [
