@@ -20,7 +20,8 @@ variable overrides the default enumeration cap; ``--max-states`` (on
 ``validate`` and ``enumerate``, the subcommands that enumerate) overrides
 both.  Only the state-set counts enumerate: path validation is path-local,
 so ``plan --validate`` is not subject to the cap.  ``--seed`` goes only
-with ``--scenario random``.
+with ``--scenario random``.  Each subcommand reads the parsed arguments as
+argparse returns them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from . import oracle
@@ -53,43 +53,21 @@ EXIT_CAP = 4
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one invocation."""
-
-    input: str                       # scenario name or problem-file path
-    is_file: bool = False
-    budget: Optional[int] = None
-    output_format: str = "table"     # "table" | "structured"
-    seed: Optional[int] = None       # only with input "random", which defaults to 0
-    validate: bool = False
-    max_states: Optional[int] = None
-    path_file: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.max_states is not None and self.max_states <= 0:
-            raise ValueError(f"--max-states must be a positive integer, got {self.max_states}")
-        if self.seed is not None and (self.is_file or self.input != "random"):
-            raise ValueError("--seed applies only to --scenario random")
-
-
-def _load_problem(config: RunConfig) -> tuple[str, ProblemSpec]:
-    if config.is_file:
-        with open(config.input, encoding="utf-8") as handle:
+def _load_problem(ns: argparse.Namespace) -> tuple[str, ProblemSpec]:
+    if ns.file is not None:
+        with open(ns.file, encoding="utf-8") as handle:
             problem = parse_problem(handle.read())
-        name = config.input
-    elif config.input == "random":
-        seed = config.seed or 0
+        name = ns.file
+    elif ns.scenario == "random":
+        seed = ns.seed or 0
         problem = random_problem(seed)
         name = f"random:{seed}"
     else:
-        scenario = builtin_scenario(config.input)
+        scenario = builtin_scenario(ns.scenario or None)  # an empty name reports as None
         problem = scenario.problem
         name = scenario.name
-    if config.budget is not None:
-        problem = dataclasses.replace(problem, action_budget=config.budget)
+    if ns.budget is not None:
+        problem = dataclasses.replace(problem, action_budget=ns.budget)
     return name, problem
 
 
@@ -101,24 +79,17 @@ def _transition_actions(trace: PathTrace) -> list[dict[str, str]]:
 
     Each committed transition is one consistent trace entry (whose last
     attempted action is the move that advanced) followed by the inconsistent
-    intermediates of its repair chain.
+    intermediates of its repair chain.  An action id's first field is its
+    kind and its second-to-last the feature it writes.
     """
-    records = list(trace.entry_records())
     kinds: list[dict[str, str]] = []
-    current: Optional[dict[str, str]] = None
-    for entry, consistent in records:
+    for entry, consistent in trace.entry_records():
         if consistent:
-            if current is not None:
-                kinds.append(current)
-            current = {}
-        if entry.actions_taken and current is not None:
+            kinds.append({})
+        if entry.actions_taken:
             parts = entry.actions_taken[-1].split(":")
-            kind = parts[0]
-            feature = parts[1] if kind == "direct" else parts[2]
-            current[feature] = kind
-    # the final consistent entry opens an empty map; drop it
-    if current:
-        kinds.append(current)
+            kinds[-1][parts[-2]] = parts[0]
+    kinds.pop()  # the goal entry opens no transition
     return kinds
 
 
@@ -132,7 +103,7 @@ def _steps(path: CandidatePath, kinds: list[dict[str, str]]) -> list[list[dict]]
                     "feature": name,
                     "from": a.display(name),
                     "to": b.display(name),
-                    "kind": kinds[t].get(name, "direct") if t < len(kinds) else "direct",
+                    "kind": kinds[t].get(name, "direct"),
                 })
         steps.append(changed)
     return steps
@@ -200,21 +171,16 @@ def _emit_json(record: dict, out: TextIO) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_plan(config: RunConfig, out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
-    name, problem = _load_problem(config)
+def cmd_plan(ns: argparse.Namespace, out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
+    name, problem = _load_problem(ns)
     trace = get_path(problem)
     report = None
-    if config.validate and trace.status == "success":
+    if ns.validate and trace.status == "success":
         report = oracle.validate_solution_path(extract_candidate_path(trace), problem)
-    if config.output_format == "structured":
+    if ns.format == "structured":
         record = _structured_record(name, problem, trace)
         if report is not None:
-            record["validation"] = {
-                "clauses": {field_name: getattr(report, field_name)
-                            for field_name, _ in _CLAUSE_TITLES},
-                "overall": report.overall,
-                "liberal_divergence": report.liberal_divergence,
-            }
+            record["validation"] = _validation_record(report)
         _emit_json(record, out)
     elif trace.status == "success":
         path = extract_candidate_path(trace)
@@ -244,6 +210,14 @@ _CLAUSE_TITLES = (
 )
 
 
+def _validation_record(report: oracle.ValidationReport) -> dict:
+    return {
+        "clauses": {field_name: getattr(report, field_name) for field_name, _ in _CLAUSE_TITLES},
+        "overall": report.overall,
+        "liberal_divergence": report.liberal_divergence,
+    }
+
+
 def _render_validation(report: oracle.ValidationReport, out: TextIO) -> None:
     for field_name, title in _CLAUSE_TITLES:
         verdict = "PASS" if getattr(report, field_name) else "FAIL"
@@ -267,19 +241,11 @@ def _path_from_file(path_file: str, problem: ProblemSpec) -> CandidatePath:
     return CandidatePath(states)
 
 
-def _counts_record(counts: oracle.StateSetReport) -> dict:
-    return {
-        "total_states": counts.total_states,
-        "causally_consistent": counts.causally_consistent,
-        "decision_consistent": counts.decision_consistent,
-        "goal": counts.goal,
-    }
-
-
-def cmd_validate(config: RunConfig, out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
-    name, problem = _load_problem(config)
-    if config.path_file is not None:
-        path = _path_from_file(config.path_file, problem)
+def cmd_validate(ns: argparse.Namespace, out: TextIO = sys.stdout,
+                 err: TextIO = sys.stderr) -> int:
+    name, problem = _load_problem(ns)
+    if ns.path_file is not None:
+        path = _path_from_file(ns.path_file, problem)
     else:
         trace = get_path(problem)
         if trace.status != "success":
@@ -287,17 +253,10 @@ def cmd_validate(config: RunConfig, out: TextIO = sys.stdout, err: TextIO = sys.
             return EXIT_FAILURE if trace.status == "failure" else EXIT_BUDGET
         path = extract_candidate_path(trace)
     report = oracle.validate_solution_path(path, problem)
-    counts = oracle.state_set_report(problem, cap=config.max_states)
-    if config.output_format == "structured":
-        _emit_json({
-            "format_version": FORMAT_VERSION,
-            "input": name,
-            "clauses": {field_name: getattr(report, field_name)
-                        for field_name, _ in _CLAUSE_TITLES},
-            "overall": report.overall,
-            "liberal_divergence": report.liberal_divergence,
-            "counts": _counts_record(counts),
-        }, out)
+    counts = oracle.state_set_report(problem, cap=ns.max_states)
+    if ns.format == "structured":
+        _emit_json({"format_version": FORMAT_VERSION, "input": name,
+                    **_validation_record(report), "counts": dataclasses.asdict(counts)}, out)
     else:
         out.write(f"scenario: {name}\n")
         _render_validation(report, out)
@@ -312,15 +271,13 @@ def _render_counts(counts: oracle.StateSetReport, out: TextIO) -> None:
     out.write(f"goal: {counts.goal}\n")
 
 
-def cmd_enumerate(config: RunConfig, out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
-    name, problem = _load_problem(config)
-    counts = oracle.state_set_report(problem, cap=config.max_states)
-    if config.output_format == "structured":
-        _emit_json({
-            "format_version": FORMAT_VERSION,
-            "input": name,
-            "counts": _counts_record(counts),
-        }, out)
+def cmd_enumerate(ns: argparse.Namespace, out: TextIO = sys.stdout,
+                  err: TextIO = sys.stderr) -> int:
+    name, problem = _load_problem(ns)
+    counts = oracle.state_set_report(problem, cap=ns.max_states)
+    if ns.format == "structured":
+        _emit_json({"format_version": FORMAT_VERSION, "input": name,
+                    "counts": dataclasses.asdict(counts)}, out)
     else:
         out.write(f"scenario: {name}\n")
         _render_counts(counts, out)
@@ -336,6 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="recourseplan",
         description="plan and check recourse paths for rule-based decisions",
     )
+    # what a subcommand does not register reads as unset
+    parser.set_defaults(budget=None, validate=False, max_states=None, path_file=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for command in ("plan", "validate", "enumerate"):
         p = sub.add_parser(command)
@@ -370,17 +329,13 @@ def main(argv: Optional[Sequence[str]] = None,
         return EXIT_USAGE if exc.code else EXIT_OK
     handler = {"plan": cmd_plan, "validate": cmd_validate, "enumerate": cmd_enumerate}[ns.command]
     try:
-        config = RunConfig(
-            input=ns.scenario or ns.file,
-            is_file=ns.file is not None,
-            budget=getattr(ns, "budget", None),
-            output_format=ns.format,
-            seed=ns.seed,
-            validate=getattr(ns, "validate", False),
-            max_states=getattr(ns, "max_states", None),
-            path_file=getattr(ns, "path_file", None),
-        )
-        return handler(config, out, err)
+        if ns.budget is not None and ns.budget <= 0:
+            raise ValueError("budget must be positive")
+        if ns.max_states is not None and ns.max_states <= 0:
+            raise ValueError(f"--max-states must be a positive integer, got {ns.max_states}")
+        if ns.seed is not None and ns.scenario != "random":
+            raise ValueError("--seed applies only to --scenario random")
+        return handler(ns, out, err)
     except CapExceeded as exc:
         err.write(f"error: {exc}\n")
         return EXIT_CAP

@@ -299,12 +299,12 @@ class State:
         r = self.reps[i]
         return str(r) if r is not None else f.intervals[self.idx[i]].describe()
 
-    def with_value(self, feature_index: int, new_index: int,
-                   rep: Optional[int] = None) -> "State":
+    def with_value(self, feature_index: int, new_index: int) -> "State":
+        """This state with one feature moved; the moved feature has no witness."""
         idx = list(self.idx)
         reps = list(self.reps)
         idx[feature_index] = new_index
-        reps[feature_index] = rep
+        reps[feature_index] = None
         return State(self.domains, tuple(idx), tuple(reps))
 
     def to_dict(self) -> dict:
@@ -326,6 +326,9 @@ class State:
 
     @classmethod
     def from_dict(cls, domains: Domains, data: Mapping) -> "State":
+        """The state :meth:`to_dict` wrote.  A numeric entry must name its
+        interval by an integer index, repeat that interval's bounds, and carry
+        no witness or an integer inside the interval."""
         idx = []
         reps: list[Optional[int]] = []
         for f in domains:
@@ -336,6 +339,14 @@ class State:
                 idx.append(f.index_of_label(str(v)))
                 reps.append(None)
             else:
-                idx.append(int(v["interval_index"]))
-                reps.append(v.get("value"))
+                i, rep = v["interval_index"], v.get("value")
+                if type(i) is not int:
+                    raise TypeError(f"{f.name}: interval index {i!r} is not an integer")
+                iv = f.intervals[i]
+                if (v["lower"], v["upper"], v["lower_open"]) != (iv.lower, iv.upper, iv.lower_open):
+                    raise ValueError(f"{f.name}: bounds disagree with {iv}")
+                if rep is not None and (type(rep) is not int or not iv.contains(rep)):
+                    raise ValueError(f"{f.name}: witness {rep!r} is not an integer in {iv}")
+                idx.append(i)
+                reps.append(rep)
         return cls(domains, tuple(idx), tuple(reps))

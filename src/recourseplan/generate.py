@@ -14,6 +14,10 @@ from typing import Optional
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
 from .rules import Literal, ProblemSpec, Rule, _compile_rule
 
+# sampled states before a problem gives up its causal rules for want of a
+# consistent initial state
+INITIAL_TRIES = 300
+
 
 def _random_feature(rng: random.Random, name: str, max_values: int) -> FeatureDomain:
     if rng.random() < 0.5:
@@ -35,8 +39,7 @@ def _random_literal(rng: random.Random, feature: FeatureDomain) -> Literal:
 
 
 def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
-                   max_causal: int = 4, max_decision: int = 3,
-                   action_budget: Optional[int] = None) -> ProblemSpec:
+                   max_causal: int = 4) -> ProblemSpec:
     """A small random problem, fully determined by ``seed``."""
     rng = random.Random(seed)
     n = rng.randint(2, max_features)
@@ -53,8 +56,6 @@ def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
 
     decision: list[Rule] = []
     for k in range(rng.choices((0, 1, 2, 3), weights=(1, 4, 3, 2))[0]):
-        if k >= max_decision:
-            break
         body_fis = rng.sample(range(n), min(rng.randint(1, 2), n))
         body = tuple(_random_literal(rng, domains[i]) for i in body_fis)
         decision.append(Rule(f"q{k}", "decision", body))
@@ -82,19 +83,18 @@ def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
         decision_rules=tuple(decision),
         constraints=tuple(constraints),
         initial=initial,
-        action_budget=action_budget,
     )
 
 
 def _consistent_initial(rng: random.Random, domains: Domains,
-                        causal: tuple[Rule, ...], tries: int = 300) -> Optional[State]:
-    """The first sampled state that satisfies every causal rule.
+                        causal: tuple[Rule, ...]) -> Optional[State]:
+    """The first of :data:`INITIAL_TRIES` sampled states that satisfies every causal rule.
 
     Samples index tuples against the rules compiled once, and builds a
     :class:`State` for the accepted tuple only.
     """
     tables = [_compile_rule(domains, rule) for rule in causal]
-    for _ in range(tries):
+    for _ in range(INITIAL_TRIES):
         idx = tuple(rng.randrange(f.size) for f in domains)
         if all(idx[i] in allowed or not all(idx[j] in a for j, a in body)
                for body, (i, allowed) in tables):

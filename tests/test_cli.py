@@ -172,6 +172,37 @@ def test_validate_artifact_with_wrong_features_is_usage_error(tmp_path):
     assert "malformed path record" in err
 
 
+# (path state, feature, field, value) edits to german's saved record that the
+# problem contradicts: the interval index is not an integer, the bounds are
+# not the declared interval's, or the witness is not an integer inside it
+CONTRADICTING_EDITS = [
+    (1, "duration_months", "value", 3),
+    (0, "credit_amount", "value", "lots"),
+    (0, "credit_amount", "value", 300.0),
+    (0, "credit_amount", "value", 20001),
+    (1, "duration_months", "interval_index", True),
+    (1, "duration_months", "interval_index", "1"),
+    (1, "duration_months", "interval_index", 1.0),
+    (1, "duration_months", "lower", 8),
+    (1, "duration_months", "upper", 71),
+    (1, "duration_months", "lower_open", False),
+]
+
+
+@pytest.mark.parametrize("position, feature, field, value", CONTRADICTING_EDITS)
+def test_validate_artifact_contradicting_the_problem_is_usage_error(
+        position, feature, field, value, tmp_path):
+    code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
+    record = json.loads(planned)
+    record["candidate_path"][position][feature][field] = value
+    artifact = tmp_path / "edited.json"
+    artifact.write_text(json.dumps(record))
+    code, out, err = run_cli("validate", "--scenario", "german",
+                             "--path-file", str(artifact))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed path record: ")
+
+
 def test_validate_artifact_from_failed_run_is_usage_error(tmp_path):
     artifact = tmp_path / "failed.json"
     artifact.write_text(json.dumps({"status": "failure", "trace": []}))

@@ -30,10 +30,6 @@ def test_generated_problems_respect_the_advertised_bounds():
     assert saw_causal and saw_constraint and saw_numeric
 
 
-def test_budget_passthrough():
-    assert random_problem(5, action_budget=77).action_budget == 77
-
-
 # SHA-256 over the printed text and the budget of every problem in four
 # blocks of seeds and size tiers (features/values[/causal]): 8/5, 10/6, the
 # default tier and 12/6/C10.  It changes only when a seed's problem changes.
