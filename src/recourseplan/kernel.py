@@ -12,8 +12,10 @@ costs one test per causal rule, and the action list is built only for a run
 that steps.  Two tests read mutability and monotonicity off the domains at
 call time to rule a state out before any search:
 :meth:`~CompiledProblem.unrepairable` (no action sequence restores some
-causal rule) and :meth:`~CompiledProblem.doomed` (some decision rule fires
-at every reachable state).  ``State`` and
+causal rule) and :meth:`~CompiledProblem.doomed` (no state of the reach
+box, the product of the values each feature can still reach, is a goal;
+decided by splitting the box until a rule rules out each part, or a part
+with every rule-named feature pinned is a goal).  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
@@ -223,17 +225,63 @@ class CompiledProblem:
         return False
 
     def doomed(self, idx: Index) -> bool:
-        """Some decision rule fires at ``idx`` and at every state reachable
-        from it, so no sequence of actions leads to a goal.
+        """No state of the reach box of ``idx`` is a goal, so no sequence of
+        actions leads to one.
 
-        That holds when the values each of the rule's body features can still
-        reach stay inside its literals, since every action (a direct move, a
-        causal repair and so every repair-chain step) keeps to mutability and
-        monotonicity.
+        The reach box is the product of the values each feature can still
+        reach from ``idx`` (:func:`_reach`).  It holds every reachable state,
+        since every action (a direct move, a causal repair and so every
+        repair-chain step) keeps to mutability and monotonicity.  The test
+        first asks whether some decision rule's body contains the whole box,
+        on the reach ranges themselves; failing that it splits the box
+        (:meth:`_goal_free`).  A goal in the box need not be reachable, so
+        ``False`` proves nothing.
         """
         features = self.domains.features
         for body in self.decision:
             if all(allowed.issuperset(_reach(features[i], idx[i])) for i, allowed in body):
+                return True
+        # the split axes: every feature some rule names, in feature order
+        named = {fi for fi, rules in enumerate(self.causal_on) if rules}
+        for body in self.decision:
+            named.update(i for i, _ in body)
+        return self._goal_free([_reach(f, vi) for f, vi in zip(features, idx)], sorted(named))
+
+    def _goal_free(self, box: list[Sequence[int]], split: Sequence[int]) -> bool:
+        """No state of ``box`` (one value range or tuple per feature) is a goal.
+
+        A box is goal-free when some decision rule's body contains it on
+        every body axis, so the rule fires throughout, or some causal rule's
+        body contains it while the head's axis misses the head's allowed
+        values, so the rule is broken throughout.  Otherwise it is split on
+        the first axis of ``split`` (the rule-named ones, in feature order)
+        with more than one value, one part per value, and is goal-free only
+        if every part is.  A box with every rule-named axis pinned decides
+        each rule the same way at all of its states, so one that is not
+        ruled out holds only goals.
+        """
+        for body in self.decision:
+            for i, allowed in body:
+                if not allowed.issuperset(box[i]):
+                    break
+            else:
+                return True
+        for body, head, head_allowed in self.causal:
+            if head_allowed.isdisjoint(box[head]):
+                for i, allowed in body:
+                    if not allowed.issuperset(box[i]):
+                        break
+                else:
+                    return True
+        for fi in split:
+            values = box[fi]
+            if len(values) > 1:
+                for vi in values:
+                    box[fi] = (vi,)
+                    if not self._goal_free(box, split):
+                        box[fi] = values
+                        return False
+                box[fi] = values
                 return True
         return False
 

@@ -22,10 +22,10 @@ A run ends in one of three statuses: ``success`` (the last trace state is a
 goal), ``failure`` (every alternative was exhausted, or none exists), or
 ``budget-exhausted`` (the expansion budget ran out first).  A run whose
 initial state is a goal succeeds with that one entry.  A run whose initial
-state is doomed (:meth:`~recourseplan.kernel.CompiledProblem.doomed`: some
-decision rule fires at every state reachable from it) fails with that one
-entry, before any budget is counted.  Only a run that takes a step builds
-the action list (the causal-repair guard sweep).
+state is doomed (:meth:`~recourseplan.kernel.CompiledProblem.doomed`: a
+split of its reach box, which holds every state reachable from it, finds no
+goal) fails with that one entry, before any budget is counted.  Only a run
+that takes a step builds the action list (the causal-repair guard sweep).
 """
 
 from __future__ import annotations
@@ -278,10 +278,10 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     or in ``budget-exhausted`` when the expansion budget ran out.
 
     A start in the goal set ends the run at once in ``success``, and a
-    doomed start (some decision rule fires at every state reachable from
-    it) in ``failure``, each with the one root entry, no attempted action
-    and no expansion, before the action list is built: only a run that
-    steps builds it, and the default budget counts its actions.
+    doomed start (its reach box, split until each part is ruled out, holds
+    no goal) in ``failure``, each with the one root entry, no attempted
+    action and no expansion, before the action list is built: only a run
+    that steps builds it, and the default budget counts its actions.
     """
     kernel = CompiledProblem(problem)
     trace = PathTrace()

@@ -232,14 +232,15 @@ def test_scale_runs_are_deterministic(scale_suite):
 
 
 # the slowest seeds seen on the 8/5 and 12/6/C10 tiers, with their verdicts
+# (263 and 25 failed after 1,614 and 923 expansions, and 53 exhausted its
+# budget after 4,290, until the doomed-start test split the reach box; a
+# decision rule fires at every state reachable from 29's start.  Each run now
+# fails before its first expansion.)
 NAMED_SLOW_SEEDS = [
-    ("8/5 263", dict(max_features=8, max_values=5), 263, ("failure", 1614)),
-    ("12/6/C10 25", dict(max_features=12, max_values=6, max_causal=10), 25, ("failure", 923)),
-    # a decision rule fires at every state reachable from 29's start, so the
-    # run fails before its first expansion
+    ("8/5 263", dict(max_features=8, max_values=5), 263, ("failure", 0)),
+    ("12/6/C10 25", dict(max_features=12, max_values=6, max_causal=10), 25, ("failure", 0)),
     ("12/6/C10 29", dict(max_features=12, max_values=6, max_causal=10), 29, ("failure", 0)),
-    ("12/6/C10 53", dict(max_features=12, max_values=6, max_causal=10), 53,
-     ("budget-exhausted", 4290)),
+    ("12/6/C10 53", dict(max_features=12, max_values=6, max_causal=10), 53, ("failure", 0)),
 ]
 
 

@@ -65,6 +65,14 @@ def test_plan_unknown_scenario_is_usage_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["plan", "validate", "enumerate"])
+@pytest.mark.parametrize("name", ["", "titanic"])
+def test_unknown_scenario_error_names_it_and_lists_random(command, name):
+    known = "adult, car, german, german_motivating, random"
+    assert run_cli(command, "--scenario", name) == (
+        1, "", f"error: unknown scenario {name!r} (known: {known})\n")
+
+
 def test_plan_budget_exhaustion_exit_code():
     code, out, err = run_cli("plan", "--scenario", "german", "--budget", "1")
     assert code == 3
@@ -358,8 +366,10 @@ def test_validate_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, mon
 # (exit code, stdout, stderr) of ``plan`` and ``plan --validate``, each in table
 # and structured form, on the same four scenarios and 120 printed seeds (98
 # successes, 26 failures); recorded before the CLI stopped mirroring its parsed
-# arguments in a config object
-PLAN_DIGEST = "c6b6febe938e4405ec699c2b141f26c367dde64a16b0361353e9941c589872fe"
+# arguments in a config object, and re-recorded when the doomed-start test
+# began to split the reach box, which turned the failures of seeds 2, 64, 85
+# and 86 into one-entry failures with no expansion
+PLAN_DIGEST = "a1bf736bc176844ccb7d7b5512cb919283793e9678a3080ac8e5ee08c46165f5"
 
 
 def test_plan_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, monkeypatch):

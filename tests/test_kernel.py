@@ -46,17 +46,60 @@ def test_kernel_matches_state_api_on_every_state(make):
                         == kernel.consistent(expected))
 
 
-def test_no_goal_is_reachable_from_a_doomed_state():
+def _counting_boxes(monkeypatch) -> list:
+    """Count the boxes :meth:`CompiledProblem.doomed` visits, root box included."""
+    boxes = []
+    real_goal_free = CompiledProblem._goal_free
+
+    def counting_goal_free(self, box, split):
+        boxes.append(1)
+        return real_goal_free(self, box, split)
+
+    monkeypatch.setattr(CompiledProblem, "_goal_free", counting_goal_free)
+    return boxes
+
+
+def test_no_goal_is_reachable_from_a_doomed_state(monkeypatch):
+    # seeds 43, 56, 90 and 118 hold states that only the box split decides
+    seeds = [*range(25), 43, 56, 90, 118]
     problems = ([builtin_scenario(name).problem for name in SCENARIO_NAMES]
-                + [random_problem(seed, max_features=6, max_values=4) for seed in range(25)])
-    doomed = 0
+                + [random_problem(seed, max_features=6, max_values=4) for seed in seeds])
+    boxes = _counting_boxes(monkeypatch)
+    doomed = split = 0
     for problem in problems:
         kernel = CompiledProblem(problem)
         for state in enumerate_causally_consistent(problem):
+            boxes.clear()
             if kernel.doomed(state.idx):
                 doomed += 1
+                split += bool(boxes)  # the root check on the reach ranges did not decide it
                 assert bfs_shortest_path(dataclasses.replace(problem, initial=state)) is None
-    assert doomed
+    assert 0 < split < doomed
+
+
+# the most boxes one start's doomed test visited, seeds 0-349, 0-119 and 0-199
+BOX_BOUNDS = [
+    ("8/5", dict(max_features=8, max_values=5), 350, 484),
+    ("10/6", dict(max_features=10, max_values=6), 120, 19),
+    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 287),
+]
+
+
+@pytest.mark.parametrize("tier, seeds, most", [(tier, n, most) for _, tier, n, most in BOX_BOUNDS],
+                         ids=[name for name, *_ in BOX_BOUNDS])
+def test_doomed_visits_few_boxes(tier, seeds, most, monkeypatch):
+    # counted rather than timed, so a slow host cannot fail it; twice the
+    # measured maximum leaves room for a change of split order
+    boxes = _counting_boxes(monkeypatch)
+    visited = []
+    for seed in range(seeds):
+        problem = random_problem(seed, **tier)
+        kernel = CompiledProblem(problem)
+        if not kernel.goal(problem.initial.idx):
+            boxes.clear()
+            kernel.doomed(problem.initial.idx)
+            visited.append(len(boxes))
+    assert max(visited) <= 2 * most
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

@@ -333,7 +333,8 @@ def test_one_edge_repairs_are_those_of_the_depth_first_walk():
 
 
 def test_seed_263_repair_chains_are_short(monkeypatch):
-    # the depth-first walk made chains of 301 steps on average here
+    # the depth-first walk made chains of 301 steps on average here; get_path
+    # no longer searches from this doomed start, so the search loop is run
     steps = []
     real_complete = planner._complete
 
@@ -343,7 +344,7 @@ def test_seed_263_repair_chains_are_short(monkeypatch):
         return result
 
     monkeypatch.setattr(planner, "_complete", counting_complete)
-    get_path(random_problem(263, max_features=8, max_values=5))
+    _search(random_problem(263, max_features=8, max_values=5))
     assert steps
     assert sum(steps) / len(steps) <= 2
 
@@ -359,10 +360,10 @@ def test_unrepairable_states_reach_no_consistent_state(seed):
 
 
 def test_wide_seed_68_fails_and_bfs_finds_no_goal():
-    # used to re-explore the same dead region for each of 1,392 repair chains
+    # the reach box of the start holds no goal, so no search runs
     problem = random_problem(68, max_features=12, max_values=6, max_causal=10)
     trace = get_path(problem)
-    assert (trace.status, trace.expansions) == ("failure", 319)
+    assert (trace.status, trace.expansions) == ("failure", 0)
     assert bfs_shortest_path(problem) is None
 
 
@@ -507,10 +508,11 @@ def _trace_digest(problems, plan=get_path) -> str:
 # became breadth-first, which changed the trace of seed 86, and when doomed
 # starts began to fail at once, which turned the traces of seeds 5, 6, 9, 10,
 # 22, 29, 33, 36, 37, 51, 55, 56, 70, 78, 81, 87, 92, 93, 94, 96, 98 and 99
-# into the one-entry failure and left every other trace as it was.
-# SEARCH_TRACE_DIGEST is the digest of the search loop run past that test,
-# which still gives the traces from before it.
-TRACE_DIGEST = "073976c37730581bd7367e200e787d9dd20a5f5b5f89c8ef38f87a0706d0e9ee"
+# into the one-entry failure and left every other trace as it was, and when
+# that test began to split the reach box, which did the same to seeds 88, 90
+# and 91.  SEARCH_TRACE_DIGEST is the digest of the search loop run past that
+# test, which still gives the traces from before it.
+TRACE_DIGEST = "db0081957eda8612aafc2be038d5015d184bcfca5743d1065de95a64544d66ba"
 SEARCH_TRACE_DIGEST = "5ae08a3580b06a9fa8cec5f1abfe030faf3f95fad8e88b7b02b23388e79184b9"
 
 
@@ -525,9 +527,10 @@ def test_traces_match_pinned_digest():
 # random_problem(seed, max_features=8, max_values=5) for seeds 106, 111, 172,
 # 196, 268 and 271, then the printed and reparsed random_problem(seed,
 # max_features=10, max_values=6) for seeds 11, 24, 52, 81 and 83.  Every start
-# but 172's is doomed, so WIDE_TRACE_DIGEST pins 172's search and ten
-# one-entry failures, and WIDE_SEARCH_TRACE_DIGEST the searches of all eleven.
-WIDE_TRACE_DIGEST = "a4f67fa6d2bbc2a4f9fb8ca82eafce071b5ca422c630c605870948e1565515c2"
+# is doomed (172's only since the test splits the reach box), so
+# WIDE_TRACE_DIGEST pins eleven one-entry failures, and
+# WIDE_SEARCH_TRACE_DIGEST the searches of all eleven.
+WIDE_TRACE_DIGEST = "956aea807767f4f0127608f19a57f6d3ba35ae9d1b97390b549b79075c72ba27"
 WIDE_SEARCH_TRACE_DIGEST = "58a5cfe879e419ef935c7d4403007477b8fd6dfe9052569d02128c13da9ea7fa"
 
 
@@ -540,12 +543,42 @@ def test_more_traces_match_second_pinned_digest():
     assert _trace_digest(problems, _search) == WIDE_SEARCH_TRACE_DIGEST
 
 
-def test_search_fails_from_every_doomed_start():
+# failures that get_path now decides before any expansion, with the search
+# loop's expansions: 68 used to re-explore the same dead region for each of
+# 1,392 repair chains
+SEARCHED_FAILURES = [
+    ("8/5 263", dict(max_features=8, max_values=5), 263, 1614),
+    ("12/6/C10 25", dict(max_features=12, max_values=6, max_causal=10), 25, 923),
+    ("12/6/C10 68", dict(max_features=12, max_values=6, max_causal=10), 68, 319),
+]
+
+
+@pytest.mark.parametrize("tier, seed, expansions",
+                         [(tier, seed, n) for _, tier, seed, n in SEARCHED_FAILURES],
+                         ids=[name for name, *_ in SEARCHED_FAILURES])
+def test_search_loop_still_exhausts_formerly_searched_failures(tier, seed, expansions):
+    trace = _search(random_problem(seed, **tier))
+    assert (trace.status, trace.expansions) == ("failure", expansions)
+
+
+def _benchmark_tier_problems() -> list[ProblemSpec]:
+    """8/5 seeds 0-349, then the printed and reparsed 10/6 seeds 0-119."""
     problems = [random_problem(seed, max_features=8, max_values=5) for seed in range(350)]
     problems += [parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
                  for seed in range(120)]
+    return problems
+
+
+def test_every_failure_fails_before_expanding():
+    traces = map(get_path, _benchmark_tier_problems())
+    failures = [trace for trace in traces if trace.status == "failure"]
+    assert len(failures) == 87 + 26
+    assert {(trace.expansions, len(trace.entries)) for trace in failures} == {(0, 1)}
+
+
+def test_search_fails_from_every_doomed_start():
     doomed = []
-    for problem in problems:
+    for problem in _benchmark_tier_problems():
         kernel = CompiledProblem(problem)
         idx = problem.initial.idx
         if not kernel.goal(idx) and kernel.doomed(idx):
