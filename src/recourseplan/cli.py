@@ -62,11 +62,8 @@ def _load_problem(ns: argparse.Namespace) -> tuple[str, ProblemSpec]:
         seed = ns.seed or 0
         problem = random_problem(seed)
         name = f"random:{seed}"
-    elif ns.scenario not in SCENARIO_NAMES:
-        known = ", ".join(SCENARIO_NAMES + ("random",))
-        raise UnknownScenario(f"unknown scenario {ns.scenario!r} (known: {known})")
     else:
-        scenario = builtin_scenario(ns.scenario)
+        scenario = builtin_scenario(ns.scenario, also_known=("random",))
         problem = scenario.problem
         name = scenario.name
     if ns.budget is not None:

@@ -238,12 +238,16 @@ _SCENARIOS: dict[str, tuple[str, int, tuple[GoldenStep, ...], str]] = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
-def builtin_scenario(name: str) -> Scenario:
-    """One of the bundled scenarios by name; see :data:`SCENARIO_NAMES`."""
+def builtin_scenario(name: str, also_known: Sequence[str] = ()) -> Scenario:
+    """One of the bundled scenarios by name; see :data:`SCENARIO_NAMES`.
+
+    An unknown name raises :class:`UnknownScenario`, whose message lists the
+    bundled names and then ``also_known``, the other names the caller accepts.
+    """
     try:
         text, length, steps, description = _SCENARIOS[name]
     except KeyError:
-        known = ", ".join(SCENARIO_NAMES)
+        known = ", ".join((*SCENARIO_NAMES, *also_known))
         raise UnknownScenario(f"unknown scenario {name!r} (known: {known})") from None
     return Scenario(
         name=name,

@@ -14,8 +14,9 @@ call time to rule a state out before any search:
 :meth:`~CompiledProblem.unrepairable` (no action sequence restores some
 causal rule) and :meth:`~CompiledProblem.doomed` (no state of the reach
 box, the product of the values each feature can still reach, is a goal;
-decided by splitting the box until a rule rules out each part, or a part
-with every rule-named feature pinned is a goal).  ``State`` and
+decided by splitting the box until a rule rules out each part, a part with
+every rule-named feature pinned is a goal, or a fixed number of splits is
+spent).  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
@@ -29,6 +30,11 @@ from .rules import Pairs, ProblemSpec, Rule
 Index = tuple[int, ...]
 # one rule's body literals intersected per feature, its head position and allowed values
 Merged = tuple[Pairs, int, frozenset[int]]
+
+# the most boxes :meth:`CompiledProblem.doomed` splits before it gives up and
+# leaves the start to the search; the generated tiers need at most 365 (10/6
+# seed 204)
+MAX_SPLITS = 2048
 
 
 def _holds(pairs: Pairs, idx: Index) -> bool:
@@ -231,35 +237,48 @@ class CompiledProblem:
         The reach box is the product of the values each feature can still
         reach from ``idx`` (:func:`_reach`).  It holds every reachable state,
         since every action (a direct move, a causal repair and so every
-        repair-chain step) keeps to mutability and monotonicity.  The test
-        first asks whether some decision rule's body contains the whole box,
-        on the reach ranges themselves; failing that it splits the box
-        (:meth:`_goal_free`).  A goal in the box need not be reachable, so
-        ``False`` proves nothing.
+        repair-chain step) keeps to mutability and monotonicity.  A box that
+        no rule rules out (:meth:`_ruled_out`) is split on the first
+        rule-named axis with more than one value, one part per value, and is
+        goal-free only if every part is; the parts no rule rules out wait on
+        a stack, the first part on top.  A box with every rule-named
+        axis pinned decides each rule the same way at all of its states, so
+        one that is not ruled out holds only goals.  A goal in the box need
+        not be reachable, and the test gives up after :data:`MAX_SPLITS`
+        splits, so ``False`` proves nothing.
         """
-        features = self.domains.features
-        for body in self.decision:
-            if all(allowed.issuperset(_reach(features[i], idx[i])) for i, allowed in body):
-                return True
+        box = list(map(_reach, self.domains.features, idx))
+        if self._ruled_out(box):
+            return True
         # the split axes: every feature some rule names, in feature order
         named = {fi for fi, rules in enumerate(self.causal_on) if rules}
         for body in self.decision:
             named.update(i for i, _ in body)
-        return self._goal_free([_reach(f, vi) for f, vi in zip(features, idx)], sorted(named))
+        split = sorted(named)
+        stack = [box]
+        for _ in range(MAX_SPLITS):
+            box = stack.pop()
+            for fi in split:
+                values = box[fi]
+                if len(values) > 1:
+                    break
+            else:
+                return False  # a goal witness
+            for vi in reversed(values):
+                part = box.copy()
+                part[fi] = (vi,)
+                if not self._ruled_out(part):
+                    stack.append(part)
+            if not stack:
+                return True
+        return False
 
-    def _goal_free(self, box: list[Sequence[int]], split: Sequence[int]) -> bool:
-        """No state of ``box`` (one value range or tuple per feature) is a goal.
-
-        A box is goal-free when some decision rule's body contains it on
-        every body axis, so the rule fires throughout, or some causal rule's
-        body contains it while the head's axis misses the head's allowed
-        values, so the rule is broken throughout.  Otherwise it is split on
-        the first axis of ``split`` (the rule-named ones, in feature order)
-        with more than one value, one part per value, and is goal-free only
-        if every part is.  A box with every rule-named axis pinned decides
-        each rule the same way at all of its states, so one that is not
-        ruled out holds only goals.
-        """
+    def _ruled_out(self, box: Sequence[Sequence[int]]) -> bool:
+        """No state of ``box`` (one value range or tuple per feature) is a
+        goal by one rule: some decision rule's body contains the box on every
+        body axis, so the rule fires throughout, or some causal rule's body
+        contains it while the head's axis misses the head's allowed values,
+        so the rule is broken throughout."""
         for body in self.decision:
             for i, allowed in body:
                 if not allowed.issuperset(box[i]):
@@ -273,16 +292,6 @@ class CompiledProblem:
                         break
                 else:
                     return True
-        for fi in split:
-            values = box[fi]
-            if len(values) > 1:
-                for vi in values:
-                    box[fi] = (vi,)
-                    if not self._goal_free(box, split):
-                        box[fi] = values
-                        return False
-                box[fi] = values
-                return True
         return False
 
     def fires(self, idx: Index) -> bool:

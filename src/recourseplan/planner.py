@@ -24,7 +24,8 @@ goal), ``failure`` (every alternative was exhausted, or none exists), or
 initial state is a goal succeeds with that one entry.  A run whose initial
 state is doomed (:meth:`~recourseplan.kernel.CompiledProblem.doomed`: a
 split of its reach box, which holds every state reachable from it, finds no
-goal) fails with that one entry, before any budget is counted.  Only a run
+goal within a fixed number of splits) fails with that one entry, before any
+budget is counted.  Only a run
 that takes a step builds the action list (the causal-repair guard sweep).
 """
 

@@ -4,17 +4,19 @@ one-feature consistency check with the full one after every action out of a
 consistent state, and its doomed-state test with the oracle's reachability."""
 
 import dataclasses
+import sys
 
 import pytest
 
 from recourseplan.actions import apply_action, build_actions, is_permitted
 from recourseplan.domains import FeatureDomain
+from recourseplan.dsl import parse_problem
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
-from recourseplan.kernel import CompiledProblem
+from recourseplan.kernel import MAX_SPLITS, CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, enumerate_causally_consistent, enumerate_states
-from recourseplan.planner import is_counterfactual
-from recourseplan.rules import is_causally_consistent, satisfies_decision
+from recourseplan.planner import get_path, is_counterfactual
+from recourseplan.rules import ProblemSpec, is_causally_consistent, satisfies_decision
 
 PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
             + [(f"random {seed}",
@@ -49,13 +51,13 @@ def test_kernel_matches_state_api_on_every_state(make):
 def _counting_boxes(monkeypatch) -> list:
     """Count the boxes :meth:`CompiledProblem.doomed` visits, root box included."""
     boxes = []
-    real_goal_free = CompiledProblem._goal_free
+    real_ruled_out = CompiledProblem._ruled_out
 
-    def counting_goal_free(self, box, split):
+    def counting_ruled_out(self, box):
         boxes.append(1)
-        return real_goal_free(self, box, split)
+        return real_ruled_out(self, box)
 
-    monkeypatch.setattr(CompiledProblem, "_goal_free", counting_goal_free)
+    monkeypatch.setattr(CompiledProblem, "_ruled_out", counting_ruled_out)
     return boxes
 
 
@@ -72,7 +74,7 @@ def test_no_goal_is_reachable_from_a_doomed_state(monkeypatch):
             boxes.clear()
             if kernel.doomed(state.idx):
                 doomed += 1
-                split += bool(boxes)  # the root check on the reach ranges did not decide it
+                split += len(boxes) > 1  # the root check on the reach box did not decide it
                 assert bfs_shortest_path(dataclasses.replace(problem, initial=state)) is None
     assert 0 < split < doomed
 
@@ -80,7 +82,7 @@ def test_no_goal_is_reachable_from_a_doomed_state(monkeypatch):
 # the most boxes one start's doomed test visited, seeds 0-349, 0-119 and 0-199
 BOX_BOUNDS = [
     ("8/5", dict(max_features=8, max_values=5), 350, 484),
-    ("10/6", dict(max_features=10, max_values=6), 120, 19),
+    ("10/6", dict(max_features=10, max_values=6), 120, 25),
     ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 287),
 ]
 
@@ -100,6 +102,35 @@ def test_doomed_visits_few_boxes(tier, seeds, most, monkeypatch):
             kernel.doomed(problem.initial.idx)
             visited.append(len(boxes))
     assert max(visited) <= 2 * most
+
+
+def _two_valued_problem(n: int, rules: list[str], constraints: list[str] = ()) -> ProblemSpec:
+    """Features f0..f{n-1} over {a, b}, all starting at a."""
+    lines = [f"feature f{i}: categorical {{a, b}}." for i in range(n)]
+    lines += rules + list(constraints)
+    lines.append("initial { " + ", ".join(f"f{i} = a" for i in range(n)) + " }.")
+    return parse_problem("\n".join(lines))
+
+
+def test_doomed_gives_up_on_a_box_no_part_rules_out_early(monkeypatch):
+    # no part of the reach box is ruled out before f29, the last split axis,
+    # is pinned, and the split meets the one goal, f0..f28 = b and f29 = a,
+    # after about 2**30 splits; the search reaches it in 29 monotone moves
+    rules = [f"decision d{i} :- f{i} = a, f29 = a." for i in range(29)]
+    problem = _two_valued_problem(30, rules + ["decision e :- f29 = b."],
+                                  [f"constraint nondecreasing f{i}." for i in range(29)])
+    boxes = _counting_boxes(monkeypatch)
+    assert not CompiledProblem(problem).doomed(problem.initial.idx)
+    assert len(boxes) <= 1 + 2 * MAX_SPLITS
+    trace = get_path(problem)
+    assert (trace.status, trace.expansions) == ("success", 29)
+
+
+def test_doomed_splits_more_axes_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    body = ", ".join(f"f{i} = a" for i in range(n))
+    trace = get_path(_two_valued_problem(n, [f"decision d :- {body}."]))
+    assert (trace.status, trace.expansions) == ("success", 1)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
