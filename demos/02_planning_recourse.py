@@ -3,7 +3,7 @@
 Each scenario encodes a rule-based classifier's current (undesired) decision
 for one individual.  The search walks from that individual's state to a
 causally consistent state where no decision rule fires any more, one
-intervention at a time, and reports the visited-states trace plus the
+intervention at a time, and reports the trace of the path it found plus the
 candidate path (the trace with causally inconsistent repair intermediates
 removed).
 """
@@ -43,6 +43,6 @@ print("repair-chain example: trace vs candidate path")
 for entry, consistent in trace.entry_records():
     mark = "ok " if consistent else "BAD"
     values = ", ".join(f"{n}={entry.state.display(n)}" for n in problem.domains.names)
-    print(f"  [{mark}] {values}   attempts: {list(entry.actions_taken)}")
+    print(f"  [{mark}] {values}   action: {list(entry.actions_taken)}")
 path = extract_candidate_path(trace)
 print(f"candidate path keeps {len(path)} of {len(trace.entries)} trace states")

@@ -77,9 +77,10 @@ def _load_problem(ns: argparse.Namespace) -> tuple[str, ProblemSpec]:
 def _transition_actions(trace: PathTrace) -> list[dict[str, str]]:
     """Per-transition map of changed feature to action kind.
 
-    Each committed transition is one consistent trace entry (whose last
-    attempted action is the move that advanced) followed by the inconsistent
-    intermediates of its repair chain.  An action id's first field is its
+    Each transition is one consistent trace entry followed by the
+    inconsistent intermediates of its repair chain.  Every entry but the goal
+    carries the one action id that left it: the move on the consistent
+    entry, a repair on each intermediate.  An action id's first field is its
     kind and its second-to-last the feature it writes.
     """
     kinds: list[dict[str, str]] = []
@@ -87,7 +88,7 @@ def _transition_actions(trace: PathTrace) -> list[dict[str, str]]:
         if consistent:
             kinds.append({})
         if entry.actions_taken:
-            parts = entry.actions_taken[-1].split(":")
+            parts = entry.actions_taken[0].split(":")
             kinds[-1][parts[-2]] = parts[0]
     kinds.pop()  # the goal entry opens no transition
     return kinds

@@ -355,10 +355,13 @@ def parse_problem(text: str) -> ProblemSpec:
 def pretty_print(problem: ProblemSpec) -> str:
     """Render a problem back to canonical text.
 
-    The output reparses to a structurally identical problem: declaration
-    order is preserved, numeric ranges are recovered from the interval
-    partition, and initial numeric values print their concrete witness.
-    Planner budgets are not part of the language and are not printed.
+    For a parsed problem the output reparses to a structurally identical
+    problem: declaration order is preserved, numeric ranges are recovered
+    from the interval partition, and initial numeric values print their
+    concrete witness.  Text carries no interval cut that no rule constant
+    names, so a problem built otherwise (``random_problem``'s, for one) can
+    reparse with fewer intervals, and so fewer states.  Planner budgets are
+    not part of the language and are not printed.
     """
     lines: list[str] = []
     for f in problem.domains:

@@ -1,32 +1,31 @@
-"""Backtracking search from the initial state to a counterfactual state.
+"""Breadth-first search from the initial state to a counterfactual state.
 
-The search keeps a visited-states trace of ``(state, actions_taken)`` pairs.
-Each step selects the first action (causal repairs before direct moves, then
-declaration order) whose outcome is a causally consistent state not seen
-before, records any causally inconsistent intermediates the repair chain
-passes through, and appends the consistent outcome.  Dead ends backtrack:
-the exhausted state is remembered so it is never entered again, which bounds
-the whole run by one expansion per consistent state.
+The search runs over causally consistent states.  It expands its frontier in
+discovery order, each state by every action in order (causal repairs before
+direct moves, then declaration order).  An action whose outcome is causally
+consistent leads there.  One whose outcome breaks a causal rule continues
+through a repair chain (:func:`_complete`): the first causally consistent
+state in breadth-first order from the raw outcome.  An action with no
+consistent completion leads nowhere.  Out of a consistent state an action
+writes one feature, so only the causal rules that name it are checked.
 
-An action whose outcome breaks a causal rule continues through a repair
-chain (:func:`_complete`): the first causally consistent state in
-breadth-first order from the raw outcome.  The scan for the next move
-(:func:`_select_action`) checks only the causal rules that name the feature
-an action writes, since out of a consistent entry no other rule can change.
-A rescan after backtracking resumes from the position stored with the entry,
-one past its last attempted action, which is exact because every earlier
-skip still holds: permission, completion and outcomes never change, the path
-below the entry is the same, and the exhausted set only grows.
+A state is tested for the goal when it is discovered, and no state is
+entered twice.  So the found path has the fewest consistent states of any
+path these moves make, and each reachable consistent state is expanded at
+most once, which bounds the whole run.  The trace is the found path with
+each repair chain's inconsistent intermediates; every entry carries the one
+action id that left it.
 
 A run ends in one of three statuses: ``success`` (the last trace state is a
-goal), ``failure`` (every alternative was exhausted, or none exists), or
-``budget-exhausted`` (the expansion budget ran out first).  A run whose
-initial state is a goal succeeds with that one entry.  A run whose initial
-state is doomed (:meth:`~recourseplan.kernel.CompiledProblem.doomed`: a
-split of its reach box, which holds every state reachable from it, finds no
-goal within a fixed number of splits) fails with that one entry, before any
-budget is counted.  Only a run
-that takes a step builds the action list (the causal-repair guard sweep).
+goal), ``failure`` (the search expanded every reachable consistent state, or
+none exists), or ``budget-exhausted`` (the expansion budget ran out first).
+The last two keep only the root entry.  A run whose initial state is a goal
+succeeds with that one entry.  A run whose initial state is doomed
+(:meth:`~recourseplan.kernel.CompiledProblem.doomed`: a split of its reach
+box, which holds every state reachable from it, finds no goal within a fixed
+number of splits) fails with that one entry, before any budget is counted.
+Only a run that takes a step builds the action list (the causal-repair guard
+sweep).
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from .rules import is_counterfactual as is_counterfactual  # re-export: callers 
 
 
 class TraceEntry(NamedTuple):
-    """A visited state together with the action ids attempted from it."""
+    """A path state together with the id of the action that left it (none
+    for the last state)."""
 
     state: State
     actions_taken: tuple[str, ...] = ()
@@ -52,10 +52,10 @@ class TraceEntry(NamedTuple):
 
 Reps = tuple[Optional[int], ...]
 ChainEdge = tuple[Index, int]
-ChainResult = Optional[tuple[Index, tuple[ChainEdge, ...]]]
+Chain = tuple[Index, tuple[ChainEdge, ...]]
 
 
-def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> ChainResult:
+def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Optional[Chain]:
     """First causally consistent state reachable from ``start``, in
     breadth-first order.
 
@@ -111,67 +111,29 @@ def _written(reps: Reps, feature_index: int) -> Reps:
 class PathTrace:
     """Mutable record of one planning run.
 
-    ``entries`` is the visited-states list in visit order, including causally
-    inconsistent intermediates of repair chains.  Next to each entry the
-    trace keeps whether it is causally consistent and the action position a
-    rescan of it resumes from.  It also carries the run bookkeeping, keyed by
-    index tuples: which states sit on the current path, which are known dead
-    ends, memoized repair-chain outcomes together with the witnesses of the
-    state each was first computed from, and the inconsistent states from which
-    no repair chain completes (see :func:`_complete`).
+    ``entries`` holds the found path in order.  Each consistent state carries
+    the id of the action that left it, each causally inconsistent
+    intermediate of a repair chain the id of the repair that left it, and the
+    goal none.  Next to each entry the trace keeps whether it is causally
+    consistent.  A run that ends in ``failure`` or ``budget-exhausted`` keeps
+    the root entry alone, with no action.  ``expansions`` counts the states
+    the search expanded.
     """
 
     entries: list[TraceEntry] = field(default_factory=list)
     status: str = "in-progress"  # then: success | failure | budget-exhausted
     expansions: int = 0
     _consistent: list[bool] = field(default_factory=list, repr=False)
-    _resume: list[int] = field(default_factory=list, repr=False)
-    _live: dict[Index, int] = field(default_factory=dict, repr=False)
-    _exhausted: set[Index] = field(default_factory=set, repr=False)
-    _chain_memo: dict[Index, tuple[Reps, ChainResult]] = field(default_factory=dict, repr=False)
-    _dead: set[Index] = field(default_factory=set, repr=False)
 
-    def _push(self, entry: TraceEntry, consistent: bool, resume: int = 0) -> None:
+    def _push(self, entry: TraceEntry, consistent: bool) -> None:
         self.entries.append(entry)
         self._consistent.append(consistent)
-        self._resume.append(resume)
-        idx = entry.state.idx
-        self._live[idx] = self._live.get(idx, 0) + 1
-
-    def _pop(self) -> tuple[TraceEntry, bool, int]:
-        if not self.entries:
-            raise EmptySequenceError("trace is empty")
-        entry = self.entries.pop()
-        idx = entry.state.idx
-        n = self._live[idx] - 1
-        if n:
-            self._live[idx] = n
-        else:
-            del self._live[idx]
-        return entry, self._consistent.pop(), self._resume.pop()
 
     def pop_last(self) -> TraceEntry:
-        return self._pop()[0]
-
-    def discard_inconsistent_tail(self) -> None:
-        while self.entries and not self._consistent[-1]:
-            self._pop()
-
-    def _chain(self, kernel: CompiledProblem, idx: Index, reps: Reps,
-               feature_index: int) -> ChainResult:
-        """Memoized repair chain from ``idx``, the raw outcome of writing the
-        feature of a state with witnesses ``reps``.
-
-        The memo also keeps the outcome's witnesses from the state the chain
-        was first found from; they are built only then.
-        """
-        if idx in self._dead:
-            return None
-        hit = self._chain_memo.get(idx)
-        if hit is None:
-            hit = self._chain_memo[idx] = (_written(reps, feature_index),
-                                           _complete(kernel, idx, self._dead))
-        return hit[1]
+        if not self.entries:
+            raise EmptySequenceError("trace is empty")
+        self._consistent.pop()
+        return self.entries.pop()
 
     def entry_records(self) -> Iterator[tuple[TraceEntry, bool]]:
         return zip(self.entries, self._consistent)
@@ -192,97 +154,102 @@ class CandidatePath:
 
 # the algorithm ----------------------------------------------------------------
 
-def _replay_chain(trace: PathTrace, kernel: CompiledProblem, idx: Index) -> None:
-    """Record the memoized repair chain from an action's inconsistent outcome
-    ``idx``, with the witnesses it was first found with: every inconsistent
-    intermediate, then the consistent endpoint."""
-    domains = kernel.domains
-    reps, (final, edges) = trace._chain_memo[idx]  # _select_action only picks completing chains
-    for source, k in edges:
-        trace._push(TraceEntry(State(domains, source, reps), (kernel.action_id(k),)), False, k + 1)
-        reps = _written(reps, kernel.moves[k][0])
-    trace._push(TraceEntry(State(domains, final, reps)), True)
+# each discovered consistent state: the state it was discovered from and the
+# action position that led there (``None`` for the root)
+Parents = dict[Index, Optional[tuple[Index, int]]]
 
 
-def _select_action(trace: PathTrace, kernel: CompiledProblem, entry: TraceEntry,
-                   start: int) -> Optional[tuple[int, Index, bool]]:
-    """First action from position ``start`` on (one past the entry's last
-    attempted action) whose consistent outcome is new to this run.
+def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
+    """Breadth-first search from the trace's root entry; returns the status.
 
-    Skips actions not permitted here, actions with no consistent completion,
-    and actions whose outcome is the current state, sits on the current path,
-    or is a known dead end.  Returns the action's position, its raw outcome
-    and whether that outcome is causally consistent.
-
-    Resuming a rescan after backtracking changes no choice: every earlier
-    action was attempted or skipped, and each skip still holds.  Permission,
-    completion and the outcome of an action never change; the path below the
-    entry is the one it had when it was first scanned; and the exhausted set
-    only grows.  The entry is consistent (the initial state is, and only
-    consistent entries are expanded), and an action writes one feature, so
-    only the causal rules that name it are checked.
+    The frontier is expanded in order, each state by the ordered action list.
+    An action's raw outcome is the successor when it is consistent, else the
+    end of its repair chain (:func:`_complete`, memoized per raw outcome,
+    with one ``dead`` set for the run); an action with no completion is
+    skipped.  Every expanded state is consistent and an action writes one
+    feature, so only the causal rules that name it are checked.  A successor
+    is tested for the goal when it is discovered, and no state is entered
+    twice.  On success the found path replaces the root entry
+    (:func:`_record_path`).
     """
-    state = entry.state
-    idx, reps = state.idx, state.reps
-    step, moves = kernel.step, kernel.moves
-    live, exhausted = trace._live, trace._exhausted
-    consistent = kernel.consistent_after
-    for k in range(start, len(moves)):
-        raw = step(k, idx)
-        if raw is None:
-            continue
-        fi = moves[k][0]
-        ok = consistent(fi, raw)
-        if ok:
-            final = raw
-        else:
-            result = trace._chain(kernel, raw, reps, fi)
-            if result is None:
+    root = trace.entries[0].state.idx
+    step, moves, fires = kernel.step, kernel.moves, kernel.fires
+    consistent_after = kernel.consistent_after
+    positions = range(len(moves))
+    chains: dict[Index, Chain] = {}
+    dead: set[Index] = set()
+    parents: Parents = {root: None}
+    frontier = [root]
+    for idx in frontier:  # grows while it is read: a queue in discovery order
+        if trace.expansions >= budget:
+            return "budget-exhausted"
+        trace.expansions += 1
+        for k in positions:
+            raw = step(k, idx)
+            if raw is None:
                 continue
-            final = result[0]
-        if final == idx or final in live or final in exhausted:
-            continue
-        return k, raw, ok
-    return None
+            if consistent_after(moves[k][0], raw):
+                final = raw
+            else:
+                chain = chains.get(raw)
+                if chain is None:
+                    if raw in dead:
+                        continue
+                    chain = _complete(kernel, raw, dead)
+                    if chain is None:
+                        continue
+                    chains[raw] = chain
+                final = chain[0]
+            if final in parents:
+                continue
+            parents[final] = idx, k
+            if not fires(final):  # consistent, so a goal
+                _record_path(trace, kernel, parents, chains, final)
+                return "success"
+            frontier.append(final)
+    return "failure"
 
 
-def _intervene(trace: PathTrace, kernel: CompiledProblem) -> bool:
-    """Take the next move from the last trace entry, backtracking past
-    exhausted entries; ``False`` when backtracking exhausts the space."""
-    entry, consistent, resume = trace._pop()
-    while True:
-        choice = _select_action(trace, kernel, entry, resume)
-        if choice is not None:
-            break
-        trace._exhausted.add(entry.state.idx)
-        trace.discard_inconsistent_tail()
-        if not trace.entries:
-            trace._push(entry, consistent, resume)
-            return False
-        entry, consistent, resume = trace._pop()
-    k, raw, ok = choice
-    state = entry.state
-    trace._push(TraceEntry(state, entry.actions_taken + (kernel.action_id(k),)), consistent, k + 1)
-    if ok:
-        reps = _written(state.reps, kernel.moves[k][0])
-        trace._push(TraceEntry(State(kernel.domains, raw, reps)), True)
-    else:
-        _replay_chain(trace, kernel, raw)
-    return True
+def _record_path(trace: PathTrace, kernel: CompiledProblem, parents: Parents,
+                 chains: dict[Index, Chain], goal: Index) -> None:
+    """Replace the root entry by the path from it to ``goal``, with every
+    repair chain's inconsistent intermediates.
+
+    Witnesses follow the path: each state keeps its predecessor's, except on
+    the features the actions between them wrote.
+    """
+    hops = []
+    idx = goal
+    while (hop := parents[idx]) is not None:
+        hops.append((*hop, idx))
+        idx = hop[0]
+    domains, moves = kernel.domains, kernel.moves
+    state = trace.pop_last().state
+    for source, k, final in reversed(hops):
+        trace._push(TraceEntry(state, (kernel.action_id(k),)), True)
+        reps = _written(state.reps, moves[k][0])
+        raw = kernel.step(k, source)
+        if raw != final:
+            for link, repair in chains[raw][1]:
+                trace._push(TraceEntry(State(domains, link, reps), (kernel.action_id(repair),)),
+                            False)
+                reps = _written(reps, moves[repair][0])
+        state = State(domains, final, reps)
+    trace._push(TraceEntry(state), True)
 
 
 def get_path(problem: ProblemSpec) -> PathTrace:
-    """Run the full search and return the visited-states trace.
+    """Run the full search and return the trace.
 
     Deterministic for a given problem.  The trace ends in ``success`` with a
-    goal state last, in ``failure`` when the reachable space holds no goal,
-    or in ``budget-exhausted`` when the expansion budget ran out.
+    shortest path to a goal, in ``failure`` when the reachable space holds no
+    goal, or in ``budget-exhausted`` when the expansion budget ran out.
 
     A start in the goal set ends the run at once in ``success``, and a
     doomed start (its reach box, split until each part is ruled out, holds
-    no goal) in ``failure``, each with the one root entry, no attempted
-    action and no expansion, before the action list is built: only a run
-    that steps builds it, and the default budget counts its actions.
+    no goal) in ``failure``, each with the one root entry, no action and no
+    expansion, before the action list is built: only a run that steps builds
+    it, and the default budget counts its actions.
     """
     kernel = CompiledProblem(problem)
     trace = PathTrace()
@@ -296,17 +263,8 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     kernel.compile_actions()
     # the default budget is generous for any enumerable instance
     budget = problem.action_budget or max(1, 10 * len(kernel.moves) * len(problem.domains))
-    while True:
-        if trace.expansions >= budget:
-            trace.status = "budget-exhausted"
-            return trace
-        if not _intervene(trace, kernel):
-            trace.status = "failure"
-            return trace
-        trace.expansions += 1
-        if kernel.goal(trace.entries[-1].state.idx):
-            trace.status = "success"
-            return trace
+    trace.status = _search(trace, kernel, budget)
+    return trace
 
 
 def extract_candidate_path(trace: PathTrace) -> CandidatePath:

@@ -115,7 +115,9 @@ def _two_valued_problem(n: int, rules: list[str], constraints: list[str] = ()) -
 def test_doomed_gives_up_on_a_box_no_part_rules_out_early(monkeypatch):
     # no part of the reach box is ruled out before f29, the last split axis,
     # is pinned, and the split meets the one goal, f0..f28 = b and f29 = a,
-    # after about 2**30 splits; the search reaches it in 29 monotone moves
+    # after about 2**30 splits.  The goal is 29 monotone moves deep, and the
+    # breadth-first search spends the default budget (10 * 60 actions * 30
+    # features) on the states nearer the start.
     rules = [f"decision d{i} :- f{i} = a, f29 = a." for i in range(29)]
     problem = _two_valued_problem(30, rules + ["decision e :- f29 = b."],
                                   [f"constraint nondecreasing f{i}." for i in range(29)])
@@ -123,7 +125,7 @@ def test_doomed_gives_up_on_a_box_no_part_rules_out_early(monkeypatch):
     assert not CompiledProblem(problem).doomed(problem.initial.idx)
     assert len(boxes) <= 1 + 2 * MAX_SPLITS
     trace = get_path(problem)
-    assert (trace.status, trace.expansions) == ("success", 29)
+    assert (trace.status, trace.expansions) == ("budget-exhausted", 18000)
 
 
 def test_doomed_splits_more_axes_than_the_recursion_limit():

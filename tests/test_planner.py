@@ -17,7 +17,7 @@ from recourseplan.errors import NotASolution
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
-from recourseplan.oracle import bfs_shortest_path, delta_oracle
+from recourseplan.oracle import bfs_shortest_path, delta_oracle, validate_solution_path
 from recourseplan.planner import (PathTrace, TraceEntry, _complete,
                                   extract_candidate_path, get_path, is_counterfactual)
 from recourseplan.rules import ProblemSpec, is_causally_consistent
@@ -51,17 +51,39 @@ def test_initial_goal_gives_single_entry_success(boolean_pair):
     assert extract_candidate_path(trace).states == (boolean_pair.initial,)
 
 
-def test_first_expansion_takes_first_productive_move(german):
-    trace = get_path(dataclasses.replace(german.problem, action_budget=1))
-    last = trace.entries[-1].state
-    assert str(last.value("duration_months")) == "(7, 72]"
-    assert last.value("checking_account_status") == "no_checking_account"
+@pytest.fixture(scope="module")
+def one_expansion_runs():
+    """Every start that is not a goal among the four scenarios and 8/5 seeds
+    0-349, with its run under a budget of one expansion and the oracle's
+    one-step successors."""
+    problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
+    problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(350)]
+    runs = []
+    for p in problems:
+        if is_counterfactual(p.initial, p.causal_rules, p.decision_rules):
+            continue
+        trace = get_path(dataclasses.replace(p, action_budget=1))
+        runs.append((p, trace, delta_oracle(p.initial, p, build_actions(p))))
+    assert len(runs) == 180
+    return runs
 
 
-def test_first_expansion_is_an_oracle_transition(german):
-    p = german.problem
-    trace = get_path(dataclasses.replace(p, action_budget=1))
-    assert trace.entries[-1].state in delta_oracle(p.initial, p, build_actions(p))
+def test_first_expansion_takes_first_productive_move(one_expansion_runs):
+    # the goal test on discovery: one expansion reaches a goal one step away
+    for p, trace, successors in one_expansion_runs:
+        one_step = any(is_counterfactual(s, p.causal_rules, p.decision_rules) for s in successors)
+        assert (trace.status == "success") == one_step
+
+
+def test_first_expansion_is_an_oracle_transition(one_expansion_runs):
+    successes = 0
+    for p, trace, successors in one_expansion_runs:
+        if trace.status == "success":
+            successes += 1
+            path = extract_candidate_path(trace).states
+            assert len(path) == 2
+            assert path[-1] in successors
+    assert successes
 
 
 def test_fails_without_actions_and_keeps_the_root():
@@ -134,6 +156,28 @@ def test_trace_attempts_are_duplicate_free(unreachable_goal):
     trace = get_path(unreachable_goal)
     for entry in trace.entries:
         assert len(set(entry.actions_taken)) == len(entry.actions_taken)
+
+
+def test_trace_is_the_path_with_the_action_that_left_each_state():
+    problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
+    problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(100)]
+    problems.append(dataclasses.replace(builtin_scenario("german").problem, action_budget=1))
+    for p in problems:
+        trace = get_path(p)
+        if trace.status != "success":
+            assert trace.entries == [TraceEntry(p.initial, ())]
+            continue
+        *steps, goal = trace.entries
+        assert goal.actions_taken == ()
+        names = p.domains.names
+        for entry, following in zip(steps, trace.entries[1:]):
+            (action_id,) = entry.actions_taken
+            written = names.index(action_id.split(":")[-2])
+            # the witnesses are the predecessor's, less the written feature's
+            assert following.state.reps == tuple(None if i == written else r
+                                                 for i, r in enumerate(entry.state.reps))
+            assert [i for i, (a, b) in enumerate(zip(entry.state.idx, following.state.idx))
+                    if a != b] == [written]
 
 
 def test_live_consistent_states_are_distinct():
@@ -334,7 +378,8 @@ def test_one_edge_repairs_are_those_of_the_depth_first_walk():
 
 def test_seed_263_repair_chains_are_short(monkeypatch):
     # the depth-first walk made chains of 301 steps on average here; get_path
-    # no longer searches from this doomed start, so the search loop is run
+    # does not search from this doomed start, so the search loop is run past
+    # the doomed-start test
     steps = []
     real_complete = planner._complete
 
@@ -455,7 +500,6 @@ def test_get_path_formats_only_the_ids_it_records(make, monkeypatch):
         calls.append((self.name, index))
         return real_value_text(self, index)
 
-    # every id the run records, also on entries that backtracking pops later
     recorded = set()
     real_push = planner.PathTrace._push
 
@@ -472,27 +516,20 @@ def test_get_path_formats_only_the_ids_it_records(make, monkeypatch):
 # trace identity ---------------------------------------------------------------------
 
 def _search(problem: ProblemSpec) -> PathTrace:
-    """``get_path``'s search loop with no doomed-start test and no budget."""
+    """``get_path``'s search loop with no budget, run from a start that is not
+    a goal past the doomed-start test."""
     kernel = CompiledProblem(problem)
     trace = PathTrace()
     trace._push(TraceEntry(problem.initial, ()), True)
-    if kernel.goal(problem.initial.idx):
-        trace.status = "success"
-        return trace
     kernel.compile_actions()
-    while planner._intervene(trace, kernel):
-        trace.expansions += 1
-        if kernel.goal(trace.entries[-1].state.idx):
-            trace.status = "success"
-            return trace
-    trace.status = "failure"
+    trace.status = planner._search(trace, kernel, sys.maxsize)
     return trace
 
 
-def _trace_digest(problems, plan=get_path) -> str:
+def _trace_digest(problems) -> str:
     digest = hashlib.sha256()
     for problem in problems:
-        trace = plan(problem)
+        trace = get_path(problem)
         record = (trace.status, trace.expansions,
                   [(e.state.idx, e.state.reps, e.actions_taken, ok)
                    for e, ok in trace.entry_records()])
@@ -502,36 +539,29 @@ def _trace_digest(problems, plan=get_path) -> str:
 
 # SHA-256 over every trace of the four bundled scenarios and of
 # random_problem(seed, max_features=8, max_values=5) for seeds 0-99: status,
-# expansions, and per entry the state's indices and witnesses, the attempted
-# action ids and the consistency flag.  Any change to search order, repair
-# chains or witness bookkeeping changes it.  Re-recorded when repair chains
-# became breadth-first, which changed the trace of seed 86, and when doomed
-# starts began to fail at once, which turned the traces of seeds 5, 6, 9, 10,
-# 22, 29, 33, 36, 37, 51, 55, 56, 70, 78, 81, 87, 92, 93, 94, 96, 98 and 99
-# into the one-entry failure and left every other trace as it was, and when
-# that test began to split the reach box, which did the same to seeds 88, 90
-# and 91.  SEARCH_TRACE_DIGEST is the digest of the search loop run past that
-# test, which still gives the traces from before it.
-TRACE_DIGEST = "db0081957eda8612aafc2be038d5015d184bcfca5743d1065de95a64544d66ba"
-SEARCH_TRACE_DIGEST = "5ae08a3580b06a9fa8cec5f1abfe030faf3f95fad8e88b7b02b23388e79184b9"
+# expansions, and per entry the state's indices and witnesses, the action ids
+# and the consistency flag.  Any change to search order, repair chains or
+# witness bookkeeping changes it.  Re-recorded when repair chains became
+# breadth-first, when doomed starts began to fail at once, when that test
+# began to split the reach box, and when the search became breadth-first,
+# which changed the traces of every search: each is now a shortest path and
+# carries one action id per entry, and its witnesses follow the path.
+TRACE_DIGEST = "b736952ac576d8d58c5e6307ff8e303add8f18a3d4aa13fce2a63229ad1312c8"
 
 
 def test_traces_match_pinned_digest():
     problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
     problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(100)]
     assert _trace_digest(problems) == TRACE_DIGEST
-    assert _trace_digest(problems, _search) == SEARCH_TRACE_DIGEST
 
 
-# The same digests over runs that TRACE_DIGEST leaves out:
+# The same digest over runs that TRACE_DIGEST leaves out:
 # random_problem(seed, max_features=8, max_values=5) for seeds 106, 111, 172,
 # 196, 268 and 271, then the printed and reparsed random_problem(seed,
 # max_features=10, max_values=6) for seeds 11, 24, 52, 81 and 83.  Every start
 # is doomed (172's only since the test splits the reach box), so
-# WIDE_TRACE_DIGEST pins eleven one-entry failures, and
-# WIDE_SEARCH_TRACE_DIGEST the searches of all eleven.
+# WIDE_TRACE_DIGEST pins eleven one-entry failures.
 WIDE_TRACE_DIGEST = "956aea807767f4f0127608f19a57f6d3ba35ae9d1b97390b549b79075c72ba27"
-WIDE_SEARCH_TRACE_DIGEST = "58a5cfe879e419ef935c7d4403007477b8fd6dfe9052569d02128c13da9ea7fa"
 
 
 def test_more_traces_match_second_pinned_digest():
@@ -540,16 +570,15 @@ def test_more_traces_match_second_pinned_digest():
     problems += [parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
                  for seed in (11, 24, 52, 81, 83)]
     assert _trace_digest(problems) == WIDE_TRACE_DIGEST
-    assert _trace_digest(problems, _search) == WIDE_SEARCH_TRACE_DIGEST
 
 
-# failures that get_path now decides before any expansion, with the search
-# loop's expansions: 68 used to re-explore the same dead region for each of
-# 1,392 repair chains
+# failures that get_path decides before any expansion, with the expansions
+# of the search loop run past that test: every consistent state reachable
+# from the start
 SEARCHED_FAILURES = [
-    ("8/5 263", dict(max_features=8, max_values=5), 263, 1614),
-    ("12/6/C10 25", dict(max_features=12, max_values=6, max_causal=10), 25, 923),
-    ("12/6/C10 68", dict(max_features=12, max_values=6, max_causal=10), 68, 319),
+    ("8/5 263", dict(max_features=8, max_values=5), 263, 1615),
+    ("12/6/C10 25", dict(max_features=12, max_values=6, max_causal=10), 25, 924),
+    ("12/6/C10 68", dict(max_features=12, max_values=6, max_causal=10), 68, 320),
 ]
 
 
@@ -557,31 +586,80 @@ SEARCHED_FAILURES = [
                          [(tier, seed, n) for _, tier, seed, n in SEARCHED_FAILURES],
                          ids=[name for name, *_ in SEARCHED_FAILURES])
 def test_search_loop_still_exhausts_formerly_searched_failures(tier, seed, expansions):
-    trace = _search(random_problem(seed, **tier))
+    problem = random_problem(seed, **tier)
+    trace = _search(problem)
     assert (trace.status, trace.expansions) == ("failure", expansions)
+    assert bfs_shortest_path(problem) is None
 
 
-def _benchmark_tier_problems() -> list[ProblemSpec]:
-    """8/5 seeds 0-349, then the printed and reparsed 10/6 seeds 0-119."""
+@pytest.fixture(scope="module")
+def benchmark_tiers() -> list[tuple[ProblemSpec, PathTrace, object]]:
+    """8/5 seeds 0-349, then the printed and reparsed 10/6 seeds 0-119, each
+    with its run and the oracle's shortest path (``None`` when no goal is
+    reachable)."""
     problems = [random_problem(seed, max_features=8, max_values=5) for seed in range(350)]
     problems += [parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
                  for seed in range(120)]
-    return problems
+    return [(problem, get_path(problem), bfs_shortest_path(problem)) for problem in problems]
 
 
-def test_every_failure_fails_before_expanding():
-    traces = map(get_path, _benchmark_tier_problems())
-    failures = [trace for trace in traces if trace.status == "failure"]
+def test_every_failure_fails_before_expanding(benchmark_tiers):
+    failures = [trace for _, trace, _ in benchmark_tiers if trace.status == "failure"]
     assert len(failures) == 87 + 26
     assert {(trace.expansions, len(trace.entries)) for trace in failures} == {(0, 1)}
 
 
-def test_search_fails_from_every_doomed_start():
+def test_search_fails_from_every_doomed_start(benchmark_tiers):
+    # the oracle's breadth-first search, which shares no search code with
+    # the planner, reaches no goal from a start the kernel calls doomed
     doomed = []
-    for problem in _benchmark_tier_problems():
-        kernel = CompiledProblem(problem)
-        idx = problem.initial.idx
+    for problem, _, shortest in benchmark_tiers:
+        kernel, idx = CompiledProblem(problem), problem.initial.idx
         if not kernel.goal(idx) and kernel.doomed(idx):
-            doomed.append(problem)
-    assert doomed
-    assert {_search(problem).status for problem in doomed} == {"failure"}
+            doomed.append(shortest)
+    assert len(doomed) == 113
+    assert doomed == [None] * len(doomed)
+
+
+def test_every_path_is_as_short_as_the_oracles(benchmark_tiers):
+    successes = 0
+    for problem, trace, shortest in benchmark_tiers:
+        assert trace.status in ("success", "failure")
+        if trace.status == "failure":
+            assert shortest is None
+        else:
+            successes += 1
+            assert len(extract_candidate_path(trace)) == len(shortest)
+    assert successes == 263 + 94
+
+
+# inputs the depth-first search left undecided or long, with their status
+# and path length: 10/6 seed 291 and 12/6/C10 seed 118 ended budget-exhausted
+# after 3,600 and 4,440 expansions, and 10/6 seed 297's path had 6 states
+SHORTENED = [
+    ("10/6 291", dict(max_features=10, max_values=6), 291, 4),
+    ("12/6/C10 118", dict(max_features=12, max_values=6, max_causal=10), 118, 2),
+    ("10/6 297", dict(max_features=10, max_values=6), 297, 2),
+]
+
+
+@pytest.mark.parametrize("tier, seed, length",
+                         [(tier, seed, n) for _, tier, seed, n in SHORTENED],
+                         ids=[name for name, *_ in SHORTENED])
+def test_formerly_long_searches_find_shortest_paths(tier, seed, length):
+    problem = random_problem(seed, **tier)
+    trace = get_path(problem)
+    assert trace.status == "success"
+    assert len(extract_candidate_path(trace)) == len(bfs_shortest_path(problem)) == length
+
+
+def test_huge_space_one_step_from_a_goal():
+    # 14/6/C12 seed 86 declares 388.8 M states, past the oracle's enumeration
+    # cap, so the path is checked step by step; the depth-first search ended
+    # budget-exhausted after 7,980 expansions
+    problem = random_problem(86, max_features=14, max_values=6, max_causal=12)
+    trace = get_path(problem)
+    assert (trace.status, trace.expansions) == ("success", 1)
+    path = extract_candidate_path(trace)
+    assert len(path) == 2
+    assert validate_solution_path(path, problem).overall
