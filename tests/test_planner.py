@@ -544,8 +544,8 @@ def _trace_digest(problems) -> str:
 # witness bookkeeping changes it.  Re-recorded when repair chains became
 # breadth-first, when doomed starts began to fail at once, when that test
 # began to split the reach box, and when the search became breadth-first,
-# which changed the traces of every search: each is now a shortest path and
-# carries one action id per entry, and its witnesses follow the path.
+# which shortened 16 of the paths to the oracle's shortest length and left
+# the other 88 traces as they were.
 TRACE_DIGEST = "b736952ac576d8d58c5e6307ff8e303add8f18a3d4aa13fce2a63229ad1312c8"
 
 
@@ -593,7 +593,7 @@ def test_search_loop_still_exhausts_formerly_searched_failures(tier, seed, expan
 
 
 @pytest.fixture(scope="module")
-def benchmark_tiers() -> list[tuple[ProblemSpec, PathTrace, object]]:
+def benchmark_tiers():
     """8/5 seeds 0-349, then the printed and reparsed 10/6 seeds 0-119, each
     with its run and the oracle's shortest path (``None`` when no goal is
     reachable)."""
@@ -633,23 +633,24 @@ def test_every_path_is_as_short_as_the_oracles(benchmark_tiers):
     assert successes == 263 + 94
 
 
-# inputs the depth-first search left undecided or long, with their status
-# and path length: 10/6 seed 291 and 12/6/C10 seed 118 ended budget-exhausted
-# after 3,600 and 4,440 expansions, and 10/6 seed 297's path had 6 states
+# inputs the depth-first search left undecided or long, with their path
+# length and expansions: 10/6 seed 291 and 12/6/C10 seed 118 ended
+# budget-exhausted after 3,600 and 4,440 expansions, and 10/6 seed 297's path
+# had 6 states after 1,580
 SHORTENED = [
-    ("10/6 291", dict(max_features=10, max_values=6), 291, 4),
-    ("12/6/C10 118", dict(max_features=12, max_values=6, max_causal=10), 118, 2),
-    ("10/6 297", dict(max_features=10, max_values=6), 297, 2),
+    ("10/6 291", dict(max_features=10, max_values=6), 291, 4, 172),
+    ("12/6/C10 118", dict(max_features=12, max_values=6, max_causal=10), 118, 2, 1),
+    ("10/6 297", dict(max_features=10, max_values=6), 297, 2, 1),
 ]
 
 
-@pytest.mark.parametrize("tier, seed, length",
-                         [(tier, seed, n) for _, tier, seed, n in SHORTENED],
+@pytest.mark.parametrize("tier, seed, length, expansions",
+                         [case[1:] for case in SHORTENED],
                          ids=[name for name, *_ in SHORTENED])
-def test_formerly_long_searches_find_shortest_paths(tier, seed, length):
+def test_formerly_long_searches_find_shortest_paths(tier, seed, length, expansions):
     problem = random_problem(seed, **tier)
     trace = get_path(problem)
-    assert trace.status == "success"
+    assert (trace.status, trace.expansions) == ("success", expansions)
     assert len(extract_candidate_path(trace)) == len(bfs_shortest_path(problem)) == length
 
 
