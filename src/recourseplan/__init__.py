@@ -11,13 +11,11 @@ from .actions import Action, apply_action, build_actions, is_permitted
 from .domains import (Domains, FeatureDomain, Interval, PlausibilityConstraint,
                       State, partition_range)
 from .dsl import parse_problem, pretty_print
-from .errors import (CapExceeded, CausallyInconsistentRecord, CsvRowError,
-                     EmptyRange, EmptySequenceError, NotApplicable, NotASolution,
-                     OutOfDomain, ParseError, RecourseError, SchemaMismatch,
+from .errors import (CapExceeded, EmptyRange, EmptySequenceError, NotApplicable,
+                     NotASolution, OutOfDomain, ParseError, RecourseError,
                      SemanticError, UnknownScenario)
 from .generate import random_problem
-from .ingest import (DatasetSchema, GoldenStep, Scenario, SCENARIO_NAMES,
-                     builtin_scenario, load_csv, record_to_state)
+from .ingest import GoldenStep, Scenario, SCENARIO_NAMES, builtin_scenario
 from .kernel import CompiledProblem
 from .oracle import (StateSetReport, ValidationReport, bfs_shortest_path,
                      compute_goal_set, delta_oracle, delta_oracle_liberal,
@@ -31,18 +29,17 @@ from .rules import (Literal, ProblemSpec, Rule, eval_rule, is_causally_consisten
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "CandidatePath", "CapExceeded", "CausallyInconsistentRecord",
-    "CompiledProblem", "CsvRowError", "DatasetSchema", "Domains", "EmptyRange",
-    "EmptySequenceError", "FeatureDomain", "GoldenStep", "Interval", "Literal",
-    "NotApplicable", "NotASolution", "OutOfDomain", "ParseError", "PathTrace",
-    "PlausibilityConstraint", "ProblemSpec", "RecourseError", "Rule",
-    "SCENARIO_NAMES", "Scenario", "SchemaMismatch", "SemanticError", "State",
-    "StateSetReport", "TraceEntry", "UnknownScenario", "ValidationReport",
-    "apply_action", "bfs_shortest_path", "build_actions", "builtin_scenario",
-    "compute_goal_set", "delta_oracle", "delta_oracle_liberal",
-    "enumerate_causally_consistent", "enumerate_states", "eval_rule",
-    "extract_candidate_path", "get_path", "is_causally_consistent",
-    "is_counterfactual", "is_permitted", "load_csv", "parse_problem",
-    "partition_range", "pretty_print", "random_problem", "record_to_state",
-    "satisfies_decision", "state_set_report", "validate_solution_path",
+    "Action", "CandidatePath", "CapExceeded", "CompiledProblem", "Domains",
+    "EmptyRange", "EmptySequenceError", "FeatureDomain", "GoldenStep",
+    "Interval", "Literal", "NotApplicable", "NotASolution", "OutOfDomain",
+    "ParseError", "PathTrace", "PlausibilityConstraint", "ProblemSpec",
+    "RecourseError", "Rule", "SCENARIO_NAMES", "Scenario", "SemanticError",
+    "State", "StateSetReport", "TraceEntry", "UnknownScenario",
+    "ValidationReport", "apply_action", "bfs_shortest_path", "build_actions",
+    "builtin_scenario", "compute_goal_set", "delta_oracle",
+    "delta_oracle_liberal", "enumerate_causally_consistent", "enumerate_states",
+    "eval_rule", "extract_candidate_path", "get_path", "is_causally_consistent",
+    "is_counterfactual", "is_permitted", "parse_problem", "partition_range",
+    "pretty_print", "random_problem", "satisfies_decision", "state_set_report",
+    "validate_solution_path",
 ]

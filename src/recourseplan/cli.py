@@ -15,13 +15,12 @@ previously saved structured record, and prints the state-set counts.
 
 Exit codes: 0 success, 1 usage or parse error, 2 planning failure,
 3 expansion budget exhausted, 4 enumeration cap exceeded.  Results go to
-stdout, diagnostics to stderr.  The ``RECOURSE_MAX_STATES`` environment
-variable overrides the default enumeration cap; ``--max-states`` (on
-``validate`` and ``enumerate``, the subcommands that enumerate) overrides
-both.  Only the state-set counts enumerate: path validation is path-local,
-so ``plan --validate`` is not subject to the cap.  ``--seed`` goes only
-with ``--scenario random``.  Each subcommand reads the parsed arguments as
-argparse returns them.
+stdout, diagnostics to stderr.  ``--max-states`` (on ``validate`` and
+``enumerate``, the subcommands that enumerate) overrides the default
+enumeration cap.  Only the state-set counts enumerate: path validation is
+path-local, so ``plan --validate`` is not subject to the cap.  ``--seed``
+goes only with ``--scenario random``.  Each subcommand reads the parsed
+arguments as argparse returns them.
 """
 
 from __future__ import annotations

@@ -69,28 +69,12 @@ class EmptyRange(RecourseError):
     """A numeric range [lo, hi] with hi < lo cannot be partitioned."""
 
 
-class SchemaMismatch(RecourseError):
-    """CSV header does not match the declared dataset schema."""
-
-
-class CsvRowError(RecourseError):
-    """A CSV row could not be converted to a typed record."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class OutOfDomain(RecourseError):
-    """A record value lies outside the declared domain of its feature."""
+    """An initial-block value lies outside the declared domain of its feature."""
 
     def __init__(self, feature: str, message: str):
         super().__init__(f"{feature}: {message}")
         self.feature = feature
-
-
-class CausallyInconsistentRecord(RecourseError):
-    """A record maps to a state that violates the causal rules."""
 
 
 class UnknownScenario(RecourseError):

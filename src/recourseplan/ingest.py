@@ -1,11 +1,6 @@
-"""Dataset ingestion and the bundled demonstration scenarios.
+"""The bundled demonstration scenarios.
 
-CSV loading follows RFC-4180 with a required header row.  Records become
-states by mapping each numeric value into its containing interval and
-rejecting anything outside a declared domain or in conflict with the causal
-rules.
-
-The bundled scenarios are compact recourse walk-throughs over three classic
+Each scenario is a compact recourse walk-through over one of three classic
 tabular datasets (adult income, German credit, car evaluation).  Each
 carries a minimal hand-written rule set and domain layout chosen so that the
 scenario's documented recourse path (its golden-path metadata) comes out
@@ -16,103 +11,12 @@ declaration order, so each documented path's first feature leads its block.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
-from .domains import Domains, State
 from .dsl import parse_problem
-from .errors import (CausallyInconsistentRecord, CsvRowError, SchemaMismatch,
-                     UnknownScenario)
-from .rules import ProblemSpec, Rule, is_causally_consistent
-
-
-@dataclass(frozen=True)
-class DatasetSchema:
-    """Column layout of a CSV dataset."""
-
-    columns: tuple[tuple[str, str], ...]  # (name, "categorical" | "numeric")
-    label_column: str
-    positive_label: str
-
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.columns]
-        if len(set(names)) != len(names):
-            raise SchemaMismatch("duplicate column names")
-        if self.label_column not in names:
-            raise SchemaMismatch(f"label column {self.label_column!r} not among columns")
-        for _, kind in self.columns:
-            if kind not in ("categorical", "numeric"):
-                raise SchemaMismatch(f"unknown column kind {kind!r}")
-
-
-Record = dict[str, Union[str, int]]
-
-
-def load_csv(path: str, schema: DatasetSchema,
-             on_error: str = "abort") -> tuple[list[Record], list[tuple[int, str]]]:
-    """Load typed records from a CSV file.
-
-    Returns ``(records, issues)`` where issues are ``(line, message)`` pairs
-    for malformed rows.  Policy ``abort`` raises on the first malformed row;
-    ``skip`` collects it and moves on.
-    """
-    if on_error not in ("abort", "skip"):
-        raise ValueError(f"unknown policy {on_error!r}")
-    kinds = dict(schema.columns)
-    expected_header = [n for n, _ in schema.columns]
-    records: list[Record] = []
-    issues: list[tuple[int, str]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("file has no header row") from None
-        if header != expected_header:
-            raise SchemaMismatch(f"header {header!r} does not match schema {expected_header!r}")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                problem = f"expected {len(expected_header)} fields, found {len(row)}"
-                if on_error == "abort":
-                    raise CsvRowError(line, problem)
-                issues.append((line, problem))
-                continue
-            record: Record = {}
-            bad = None
-            for (name, kind), cell in zip(schema.columns, row):
-                if kind == "numeric" and name != schema.label_column:
-                    try:
-                        record[name] = int(cell)
-                    except ValueError:
-                        bad = f"column {name!r}: {cell!r} is not an integer"
-                        break
-                else:
-                    record[name] = cell
-            if bad is not None:
-                if on_error == "abort":
-                    raise CsvRowError(line, bad)
-                issues.append((line, bad))
-                continue
-            records.append(record)
-    return records, issues
-
-
-def record_to_state(record: Mapping[str, Union[str, int]], domains: Domains,
-                    causal_rules: Sequence[Rule] = ()) -> State:
-    """Convert one record to a state, checking domains and causal rules.
-
-    The record decodes as in :meth:`Domains.make_state`, which raises
-    :class:`OutOfDomain` for a value outside its feature's domain; a state
-    violating a causal rule raises :class:`CausallyInconsistentRecord`.
-    """
-    state = domains.make_state(record)
-    if not is_causally_consistent(state, causal_rules):
-        raise CausallyInconsistentRecord("record violates a causal rule")
-    return state
-
-
-# bundled scenarios -----------------------------------------------------------
+from .errors import UnknownScenario
+from .rules import ProblemSpec
 
 ADULT_TEXT = """\
 % Income classifier scenario: the individual is currently classified into the

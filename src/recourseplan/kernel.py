@@ -220,15 +220,7 @@ class CompiledProblem:
         inside its literals, since every action keeps to mutability and
         monotonicity.
         """
-        features = self.domains.features
-        for body, head_pos, head_allowed in self.causal:
-            if idx[head_pos] in head_allowed or not _holds(body, idx):
-                continue
-            if not head_allowed.isdisjoint(_reach(features[head_pos], idx[head_pos])):
-                continue
-            if all(allowed.issuperset(_reach(features[i], idx[i])) for i, allowed in body):
-                return True
-        return False
+        return self._broken(list(map(_reach, self.domains.features, idx)))
 
     def doomed(self, idx: Index) -> bool:
         """No state of the reach box of ``idx`` is a goal, so no sequence of
@@ -276,15 +268,20 @@ class CompiledProblem:
     def _ruled_out(self, box: Sequence[Sequence[int]]) -> bool:
         """No state of ``box`` (one value range or tuple per feature) is a
         goal by one rule: some decision rule's body contains the box on every
-        body axis, so the rule fires throughout, or some causal rule's body
-        contains it while the head's axis misses the head's allowed values,
-        so the rule is broken throughout."""
+        body axis, so the rule fires throughout, or some causal rule is
+        broken throughout (:meth:`_broken`)."""
         for body in self.decision:
             for i, allowed in body:
                 if not allowed.issuperset(box[i]):
                     break
             else:
                 return True
+        return self._broken(box)
+
+    def _broken(self, box: Sequence[Sequence[int]]) -> bool:
+        """Some causal rule is violated at every state of ``box``: its body
+        contains the box on every body axis while the head's axis misses the
+        head's allowed values."""
         for body, head, head_allowed in self.causal:
             if head_allowed.isdisjoint(box[head]):
                 for i, allowed in body:

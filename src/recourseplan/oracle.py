@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -35,23 +34,10 @@ from .planner import CandidatePath
 from .rules import Literal, ProblemSpec
 
 DEFAULT_STATE_CAP = 10**7
-CAP_ENV_VAR = "RECOURSE_MAX_STATES"
-
-
-def resolve_cap(cap: Optional[int] = None) -> int:
-    """The enumeration cap: ``cap`` if given, else the environment, else the default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if not env:
-        return DEFAULT_STATE_CAP
-    if not env.strip().isdigit() or int(env) <= 0:
-        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {env!r}")
-    return int(env)
 
 
 def _check_cap(domains: Domains, cap: Optional[int]) -> None:
-    limit = resolve_cap(cap)
+    limit = DEFAULT_STATE_CAP if cap is None else cap
     if domains.state_count > limit:
         raise CapExceeded(domains.state_count, limit)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from recourseplan import kernel as kernel_module, planner, rules as rules_module
 from recourseplan.actions import build_actions
-from recourseplan.domains import FeatureDomain
+from recourseplan.domains import FeatureDomain, State
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import NotASolution
 from recourseplan.generate import random_problem
@@ -20,7 +20,7 @@ from recourseplan.kernel import CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, delta_oracle, validate_solution_path
 from recourseplan.planner import (PathTrace, TraceEntry, _complete,
                                   extract_candidate_path, get_path, is_counterfactual)
-from recourseplan.rules import ProblemSpec, is_causally_consistent
+from recourseplan.rules import ProblemSpec, eval_rule, is_causally_consistent
 from tests.conftest import DOOMED_START
 
 
@@ -402,6 +402,33 @@ def test_unrepairable_states_reach_no_consistent_state(seed):
     ruled_out = [idx for idx in _inconsistent_states(problem, kernel) if kernel.unrepairable(idx)]
     assert ruled_out
     assert not _reaches_a_consistent_state(kernel, ruled_out)
+
+
+def _reachable_values(feature, vi):
+    if not feature.mutable:
+        return range(vi, vi + 1)
+    if feature.monotonicity == "nondecreasing":
+        return range(vi, feature.size)
+    if feature.monotonicity == "nonincreasing":
+        return range(vi + 1)
+    return range(feature.size)
+
+
+@pytest.mark.parametrize("seed", [4, 14, 20, 48, 63, 66, 72, 92])
+def test_unrepairable_means_a_causal_rule_is_broken_throughout_the_reach_box(seed):
+    # brute force on the rule evaluator: list every state of the box
+    problem = random_problem(seed, max_features=8, max_values=5)
+    kernel = CompiledProblem(problem)
+    domains = problem.domains
+    verdicts = []
+    for idx in _inconsistent_states(problem, kernel):
+        box = [State(domains, s) for s in itertools.product(
+            *map(_reachable_values, domains.features, idx))]
+        broken = any(all(not eval_rule(rule, s) for s in box)
+                     for rule in problem.causal_rules)
+        assert kernel.unrepairable(idx) == broken, idx
+        verdicts.append(broken)
+    assert any(verdicts)
 
 
 def test_wide_seed_68_fails_and_bfs_finds_no_goal():
