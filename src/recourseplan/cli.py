@@ -230,7 +230,10 @@ def _render_validation(report: oracle.ValidationReport, out: TextIO) -> None:
 
 def _path_from_file(path_file: str, problem: ProblemSpec) -> CandidatePath:
     with open(path_file, encoding="utf-8") as handle:
-        record = json.load(handle)
+        try:
+            record = json.load(handle)
+        except RecursionError as exc:  # nested deeper than the decoder recurses
+            raise RecourseError(f"malformed path record: {exc}") from exc
     if not isinstance(record, dict) or "candidate_path" not in record:
         raise RecourseError("record carries no candidate path (planning did not succeed)")
     try:

@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
-from .rules import Literal, ProblemSpec, Rule, _compile_rule
+from .rules import Literal, ProblemSpec, Rule, _causal_tables, causal_holds
 
 # sampled states before a problem gives up its causal rules for want of a
 # consistent initial state
@@ -93,10 +93,9 @@ def _consistent_initial(rng: random.Random, domains: Domains,
     Samples index tuples against the rules compiled once, and builds a
     :class:`State` for the accepted tuple only.
     """
-    tables = [_compile_rule(domains, rule) for rule in causal]
+    tables = _causal_tables(domains, causal)
     for _ in range(INITIAL_TRIES):
         idx = tuple(rng.randrange(f.size) for f in domains)
-        if all(idx[i] in allowed or not all(idx[j] in a for j, a in body)
-               for body, (i, allowed) in tables):
+        if causal_holds(tables, idx):
             return State(domains, idx)
     return None

@@ -4,8 +4,10 @@ Search and the causal-repair guard sweep test plain index tuples against the
 rules and step them by actions, millions of times on large spaces.
 :class:`CompiledProblem` reads the (feature position, allowed value indices)
 tables the :class:`~recourseplan.rules.ProblemSpec` compiled for every rule,
-decides each causal repair with a per-rule box test and derives the action
-list and every action's precondition from them, so those loops never touch
+tests causal consistency with the one function that owns it
+(:func:`~recourseplan.rules.causal_holds`), decides each causal repair with
+a per-rule box test and derives the action list and every action's
+precondition from the tables, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Set-up compiles nothing and enumerates no states: each repair candidate
 costs one test per causal rule, and the action list is built only for a run
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .domains import FeatureDomain
-from .rules import Pairs, ProblemSpec, Rule
+from .rules import Pairs, ProblemSpec, Rule, causal_holds
 
 Index = tuple[int, ...]
 # one rule's body literals intersected per feature, its head position and allowed values
@@ -88,13 +90,14 @@ def _reach(feature: FeatureDomain, vi: int) -> range:
 class CompiledProblem:
     """Rules and actions of one problem, compiled against its domains.
 
-    Construction builds the rule tables.  ``causal`` holds one ``(body
-    pairs, head position, head allowed)`` triple per causal rule, and
-    ``causal_on`` the triples of the rules that name each feature, in feature
-    order.  ``decision`` holds the body pairs of each decision rule.  All come
-    from the problem's ``rule_tables``, and they are all that deciding
-    consistency and goal membership reads.  :meth:`unrepairable` and
-    :meth:`doomed` read them too, with the domains, and keep no table.
+    Construction compiles nothing.  ``causal`` is the problem's
+    ``causal_tables``, one ``(body pairs, head position, head values)``
+    triple per causal rule, and ``decision`` its ``decision_bodies``, the
+    body pairs of each decision rule.  They are all that deciding consistency
+    (:meth:`consistent`, through
+    :func:`~recourseplan.rules.causal_holds`) and goal membership reads.
+    :meth:`unrepairable` and :meth:`doomed` read them too, with the domains,
+    and keep no table.
 
     :meth:`compile_actions` builds the action list, so a run builds it only
     at its first expansion: a start in the goal set, or a doomed one, takes
@@ -115,23 +118,13 @@ class CompiledProblem:
     keeps the repair, since the box then holds no state.
     """
 
-    __slots__ = ("domains", "causal", "causal_on", "decision", "rules", "moves",
-                 "_causal_rules", "_ids")
+    __slots__ = ("domains", "causal", "decision", "rules", "moves", "_causal_rules", "_ids")
 
     def __init__(self, problem: ProblemSpec) -> None:
-        domains = self.domains = problem.domains
-        causal_rules = self._causal_rules = problem.causal_rules
-        tables = problem.rule_tables
-        self.causal = tuple((body, *head) for body, head in tables[:len(causal_rules)])
-        causal_on: list[tuple] = [()] * len(domains.features)
-        for rule in self.causal:
-            named = {rule[1]}
-            for i, _ in rule[0]:
-                named.add(i)
-            for fi in named:
-                causal_on[fi] += (rule,)
-        self.causal_on = tuple(causal_on)
-        self.decision = tuple(body for body, _ in tables[len(causal_rules):])
+        self.domains = problem.domains
+        self._causal_rules = problem.causal_rules
+        self.causal = problem.causal_tables
+        self.decision = problem.decision_bodies
         self._ids: dict[int, str] = {}
 
     def compile_actions(self) -> None:
@@ -194,22 +187,7 @@ class CompiledProblem:
 
     def consistent(self, idx: Index) -> bool:
         """Every causal implication holds."""
-        for body, head_pos, head_allowed in self.causal:
-            if idx[head_pos] not in head_allowed and _holds(body, idx):
-                return False
-        return True
-
-    def consistent_after(self, feature_index: int, idx: Index) -> bool:
-        """Every causal implication that names the feature holds.
-
-        Equal to ``consistent(idx)`` when ``idx`` differs from a causally
-        consistent state in that feature alone: the other rules read the same
-        values as there, where they hold.
-        """
-        for body, head_pos, head_allowed in self.causal_on[feature_index]:
-            if idx[head_pos] not in head_allowed and _holds(body, idx):
-                return False
-        return True
+        return causal_holds(self.causal, idx)
 
     def unrepairable(self, idx: Index) -> bool:
         """Some causal rule is violated at ``idx`` and at every state reachable
@@ -243,8 +221,8 @@ class CompiledProblem:
         if self._ruled_out(box):
             return True
         # the split axes: every feature some rule names, in feature order
-        named = {fi for fi, rules in enumerate(self.causal_on) if rules}
-        for body in self.decision:
+        named = {head for _, head, _ in self.causal}
+        for body in [body for body, _, _ in self.causal] + list(self.decision):
             named.update(i for i, _ in body)
         split = sorted(named)
         stack = [box]

@@ -227,25 +227,19 @@ class _Tables:
         self._repairs[raw] = None
         return None
 
-    def canonical_routes(self, idx: Index,
-                         succ: Successors) -> Iterator[tuple[Index, tuple[int, ...]]]:
-        """The repair policy's outcome of each permitted action, in action
-        order, with the positions of the actions that wrote it; outcomes equal
-        to ``idx`` are left out, and one outcome may come by several routes."""
-        for k, raw, ok in succ:
+    def canonical(self, idx: Index) -> dict[Index, tuple[int, ...]]:
+        """The consistent one-step successors of ``idx``: the repair policy's
+        outcome of each permitted action, other than ``idx`` itself, with
+        the positions of the actions that wrote it along its first route in
+        action order."""
+        out: dict[Index, tuple[int, ...]] = {}
+        for k, raw, ok in self.successors(idx):
             if ok:
-                yield raw, (k,)
+                out.setdefault(raw, (k,))
                 continue
             repaired = self._repair(raw)
             if repaired is not None and repaired[0] != idx:
-                yield repaired[0], (k,) + repaired[1]
-
-    def canonical(self, idx: Index) -> dict[Index, tuple[int, ...]]:
-        """The consistent one-step successors of ``idx``, each with the
-        written positions of its first route."""
-        out: dict[Index, tuple[int, ...]] = {}
-        for final, written in self.canonical_routes(idx, self.successors(idx)):
-            out.setdefault(final, written)
+                out.setdefault(repaired[0], (k,) + repaired[1])
         return out
 
     def liberal_exits(self, succ: Successors) -> Iterator[Index]:
@@ -430,27 +424,15 @@ class ValidationReport:
 
 
 def _check_step(tables: _Tables, a: Index, b: Index, look_for_divergence: bool) -> tuple[bool, bool]:
-    """Whether ``b`` is a one-step successor of ``a``, and, when asked,
-    whether some repair order reaches a consistent state from ``a`` that the
-    canonical policy does not (canonical successors are a subset of the
-    liberal ones, so the first such exit settles it).  Canonical successors
-    are produced only as far as these tests need them."""
-    succ = tables.successors(a)
-    routes = (final for final, _ in tables.canonical_routes(a, succ))
-    reached: set[Index] = set()
-
-    def is_canonical(t: Index) -> bool:
-        if t in reached:
-            return True
-        for final in routes:
-            reached.add(final)
-            if final == t:
-                return True
-        return False
-
+    """Whether ``b`` is a one-step successor of ``a`` (a member of
+    :meth:`_Tables.canonical`), and, when asked, whether some repair order
+    reaches a consistent state from ``a`` that the canonical policy does not
+    (canonical successors are a subset of the liberal ones, so the first
+    such exit settles it)."""
+    canonical = tables.canonical(a)
     diverges = look_for_divergence and any(
-        t != a and not is_canonical(t) for t in tables.liberal_exits(succ))
-    return is_canonical(b), diverges
+        t != a and t not in canonical for t in tables.liberal_exits(tables.successors(a)))
+    return b in canonical, diverges
 
 
 def validate_solution_path(path: CandidatePath, problem: ProblemSpec) -> ValidationReport:

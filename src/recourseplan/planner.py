@@ -6,8 +6,9 @@ direct moves, then declaration order).  An action whose outcome is causally
 consistent leads there.  One whose outcome breaks a causal rule continues
 through a repair chain (:func:`_complete`): the first causally consistent
 state in breadth-first order from the raw outcome.  An action with no
-consistent completion leads nowhere.  Out of a consistent state an action
-writes one feature, so only the causal rules that name it are checked.
+consistent completion leads nowhere.  Every raw outcome is tested against
+every causal rule, by the one consistency test
+(:func:`~recourseplan.rules.causal_holds`).
 
 A state is tested for the goal when it is discovered, and no state is
 entered twice.  So the found path has the fewest consistent states of any
@@ -36,7 +37,7 @@ from typing import Iterator, NamedTuple, Optional
 from .domains import State
 from .errors import EmptySequenceError, NotASolution
 from .kernel import CompiledProblem, Index
-from .rules import ProblemSpec
+from .rules import ProblemSpec, causal_holds
 from .rules import is_counterfactual as is_counterfactual  # re-export: callers import it from here
 
 
@@ -57,7 +58,7 @@ Chain = tuple[Index, tuple[ChainEdge, ...]]
 
 def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Optional[Chain]:
     """First causally consistent state reachable from ``start``, in
-    breadth-first order.
+    breadth-first order; ``start`` itself must be causally inconsistent.
 
     The frontier is expanded in order, each state by the ordered action list
     (causal repairs first), and no state is entered twice.  A state's
@@ -74,9 +75,7 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
     that :meth:`~recourseplan.kernel.CompiledProblem.unrepairable` rules out
     before any search.
     """
-    consistent, step = kernel.consistent, kernel.step
-    if consistent(start):
-        return start, ()
+    causal, step = kernel.causal, kernel.step
     if kernel.unrepairable(start):
         dead.add(start)
         return None
@@ -89,7 +88,7 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
             nxt = step(k, idx)
             if nxt is None or nxt in parent or nxt in dead:
                 continue
-            if consistent(nxt):
+            if causal_holds(causal, nxt):
                 edges: list[ChainEdge] = [(idx, k)]
                 while (edge := parent[edges[-1][0]]) is not None:
                     edges.append(edge)
@@ -166,16 +165,14 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
     An action's raw outcome is the successor when it is consistent, else the
     end of its repair chain (:func:`_complete`, memoized per raw outcome,
     with one ``dead`` set for the run); an action with no completion is
-    skipped.  Every expanded state is consistent and an action writes one
-    feature, so only the causal rules that name it are checked.  A successor
+    skipped.  A raw outcome is tested against every causal rule.  A successor
     is tested for the goal when it is discovered, and no state is entered
     twice.  On success the found path replaces the root entry
     (:func:`_record_path`).
     """
     root = trace.entries[0].state.idx
-    step, moves, fires = kernel.step, kernel.moves, kernel.fires
-    consistent_after = kernel.consistent_after
-    positions = range(len(moves))
+    step, causal, fires = kernel.step, kernel.causal, kernel.fires
+    positions = range(len(kernel.moves))
     chains: dict[Index, Chain] = {}
     dead: set[Index] = set()
     parents: Parents = {root: None}
@@ -188,7 +185,7 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
             raw = step(k, idx)
             if raw is None:
                 continue
-            if consistent_after(moves[k][0], raw):
+            if causal_holds(causal, raw):
                 final = raw
             else:
                 chain = chains.get(raw)

@@ -119,6 +119,8 @@ def _literal_support(domain: FeatureDomain, lit: Literal) -> frozenset[int]:
 
 Pairs = tuple[tuple[int, frozenset[int]], ...]
 CompiledRule = tuple[Pairs, Optional[tuple[int, frozenset[int]]]]
+# a causal rule's body pairs, head position and head values
+CausalTable = tuple[Pairs, int, frozenset[int]]
 
 
 def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
@@ -130,7 +132,27 @@ def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
     return tuple(map(pair, rule.body)), None if rule.head is None else pair(rule.head)
 
 
-# Cached views of the two functions above for the State-level evaluators
+def _causal_tables(domains: Domains, rules: Sequence[Rule]) -> tuple[CausalTable, ...]:
+    """Each causal rule compiled once (:func:`_compile_rule`) into the table
+    :func:`causal_holds` reads."""
+    compiled = (_compile_rule(domains, rule) for rule in rules)
+    return tuple((body, *head) for body, head in compiled)
+
+
+def causal_holds(causal: Sequence[CausalTable], idx: tuple[int, ...]) -> bool:
+    """Every causal rule holds at the index tuple: none has its head's value
+    outside the head values while each body pair holds."""
+    for body, head, allowed in causal:
+        if idx[head] not in allowed:
+            for i, meets in body:
+                if idx[i] not in meets:
+                    break
+            else:
+                return False
+    return True
+
+
+# Cached views of `_literal_support` and `_compile_rule` for the State-level evaluators
 # (`eval_rule`, `actions.is_permitted`).  Problem construction calls the
 # uncached functions, so it neither hashes a `Domains` tree nor fills these.
 literal_support = lru_cache(maxsize=None)(_literal_support)
@@ -180,8 +202,10 @@ class ProblemSpec:
     construction rejects it otherwise.
 
     Construction compiles every rule once against the mirrored domains,
-    without a cache: ``rule_tables`` holds one :func:`compile_rule` result
-    per rule of ``causal_rules + decision_rules``, in that order.
+    without a cache, causal rules first: ``causal_tables`` holds each causal
+    rule's table (:func:`_causal_tables`), which :func:`causal_holds` reads
+    for the initial check, and ``decision_bodies`` each decision rule's body
+    pairs.
     """
 
     domains: Domains
@@ -190,8 +214,10 @@ class ProblemSpec:
     constraints: tuple[PlausibilityConstraint, ...] = ()
     initial: State = None  # type: ignore[assignment]
     action_budget: Optional[int] = None
-    rule_tables: tuple[CompiledRule, ...] = field(default=(), init=False, compare=False,
-                                                  repr=False)
+    causal_tables: tuple[CausalTable, ...] = field(default=(), init=False, compare=False,
+                                                   repr=False)
+    decision_bodies: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
+                                               repr=False)
 
     def __post_init__(self) -> None:
         mirrored = self.domains.with_constraints(self.constraints)
@@ -209,17 +235,16 @@ class ProblemSpec:
             if rule.role != "decision":
                 raise ValueError(f"rule {rule.id!r} listed as decision but has role {rule.role!r}")
         # validates features, kinds, alignment
-        tables = tuple(_compile_rule(mirrored, rule)
-                       for rule in self.causal_rules + self.decision_rules)
-        object.__setattr__(self, "rule_tables", tables)
+        causal = _causal_tables(mirrored, self.causal_rules)
+        object.__setattr__(self, "causal_tables", causal)
+        object.__setattr__(self, "decision_bodies", tuple(
+            _compile_rule(mirrored, rule)[0] for rule in self.decision_rules))
         rule_ids = [r.id for r in self.causal_rules + self.decision_rules]
         if len(set(rule_ids)) != len(rule_ids):
             raise SemanticError("duplicate-declaration", "rule id declared twice")
         if self.action_budget is not None and self.action_budget <= 0:
             raise ValueError("action budget must be positive")
-        idx = self.initial.idx
-        if any(idx[i] not in allowed and all(idx[j] in a for j, a in body)
-               for body, (i, allowed) in tables[:len(self.causal_rules)]):
+        if not causal_holds(causal, self.initial.idx):
             raise SemanticError("causally-inconsistent-initial",
                                 "initial state violates a causal rule")
 

@@ -211,6 +211,20 @@ def test_validate_artifact_contradicting_the_problem_is_usage_error(
     assert err.startswith("error: malformed path record: ")
 
 
+# records nested past the JSON decoder's recursion limit, bare and under the key
+NESTED_RECORDS = ["[" * 200_000 + "]" * 200_000,
+                  '{"candidate_path": ' + "[" * 200_000 + "]" * 200_000 + "}"]
+
+
+@pytest.mark.parametrize("text", NESTED_RECORDS, ids=["bare", "candidate_path"])
+def test_validate_deeply_nested_record_is_usage_error(text, tmp_path):
+    artifact = tmp_path / "nested.json"
+    artifact.write_text(text)
+    code, out, err = run_cli("validate", "--scenario", "car", "--path-file", str(artifact))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed path record: ")
+
+
 def test_validate_artifact_from_failed_run_is_usage_error(tmp_path):
     artifact = tmp_path / "failed.json"
     artifact.write_text(json.dumps({"status": "failure", "trace": []}))

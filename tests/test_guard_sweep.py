@@ -35,8 +35,10 @@ def _compare(problem):
     kernel = CompiledProblem(problem)
     kernel.compile_actions()
     domains = problem.domains
-    axes = [range(f.size) if kernel.causal_on[fi] else range(1)
-            for fi, f in enumerate(domains)]
+    named = {head for _, head, _ in kernel.causal}
+    for body, _, _ in kernel.causal:
+        named.update(i for i, _ in body)
+    axes = [range(f.size) if fi in named else range(1) for fi, f in enumerate(domains)]
     kept = {aid for aid, rule in zip(kernel.ids, kernel.rules) if rule is not None}
     expected = []
     checked = skipped = 0
@@ -181,7 +183,7 @@ def _wide_problem():
 def test_kernel_enumerates_no_guard_box(monkeypatch):
     problem = _wide_problem()
     domains = problem.domains
-    body, _ = problem.rule_tables[0]
+    body, _, _ = problem.causal_tables[0]
     (a0, support), = body
     y = domains.index("y")
     assert math.prod(domains.sizes) // (domains.sizes[a0] * domains.sizes[y]) \

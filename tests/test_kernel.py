@@ -1,7 +1,6 @@
 """The compiled kernel agrees with the State-level rule and action API on
-every state of small problems, its action list with ``build_actions``, its
-one-feature consistency check with the full one after every action out of a
-consistent state, and its doomed-state test with the oracle's reachability."""
+every state of small problems, its action list with ``build_actions``, and
+its doomed-state test with the oracle's reachability."""
 
 import dataclasses
 import sys
@@ -43,9 +42,6 @@ def test_kernel_matches_state_api_on_every_state(make):
         for k, action in enumerate(actions):
             expected = apply_action(action, state).idx if is_permitted(action, state) else None
             assert kernel.step(k, idx) == expected
-            if consistent and expected is not None:
-                assert (kernel.consistent_after(action.feature_index, expected)
-                        == kernel.consistent(expected))
 
 
 def _counting_boxes(monkeypatch) -> list:
