@@ -141,7 +141,7 @@ def render_path_table(trace: PathTrace) -> str:
     return out.getvalue()
 
 
-def _structured_record(name: str, problem: ProblemSpec, trace: PathTrace) -> dict:
+def _structured_record(name: str, trace: PathTrace) -> dict:
     record = {
         "format_version": FORMAT_VERSION,
         "input": name,
@@ -178,7 +178,7 @@ def cmd_plan(ns: argparse.Namespace, out: TextIO = sys.stdout, err: TextIO = sys
     if ns.validate and trace.status == "success":
         report = oracle.validate_solution_path(extract_candidate_path(trace), problem)
     if ns.format == "structured":
-        record = _structured_record(name, problem, trace)
+        record = _structured_record(name, trace)
         if report is not None:
             record["validation"] = _validation_record(report)
         _emit_json(record, out)
@@ -187,7 +187,7 @@ def cmd_plan(ns: argparse.Namespace, out: TextIO = sys.stdout, err: TextIO = sys
         out.write(f"scenario: {name}\n")
         out.write(f"candidate path: {len(path)} state(s), "
                   f"{len(path) - 1} transition(s)\n\n")
-        out.write(render_path_table(trace))
+        _render_table(path, _transition_actions(trace), out)
         if report is not None:
             _render_validation(report, out)
     if trace.status == "failure":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
 from .errors import OutOfDomain, ParseError, SemanticError
@@ -47,6 +47,7 @@ _TOKEN_RE = re.compile(
 
 # (kind, text, offset): kind is "ident" | "int" | "punct" | "eof"
 _Token = tuple[str, str, int]
+_T = TypeVar("_T")
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -85,10 +86,6 @@ class _Parser:
         kind, lexeme, offset = self.tokens[self.pos]
         got = "end of input" if kind == "eof" else repr(lexeme)
         return ParseError(f"unexpected {got}", *_position(self.text, offset), expected=expected)
-
-    def _at_punct(self, text: str) -> bool:
-        kind, lexeme, _ = self.tokens[self.pos]
-        return kind == "punct" and lexeme == text
 
     def take_punct(self, text: str) -> None:
         kind, lexeme, _ = self.tokens[self.pos]
@@ -129,6 +126,14 @@ class _Parser:
             return lexeme
         raise self._fail("comparator (= != =< < >= >)")
 
+    def _items(self, read: Callable[[], _T]) -> list[_T]:
+        """A comma-separated list: ``read`` once, then again after each comma."""
+        items = [read()]
+        while self.tokens[self.pos][1] == ",":  # only a punct token reads ","
+            self.pos += 1
+            items.append(read())
+        return items
+
     # grammar -------------------------------------------------------------
 
     def parse(self) -> "_Parsed":
@@ -141,10 +146,8 @@ class _Parser:
                 raise self._fail("statement keyword")
             if keyword == "feature":
                 self._feature(parsed)
-            elif keyword == "decision":
-                self._decision(parsed)
-            elif keyword == "causal":
-                self._causal(parsed)
+            elif keyword == "decision" or keyword == "causal":
+                self._rule(parsed, keyword)
             elif keyword == "constraint":
                 self._constraint(parsed)
             elif keyword == "initial":
@@ -159,10 +162,7 @@ class _Parser:
         kind = self.take_ident("categorical or numeric")
         if kind == "categorical":
             self.take_punct("{")
-            labels = [str(self.take_value())]
-            while self._at_punct(","):
-                self.pos += 1
-                labels.append(str(self.take_value()))
+            labels = [str(value) for value in self._items(self.take_value)]
             self.take_punct("}")
             if len(set(labels)) != len(labels):
                 raise SemanticError("duplicate-declaration",
@@ -191,30 +191,18 @@ class _Parser:
         const = self.take_value()
         return Literal(feature, op, const)
 
-    def _body(self) -> tuple[Literal, ...]:
-        lits = [self._literal()]
-        while self._at_punct(","):
-            self.pos += 1
-            lits.append(self._literal())
-        return tuple(lits)
-
-    def _decision(self, parsed: "_Parsed") -> None:
+    def _rule(self, parsed: "_Parsed", role: str) -> None:
+        """``decision id :- body.`` or ``causal id: head :- body.``"""
         self.pos += 1
         rid = self.take_ident("rule id")
+        head = None
+        if role == "causal":
+            self.take_punct(":")
+            head = self._literal()
         self.take_punct(":-")
-        body = self._body()
+        body = tuple(self._items(self._literal))
         self.take_punct(".")
-        parsed.add_rule(Rule(rid, "decision", body))
-
-    def _causal(self, parsed: "_Parsed") -> None:
-        self.pos += 1
-        rid = self.take_ident("rule id")
-        self.take_punct(":")
-        head = self._literal()
-        self.take_punct(":-")
-        body = self._body()
-        self.take_punct(".")
-        parsed.add_rule(Rule(rid, "causal", body, head=head))
+        parsed.add_rule(Rule(rid, role, body, head=head))
 
     def _constraint(self, parsed: "_Parsed") -> None:
         self.pos += 1
@@ -232,7 +220,8 @@ class _Parser:
             raise SemanticError("duplicate-declaration", "more than one initial block")
         self.take_punct("{")
         values: dict[str, Union[str, int]] = {}
-        while True:
+
+        def entry() -> None:
             feature = self.take_ident("feature name")
             self.take_punct("=")
             value = self.take_value()
@@ -240,10 +229,8 @@ class _Parser:
                 raise SemanticError("duplicate-declaration",
                                     f"initial value for {feature!r} given twice")
             values[feature] = value
-            if self._at_punct(","):
-                self.pos += 1
-                continue
-            break
+
+        self._items(entry)
         self.take_punct("}")
         self.take_punct(".")
         parsed.initial = values

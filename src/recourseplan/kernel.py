@@ -27,11 +27,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .domains import FeatureDomain
-from .rules import Pairs, ProblemSpec, Rule, causal_holds
+from .rules import CausalTable, Pairs, ProblemSpec, Rule, causal_holds
 
 Index = tuple[int, ...]
-# one rule's body literals intersected per feature, its head position and allowed values
-Merged = tuple[Pairs, int, frozenset[int]]
 
 # the most boxes :meth:`CompiledProblem.doomed` splits before it gives up and
 # leaves the start to the search; the generated tiers need at most 365 (10/6
@@ -39,32 +37,18 @@ Merged = tuple[Pairs, int, frozenset[int]]
 MAX_SPLITS = 2048
 
 
-def _holds(pairs: Pairs, idx: Index) -> bool:
-    for i, allowed in pairs:
-        if idx[i] not in allowed:
-            return False
-    return True
-
-
-def _merge(body: Pairs) -> Pairs:
-    """Body pairs with every feature's literals intersected into one pair."""
-    merged: dict[int, frozenset[int]] = {}
-    for i, allowed in body:
-        merged[i] = merged[i] & allowed if i in merged else allowed
-    return tuple(merged.items())
-
-
-def _always_consistent_after(merged: Sequence[Merged], box: Sequence[frozenset[int]]) -> bool:
+def _always_consistent_after(causal: Sequence[CausalTable],
+                             box: Sequence[frozenset[int]]) -> bool:
     """Whether every state of the box is causally consistent: the causal-repair
     guard sweep, decided without enumerating the box.
 
     ``box`` holds one non-empty value set per feature.  A rule is violated
     somewhere in the product exactly when its head's axis leaves the head's
-    allowed values and every body feature's axis meets the rule's literals
-    there: the head feature is never in its own body, and the axes vary
-    independently.
+    allowed values and every body feature's axis meets the rule's values on
+    that feature (one pair per feature, its literals intersected): the head
+    feature is never in its own body, and the axes vary independently.
     """
-    for body, head, allowed in merged:
+    for body, head, allowed in causal:
         if box[head] <= allowed:
             continue
         for i, meets in body:
@@ -113,9 +97,9 @@ class CompiledProblem:
 
     A repair setting a feature to a value survives when every state of its
     guard box is consistent afterwards.  The box ranges over every feature's
-    values, narrowed on each guard feature to what all of its literals allow
-    and pinned at the new value on the written feature; an empty guard axis
-    keeps the repair, since the box then holds no state.
+    values, narrowed on each guard feature to its body pair (what all of its
+    literals allow) and pinned at the new value on the written feature; an
+    empty guard axis keeps the repair, since the box then holds no state.
     """
 
     __slots__ = ("domains", "causal", "decision", "rules", "moves", "_causal_rules", "_ids")
@@ -150,20 +134,18 @@ class CompiledProblem:
                 pre[fi].append(((fi, sources),))
                 direct_moves.append((fi, vi, pre[fi][vi]))
 
-        merged = [(_merge(body), head, allowed) for body, head, allowed in self.causal]
         rules: list[Optional[Rule]] = []
         moves: list[tuple[int, int, Pairs]] = []
-        for rule, (body, fi, allowed), (guard, _, _) in zip(self._causal_rules, self.causal,
-                                                            merged):
+        for rule, (body, fi, allowed) in zip(self._causal_rules, self.causal):
             if not domains[fi].mutable:
                 continue
             box = list(full)
-            for i, meets in guard:
+            for i, meets in body:
                 box[i] = meets
             vacuous = not all(box)
             for vi in sorted(allowed):
                 box[fi] = frozenset((vi,))
-                if vacuous or _always_consistent_after(merged, box):
+                if vacuous or _always_consistent_after(self.causal, box):
                     rules.append(rule)
                     moves.append((fi, vi, pre[fi][vi] + body))
         self.rules = tuple(rules) + (None,) * len(direct_moves)
@@ -272,7 +254,10 @@ class CompiledProblem:
     def fires(self, idx: Index) -> bool:
         """Some decision rule's body holds."""
         for body in self.decision:
-            if _holds(body, idx):
+            for i, allowed in body:
+                if idx[i] not in allowed:
+                    break
+            else:
                 return True
         return False
 

@@ -106,12 +106,12 @@ class _Tables:
     ``moves`` one ``(feature index, new index, permission table)`` triple per
     action in action order; the permission table pairs the written feature
     with :func:`_may_leave` and adds the guard.  One object serves one
-    top-level call and remembers, for that call, every state's consistency,
-    the successor list of every causally inconsistent state it expands, the
-    canonical repair of every raw outcome and the states no repair leaves.
+    top-level call and remembers, for that call, the successor list of every
+    causally inconsistent state it expands, the canonical repair of every raw
+    outcome and the states no repair leaves.
     """
 
-    __slots__ = ("causal", "decision", "moves", "_consistent", "_region", "_repairs", "_dead")
+    __slots__ = ("causal", "decision", "moves", "_region", "_repairs", "_dead")
 
     def __init__(self, problem: ProblemSpec, actions: Sequence[Action] = ()) -> None:
         domains = problem.domains
@@ -121,7 +121,6 @@ class _Tables:
         self.moves = tuple((a.feature_index, a.new_index,
                             ((a.feature_index, _may_leave(domains, a)),) + _table(domains, a.guard))
                            for a in actions)
-        self._consistent: dict[Index, bool] = {}
         self._region: dict[Index, Successors] = {}
         self._repairs: dict[Index, Optional[tuple[Index, tuple[int, ...]]]] = {}
         self._dead: set[Index] = set()
@@ -141,7 +140,7 @@ class _Tables:
         return False
 
     def goal(self, idx: Index) -> bool:
-        return self._is_consistent(idx) and not self.fires(idx)
+        return self.consistent(idx) and not self.fires(idx)
 
     def relevant(self) -> Index:
         """The positions some causal rule's body or head, or some decision
@@ -163,27 +162,17 @@ class _Tables:
                             for body, head_pos, head_values in self.causal)
         self.decision = tuple(moved(body) for body in self.decision)
 
-    def _is_consistent(self, idx: Index) -> bool:
-        ok = self._consistent.get(idx)
-        if ok is None:
-            ok = self._consistent[idx] = self.consistent(idx)
-        return ok
-
     def successors(self, idx: Index) -> Successors:
         """``(action position, outcome, outcome consistent)`` for every action
         permitted at ``idx``, in action order."""
         out = []
-        known = self._consistent
         for k, (fi, target, permission) in enumerate(self.moves):
             for i, allowed in permission:
                 if idx[i] not in allowed:
                     break
             else:
                 nxt = idx[:fi] + (target,) + idx[fi + 1:]
-                ok = known.get(nxt)
-                if ok is None:
-                    ok = known[nxt] = self.consistent(nxt)
-                out.append((k, nxt, ok))
+                out.append((k, nxt, self.consistent(nxt)))
         return tuple(out)
 
     def _region_successors(self, idx: Index) -> Successors:

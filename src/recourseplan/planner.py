@@ -51,7 +51,6 @@ class TraceEntry(NamedTuple):
 
 # chain completion ----------------------------------------------------------
 
-Reps = tuple[Optional[int], ...]
 ChainEdge = tuple[Index, int]
 Chain = tuple[Index, tuple[ChainEdge, ...]]
 
@@ -97,11 +96,6 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
             frontier.append(nxt)
     dead.update(parent)
     return None
-
-
-def _written(reps: Reps, feature_index: int) -> Reps:
-    """Witnesses after an action writes the feature: its concrete value is gone."""
-    return reps[:feature_index] + (None,) + reps[feature_index + 1:]
 
 
 # the trace -------------------------------------------------------------------
@@ -212,26 +206,26 @@ def _record_path(trace: PathTrace, kernel: CompiledProblem, parents: Parents,
     """Replace the root entry by the path from it to ``goal``, with every
     repair chain's inconsistent intermediates.
 
-    Witnesses follow the path: each state keeps its predecessor's, except on
-    the features the actions between them wrote.
+    Each entry's state is its predecessor's moved by the action between them
+    (:meth:`~recourseplan.domains.State.with_value`), so it keeps the
+    predecessor's witnesses except on the feature that action wrote.  A hop
+    whose raw outcome is not its successor ran the repair chain memoized
+    under that outcome.
     """
     hops = []
     idx = goal
     while (hop := parents[idx]) is not None:
-        hops.append((*hop, idx))
+        hops.append((hop[1], idx))
         idx = hop[0]
-    domains, moves = kernel.domains, kernel.moves
+    moves = kernel.moves
     state = trace.pop_last().state
-    for source, k, final in reversed(hops):
+    for k, final in reversed(hops):
         trace._push(TraceEntry(state, (kernel.action_id(k),)), True)
-        reps = _written(state.reps, moves[k][0])
-        raw = kernel.step(k, source)
-        if raw != final:
-            for link, repair in chains[raw][1]:
-                trace._push(TraceEntry(State(domains, link, reps), (kernel.action_id(repair),)),
-                            False)
-                reps = _written(reps, moves[repair][0])
-        state = State(domains, final, reps)
+        state = state.with_value(*moves[k][:2])
+        if state.idx != final:
+            for _, repair in chains[state.idx][1]:
+                trace._push(TraceEntry(state, (kernel.action_id(repair),)), False)
+                state = state.with_value(*moves[repair][:2])
     trace._push(TraceEntry(state), True)
 
 

@@ -124,12 +124,16 @@ CausalTable = tuple[Pairs, int, frozenset[int]]
 
 
 def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
-    """A rule's body pairs (feature position, allowed value indices), and its
-    head pair when it has one."""
+    """A rule's body pairs (feature position, allowed value indices), one per
+    body feature in order of first mention with its literals intersected, and
+    its head pair when it has one."""
     def pair(lit: Literal) -> tuple[int, frozenset[int]]:
         i = domains.index(lit.feature)
         return i, _literal_support(domains[i], lit)
-    return tuple(map(pair, rule.body)), None if rule.head is None else pair(rule.head)
+    body: dict[int, frozenset[int]] = {}
+    for i, allowed in map(pair, rule.body):
+        body[i] = body[i] & allowed if i in body else allowed
+    return tuple(body.items()), None if rule.head is None else pair(rule.head)
 
 
 def _causal_tables(domains: Domains, rules: Sequence[Rule]) -> tuple[CausalTable, ...]:
@@ -205,7 +209,8 @@ class ProblemSpec:
     without a cache, causal rules first: ``causal_tables`` holds each causal
     rule's table (:func:`_causal_tables`), which :func:`causal_holds` reads
     for the initial check, and ``decision_bodies`` each decision rule's body
-    pairs.
+    pairs.  A body names each feature once in these tables, with the
+    intersection of its literals on that feature (:func:`_compile_rule`).
     """
 
     domains: Domains

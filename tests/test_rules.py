@@ -9,7 +9,8 @@ from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import SemanticError
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
-from recourseplan.oracle import enumerate_causally_consistent, enumerate_states
+from recourseplan.kernel import CompiledProblem
+from recourseplan.oracle import enumerate_causally_consistent, enumerate_states, state_set_report
 from recourseplan.planner import get_path
 from recourseplan.rules import (Literal, ProblemSpec, Rule, compile_rule, eval_rule,
                                 is_causally_consistent, literal_support,
@@ -188,3 +189,41 @@ def test_construction_and_planning_leave_the_rule_caches_empty():
     assert compile_rule.cache_info().currsize == 1
     is_permitted(repair, problem.initial)
     assert literal_support.cache_info().currsize >= 1
+
+
+def test_a_body_naming_a_feature_twice_compiles_to_one_intersected_pair():
+    problem = parse_problem(
+        "feature n: numeric [0, 10].\n"
+        "feature y: categorical {t, f}.\n"
+        "feature z: categorical {a, b}.\n"
+        "decision d :- n >= 3, z = a, n =< 9.\n"
+        "causal r1: y = t :- n >= 3, n =< 7.\n"
+        "causal r2: y = f :- n =< 2.\n"
+        "initial { n = 0, y = f, z = a }.\n")
+    domains = problem.domains
+    n, y, z = map(domains.index, "nyz")
+    intervals = domains[n].intervals
+
+    def within(lo, hi):
+        return frozenset(i for i, iv in enumerate(intervals)
+                         if lo <= iv.min_element and iv.max_element <= hi)
+
+    # one pair per body feature, in order of first mention
+    assert problem.causal_tables == (
+        (((n, within(3, 7)),), y, frozenset({0})),
+        (((n, within(0, 2)),), y, frozenset({1})),
+    )
+    assert problem.decision_bodies == (((n, within(3, 9)), (z, frozenset({0}))),)
+    # the strata, and the kernel's tests, agree with the State-level evaluators
+    kernel = CompiledProblem(problem)
+    consistent = fired = 0
+    for state in enumerate_states(domains):
+        ok = is_causally_consistent(state, problem.causal_rules)
+        fires = satisfies_decision(state, problem.decision_rules)
+        assert kernel.consistent(state.idx) == ok
+        assert kernel.fires(state.idx) == fires
+        consistent += ok
+        fired += ok and fires
+    report = state_set_report(problem)
+    assert (report.total_states, report.causally_consistent, report.decision_consistent,
+            report.goal) == (domains.state_count, consistent, fired, consistent - fired)
