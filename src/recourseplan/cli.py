@@ -8,9 +8,10 @@ Three subcommands::
 
 ``plan`` renders the candidate path as a per-feature table (changed cells
 carry the action kind) or as a structured JSON record that includes the full
-trace with causally inconsistent intermediates.  ``validate`` checks the five
-solution-path clauses with the oracle, either on a fresh planning run or on a
-previously saved structured record, and prints the state-set counts.
+trace with causally inconsistent intermediates; a changed feature's kind is
+that of the last action in its transition that wrote it.  ``validate`` checks
+the five solution-path clauses with the oracle, either on a fresh planning run
+or on a previously saved structured record, and prints the state-set counts.
 ``enumerate`` prints the state-space cardinalities.
 
 Exit codes: 0 success, 1 usage or parse error, 2 planning failure,
@@ -19,8 +20,9 @@ stdout, diagnostics to stderr.  ``--max-states`` (on ``validate`` and
 ``enumerate``, the subcommands that enumerate) overrides the default
 enumeration cap.  Only the state-set counts enumerate: path validation is
 path-local, so ``plan --validate`` is not subject to the cap.  ``--seed``
-goes only with ``--scenario random``.  Each subcommand reads the parsed
-arguments as argparse returns them.
+goes only with ``--scenario random``.  :func:`main` is the one entry point,
+run by ``python -m recourseplan`` and the ``recourseplan`` console script;
+each subcommand reads the parsed arguments as argparse returns them.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import oracle
 from .domains import State
-from .errors import (CapExceeded, ParseError, RecourseError, SemanticError,
-                     UnknownScenario)
+from .errors import CapExceeded, RecourseError
 from .generate import random_problem
 from .ingest import SCENARIO_NAMES, builtin_scenario
 from .dsl import parse_problem
@@ -73,43 +74,34 @@ def _load_problem(ns: argparse.Namespace) -> tuple[str, ProblemSpec]:
 # ---------------------------------------------------------------------------
 # presentation helpers
 
-def _transition_actions(trace: PathTrace) -> list[dict[str, str]]:
-    """Per-transition map of changed feature to action kind.
+def _transition_kinds(trace: PathTrace) -> list[dict[int, str]]:
+    """Per-transition map of written feature position to action kind.
 
     Each transition is one consistent trace entry followed by the
     inconsistent intermediates of its repair chain.  Every entry but the goal
-    carries the one action id that left it: the move on the consistent
-    entry, a repair on each intermediate.  An action id's first field is its
-    kind and its second-to-last the feature it writes.
+    carries the one action id that left it, whose first field is its kind; it
+    wrote the position where the entry's state differs from the next entry's.
     """
-    kinds: list[dict[str, str]] = []
-    for entry, consistent in trace.entry_records():
+    kinds: list[dict[int, str]] = []
+    records = list(trace.entry_records())
+    for (entry, consistent), (nxt, _) in zip(records, records[1:]):
         if consistent:
             kinds.append({})
-        if entry.actions_taken:
-            parts = entry.actions_taken[0].split(":")
-            kinds[-1][parts[-2]] = parts[0]
-    kinds.pop()  # the goal entry opens no transition
+        kind = entry.actions_taken[0].partition(":")[0]
+        for i, (a, b) in enumerate(zip(entry.state.idx, nxt.state.idx)):
+            if a != b:
+                kinds[-1][i] = kind
     return kinds
 
 
-def _steps(path: CandidatePath, kinds: list[dict[str, str]]) -> list[list[dict]]:
-    steps = []
-    for t, (a, b) in enumerate(zip(path.states, path.states[1:])):
-        changed = []
-        for name in a.domains.names:
-            if a.value(name) != b.value(name):
-                changed.append({
-                    "feature": name,
-                    "from": a.display(name),
-                    "to": b.display(name),
-                    "kind": kinds[t].get(name, "direct"),
-                })
-        steps.append(changed)
-    return steps
+def _steps(path: CandidatePath, kinds: list[dict[int, str]]) -> list[list[dict]]:
+    names = path.states[0].domains.names
+    return [[{"feature": name, "from": a.display(name), "to": b.display(name), "kind": kind[i]}
+             for i, name in enumerate(names) if a.idx[i] != b.idx[i]]
+            for a, b, kind in zip(path.states, path.states[1:], kinds)]
 
 
-def _render_table(path: CandidatePath, kinds: list[dict[str, str]], out: TextIO) -> None:
+def _render_table(path: CandidatePath, kinds: list[dict[int, str]], out: TextIO) -> None:
     states = path.states
     names = states[0].domains.names
     header = ["Features", "Initial_State"]
@@ -117,14 +109,11 @@ def _render_table(path: CandidatePath, kinds: list[dict[str, str]], out: TextIO)
         header.append("Action")
         header.append("Goal_State" if i == len(states) - 1 else f"Intermediate_State_{i}")
     rows = [header]
-    for name in names:
+    for f, name in enumerate(names):
         row = [name, states[0].display(name)]
         for i in range(1, len(states)):
-            if states[i - 1].value(name) != states[i].value(name):
-                row.append(kinds[i - 1].get(name, "direct").capitalize())
-            else:
-                row.append("N/A")
-            row.append(states[i].display(name))
+            changed = states[i - 1].idx[f] != states[i].idx[f]
+            row += [kinds[i - 1][f].capitalize() if changed else "N/A", states[i].display(name)]
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     for r, row in enumerate(rows):
@@ -137,7 +126,7 @@ def render_path_table(trace: PathTrace) -> str:
     """Per-feature table of a successful trace's candidate path."""
     path = extract_candidate_path(trace)
     out = io.StringIO()
-    _render_table(path, _transition_actions(trace), out)
+    _render_table(path, _transition_kinds(trace), out)
     return out.getvalue()
 
 
@@ -158,9 +147,8 @@ def _structured_record(name: str, trace: PathTrace) -> dict:
     }
     if trace.status == "success":
         path = extract_candidate_path(trace)
-        kinds = _transition_actions(trace)
         record["candidate_path"] = [s.to_dict() for s in path.states]
-        record["steps"] = _steps(path, kinds)
+        record["steps"] = _steps(path, _transition_kinds(trace))
     return record
 
 
@@ -171,7 +159,7 @@ def _emit_json(record: dict, out: TextIO) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_plan(ns: argparse.Namespace, out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
+def cmd_plan(ns: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     name, problem = _load_problem(ns)
     trace = get_path(problem)
     report = None
@@ -187,7 +175,7 @@ def cmd_plan(ns: argparse.Namespace, out: TextIO = sys.stdout, err: TextIO = sys
         out.write(f"scenario: {name}\n")
         out.write(f"candidate path: {len(path)} state(s), "
                   f"{len(path) - 1} transition(s)\n\n")
-        _render_table(path, _transition_actions(trace), out)
+        _render_table(path, _transition_kinds(trace), out)
         if report is not None:
             _render_validation(report, out)
     if trace.status == "failure":
@@ -244,8 +232,7 @@ def _path_from_file(path_file: str, problem: ProblemSpec) -> CandidatePath:
     return CandidatePath(states)
 
 
-def cmd_validate(ns: argparse.Namespace, out: TextIO = sys.stdout,
-                 err: TextIO = sys.stderr) -> int:
+def cmd_validate(ns: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     name, problem = _load_problem(ns)
     if ns.path_file is not None:
         path = _path_from_file(ns.path_file, problem)
@@ -274,8 +261,7 @@ def _render_counts(counts: oracle.StateSetReport, out: TextIO) -> None:
     out.write(f"goal: {counts.goal}\n")
 
 
-def cmd_enumerate(ns: argparse.Namespace, out: TextIO = sys.stdout,
-                  err: TextIO = sys.stderr) -> int:
+def cmd_enumerate(ns: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     name, problem = _load_problem(ns)
     counts = oracle.state_set_report(problem, cap=ns.max_states)
     if ns.format == "structured":
@@ -342,11 +328,6 @@ def main(argv: Optional[Sequence[str]] = None,
     except CapExceeded as exc:
         err.write(f"error: {exc}\n")
         return EXIT_CAP
-    except (ParseError, SemanticError, UnknownScenario, OSError, ValueError,
-            RecourseError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecourseError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,7 +36,7 @@ from .rules import Literal, ProblemSpec
 DEFAULT_STATE_CAP = 10**7
 
 
-def _check_cap(domains: Domains, cap: Optional[int]) -> None:
+def _check_cap(domains: Domains, cap: Optional[int] = None) -> None:
     limit = DEFAULT_STATE_CAP if cap is None else cap
     if domains.state_count > limit:
         raise CapExceeded(domains.state_count, limit)
@@ -273,7 +273,7 @@ def enumerate_states(domains: Domains, cap: Optional[int] = None) -> Iterator[St
 
 
 def _consistent_states(problem: ProblemSpec,
-                       cap: Optional[int]) -> tuple[Index, list[tuple[Index, bool]]]:
+                       cap: Optional[int] = None) -> tuple[Index, list[tuple[Index, bool]]]:
     """The one stratum pass, over the relevant projection: the relevant
     positions, and each causally consistent tuple over them, in enumeration
     order, with whether some decision rule fires there.  A member stands for
@@ -302,16 +302,15 @@ def _full_states(domains: Domains, positions: Index, members: Iterable[Index]) -
             yield State(domains, tuple([values[i] for i in order]))
 
 
-def enumerate_causally_consistent(problem: ProblemSpec,
-                                  cap: Optional[int] = None) -> set[State]:
+def enumerate_causally_consistent(problem: ProblemSpec) -> set[State]:
     """The subset of the state space satisfying every causal rule."""
-    positions, members = _consistent_states(problem, cap)
+    positions, members = _consistent_states(problem)
     return set(_full_states(problem.domains, positions, (idx for idx, _ in members)))
 
 
-def compute_goal_set(problem: ProblemSpec, cap: Optional[int] = None) -> set[State]:
+def compute_goal_set(problem: ProblemSpec) -> set[State]:
     """Causally consistent states where no decision rule fires."""
-    positions, members = _consistent_states(problem, cap)
+    positions, members = _consistent_states(problem)
     return set(_full_states(problem.domains, positions,
                             (idx for idx, fires in members if not fires)))
 
@@ -454,15 +453,16 @@ def validate_solution_path(path: CandidatePath, problem: ProblemSpec) -> Validat
     )
 
 
-def bfs_shortest_path(problem: ProblemSpec, cap: Optional[int] = None,
+def bfs_shortest_path(problem: ProblemSpec,
                       actions: Optional[Sequence[Action]] = None) -> Optional[CandidatePath]:
     """Minimum-length solution path by breadth-first search, or ``None``.
 
     Used as a completeness and optimality cross-check: when this returns
     ``None`` the goal set is unreachable and a planning run must fail; when
-    it returns a path, no correct run can be shorter.
+    it returns a path, no correct run can be shorter.  The declared state
+    space is bounded by :data:`DEFAULT_STATE_CAP`.
     """
-    _check_cap(problem.domains, cap)
+    _check_cap(problem.domains)
     tables = _Tables(problem, build_actions(problem) if actions is None else actions)
     start = problem.initial
     if tables.goal(start.idx):

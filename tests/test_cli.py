@@ -4,11 +4,12 @@ import json
 import pytest
 
 from recourseplan import cli, oracle
+from recourseplan.domains import Domains, FeatureDomain, State
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
 from recourseplan.ingest import GERMAN_TEXT, SCENARIO_NAMES
-from recourseplan.planner import CandidatePath
-from recourseplan.rules import ProblemSpec
+from recourseplan.planner import CandidatePath, get_path
+from recourseplan.rules import Literal, ProblemSpec, Rule
 from tests.conftest import DOOMED_START, UNREACHABLE_GOAL, run_cli
 
 
@@ -52,6 +53,26 @@ def test_plan_structured_trace_includes_repair_intermediates(tmp_path):
     assert len(record["candidate_path"]) == 2
     kinds = {c["feature"]: c["kind"] for c in record["steps"][0]}
     assert kinds == {"marital_status": "direct", "relationship": "causal"}
+
+
+def test_table_reads_kinds_off_states_when_labels_hold_colons():
+    """A step's kind comes from the trace's states, not from splitting an
+    action id whose value label itself contains ``:``."""
+    domains = Domains((FeatureDomain("m", "categorical", labels=("single", "wed:yes")),
+                       FeatureDomain("r", "categorical", labels=("u", "h:x"))))
+    problem = ProblemSpec(
+        domains,
+        causal_rules=(Rule("c", "causal", (Literal("m", "=", "wed:yes"),),
+                           head=Literal("r", "=", "h:x")),),
+        decision_rules=(Rule("q", "decision", (Literal("m", "=", "single"),)),),
+        initial=State(domains, (0, 0)))
+    trace = get_path(problem)
+    assert trace.status == "success"
+    assert [entry.actions_taken for entry in trace.entries] == [
+        ("direct:m:wed:yes",), ("causal:c:r:h:x",), ()]
+    rows = {line.split()[0]: line.split() for line in cli.render_path_table(trace).splitlines()}
+    assert rows["m"] == ["m", "single", "Direct", "wed:yes"]
+    assert rows["r"] == ["r", "u", "Causal", "h:x"]
 
 
 def test_plan_missing_file_is_usage_error():

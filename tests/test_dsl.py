@@ -182,6 +182,20 @@ def test_duplicate_rule_id(rules):
     assert str(exc.value) == "duplicate-declaration: rule id 'x' declared twice"
 
 
+@pytest.mark.parametrize("initial, message", [
+    ("initial { a = q, b = q }.\ninitial { a = p, b = q }.\n", "more than one initial block"),
+    ("initial { a = q, b = q, a = p }.\n", "initial value for 'a' given twice"),
+], ids=["two initial blocks", "feature named twice"])
+def test_duplicate_initial_declaration(initial, message):
+    with pytest.raises(SemanticError) as exc:
+        parse_problem(
+            "feature a: categorical {p, q}.\n"
+            "feature b: categorical {p, q}.\n"
+            f"{initial}")
+    assert exc.value.kind == "duplicate-declaration"
+    assert str(exc.value) == f"duplicate-declaration: {message}"
+
+
 def test_missing_initial_block():
     with pytest.raises(SemanticError) as exc:
         parse_problem("feature a: categorical {x}.\n")
