@@ -1,9 +1,10 @@
-"""Checking planner output against the enumeration oracle.
+"""Checking planner output against the oracle.
 
-The oracle never looks at the search: it enumerates the state space, filters
-it through the rules, computes one-step transitions directly, and validates
-a path clause by clause.  A breadth-first sweep over those transitions gives
-a shortest path to compare against.
+The oracle never looks at the search: it counts the state-space strata by
+splitting boxes of value sets until every rule is decided on each, computes
+one-step transitions directly, and validates a path clause by clause.  A
+breadth-first sweep over those transitions gives a shortest path to compare
+against.
 """
 
 from recourseplan import (bfs_shortest_path, builtin_scenario, compute_goal_set,

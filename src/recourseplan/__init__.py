@@ -4,7 +4,7 @@ Given the decision rules a classifier currently fires for an individual,
 causal rules among the features, and plausibility constraints on change,
 this package plans a sequence of interventions from the individual's state
 to a causally consistent state with the opposite decision, and checks the
-result against an exhaustive enumeration oracle.
+result against an exhaustive oracle.
 """
 
 from .actions import Action, apply_action, build_actions, is_permitted

@@ -17,9 +17,9 @@ or on a previously saved structured record, and prints the state-set counts.
 Exit codes: 0 success, 1 usage or parse error, 2 planning failure,
 3 expansion budget exhausted, 4 enumeration cap exceeded.  Results go to
 stdout, diagnostics to stderr.  ``--max-states`` (on ``validate`` and
-``enumerate``, the subcommands that enumerate) overrides the default
-enumeration cap.  Only the state-set counts enumerate: path validation is
-path-local, so ``plan --validate`` is not subject to the cap.  ``--seed``
+``enumerate``, the subcommands that count states) overrides the default
+cap on the declared state space.  Only the state-set counts check it: path
+validation is path-local, so ``plan --validate`` is not subject to it.  ``--seed``
 goes only with ``--scenario random``.  :func:`main` is the one entry point,
 run by ``python -m recourseplan`` and the ``recourseplan`` console script;
 each subcommand reads the parsed arguments as argparse returns them.

@@ -57,7 +57,7 @@ class NotASolution(RecourseError):
 
 
 class CapExceeded(RecourseError):
-    """An enumeration would visit more states than the configured cap."""
+    """The declared state space has more states than the configured cap."""
 
     def __init__(self, needed: int, cap: int):
         super().__init__(f"state space has {needed} states, cap is {cap}")

@@ -9,11 +9,11 @@ the interval's smallest and largest elements, on a categorical value off
 label equality.  Only the action list itself comes from ``build_actions``,
 and path validation asks for it only when the path has a step to check.
 
-The strata are exact counts from one enumeration of the relevant
-projection: the features some causal rule names (body or head) or some
-decision rule's body names.  No other feature changes consistency or whether
-a decision fires, so each projected member stands for every combination of
-the other features' values; the cap still bounds the declared state space.
+The strata are exact counts from one split of boxes (:func:`_leaves`), a
+box holding a set of value indices per feature: a box is cut in two along a
+rule's literal until every rule is decided on it, and counts as the product
+of its axis sizes.  No state is visited, and the cap bounds the declared
+state space as a contract, not the work of the split.
 Path validation is path-local: the five clauses are predicates on the path
 states plus one-step checks, so it enumerates nothing and no state cap
 applies to it.
@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .actions import Action, build_actions
 from .domains import Domains, State
@@ -46,15 +46,18 @@ def _check_cap(domains: Domains, cap: Optional[int] = None) -> None:
 
 Index = tuple[int, ...]
 Reps = tuple[Optional[int], ...]
-Table = tuple[tuple[int, frozenset[int]], ...]
+Pair = tuple[int, frozenset[int]]
+Table = tuple[Pair, ...]
+Box = tuple[frozenset[int], ...]
 Successors = tuple[tuple[int, Index, bool], ...]
 
 _COMPARE = {"=": operator.eq, "!=": operator.ne, "=<": operator.le,
             "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 
-def _literal_table(domains: Domains, lit: Literal) -> tuple[int, frozenset[int]]:
-    """The literal's feature position and the value indices where it holds.
+def _literal_table(domains: Domains, lit: Literal, negated: bool = False) -> Pair:
+    """The literal's feature position and the value indices where it holds,
+    or where it fails when ``negated``.
 
     A categorical value holds when its label equality matches the operator.
     An interval holds when the comparison is true at both its smallest and
@@ -70,7 +73,7 @@ def _literal_table(domains: Domains, lit: Literal) -> tuple[int, frozenset[int]]
         compare = _COMPARE[lit.op]
         held = (i for i, iv in enumerate(f.intervals)
                 if compare(iv.min_element, lit.const) and compare(iv.max_element, lit.const))
-    return pos, frozenset(held)
+    return pos, frozenset(range(f.size)).difference(held) if negated else frozenset(held)
 
 
 def _table(domains: Domains, literals: Sequence[Literal]) -> Table:
@@ -82,6 +85,29 @@ def _holds(table: Table, idx: Index) -> bool:
         if idx[i] not in allowed:
             return False
     return True
+
+
+def _on_boxes(tables: Sequence[Table], box: Box) -> tuple[Union[bool, Pair], list[Table]]:
+    """``True`` when some table holds throughout ``box``; otherwise the first
+    pair along which a table is undecided (its axis meets its values and
+    leaves them), or ``False`` when none is, with the undecided tables: the
+    only ones a part of ``box`` needs to test."""
+    cut: Union[bool, Pair] = False
+    live: list[Table] = []
+    for table in tables:
+        straddled: Optional[Pair] = None
+        for i, allowed in table:
+            axis = box[i]
+            if axis.isdisjoint(allowed):
+                break
+            if straddled is None and not axis <= allowed:
+                straddled = i, allowed
+        else:
+            if straddled is None:
+                return True, []
+            live.append(table)
+            cut = cut or straddled
+    return cut, live
 
 
 def _may_leave(domains: Domains, action: Action) -> frozenset[int]:
@@ -101,22 +127,22 @@ def _may_leave(domains: Domains, action: Action) -> frozenset[int]:
 class _Tables:
     """One problem's rules and actions, tabled by the oracle on index tuples.
 
-    ``causal`` holds one ``(body, head position, head values)`` triple per
-    causal rule, ``decision`` the body table of each decision rule, and
-    ``moves`` one ``(feature index, new index, permission table)`` triple per
-    action in action order; the permission table pairs the written feature
-    with :func:`_may_leave` and adds the guard.  One object serves one
-    top-level call and remembers, for that call, the successor list of every
-    causally inconsistent state it expands, the canonical repair of every raw
-    outcome and the states no repair leaves.
+    ``causal`` holds one table per causal rule, of the states that break it
+    (the negated head, then the body), ``decision`` the body table of each
+    decision rule, and ``moves`` one ``(feature index, new index, permission
+    table)`` triple per action in action order; the permission table pairs
+    the written feature with :func:`_may_leave` and adds the guard.  One
+    object serves one top-level call and remembers, for that call, the
+    successor list of every causally inconsistent state it expands, the
+    canonical repair of every raw outcome and the states no repair leaves.
     """
 
     __slots__ = ("causal", "decision", "moves", "_region", "_repairs", "_dead")
 
     def __init__(self, problem: ProblemSpec, actions: Sequence[Action] = ()) -> None:
         domains = problem.domains
-        self.causal = tuple((_table(domains, r.body), *_literal_table(domains, r.head))
-                            for r in problem.causal_rules)
+        self.causal = tuple((_literal_table(domains, r.head, negated=True),)
+                            + _table(domains, r.body) for r in problem.causal_rules)
         self.decision = tuple(_table(domains, r.body) for r in problem.decision_rules)
         self.moves = tuple((a.feature_index, a.new_index,
                             ((a.feature_index, _may_leave(domains, a)),) + _table(domains, a.guard))
@@ -126,41 +152,18 @@ class _Tables:
         self._dead: set[Index] = set()
 
     def consistent(self, idx: Index) -> bool:
-        """Every causal implication holds."""
-        for body, head_pos, head_values in self.causal:
-            if idx[head_pos] not in head_values and _holds(body, idx):
+        """Every causal implication holds: no table of breaking states holds."""
+        for broken in self.causal:
+            for i, allowed in broken:
+                if idx[i] not in allowed:
+                    break
+            else:
                 return False
         return True
 
-    def fires(self, idx: Index) -> bool:
-        """Some decision rule's body holds."""
-        for body in self.decision:
-            if _holds(body, idx):
-                return True
-        return False
-
     def goal(self, idx: Index) -> bool:
-        return self.consistent(idx) and not self.fires(idx)
-
-    def relevant(self) -> Index:
-        """The positions some causal rule's body or head, or some decision
-        rule's body, names, in ascending order."""
-        named = {head_pos for _, head_pos, _ in self.causal}
-        for body in [body for body, _, _ in self.causal] + list(self.decision):
-            named.update(i for i, _ in body)
-        return tuple(sorted(named))
-
-    def project(self, positions: Index) -> None:
-        """Rewrite the rule tables onto tuples that hold only ``positions``,
-        in that order; every position a rule names must be among them."""
-        at = {p: j for j, p in enumerate(positions)}
-
-        def moved(table: Table) -> Table:
-            return tuple((at[i], allowed) for i, allowed in table)
-
-        self.causal = tuple((moved(body), at[head_pos], head_values)
-                            for body, head_pos, head_values in self.causal)
-        self.decision = tuple(moved(body) for body in self.decision)
+        """Consistent, and no decision rule's body holds."""
+        return self.consistent(idx) and not any(_holds(body, idx) for body in self.decision)
 
     def successors(self, idx: Index) -> Successors:
         """``(action position, outcome, outcome consistent)`` for every action
@@ -272,47 +275,44 @@ def enumerate_states(domains: Domains, cap: Optional[int] = None) -> Iterator[St
         yield State(domains, idx)
 
 
-def _consistent_states(problem: ProblemSpec,
-                       cap: Optional[int] = None) -> tuple[Index, list[tuple[Index, bool]]]:
-    """The one stratum pass, over the relevant projection: the relevant
-    positions, and each causally consistent tuple over them, in enumeration
-    order, with whether some decision rule fires there.  A member stands for
-    every state that agrees with it on those positions."""
+def _leaves(problem: ProblemSpec, cap: Optional[int] = None) -> list[tuple[Box, bool]]:
+    """Disjoint boxes covering the causally consistent states, each with whether
+    a decision rule fires throughout it.  A box is dropped where a causal rule
+    is broken throughout, kept where every rule is decided (one decision rule
+    firing throughout decides the others), and else cut in two along the first
+    pair a rule straddles, causal rules first.  Boxes wait on a stack, as a
+    body may be longer than the recursion limit."""
     domains = problem.domains
     _check_cap(domains, cap)
     tables = _Tables(problem)
-    positions = tables.relevant()
-    tables.project(positions)
-    fires = tables.fires
-    axes = (range(domains[i].size) for i in positions)
-    return positions, [(idx, fires(idx))
-                       for idx in filter(tables.consistent, itertools.product(*axes))]
-
-
-def _full_states(domains: Domains, positions: Index, members: Iterable[Index]) -> Iterator[State]:
-    """Every state whose values at ``positions`` are those of some member."""
-    free = [i for i in range(len(domains)) if i not in positions]
-    # where each position's value sits in a member followed by the free values
-    order = [positions.index(i) if i in positions else len(positions) + free.index(i)
-             for i in range(len(domains))]
-    axes = [range(domains[i].size) for i in free]
-    for member in members:
-        for rest in itertools.product(*axes):
-            values = member + rest
-            yield State(domains, tuple([values[i] for i in order]))
+    leaves: list[tuple[Box, bool]] = []
+    stack = [(tuple(frozenset(range(n)) for n in domains.sizes), tables.causal, tables.decision)]
+    while stack:
+        box, causal, decision = stack.pop()
+        cut, causal = _on_boxes(causal, box)
+        if cut is True:
+            continue
+        if not cut:
+            cut, decision = _on_boxes(decision, box)
+            if isinstance(cut, bool):
+                leaves.append((box, cut))
+                continue
+        i, allowed = cut
+        stack.append((box[:i] + (box[i] - allowed,) + box[i + 1:], causal, decision))
+        stack.append((box[:i] + (box[i] & allowed,) + box[i + 1:], causal, decision))
+    return leaves
 
 
 def enumerate_causally_consistent(problem: ProblemSpec) -> set[State]:
     """The subset of the state space satisfying every causal rule."""
-    positions, members = _consistent_states(problem)
-    return set(_full_states(problem.domains, positions, (idx for idx, _ in members)))
+    return {State(problem.domains, idx)
+            for box, _ in _leaves(problem) for idx in itertools.product(*box)}
 
 
 def compute_goal_set(problem: ProblemSpec) -> set[State]:
     """Causally consistent states where no decision rule fires."""
-    positions, members = _consistent_states(problem)
-    return set(_full_states(problem.domains, positions,
-                            (idx for idx, fires in members if not fires)))
+    return {State(problem.domains, idx)
+            for box, fires in _leaves(problem) if not fires for idx in itertools.product(*box)}
 
 
 @dataclass(frozen=True)
@@ -336,14 +336,12 @@ def state_set_report(problem: ProblemSpec, cap: Optional[int] = None) -> StateSe
 
     Decision consistency is counted within the causally consistent stratum,
     so the identity ``goal + decision_consistent == causally_consistent``
-    always holds.  The pass runs over the relevant projection, so each member
-    counts once per value combination of the other features.
+    always holds.  Each box :func:`_leaves` keeps counts its axis sizes' product.
     """
-    positions, members = _consistent_states(problem, cap)
-    per_member = math.prod(f.size for i, f in enumerate(problem.domains) if i not in positions)
-    fired = sum(fires for _, fires in members)
-    return StateSetReport(problem.state_count, len(members) * per_member, fired * per_member,
-                          (len(members) - fired) * per_member)
+    sizes = [(math.prod(map(len, box)), fires) for box, fires in _leaves(problem, cap)]
+    consistent = sum(size for size, _ in sizes)
+    fired = sum(size for size, fires in sizes if fires)
+    return StateSetReport(problem.state_count, consistent, fired, consistent - fired)
 
 
 # one-step transitions --------------------------------------------------------

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from recourseplan import oracle
 from recourseplan.actions import build_actions
 from recourseplan.domains import Domains, FeatureDomain, State
-from recourseplan.dsl import parse_problem
+from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import CapExceeded
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
-from recourseplan.oracle import (_consistent_states, bfs_shortest_path, compute_goal_set,
+from recourseplan.oracle import (_leaves, bfs_shortest_path, compute_goal_set,
                                  delta_oracle, delta_oracle_liberal,
                                  enumerate_causally_consistent, enumerate_states,
                                  state_set_report, validate_solution_path)
@@ -121,7 +121,7 @@ def test_report_matches_enumerations(seed):
     assert report.decision_consistent == len(consistent) - len(goal)
 
 
-# the strata over the relevant projection, against a state-by-state count ---------
+# the strata from the box split, against a state-by-state count ------------------
 
 NO_RULES = """\
 feature a: categorical {x, y, z}.
@@ -138,7 +138,7 @@ decision d2 :- b = q, n >= 4.
 initial { a = x, b = p, n = 2 }.
 """
 
-# u and w are named by no rule, so the stratum pass leaves them out
+# u and w are named by no rule, so the box split never cuts them
 UNNAMED_FEATURES = """\
 feature u: categorical {u0, u1, u2}.
 feature a: categorical {f, t}.
@@ -150,10 +150,30 @@ decision q :- c = f.
 initial { u = u0, a = f, w = w0, b = f, c = f }.
 """
 
+
+def _singleton_chain(n: int, k: int) -> ProblemSpec:
+    """``n`` features over ``k`` values and, for each pair of neighbours and
+    each value, a decision rule whose literals each hold on that one value:
+    a decision fires where two neighbours agree.  The split keeps about a
+    fifth as many boxes as there are states at 5 features of 6 values."""
+    values = ", ".join(f"v{j}" for j in range(k))
+    lines = [f"feature f{i}: categorical {{{values}}}." for i in range(n)]
+    lines += [f"decision d{i}_{j} :- f{i} = v{j}, f{i + 1} = v{j}."
+              for i in range(n - 1) for j in range(k)]
+    lines.append("initial { " + ", ".join(f"f{i} = v{i % 2}" for i in range(n)) + " }.")
+    return parse_problem("\n".join(lines))
+
+
 STRATA_PROBLEMS = (
     [(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
     + [(f"random {seed}", lambda seed=seed: random_problem(seed, max_features=6, max_values=4))
        for seed in range(50)]
+    + [(f"8/5 {seed}", lambda seed=seed: random_problem(seed, max_features=8, max_values=5))
+       for seed in range(60)]
+    # as the command line reads them: printed, then parsed back
+    + [(f"printed 10/6 {seed}", lambda seed=seed: parse_problem(pretty_print(
+        random_problem(seed, max_features=10, max_values=6)))) for seed in range(30)]
+    + [("singleton chain 5x6", lambda: _singleton_chain(5, 6))]
     + [(name, lambda text=text: parse_problem(text))
        for name, text in (("no rules", NO_RULES), ("decision only", DECISION_ONLY),
                           ("unnamed features", UNNAMED_FEATURES))])
@@ -186,10 +206,72 @@ def test_projected_strata_match_a_state_by_state_count(make):
 
 def test_stratum_pass_leaves_out_features_no_rule_names():
     problem = parse_problem(UNNAMED_FEATURES)
-    positions, members = _consistent_states(problem, None)
-    assert [problem.domains[i].name for i in positions] == ["a", "b", "c"]
-    assert len(members) == 6
-    assert _consistent_states(parse_problem(NO_RULES), None) == ((), [((), False)])
+    domains = problem.domains
+    leaves = _leaves(problem)
+    assert leaves
+    for box, _ in leaves:
+        for name in ("u", "w"):
+            i = domains.index(name)
+            assert box[i] == frozenset(range(domains[i].size))
+    no_rules = parse_problem(NO_RULES)
+    assert _leaves(no_rules) == [(tuple(frozenset(range(f.size)) for f in no_rules.domains),
+                                  False)]
+
+
+def _counting_boxes(monkeypatch) -> list:
+    """Record each box the split decides.  The split asks about one box at a
+    time, at most twice (its causal rules, then its decision rules), so a box
+    is new when it is not the last one recorded."""
+    boxes = []
+    real_on_boxes = oracle._on_boxes
+
+    def counting_on_boxes(tables, box):
+        if not boxes or boxes[-1] is not box:
+            boxes.append(box)
+        return real_on_boxes(tables, box)
+
+    monkeypatch.setattr(oracle, "_on_boxes", counting_on_boxes)
+    return boxes
+
+
+# the most boxes one state_set_report visited, seeds 0-499 and 0-199 (seed 38
+# of 12/6/C10 exceeds the cap, so the split never starts on it)
+BOX_BOUNDS = [
+    ("10/6", dict(max_features=10, max_values=6), 500, 107),
+    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 245),
+]
+
+
+@pytest.mark.parametrize("tier, seeds, most", [(tier, n, most) for _, tier, n, most in BOX_BOUNDS],
+                         ids=[name for name, *_ in BOX_BOUNDS])
+def test_state_set_report_visits_few_boxes(tier, seeds, most, monkeypatch):
+    # counted rather than timed, so a slow host cannot fail it, while a
+    # return to per-state work would; twice the measured maximum leaves room
+    # for a change of split order
+    boxes = _counting_boxes(monkeypatch)
+    visited = []
+    for seed in range(seeds):
+        problem = random_problem(seed, **tier)
+        if problem.state_count <= oracle.DEFAULT_STATE_CAP:
+            boxes.clear()
+            state_set_report(problem)
+            visited.append(len(boxes))
+    assert max(visited) <= 2 * most
+
+
+def test_report_counts_exactly_beyond_any_enumeration():
+    # 2**1200 states, and one decision body longer than the recursion limit:
+    # the split pins one feature after another and keeps a box for each
+    n = 1200
+    lines = [f"feature f{i}: categorical {{a, b}}." for i in range(n)]
+    lines.append("decision d :- " + ", ".join(f"f{i} = a" for i in range(n)) + ".")
+    lines.append("initial { " + ", ".join(f"f{i} = b" for i in range(n)) + " }.")
+    problem = parse_problem("\n".join(lines))
+    with pytest.raises(CapExceeded):
+        state_set_report(problem)
+    report = state_set_report(problem, cap=2**n)
+    assert (report.total_states, report.causally_consistent, report.decision_consistent,
+            report.goal) == (2**n, 2**n, 1, 2**n - 1)
 
 
 # transitions ---------------------------------------------------------------------
