@@ -18,9 +18,8 @@ from .generate import random_problem
 from .ingest import GoldenStep, Scenario, SCENARIO_NAMES, builtin_scenario
 from .kernel import CompiledProblem
 from .oracle import (StateSetReport, ValidationReport, bfs_shortest_path,
-                     compute_goal_set, delta_oracle, delta_oracle_liberal,
-                     enumerate_causally_consistent, enumerate_states,
-                     state_set_report, validate_solution_path)
+                     compute_goal_set, delta_oracle, enumerate_causally_consistent,
+                     enumerate_states, state_set_report, validate_solution_path)
 from .planner import (CandidatePath, PathTrace, TraceEntry, extract_candidate_path,
                       get_path)
 from .rules import (Literal, ProblemSpec, Rule, eval_rule, is_causally_consistent,
@@ -37,8 +36,8 @@ __all__ = [
     "State", "StateSetReport", "TraceEntry", "UnknownScenario",
     "ValidationReport", "apply_action", "bfs_shortest_path", "build_actions",
     "builtin_scenario", "compute_goal_set", "delta_oracle",
-    "delta_oracle_liberal", "enumerate_causally_consistent", "enumerate_states",
-    "eval_rule", "extract_candidate_path", "get_path", "is_causally_consistent",
+    "enumerate_causally_consistent", "enumerate_states", "eval_rule",
+    "extract_candidate_path", "get_path", "is_causally_consistent",
     "is_counterfactual", "is_permitted", "parse_problem", "partition_range",
     "pretty_print", "random_problem", "satisfies_decision", "state_set_report",
     "validate_solution_path",

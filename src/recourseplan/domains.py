@@ -8,7 +8,7 @@ and makes exhaustive cross-checks exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
@@ -153,10 +153,8 @@ class FeatureDomain:
 
     def constrained(self, constraint: PlausibilityConstraint) -> "FeatureDomain":
         if constraint.kind == "immutable":
-            return FeatureDomain(self.name, self.kind, self.labels, self.intervals,
-                                 mutable=False, monotonicity=self.monotonicity)
-        return FeatureDomain(self.name, self.kind, self.labels, self.intervals,
-                             mutable=self.mutable, monotonicity=constraint.kind)
+            return replace(self, mutable=False)
+        return replace(self, monotonicity=constraint.kind)
 
 
 @dataclass(frozen=True)

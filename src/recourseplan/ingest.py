@@ -109,30 +109,34 @@ class Scenario:
     name: str
     problem: ProblemSpec
     text: str
-    golden_length: int  # states on the candidate path
     golden_steps: tuple[GoldenStep, ...]
     description: str = ""
 
+    @property
+    def golden_length(self) -> int:
+        """States on the candidate path: the start, then one per step."""
+        return len(self.golden_steps) + 1
 
-_SCENARIOS: dict[str, tuple[str, int, tuple[GoldenStep, ...], str]] = {
+
+_SCENARIOS: dict[str, tuple[str, tuple[GoldenStep, ...], str]] = {
     "adult": (
-        ADULT_TEXT, 2,
+        ADULT_TEXT,
         (GoldenStep("capital_gain", "(6849, 99999]"),),
         "income classification: raise capital gain above the threshold",
     ),
     "car": (
-        CAR_TEXT, 2,
+        CAR_TEXT,
         (GoldenStep("persons", "4"),),
         "car evaluation: seat four people instead of two",
     ),
     "german": (
-        GERMAN_TEXT, 3,
+        GERMAN_TEXT,
         (GoldenStep("duration_months", "(7, 72]"),
          GoldenStep("checking_account_status", "geq_200")),
         "credit rating: longer duration, then a checking balance of 200 or more",
     ),
     "german_motivating": (
-        GERMAN_MOTIVATING_TEXT, 3,
+        GERMAN_MOTIVATING_TEXT,
         (GoldenStep("duration_months", "(7, 72]"),
          GoldenStep("checking_account_status", "gt_1000")),
         "loan walk-through: longer duration, then a balance above 1000",
@@ -149,7 +153,7 @@ def builtin_scenario(name: str, also_known: Sequence[str] = ()) -> Scenario:
     bundled names and then ``also_known``, the other names the caller accepts.
     """
     try:
-        text, length, steps, description = _SCENARIOS[name]
+        text, steps, description = _SCENARIOS[name]
     except KeyError:
         known = ", ".join((*SCENARIO_NAMES, *also_known))
         raise UnknownScenario(f"unknown scenario {name!r} (known: {known})") from None
@@ -157,7 +161,6 @@ def builtin_scenario(name: str, also_known: Sequence[str] = ()) -> Scenario:
         name=name,
         problem=parse_problem(text),
         text=text,
-        golden_length=length,
         golden_steps=steps,
         description=description,
     )

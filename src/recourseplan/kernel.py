@@ -102,14 +102,13 @@ class CompiledProblem:
     empty guard axis keeps the repair, since the box then holds no state.
     """
 
-    __slots__ = ("domains", "causal", "decision", "rules", "moves", "_causal_rules", "_ids")
+    __slots__ = ("domains", "causal", "decision", "rules", "moves", "_causal_rules")
 
     def __init__(self, problem: ProblemSpec) -> None:
         self.domains = problem.domains
         self._causal_rules = problem.causal_rules
         self.causal = problem.causal_tables
         self.decision = problem.decision_bodies
-        self._ids: dict[int, str] = {}
 
     def compile_actions(self) -> None:
         """Build the action list, ``rules`` and ``moves``: the guard sweep
@@ -152,15 +151,12 @@ class CompiledProblem:
         self.moves = tuple(moves + direct_moves)
 
     def action_id(self, k: int) -> str:
-        """Action ``k``'s id, formatted the first time it is asked for:
+        """Action ``k``'s id, formatted on each call:
         ``causal:{rule}:{feature}:{value}`` or ``direct:{feature}:{value}``."""
-        aid = self._ids.get(k)
-        if aid is None:
-            fi, vi, _ = self.moves[k]
-            f, rule = self.domains[fi], self.rules[k]
-            prefix = "direct" if rule is None else f"causal:{rule.id}"
-            aid = self._ids[k] = f"{prefix}:{f.name}:{f.value_text(vi)}"
-        return aid
+        fi, vi, _ = self.moves[k]
+        f, rule = self.domains[fi], self.rules[k]
+        prefix = "direct" if rule is None else f"causal:{rule.id}"
+        return f"{prefix}:{f.name}:{f.value_text(vi)}"
 
     @property
     def ids(self) -> tuple[str, ...]:

@@ -12,8 +12,9 @@ and path validation asks for it only when the path has a step to check.
 The strata are exact counts from one split of boxes (:func:`_leaves`), a
 box holding a set of value indices per feature: a box is cut in two along a
 rule's literal until every rule is decided on it, and counts as the product
-of its axis sizes.  No state is visited, and the cap bounds the declared
-state space as a contract, not the work of the split.
+of its axis sizes.  No state is visited.  Each box the split visits is
+non-empty, and the boxes it keeps or drops are disjoint, so it visits fewer
+than twice as many boxes as there are declared states: the cap bounds its work.
 Path validation is path-local: the five clauses are predicates on the path
 states plus one-step checks, so it enumerates nothing and no state cap
 applies to it.
@@ -219,13 +220,13 @@ class _Tables:
         self._repairs[raw] = None
         return None
 
-    def canonical(self, idx: Index) -> dict[Index, tuple[int, ...]]:
-        """The consistent one-step successors of ``idx``: the repair policy's
-        outcome of each permitted action, other than ``idx`` itself, with
-        the positions of the actions that wrote it along its first route in
-        action order."""
+    def canonical(self, idx: Index, succ: Successors) -> dict[Index, tuple[int, ...]]:
+        """The consistent one-step successors of ``idx``, given its
+        :meth:`successors` ``succ``: the repair policy's outcome of each
+        permitted action, other than ``idx`` itself, with the positions of the
+        actions that wrote it along its first route in action order."""
         out: dict[Index, tuple[int, ...]] = {}
-        for k, raw, ok in self.successors(idx):
+        for k, raw, ok in succ:
             if ok:
                 out.setdefault(raw, (k,))
                 continue
@@ -235,7 +236,9 @@ class _Tables:
         return out
 
     def liberal_exits(self, succ: Successors) -> Iterator[Index]:
-        """Every consistent state some repair order reaches in one step.
+        """Every consistent state some repair order reaches in one step from
+        the state whose :meth:`successors` are ``succ``; only path
+        validation's repair-order flag asks.
 
         One traversal of the causally inconsistent region below all the raw
         outcomes, so exits may repeat and may include the source state.
@@ -356,26 +359,9 @@ def delta_oracle(state: State, problem: ProblemSpec,
     then declaration order).  The input state itself is never a member.
     """
     tables = _Tables(problem, build_actions(problem) if actions is None else actions)
+    successors = tables.canonical(state.idx, tables.successors(state.idx))
     return {State(problem.domains, idx, tables.witnesses(state.reps, written))
-            for idx, written in tables.canonical(state.idx).items()}
-
-
-def delta_oracle_liberal(state: State, problem: ProblemSpec,
-                         actions: Optional[Sequence[Action]] = None) -> set[State]:
-    """One-step successors under any repair order, not just the normative one.
-
-    Explores the whole causally inconsistent region reachable from the raw
-    action outcomes and collects every consistent exit.  Always a superset of
-    :func:`delta_oracle`; a strict superset signals that repair order matters
-    at this state.  Each member keeps the witnesses of ``state`` on the
-    features it leaves unchanged.
-    """
-    tables = _Tables(problem, build_actions(problem) if actions is None else actions)
-    exits = set(tables.liberal_exits(tables.successors(state.idx)))
-    exits.discard(state.idx)
-    return {State(problem.domains, idx,
-                  tuple(r if i == j else None for r, i, j in zip(state.reps, state.idx, idx)))
-            for idx in exits}
+            for idx, written in successors.items()}
 
 
 # path validation ---------------------------------------------------------------
@@ -415,9 +401,10 @@ def _check_step(tables: _Tables, a: Index, b: Index, look_for_divergence: bool) 
     reaches a consistent state from ``a`` that the canonical policy does not
     (canonical successors are a subset of the liberal ones, so the first
     such exit settles it)."""
-    canonical = tables.canonical(a)
+    succ = tables.successors(a)
+    canonical = tables.canonical(a, succ)
     diverges = look_for_divergence and any(
-        t != a and t not in canonical for t in tables.liberal_exits(tables.successors(a)))
+        t != a and t not in canonical for t in tables.liberal_exits(succ))
     return b in canonical, diverges
 
 
@@ -472,7 +459,7 @@ def bfs_shortest_path(problem: ProblemSpec,
         nxt_frontier: list[Index] = []
         for s in frontier:
             reps = reached[s][1]
-            successors = tables.canonical(s)
+            successors = tables.canonical(s, tables.successors(s))
             for t in sorted(successors):
                 if t in reached:
                     continue

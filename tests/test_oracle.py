@@ -10,10 +10,9 @@ from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import CapExceeded
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
-from recourseplan.oracle import (_leaves, bfs_shortest_path, compute_goal_set,
-                                 delta_oracle, delta_oracle_liberal,
-                                 enumerate_causally_consistent, enumerate_states,
-                                 state_set_report, validate_solution_path)
+from recourseplan.oracle import (_leaves, _Tables, bfs_shortest_path, compute_goal_set,
+                                 delta_oracle, enumerate_causally_consistent,
+                                 enumerate_states, state_set_report, validate_solution_path)
 from recourseplan.planner import (CandidatePath, extract_candidate_path, get_path,
                                   is_counterfactual)
 from recourseplan.rules import ProblemSpec, is_causally_consistent, satisfies_decision
@@ -259,6 +258,24 @@ def test_state_set_report_visits_few_boxes(tier, seeds, most, monkeypatch):
     assert max(visited) <= 2 * most
 
 
+def _split_problems():
+    yield from (builtin_scenario(name).problem for name in SCENARIO_NAMES)
+    yield from (random_problem(seed, max_features=8, max_values=5) for seed in range(350))
+    yield from (parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
+                for seed in range(120))
+
+
+def test_split_visits_fewer_boxes_than_twice_the_declared_states(monkeypatch):
+    # each visited box is non-empty and the leaves (kept or dropped) are
+    # disjoint, so the binary split tree has fewer than 2 * states nodes
+    boxes = _counting_boxes(monkeypatch)
+    for problem in _split_problems():
+        boxes.clear()
+        state_set_report(problem)
+        assert all(all(box) for box in boxes)
+        assert len(boxes) < 2 * problem.state_count
+
+
 def test_report_counts_exactly_beyond_any_enumeration():
     # 2**1200 states, and one decision body longer than the recursion limit:
     # the split pins one feature after another and keeps a box for each
@@ -310,18 +327,24 @@ def test_delta_includes_repaired_two_feature_move(adult):
     assert repaired in succ
 
 
+def _liberal_exits(p: ProblemSpec, state: State) -> set:
+    """The consistent states other than ``state`` that some repair order
+    reaches from it in one step, as validation's repair-order flag reads them."""
+    tables = _Tables(p, build_actions(p))
+    return set(tables.liberal_exits(tables.successors(state.idx))) - {state.idx}
+
+
 def test_liberal_delta_is_superset_and_flags_order_sensitivity():
     p = parse_problem(REPAIR_ORDER_SENSITIVE)
-    canonical = delta_oracle(p.initial, p)
-    liberal = delta_oracle_liberal(p.initial, p)
+    canonical = {s.idx for s in delta_oracle(p.initial, p)}
+    liberal = _liberal_exits(p, p.initial)
     assert canonical < liberal  # strictly more successors under other orders
-    extra = {s.idx for s in liberal - canonical}
-    assert extra == {(1, 1, 0)}
+    assert liberal - canonical == {(1, 1, 0)}
 
 
 def test_liberal_delta_equal_when_no_chains(german):
     p = german.problem
-    assert delta_oracle_liberal(p.initial, p) == delta_oracle(p.initial, p)
+    assert _liberal_exits(p, p.initial) == {s.idx for s in delta_oracle(p.initial, p)}
 
 
 # validation -----------------------------------------------------------------------
@@ -417,6 +440,32 @@ def test_validation_builds_the_action_list_only_for_a_path_with_a_step(boolean_p
     report = validate_solution_path(extract_candidate_path(get_path(p)), p)
     assert report.overall
     assert built == [p]
+
+
+def test_validation_scans_each_step_once(monkeypatch):
+    # while the repair-order flag stays unset, a step's successor scan serves
+    # both its canonical successors and its liberal exits; the repair walks
+    # scan inconsistent states only
+    scanned = []
+    real_successors = _Tables.successors
+
+    def counting_successors(self, idx):
+        if self.consistent(idx):
+            scanned.append(idx)
+        return real_successors(self, idx)
+
+    monkeypatch.setattr(_Tables, "successors", counting_successors)
+    checked = 0
+    for name in SCENARIO_NAMES:
+        p = builtin_scenario(name).problem
+        path = extract_candidate_path(get_path(p))
+        scanned.clear()
+        report = validate_solution_path(path, p)
+        assert report.overall
+        if not report.liberal_divergence:
+            assert scanned == [s.idx for s in path.states[:-1]]
+            checked += 1
+    assert checked
 
 
 # shortest paths ---------------------------------------------------------------------
