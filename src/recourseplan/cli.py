@@ -20,7 +20,8 @@ stdout, diagnostics to stderr.  ``--max-states`` (on ``validate`` and
 ``enumerate``, the subcommands that count states) overrides the default
 cap on the declared state space.  Only the state-set counts check it: path
 validation is path-local, so ``plan --validate`` is not subject to it.  ``--seed``
-goes only with ``--scenario random``.  :func:`main` is the one entry point,
+goes only with ``--scenario random``, and ``--budget`` on ``validate`` only
+without ``--path-file``.  :func:`main` is the one entry point,
 run by ``python -m recourseplan`` and the ``recourseplan`` console script;
 each subcommand reads the parsed arguments as argparse returns them.
 """
@@ -83,9 +84,8 @@ def _transition_kinds(trace: PathTrace) -> list[dict[int, str]]:
     wrote the position where the entry's state differs from the next entry's.
     """
     kinds: list[dict[int, str]] = []
-    records = list(trace.entry_records())
-    for (entry, consistent), (nxt, _) in zip(records, records[1:]):
-        if consistent:
+    for entry, nxt in zip(trace.entries, trace.entries[1:]):
+        if entry.consistent:
             kinds.append({})
         kind = entry.actions_taken[0].partition(":")[0]
         for i, (a, b) in enumerate(zip(entry.state.idx, nxt.state.idx)):
@@ -140,9 +140,9 @@ def _structured_record(name: str, trace: PathTrace) -> dict:
             {
                 "state": entry.state.to_dict(),
                 "actions_taken": list(entry.actions_taken),
-                "causally_consistent": consistent,
+                "causally_consistent": entry.consistent,
             }
-            for entry, consistent in trace.entry_records()
+            for entry in trace.entries
         ],
     }
     if trace.status == "success":
@@ -324,6 +324,8 @@ def main(argv: Optional[Sequence[str]] = None,
             raise ValueError(f"--max-states must be a positive integer, got {ns.max_states}")
         if ns.seed is not None and ns.scenario != "random":
             raise ValueError("--seed applies only to --scenario random")
+        if ns.budget is not None and ns.path_file is not None:
+            raise ValueError("--budget applies only when validate plans (not with --path-file)")
         return handler(ns, out, err)
     except CapExceeded as exc:
         err.write(f"error: {exc}\n")

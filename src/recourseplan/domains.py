@@ -99,9 +99,9 @@ class FeatureDomain:
     """One feature: its finite value set and how it is allowed to move.
 
     Categorical features carry an ordered tuple of labels; numeric features
-    carry an ordered interval partition of their declared range.  Constraints
-    are mirrored here as ``mutable`` and ``monotonicity`` so that action
-    filtering needs no side lookups.
+    carry an ordered interval partition of their declared range.  A feature's
+    plausibility constraint is stored here and nowhere else, as ``mutable``
+    and ``monotonicity`` (:meth:`Domains.with_constraints` sets them).
     """
 
     name: str
@@ -129,6 +129,8 @@ class FeatureDomain:
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
         if self.monotonicity not in ("none", "nondecreasing", "nonincreasing"):
             raise ValueError(f"{self.name}: bad monotonicity {self.monotonicity!r}")
+        if not self.mutable and self.monotonicity != "none":
+            raise ValueError(f"{self.name}: an immutable feature has no monotonicity")
 
     @property
     def size(self) -> int:
@@ -207,14 +209,13 @@ class Domains:
         return n
 
     def with_constraints(self, constraints: Sequence[PlausibilityConstraint]) -> "Domains":
-        seen: set[str] = set()
+        """These domains with each constraint applied; a feature takes at most one."""
         updated = list(self.features)
         for c in constraints:
-            if c.feature in seen:
+            i = self.index(c.feature)
+            if not updated[i].mutable or updated[i].monotonicity != "none":
                 raise SemanticError("duplicate-declaration",
                                     f"more than one constraint on feature {c.feature!r}")
-            seen.add(c.feature)
-            i = self.index(c.feature)
             updated[i] = updated[i].constrained(c)
         return Domains(tuple(updated))
 

@@ -331,10 +331,9 @@ def parse_problem(text: str) -> ProblemSpec:
     domains = _build_domains(parsed)
     initial = _build_initial(parsed, domains)
     return ProblemSpec(
-        domains=domains,
+        domains=domains.with_constraints(parsed.constraints),
         causal_rules=tuple(parsed.causal),
         decision_rules=tuple(parsed.decision),
-        constraints=tuple(parsed.constraints),
         initial=initial,
     )
 
@@ -345,10 +344,12 @@ def pretty_print(problem: ProblemSpec) -> str:
     For a parsed problem the output reparses to a structurally identical
     problem: declaration order is preserved, numeric ranges are recovered
     from the interval partition, and initial numeric values print their
-    concrete witness.  Text carries no interval cut that no rule constant
-    names, so a problem built otherwise (``random_problem``'s, for one) can
-    reparse with fewer intervals, and so fewer states.  Planner budgets are
-    not part of the language and are not printed.
+    concrete witness.  Constraint lines are written from the domains, one per
+    constrained feature in feature order: ``immutable`` for a feature that is
+    not mutable, else its monotonicity.  Text carries no interval cut that no
+    rule constant names, so a problem built otherwise (``random_problem``'s,
+    for one) can reparse with fewer intervals, and so fewer states.  Planner
+    budgets are not part of the language and are not printed.
     """
     lines: list[str] = []
     for f in problem.domains:
@@ -361,8 +362,10 @@ def pretty_print(problem: ProblemSpec) -> str:
         lines.append(str(r))
     for r in problem.causal_rules:
         lines.append(str(r))
-    for c in problem.constraints:
-        lines.append(f"constraint {c.kind} {c.feature}.")
+    for f in problem.domains:
+        kind = f.monotonicity if f.mutable else "immutable"
+        if kind != "none":
+            lines.append(f"constraint {kind} {f.name}.")
     pairs = []
     for f, i, rep in zip(problem.domains, problem.initial.idx, problem.initial.reps):
         if f.kind == "categorical":

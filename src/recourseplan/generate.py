@@ -78,10 +78,9 @@ def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
         initial = State(domains, tuple(rng.randrange(f.size) for f in domains))
 
     return ProblemSpec(
-        domains=domains,
+        domains=domains.with_constraints(constraints),
         causal_rules=tuple(causal),
         decision_rules=tuple(decision),
-        constraints=tuple(constraints),
         initial=initial,
     )
 

@@ -42,11 +42,13 @@ from .rules import is_counterfactual as is_counterfactual  # re-export: callers 
 
 
 class TraceEntry(NamedTuple):
-    """A path state together with the id of the action that left it (none
-    for the last state)."""
+    """A path state, the id of the action that left it (none for the last
+    state), and whether the state is causally consistent (a repair chain's
+    intermediates are not)."""
 
     state: State
     actions_taken: tuple[str, ...] = ()
+    consistent: bool = True
 
 
 # chain completion ----------------------------------------------------------
@@ -107,7 +109,7 @@ class PathTrace:
     ``entries`` holds the found path in order.  Each consistent state carries
     the id of the action that left it, each causally inconsistent
     intermediate of a repair chain the id of the repair that left it, and the
-    goal none.  Next to each entry the trace keeps whether it is causally
+    goal none; each entry says itself whether its state is causally
     consistent.  A run that ends in ``failure`` or ``budget-exhausted`` keeps
     the root entry alone, with no action.  ``expansions`` counts the states
     the search expanded.
@@ -116,20 +118,14 @@ class PathTrace:
     entries: list[TraceEntry] = field(default_factory=list)
     status: str = "in-progress"  # then: success | failure | budget-exhausted
     expansions: int = 0
-    _consistent: list[bool] = field(default_factory=list, repr=False)
-
-    def _push(self, entry: TraceEntry, consistent: bool) -> None:
-        self.entries.append(entry)
-        self._consistent.append(consistent)
 
     def pop_last(self) -> TraceEntry:
         if not self.entries:
             raise EmptySequenceError("trace is empty")
-        self._consistent.pop()
         return self.entries.pop()
 
     def entry_records(self) -> Iterator[tuple[TraceEntry, bool]]:
-        return zip(self.entries, self._consistent)
+        return ((entry, entry.consistent) for entry in self.entries)
 
 
 @dataclass(frozen=True)
@@ -217,16 +213,16 @@ def _record_path(trace: PathTrace, kernel: CompiledProblem, parents: Parents,
     while (hop := parents[idx]) is not None:
         hops.append((hop[1], idx))
         idx = hop[0]
-    moves = kernel.moves
+    moves, entries = kernel.moves, trace.entries
     state = trace.pop_last().state
     for k, final in reversed(hops):
-        trace._push(TraceEntry(state, (kernel.action_id(k),)), True)
+        entries.append(TraceEntry(state, (kernel.action_id(k),)))
         state = state.with_value(*moves[k][:2])
         if state.idx != final:
             for _, repair in chains[state.idx][1]:
-                trace._push(TraceEntry(state, (kernel.action_id(repair),)), False)
+                entries.append(TraceEntry(state, (kernel.action_id(repair),), False))
                 state = state.with_value(*moves[repair][:2])
-    trace._push(TraceEntry(state), True)
+    entries.append(TraceEntry(state))
 
 
 def get_path(problem: ProblemSpec) -> PathTrace:
@@ -243,8 +239,8 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     it, and the default budget counts its actions.
     """
     kernel = CompiledProblem(problem)
-    trace = PathTrace()
-    trace._push(TraceEntry(problem.initial, ()), True)  # construction rejects an inconsistent start
+    # construction rejects an inconsistent start
+    trace = PathTrace([TraceEntry(problem.initial)])
     if kernel.goal(problem.initial.idx):
         trace.status = "success"
         return trace
@@ -262,5 +258,5 @@ def extract_candidate_path(trace: PathTrace) -> CandidatePath:
     """Project a successful trace onto its causally consistent states."""
     if trace.status != "success":
         raise NotASolution(f"trace status is {trace.status!r}")
-    states = tuple(entry.state for entry, ok in trace.entry_records() if ok)
+    states = tuple(entry.state for entry in trace.entries if entry.consistent)
     return CandidatePath(states)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .domains import Domains, FeatureDomain, PlausibilityConstraint, State
+from .domains import Domains, FeatureDomain, State
 from .errors import SemanticError
 
 COMPARATORS = ("=", "!=", "=<", "<", ">=", ">")
@@ -200,12 +200,14 @@ class ProblemSpec:
     """A complete recourse planning problem.
 
     Holds the feature domains, the causal rules, the decision rules that
-    currently fire for the individual, the plausibility constraints (also
-    mirrored into the domains), the initial state, and an optional cap on
-    planner expansions.  The initial state must satisfy every causal rule;
-    construction rejects it otherwise.
+    currently fire for the individual, the initial state, and an optional cap
+    on planner expansions.  The plausibility constraints live on the domains
+    alone, as each feature's ``mutable`` and ``monotonicity``
+    (:meth:`~recourseplan.domains.Domains.with_constraints` applies them).
+    Construction re-binds the initial state to ``domains``; the state must
+    satisfy every causal rule, and construction rejects it otherwise.
 
-    Construction compiles every rule once against the mirrored domains,
+    Construction compiles every rule once against the domains,
     without a cache, causal rules first: ``causal_tables`` holds each causal
     rule's table (:func:`_causal_tables`), which :func:`causal_holds` reads
     for the initial check, and ``decision_bodies`` each decision rule's body
@@ -216,7 +218,6 @@ class ProblemSpec:
     domains: Domains
     causal_rules: tuple[Rule, ...] = ()
     decision_rules: tuple[Rule, ...] = ()
-    constraints: tuple[PlausibilityConstraint, ...] = ()
     initial: State = None  # type: ignore[assignment]
     action_budget: Optional[int] = None
     causal_tables: tuple[CausalTable, ...] = field(default=(), init=False, compare=False,
@@ -225,14 +226,10 @@ class ProblemSpec:
                                                repr=False)
 
     def __post_init__(self) -> None:
-        mirrored = self.domains.with_constraints(self.constraints)
-        object.__setattr__(self, "domains", mirrored)
         if self.initial is None:
             raise SemanticError("missing-initial", "problem has no initial state")
-        object.__setattr__(
-            self, "initial",
-            State(mirrored, self.initial.idx, self.initial.reps),
-        )
+        object.__setattr__(self, "initial",
+                           State(self.domains, self.initial.idx, self.initial.reps))
         for rule in self.causal_rules:
             if rule.role != "causal":
                 raise ValueError(f"rule {rule.id!r} listed as causal but has role {rule.role!r}")
@@ -240,10 +237,10 @@ class ProblemSpec:
             if rule.role != "decision":
                 raise ValueError(f"rule {rule.id!r} listed as decision but has role {rule.role!r}")
         # validates features, kinds, alignment
-        causal = _causal_tables(mirrored, self.causal_rules)
+        causal = _causal_tables(self.domains, self.causal_rules)
         object.__setattr__(self, "causal_tables", causal)
         object.__setattr__(self, "decision_bodies", tuple(
-            _compile_rule(mirrored, rule)[0] for rule in self.decision_rules))
+            _compile_rule(self.domains, rule)[0] for rule in self.decision_rules))
         rule_ids = [r.id for r in self.causal_rules + self.decision_rules]
         if len(set(rule_ids)) != len(rule_ids):
             raise SemanticError("duplicate-declaration", "rule id declared twice")

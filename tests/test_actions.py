@@ -102,9 +102,9 @@ def test_conflicting_repairs_are_discarded():
 
 def test_causal_action_for_immutable_head_discarded(husband_toy):
     constrained = ProblemSpec(
-        domains=husband_toy.domains, causal_rules=husband_toy.causal_rules,
-        constraints=(PlausibilityConstraint("relationship", "immutable"),),
-        initial=husband_toy.initial)
+        domains=husband_toy.domains.with_constraints(
+            (PlausibilityConstraint("relationship", "immutable"),)),
+        causal_rules=husband_toy.causal_rules, initial=husband_toy.initial)
     actions = _of_kind(constrained, "causal")
     assert actions == ()
 

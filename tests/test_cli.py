@@ -184,6 +184,16 @@ def test_validate_corrupted_path_fails_step_clause(tmp_path):
     assert "overall: FAIL" in out
 
 
+def test_validate_rejects_a_budget_with_a_path_file(tmp_path):
+    # a saved path is not planned again, so no budget can apply to it
+    _, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
+    artifact = tmp_path / "german.json"
+    artifact.write_text(planned)
+    assert run_cli("validate", "--scenario", "german", "--path-file", str(artifact),
+                   "--budget", "1") == (
+        1, "", "error: --budget applies only when validate plans (not with --path-file)\n")
+
+
 def test_validate_garbage_artifact_is_usage_error(tmp_path):
     artifact = tmp_path / "bad.json"
     artifact.write_text("not json at all")

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recourseplan import dsl
-from recourseplan.domains import Interval
+from recourseplan.domains import (Domains, FeatureDomain, Interval, PlausibilityConstraint,
+                                  partition_range)
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import ParseError, SemanticError
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
+from recourseplan.rules import ProblemSpec
 
 CAR_TEXT = """\
 % car evaluation, four features
@@ -273,9 +275,46 @@ def test_constraints_parse_into_domains():
     assert problem.domains.by_name("n").monotonicity == "nondecreasing"
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_scenario_round_trip(name):
-    problem = builtin_scenario(name).problem
+def test_constraint_order_does_not_change_the_problem():
+    # constraints live on the features, so their statement order is not
+    # part of the problem; the printer writes them in feature order
+    features = ("feature a: categorical {x, y}.\n"
+                "feature n: numeric [0, 9].\n"
+                "feature m: numeric [0, 9].\n")
+    first = parse_problem(features + "constraint immutable a.\n"
+                          "constraint nonincreasing m.\n"
+                          "constraint nondecreasing n.\n"
+                          "initial { a = x, n = 3, m = 5 }.\n")
+    second = parse_problem(features + "constraint nondecreasing n.\n"
+                           "constraint nonincreasing m.\n"
+                           "constraint immutable a.\n"
+                           "initial { a = x, n = 3, m = 5 }.\n")
+    assert first == second
+    assert pretty_print(first) == pretty_print(second)
+    printed = [line for line in pretty_print(first).splitlines() if line.startswith("constraint")]
+    assert printed == ["constraint immutable a.", "constraint nondecreasing n.",
+                       "constraint nonincreasing m."]
+
+
+def _api_built_problem() -> ProblemSpec:
+    """A problem built in code, its constraints applied out of feature order."""
+    domains = Domains((
+        FeatureDomain("a", "categorical", labels=("x", "y")),
+        FeatureDomain("n", "numeric", intervals=partition_range(0, 9, ())),
+        FeatureDomain("m", "numeric", intervals=partition_range(0, 9, ())),
+    ))
+    return ProblemSpec(
+        domains=domains.with_constraints((PlausibilityConstraint("m", "nonincreasing"),
+                                          PlausibilityConstraint("a", "immutable"))),
+        initial=domains.make_state({"a": "y", "n": 4, "m": 2}),
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [lambda name=name: builtin_scenario(name).problem for name in SCENARIO_NAMES]
+    + [_api_built_problem], ids=[*SCENARIO_NAMES, "api-built"])
+def test_scenario_round_trip(make):
+    problem = make()
     assert parse_problem(pretty_print(problem)) == problem
 
 

@@ -25,7 +25,8 @@ def test_generated_problems_respect_the_advertised_bounds():
         assert len(p.decision_rules) <= 3
         assert is_causally_consistent(p.initial, p.causal_rules)
         saw_causal = saw_causal or bool(p.causal_rules)
-        saw_constraint = saw_constraint or bool(p.constraints)
+        saw_constraint = saw_constraint or any(
+            not f.mutable or f.monotonicity != "none" for f in p.domains)
         saw_numeric = saw_numeric or any(f.kind == "numeric" for f in p.domains)
     assert saw_causal and saw_constraint and saw_numeric
 

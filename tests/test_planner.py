@@ -13,7 +13,7 @@ from recourseplan import kernel as kernel_module, planner, rules as rules_module
 from recourseplan.actions import build_actions
 from recourseplan.domains import FeatureDomain, State
 from recourseplan.dsl import parse_problem, pretty_print
-from recourseplan.errors import NotASolution
+from recourseplan.errors import EmptySequenceError, NotASolution
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
@@ -186,6 +186,11 @@ def test_live_consistent_states_are_distinct():
         trace = get_path(p)
         consistent = [e.state for e, ok in trace.entry_records() if ok]
         assert len(set(consistent)) == len(consistent)
+
+
+def test_pop_last_on_an_empty_trace_raises():
+    with pytest.raises(EmptySequenceError):
+        PathTrace().pop_last()
 
 
 # candidate path extraction ----------------------------------------------------------
@@ -527,16 +532,9 @@ def test_get_path_formats_only_the_ids_it_records(make, monkeypatch):
         calls.append((self.name, index))
         return real_value_text(self, index)
 
-    recorded = set()
-    real_push = planner.PathTrace._push
-
-    def recording_push(self, entry, *args):
-        recorded.update(entry.actions_taken)
-        return real_push(self, entry, *args)
-
     monkeypatch.setattr(FeatureDomain, "value_text", counting_value_text)
-    monkeypatch.setattr(planner.PathTrace, "_push", recording_push)
-    get_path(problem)
+    trace = get_path(problem)
+    recorded = {action for entry in trace.entries for action in entry.actions_taken}
     assert len(calls) <= len(recorded) < len(build_actions(problem))
 
 
@@ -546,8 +544,7 @@ def _search(problem: ProblemSpec) -> PathTrace:
     """``get_path``'s search loop with no budget, run from a start that is not
     a goal past the doomed-start test."""
     kernel = CompiledProblem(problem)
-    trace = PathTrace()
-    trace._push(TraceEntry(problem.initial, ()), True)
+    trace = PathTrace([TraceEntry(problem.initial)])
     kernel.compile_actions()
     trace.status = planner._search(trace, kernel, sys.maxsize)
     return trace

@@ -146,23 +146,28 @@ def test_problem_rejects_undeclared_feature():
 
 
 def test_problem_rejects_double_constraint():
-    domains = bool_pair()
     with pytest.raises(SemanticError) as exc:
-        ProblemSpec(
-            domains=domains,
-            constraints=(PlausibilityConstraint("x", "immutable"),
-                         PlausibilityConstraint("x", "nondecreasing")),
-            initial=domains.make_state({"x": "f", "y": "f"}),
-        )
+        bool_pair().with_constraints((PlausibilityConstraint("x", "immutable"),
+                                      PlausibilityConstraint("x", "nondecreasing")))
     assert exc.value.kind == "duplicate-declaration"
+
+
+def test_a_feature_holds_one_constraint():
+    # a feature prints at most one constraint line, so it may hold only one
+    constrained = bool_pair().with_constraints((PlausibilityConstraint("x", "nondecreasing"),))
+    with pytest.raises(SemanticError) as exc:
+        constrained.with_constraints((PlausibilityConstraint("x", "immutable"),))
+    assert exc.value.kind == "duplicate-declaration"
+    with pytest.raises(ValueError):
+        FeatureDomain("x", "categorical", labels=("f", "t"), mutable=False,
+                      monotonicity="nondecreasing")
 
 
 def test_constraints_are_mirrored_into_domains():
     domains = bool_pair()
     problem = ProblemSpec(
-        domains=domains,
-        constraints=(PlausibilityConstraint("x", "immutable"),
-                     PlausibilityConstraint("y", "nondecreasing")),
+        domains=domains.with_constraints((PlausibilityConstraint("x", "immutable"),
+                                          PlausibilityConstraint("y", "nondecreasing"))),
         initial=domains.make_state({"x": "f", "y": "f"}),
     )
     assert not problem.domains.by_name("x").mutable
