@@ -56,7 +56,7 @@ FORMAT_VERSION = 1
 
 def _load_problem(ns: argparse.Namespace) -> tuple[str, ProblemSpec]:
     if ns.file is not None:
-        with open(ns.file, encoding="utf-8") as handle:
+        with open(ns.file, encoding="utf-8-sig") as handle:
             problem = parse_problem(handle.read())
         name = ns.file
     elif ns.scenario == "random":
@@ -217,7 +217,7 @@ def _render_validation(report: oracle.ValidationReport, out: TextIO) -> None:
 
 
 def _path_from_file(path_file: str, problem: ProblemSpec) -> CandidatePath:
-    with open(path_file, encoding="utf-8") as handle:
+    with open(path_file, encoding="utf-8-sig") as handle:
         try:
             record = json.load(handle)
         except RecursionError as exc:  # nested deeper than the decoder recurses

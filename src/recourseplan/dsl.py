@@ -20,6 +20,7 @@ Parsing is locale-independent; numeric constants are exact integers.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar, Union
 
@@ -27,26 +28,23 @@ from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, part
 from .errors import OutOfDomain, ParseError, SemanticError
 from .rules import COMPARATORS, Literal, ProblemSpec, Rule
 
-# Whitespace and comments before a token are skipped by the same match, and a
-# character no token starts with is a one-character ``bad`` token, so the
-# matches of one ``finditer`` pass are contiguous and only the match at the
-# end of the input has no token.
+# One ``findall`` returns the lexemes: a match is a token and the whitespace
+# and comments after it (``_SKIP_RE`` skips those before the first).  The empty
+# alternative matches where no token starts (a stray character, or a decimal,
+# which the int alternative refuses) and at the end of the input, so a text
+# tokenizes when its first empty lexeme is the last.  Offsets are for errors.
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
 _TOKEN_RE = re.compile(
     r"""
-    (?:[ \t\r\n]+|%[^\n]*)*
-    (?:
-      (?P<decimal>-?\d+\.\d+)          # matched only to reject it with a clear message
-    | (?P<int>-?\d+(?!\w))
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>:-|=<|>=|!=|[{}\[\](),.:=<>])
-    | (?P<bad>.)
-    )?
-    """,
+    ( -?\d+(?!\w|\.\d)                 # int
+    | [A-Za-z_][A-Za-z0-9_]*           # ident
+    | :-|=<|>=|!=|[{}\[\](),.:=<>]     # punct
+    |                                  # no token: an error, or the end of the input
+    )""" + _SKIP_RE.pattern,
     re.VERBOSE,
 )
-
-# (kind, text, offset): kind is "ident" | "int" | "punct" | "eof"
-_Token = tuple[str, str, int]
+_DECIMAL_RE = re.compile(r"-?\d+\.\d+")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 _T = TypeVar("_T")
 
 
@@ -56,22 +54,23 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """Tokens with their offsets, ending in an ``eof`` token at the end of the input."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            break
-        if kind == "bad" or kind == "decimal":
-            start = m.start(kind)
-            message = (f"unexpected character {text[start]!r}" if kind == "bad" else
-                       f"decimal constant {m[kind]} is not supported, use integers")
-            raise ParseError(message, *_position(text, start))
-        append((kind, m[kind], m.start(kind)))
-    append(("eof", "", len(text)))
-    return tokens
+def _offsets(text: str) -> list[int]:
+    """Where each lexeme of ``_tokenize(text)`` starts; the sentinel's is ``len(text)``."""
+    return [m.start() for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())]
+
+
+def _tokenize(text: str) -> list[str]:
+    """The lexemes, then an empty-string sentinel; a stray character or a
+    decimal raises :class:`ParseError` at its position."""
+    lexemes = _TOKEN_RE.findall(text, _SKIP_RE.match(text).end())
+    end = lexemes.index("")
+    if end < len(lexemes) - 1:
+        offset = _offsets(text)[end]
+        decimal = _DECIMAL_RE.match(text, offset)
+        message = (f"decimal constant {decimal[0]} is not supported, use integers" if decimal
+                   else f"unexpected character {text[offset]!r}")
+        raise ParseError(message, *_position(text, offset))
+    return lexemes
 
 
 class _Parser:
@@ -83,45 +82,40 @@ class _Parser:
     # token plumbing ------------------------------------------------------
 
     def _fail(self, expected: str) -> ParseError:
-        kind, lexeme, offset = self.tokens[self.pos]
-        got = "end of input" if kind == "eof" else repr(lexeme)
+        lexeme = self.tokens[self.pos]
+        got = repr(lexeme) if lexeme else "end of input"
+        offset = _offsets(self.text)[self.pos]
         return ParseError(f"unexpected {got}", *_position(self.text, offset), expected=expected)
 
     def take_punct(self, text: str) -> None:
-        kind, lexeme, _ = self.tokens[self.pos]
-        if kind == "punct" and lexeme == text:
+        if self.tokens[self.pos] == text:  # no ident or int reads as punctuation
             self.pos += 1
             return
         raise self._fail(repr(text))
 
     def take_ident(self, what: str = "identifier") -> str:
-        kind, lexeme, _ = self.tokens[self.pos]
-        if kind == "ident":
+        lexeme = self.tokens[self.pos]
+        if lexeme[:1] in _IDENT_START:
             self.pos += 1
             return lexeme
         raise self._fail(what)
 
-    def take_int(self) -> int:
-        kind, lexeme, _ = self.tokens[self.pos]
-        if kind == "int":
+    def take_int(self, what: str = "integer") -> int:
+        lexeme = self.tokens[self.pos]
+        if lexeme[:1] == "-" or lexeme[:1].isdecimal():  # \d is any Unicode decimal digit
             self.pos += 1
             return int(lexeme)
-        raise self._fail("integer")
+        raise self._fail(what)
 
     def take_value(self) -> Union[str, int]:
         """A literal constant or initial value: identifier or integer."""
-        kind, lexeme, _ = self.tokens[self.pos]
-        if kind == "ident":
-            self.pos += 1
-            return lexeme
-        if kind == "int":
-            self.pos += 1
-            return int(lexeme)
-        raise self._fail("value")
+        if self.tokens[self.pos][:1] in _IDENT_START:
+            return self.take_ident()
+        return self.take_int("value")
 
     def take_comparator(self) -> str:
-        kind, lexeme, _ = self.tokens[self.pos]
-        if kind == "punct" and lexeme in COMPARATORS:
+        lexeme = self.tokens[self.pos]
+        if lexeme in COMPARATORS:
             self.pos += 1
             return lexeme
         raise self._fail("comparator (= != =< < >= >)")
@@ -129,7 +123,7 @@ class _Parser:
     def _items(self, read: Callable[[], _T]) -> list[_T]:
         """A comma-separated list: ``read`` once, then again after each comma."""
         items = [read()]
-        while self.tokens[self.pos][1] == ",":  # only a punct token reads ","
+        while self.tokens[self.pos] == ",":
             self.pos += 1
             items.append(read())
         return items
@@ -139,11 +133,9 @@ class _Parser:
     def parse(self) -> "_Parsed":
         parsed = _Parsed()
         while True:
-            kind, keyword, _ = self.tokens[self.pos]
-            if kind == "eof":
+            keyword = self.tokens[self.pos]
+            if not keyword:
                 return parsed
-            if kind != "ident":
-                raise self._fail("statement keyword")
             if keyword == "feature":
                 self._feature(parsed)
             elif keyword == "decision" or keyword == "causal":
@@ -153,7 +145,8 @@ class _Parser:
             elif keyword == "initial":
                 self._initial(parsed)
             else:
-                raise self._fail("one of feature/decision/causal/constraint/initial")
+                raise self._fail("one of feature/decision/causal/constraint/initial"
+                                 if keyword[:1] in _IDENT_START else "statement keyword")
 
     def _feature(self, parsed: "_Parsed") -> None:
         self.pos += 1
@@ -292,13 +285,16 @@ def _build_domains(parsed: _Parsed) -> Domains:
                                         f"{lit}: numeric feature needs an integer constant")
                 thresholds[lit.feature].update(_boundaries_for(lit.op, lit.const))
 
+    constraint = {c.feature: c.kind for c in parsed.constraints}  # checked in parse_problem
     features = []
     for d in parsed.features.values():
+        kind = constraint.get(d.name, "none")
+        flags = {"mutable": False} if kind == "immutable" else {"monotonicity": kind}
         if d.kind == "categorical":
-            features.append(FeatureDomain(d.name, "categorical", labels=d.labels))
+            features.append(FeatureDomain(d.name, "categorical", labels=d.labels, **flags))
         else:
             parts = partition_range(d.lo, d.hi, thresholds[d.name])
-            features.append(FeatureDomain(d.name, "numeric", intervals=parts))
+            features.append(FeatureDomain(d.name, "numeric", intervals=parts, **flags))
     return Domains(tuple(features))
 
 
@@ -330,12 +326,16 @@ def parse_problem(text: str) -> ProblemSpec:
     parsed = _Parser(text).parse()
     domains = _build_domains(parsed)
     initial = _build_initial(parsed, domains)
-    return ProblemSpec(
-        domains=domains.with_constraints(parsed.constraints),
-        causal_rules=tuple(parsed.causal),
-        decision_rules=tuple(parsed.decision),
-        initial=initial,
-    )
+    seen: set[str] = set()  # the errors Domains.with_constraints raises, after the initial's
+    for c in parsed.constraints:
+        if c.feature not in parsed.features:
+            raise SemanticError("undeclared-feature", f"feature {c.feature!r} is not declared")
+        if c.feature in seen:
+            raise SemanticError("duplicate-declaration",
+                                f"more than one constraint on feature {c.feature!r}")
+        seen.add(c.feature)
+    return ProblemSpec(domains=domains, causal_rules=tuple(parsed.causal),
+                       decision_rules=tuple(parsed.decision), initial=initial)
 
 
 def pretty_print(problem: ProblemSpec) -> str:

@@ -204,8 +204,9 @@ class ProblemSpec:
     on planner expansions.  The plausibility constraints live on the domains
     alone, as each feature's ``mutable`` and ``monotonicity``
     (:meth:`~recourseplan.domains.Domains.with_constraints` applies them).
-    Construction re-binds the initial state to ``domains``; the state must
-    satisfy every causal rule, and construction rejects it otherwise.
+    Construction re-binds the initial state to ``domains`` when it sits on
+    other domains; the state must satisfy every causal rule, and
+    construction rejects it otherwise.
 
     Construction compiles every rule once against the domains,
     without a cache, causal rules first: ``causal_tables`` holds each causal
@@ -228,8 +229,9 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.initial is None:
             raise SemanticError("missing-initial", "problem has no initial state")
-        object.__setattr__(self, "initial",
-                           State(self.domains, self.initial.idx, self.initial.reps))
+        if self.initial.domains is not self.domains:
+            object.__setattr__(self, "initial",
+                               State(self.domains, self.initial.idx, self.initial.reps))
         for rule in self.causal_rules:
             if rule.role != "causal":
                 raise ValueError(f"rule {rule.id!r} listed as causal but has role {rule.role!r}")

@@ -171,6 +171,15 @@ def test_validate_from_artifact_matches_in_process(tmp_path):
     assert (code1, direct_out) == (code2, artifact_out)
 
 
+def test_path_record_with_a_byte_order_mark_reads_like_one_without(tmp_path):
+    code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
+    artifact = tmp_path / "german.json"
+    artifact.write_text(planned, encoding="utf-8-sig")
+    assert artifact.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert (run_cli("validate", "--scenario", "german", "--path-file", str(artifact))
+            == run_cli("validate", "--scenario", "german"))
+
+
 def test_validate_corrupted_path_fails_step_clause(tmp_path):
     code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
     record = json.loads(planned)
@@ -334,6 +343,17 @@ def test_file_problems_plan_like_scenarios(tmp_path):
     code, out, err = run_cli("plan", "--file", str(f))
     assert code == 0
     assert "Goal_State" in out
+
+
+@pytest.mark.parametrize("text", [GERMAN_TEXT, "feature a: numeric [1, 2].\n  @\n"],
+                         ids=["plans", "error position"])
+def test_file_with_a_byte_order_mark_reads_like_one_without(text, tmp_path):
+    f = tmp_path / "problem.rp"
+    f.write_text(text, encoding="utf-8")
+    without = run_cli("plan", "--file", str(f))
+    f.write_text(text, encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run_cli("plan", "--file", str(f)) == without
 
 
 def test_enumerate_structured_record():

@@ -1,11 +1,16 @@
-"""Differential tests of the one-pass tokenizer against the previous one.
+"""Differential tests of the lexeme tokenizer against an earlier one.
 
 ``_reference_tokenize`` is a verbatim copy of the tokenizer that counted
-lines per token (only the function is renamed), kept as the reference: for every text below, the tokenizer in ``dsl`` must produce the
-same ``(kind, text, line, col)`` tokens, or raise a ``ParseError`` with the
-same message and position.  ``PARSE_OUTCOMES_DIGEST`` pins what
-``parse_problem`` made of the same texts (the printed problem, or the error
-type and message) before the tokenizer changed.
+lines per token (only the function is renamed), kept as the reference.  The
+tokenizer in ``dsl`` returns bare lexemes; ``_with_positions`` gives each one
+the kind its first character names and the line and column of its offset
+from ``_offsets``, the helper error messages use.  For every text below the
+two must produce the same ``(kind, text, line, col)`` tokens, or raise a
+``ParseError`` with the same message and position.  ``PARSE_OUTCOMES_DIGEST``
+pins what ``parse_problem`` made of the base texts and their mutants (the
+printed problem, or the error type and message) before the tokenizer changed;
+``EDGE_TEXTS`` lie outside those inputs, so the digest's inputs stay fixed.
+A valid parse computes no offset or position at all.
 """
 
 import hashlib
@@ -16,7 +21,8 @@ from typing import NamedTuple
 import pytest
 
 import test_dsl
-from recourseplan.dsl import _position, _tokenize, parse_problem, pretty_print
+from recourseplan import dsl
+from recourseplan.dsl import _offsets, _position, _tokenize, parse_problem, pretty_print
 from recourseplan.errors import ParseError, SemanticError
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
@@ -125,8 +131,18 @@ def _tokens(tokenize, text: str):
         return ("error", str(exc), exc.line, exc.col)
 
 
+def _kind(lexeme: str) -> str:
+    if not lexeme:
+        return "eof"
+    if lexeme[0] == "_" or lexeme[0].isascii() and lexeme[0].isalpha():
+        return "ident"
+    return "int" if lexeme[0] == "-" or lexeme[0].isdecimal() else "punct"
+
+
 def _with_positions(text: str):
-    return [(kind, lexeme, *_position(text, offset)) for kind, lexeme, offset in _tokenize(text)]
+    lexemes = _tokenize(text)
+    return [(_kind(lexeme), lexeme, *_position(text, offset))
+            for lexeme, offset in zip(lexemes, _offsets(text), strict=True)]
 
 
 def _parse_outcome(text: str) -> str:
@@ -170,3 +186,39 @@ def test_parse_outcomes_match_the_pinned_digest():
         digest.update(_parse_outcome(text).encode())
         digest.update(b"\0")
     assert digest.hexdigest() == PARSE_OUTCOMES_DIGEST
+
+
+EDGE_TEXTS = [
+    "x = ٣",  # an Arabic-Indic digit: \d reads it as an integer
+    "8²", "8decision", "-3x",  # a digit or a superscript after an integer
+    "-", "!", "x != -٣",
+    "% 1.5 in a comment\nx = 1.", "% a comment\n1.5", "x = 1 %1.5",
+    "x = 1. % a comment, no newline", "x %", "%", "", " \t\r\n",
+    "feature a: numeric [1, 2].\r\ninitial { a = 1 }.\r\n",
+    "feature a: numeric [1, 2].\r\n\t@\r\n",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_edge_cases_match_the_reference(text):
+    assert _tokens(_with_positions, text) == _tokens(_reference_tokenize, text)
+
+
+def test_a_valid_parse_computes_no_position(monkeypatch):
+    # offsets and positions are for error messages; the four scenarios and
+    # the printed 10/6 problems of seeds 0-119 parse without one
+    def refuse(*args):
+        raise AssertionError("a position was computed")
+
+    monkeypatch.setattr(dsl, "_offsets", refuse)
+    monkeypatch.setattr(dsl, "_position", refuse)
+    for text in _scenario_texts() + _generated_texts():
+        parse_problem(text)
+
+
+def test_unicode_digits_parse_as_integers():
+    # \d, and so the int token, matches any Unicode decimal digit
+    unicode = parse_problem("feature x: numeric [٠, ٣].\ndecision d :- x >= ٢.\n"
+                            "initial { x = -٠ }.\n")
+    assert unicode == parse_problem("feature x: numeric [0, 3].\ndecision d :- x >= 2.\n"
+                                    "initial { x = 0 }.\n")
