@@ -9,7 +9,6 @@ and makes exhaustive cross-checks exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
 from .errors import EmptyRange, OutOfDomain, SemanticError
@@ -101,7 +100,8 @@ class FeatureDomain:
     Categorical features carry an ordered tuple of labels; numeric features
     carry an ordered interval partition of their declared range.  A feature's
     plausibility constraint is stored here and nowhere else, as ``mutable``
-    and ``monotonicity`` (:meth:`Domains.with_constraints` sets them).
+    and ``monotonicity``, given at construction or set by
+    :meth:`Domains.with_constraints`.
     """
 
     name: str
@@ -161,18 +161,23 @@ class FeatureDomain:
 
 @dataclass(frozen=True)
 class Domains:
-    """Ordered collection of feature domains; the schema of a state space."""
+    """Ordered collection of feature domains; the schema of a state space.
+
+    Construction computes the name index and ``sizes`` (each feature's number
+    of values, in declaration order) once; neither takes part in equality,
+    hashing or ``repr``.  A feature name declared twice is rejected.
+    """
 
     features: tuple[FeatureDomain, ...]
+    _by_name: dict[str, int] = field(init=False, compare=False, repr=False)
+    sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
+        by_name = {f.name: i for i, f in enumerate(self.features)}
+        if len(by_name) != len(self.features):
             raise SemanticError("duplicate-declaration", "feature declared twice")
-
-    @cached_property
-    def _by_name(self) -> dict[str, int]:
-        return {f.name: i for i, f in enumerate(self.features)}
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "sizes", tuple(f.size for f in self.features))
 
     def __iter__(self) -> Iterator[FeatureDomain]:
         return iter(self.features)
@@ -186,11 +191,6 @@ class Domains:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
-
-    @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        """Each feature's number of values, in declaration order."""
-        return tuple(f.size for f in self.features)
 
     def index(self, name: str) -> int:
         try:

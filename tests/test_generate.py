@@ -1,5 +1,10 @@
+import dataclasses
 import hashlib
 
+import pytest
+
+from recourseplan import domains as domains_module
+from recourseplan.domains import Domains, FeatureDomain, State
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
 from recourseplan.rules import is_causally_consistent
@@ -49,3 +54,56 @@ def test_generated_problems_match_pinned_digest():
             digest.update(pretty_print(p).encode())
             digest.update(repr(p.action_budget).encode())
     assert digest.hexdigest() == GENERATED_DIGEST
+
+
+# SHA-256 over the repr of every problem's domains (each feature's full
+# interval partition and constraint flags, which the printed text drops),
+# rules and initial indices and witnesses, over the same four blocks.
+STRUCTURE_DIGEST = "b4ddeba6a721308d5f24b5df0fa0ff5e00d73031797fe06b1bdc583c015a5395"
+
+
+def test_generated_structure_matches_pinned_digest():
+    blocks = [(range(350), {"max_features": 8, "max_values": 5}),
+              (range(120), {"max_features": 10, "max_values": 6}),
+              (range(200), {}),
+              (range(60), {"max_features": 12, "max_values": 6, "max_causal": 10})]
+    digest = hashlib.sha256()
+    for seeds, params in blocks:
+        for seed in seeds:
+            p = random_problem(seed, **params)
+            digest.update(repr((p.domains, p.causal_rules, p.decision_rules,
+                                p.initial.idx, p.initial.reps)).encode())
+    assert digest.hexdigest() == STRUCTURE_DIGEST
+
+
+def test_each_problem_builds_its_features_domains_and_state_once(monkeypatch):
+    # every feature is built with its constraint flags, one Domains holds
+    # them, and the initial state is sampled on it; nothing is rebuilt
+    built = {FeatureDomain: 0, Domains: 0, State: 0}
+    for cls in built:
+        def counting_post_init(self, cls=cls, real=cls.__post_init__):
+            built[cls] += 1
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    replaced = []
+
+    def counting_replace(obj, /, **changes):
+        replaced.append(obj)
+        return real_replace(obj, **changes)
+    real_replace = dataclasses.replace
+    monkeypatch.setattr(dataclasses, "replace", counting_replace)
+    monkeypatch.setattr(domains_module, "replace", counting_replace)
+    for seed in range(350):
+        for cls in built:
+            built[cls] = 0
+        p = random_problem(seed, max_features=8, max_values=5)
+        assert built == {FeatureDomain: len(p.domains), Domains: 1, State: 1}, seed
+        assert p.initial.domains is p.domains
+    assert replaced == []
+
+
+@pytest.mark.parametrize("arg, value", [("max_features", 1), ("max_values", 1),
+                                        ("max_causal", -1)])
+def test_bad_size_arguments_are_named(arg, value):
+    with pytest.raises(ValueError, match=arg):
+        random_problem(3, **{arg: value})
