@@ -223,7 +223,8 @@ class Domains:
         """Build a state from concrete values; numeric values keep their witness.
 
         A numeric value maps to its containing interval.  A missing feature,
-        an unknown label, a non-integer or an out-of-range number raises
+        an unknown label, a non-integer (a ``bool`` and a float with a
+        fractional part among them) or an out-of-range number raises
         :class:`OutOfDomain`.
         """
         idx = []
@@ -239,6 +240,8 @@ class Domains:
                     raise OutOfDomain(f.name, f"{str(v)!r} is not a declared value") from None
                 reps.append(None)
             else:
+                if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+                    raise OutOfDomain(f.name, f"{v!r} is not an integer")
                 try:
                     x = int(v)
                 except (TypeError, ValueError):

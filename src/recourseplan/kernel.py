@@ -16,24 +16,25 @@ call time to rule a state out before any search:
 :meth:`~CompiledProblem.unrepairable` (no action sequence restores some
 causal rule) and :meth:`~CompiledProblem.doomed` (no state of the reach
 box, the product of the values each feature can still reach, is a goal;
-decided by splitting the box until a rule rules out each part, a part with
-every rule-named feature pinned is a goal, or a fixed number of splits is
-spent).  ``State`` and
+decided by cutting the box in two along literals the rules straddle until a
+rule rules out each part, a part on which every rule is decided is all
+goals, or a fixed number of boxes is spent).  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .domains import FeatureDomain
 from .rules import CausalTable, Pairs, ProblemSpec, Rule, causal_holds
 
 Index = tuple[int, ...]
+Pair = tuple[int, frozenset[int]]
 
-# the most boxes :meth:`CompiledProblem.doomed` splits before it gives up and
-# leaves the start to the search; the generated tiers need at most 365 (10/6
-# seed 204)
+# the most boxes :meth:`CompiledProblem.doomed` decides after its root test
+# before it gives up and leaves the start to the search; the generated tiers
+# need at most 37 (8/5 seed 263)
 MAX_SPLITS = 2048
 
 
@@ -185,46 +186,80 @@ class CompiledProblem:
         The reach box is the product of the values each feature can still
         reach from ``idx`` (:func:`_reach`).  It holds every reachable state,
         since every action (a direct move, a causal repair and so every
-        repair-chain step) keeps to mutability and monotonicity.  A box that
-        no rule rules out (:meth:`_ruled_out`) is split on the first
-        rule-named axis with more than one value, one part per value, and is
-        goal-free only if every part is; the parts no rule rules out wait on
-        a stack, the first part on top.  A box with every rule-named
-        axis pinned decides each rule the same way at all of its states, so
-        one that is not ruled out holds only goals.  A goal in the box need
-        not be reachable, and the test gives up after :data:`MAX_SPLITS`
-        splits, so ``False`` proves nothing.
+        repair-chain step) keeps to mutability and monotonicity.  The whole
+        box is tested first, on the reach ranges (:meth:`_ruled_out`).  A box
+        it does not rule out becomes one value set per feature, and boxes are
+        then popped off a stack and decided in one pass over the rules
+        (:meth:`_decide`).  A box that no rule rules out is cut in two along
+        the first pair a rule straddles, into the part inside the pair's
+        values and the part outside them, and is goal-free only if both parts
+        are; the outside part is popped first.  A box on which every rule is
+        decided and none rules it out holds only goals.  A goal in the box
+        need not be reachable, and the test gives up after :data:`MAX_SPLITS`
+        boxes, so ``False`` proves nothing.
         """
         box = list(map(_reach, self.domains.features, idx))
         if self._ruled_out(box):
             return True
-        # the split axes: every feature some rule names, in feature order
-        named = {head for _, head, _ in self.causal}
-        for body in [body for body, _, _ in self.causal] + list(self.decision):
-            named.update(i for i, _ in body)
-        split = sorted(named)
-        stack = [box]
+        stack = [list(map(frozenset, box))]
         for _ in range(MAX_SPLITS):
             box = stack.pop()
-            for fi in split:
-                values = box[fi]
-                if len(values) > 1:
-                    break
-            else:
+            cut = self._decide(box)
+            if cut is None:
                 return False  # a goal witness
-            for vi in reversed(values):
+            if cut is not True:
+                i, allowed = cut
                 part = box.copy()
-                part[fi] = (vi,)
-                if not self._ruled_out(part):
-                    stack.append(part)
+                part[i] = box[i] - allowed
+                box[i] = box[i] & allowed
+                stack.append(box)
+                stack.append(part)
             if not stack:
                 return True
         return False
 
+    def _decide(self, box: Sequence[frozenset[int]]) -> Union[bool, Pair, None]:
+        """Decide every rule on ``box`` (one value set per feature) in one
+        pass: ``True`` when some causal rule is broken throughout it or some
+        decision rule fires throughout it, ``None`` when every rule is
+        decided and none of them is, so that every state of the box is a
+        goal, and otherwise the first pair a rule straddles (its axis meets
+        the pair's values and leaves them).  Causal rules come first, and
+        within one its head pair before its body pairs."""
+        cut = None
+        for body, head, head_allowed in self.causal:
+            values = box[head]
+            if values <= head_allowed:
+                continue
+            straddled = None if head_allowed.isdisjoint(values) else (head, head_allowed)
+            for i, allowed in body:
+                values = box[i]
+                if values.isdisjoint(allowed):
+                    break
+                if straddled is None and not values <= allowed:
+                    straddled = i, allowed
+            else:
+                if straddled is None:
+                    return True
+                cut = cut or straddled
+        for body in self.decision:
+            straddled = None
+            for i, allowed in body:
+                values = box[i]
+                if values.isdisjoint(allowed):
+                    break
+                if straddled is None and not values <= allowed:
+                    straddled = i, allowed
+            else:
+                if straddled is None:
+                    return True
+                cut = cut or straddled
+        return cut
+
     def _ruled_out(self, box: Sequence[Sequence[int]]) -> bool:
-        """No state of ``box`` (one value range or tuple per feature) is a
-        goal by one rule: some decision rule's body contains the box on every
-        body axis, so the rule fires throughout, or some causal rule is
+        """No state of ``box`` (the reach box, one value range per feature)
+        is a goal by one rule: some decision rule's body contains the box on
+        every body axis, so the rule fires throughout, or some causal rule is
         broken throughout (:meth:`_broken`)."""
         for body in self.decision:
             for i, allowed in body:

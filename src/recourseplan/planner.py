@@ -22,9 +22,10 @@ goal), ``failure`` (the search expanded every reachable consistent state, or
 none exists), or ``budget-exhausted`` (the expansion budget ran out first).
 The last two keep only the root entry.  A run whose initial state is a goal
 succeeds with that one entry.  A run whose initial state is doomed
-(:meth:`~recourseplan.kernel.CompiledProblem.doomed`: a split of its reach
-box, which holds every state reachable from it, finds no goal within a fixed
-number of splits) fails with that one entry, before any budget is counted.
+(:meth:`~recourseplan.kernel.CompiledProblem.doomed`: its reach box, which
+holds every state reachable from it, is cut in two along straddled literals
+until each part is ruled out, within a fixed number of boxes) fails with
+that one entry, before any budget is counted.
 Only a run that takes a step builds the action list (the causal-repair guard
 sweep).
 """
@@ -233,7 +234,7 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     goal, or in ``budget-exhausted`` when the expansion budget ran out.
 
     A start in the goal set ends the run at once in ``success``, and a
-    doomed start (its reach box, split until each part is ruled out, holds
+    doomed start (its reach box, cut until each part is ruled out, holds
     no goal) in ``failure``, each with the one root entry, no action and no
     expansion, before the action list is built: only a run that steps builds
     it, and the default budget counts its actions.

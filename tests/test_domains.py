@@ -121,6 +121,23 @@ def test_make_state_rejects_values_outside_the_domain(values, feature, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("value", [30.7, -0.5, float("nan"), float("inf"), True, False])
+def test_make_state_rejects_non_integer_numbers(value):
+    # int() would truncate a float and read a bool as 0 or 1
+    d = Domains((FeatureDomain("age", "numeric", intervals=partition_range(0, 99, {30})),))
+    with pytest.raises(OutOfDomain) as exc:
+        d.make_state({"age": value})
+    assert exc.value.feature == "age"
+    assert f"{value!r} is not an integer" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [30, 30.0, "30"])
+def test_make_state_accepts_integral_numbers(value):
+    d = Domains((FeatureDomain("age", "numeric", intervals=partition_range(0, 99, {30})),))
+    s = d.make_state({"age": value})
+    assert (s.idx, s.rep("age")) == ((0,), 30)
+
+
 def test_state_equality_is_interval_based():
     d = Domains((
         FeatureDomain("gain", "numeric", intervals=partition_range(0, 99999, {6849})),

@@ -3,10 +3,12 @@ every state of small problems, its action list with ``build_actions``, and
 its doomed-state test with the oracle's reachability."""
 
 import dataclasses
+import itertools
 import sys
 
 import pytest
 
+from recourseplan import kernel
 from recourseplan.actions import apply_action, build_actions, is_permitted
 from recourseplan.domains import FeatureDomain
 from recourseplan.dsl import parse_problem
@@ -45,15 +47,17 @@ def test_kernel_matches_state_api_on_every_state(make):
 
 
 def _counting_boxes(monkeypatch) -> list:
-    """Count the boxes :meth:`CompiledProblem.doomed` visits, root box included."""
+    """Count the boxes :meth:`CompiledProblem.doomed` tests: the root test on
+    the reach ranges, then each box the split decides."""
     boxes = []
-    real_ruled_out = CompiledProblem._ruled_out
+    for name in ("_ruled_out", "_decide"):
+        real = getattr(CompiledProblem, name)
 
-    def counting_ruled_out(self, box):
-        boxes.append(1)
-        return real_ruled_out(self, box)
+        def counting(self, box, real=real):
+            boxes.append(1)
+            return real(self, box)
 
-    monkeypatch.setattr(CompiledProblem, "_ruled_out", counting_ruled_out)
+        monkeypatch.setattr(CompiledProblem, name, counting)
     return boxes
 
 
@@ -75,11 +79,12 @@ def test_no_goal_is_reachable_from_a_doomed_state(monkeypatch):
     assert 0 < split < doomed
 
 
-# the most boxes one start's doomed test visited, seeds 0-349, 0-119 and 0-199
+# the most boxes one start's doomed test visited, root test included, seeds
+# 0-349, 0-119 and 0-199 (8/5 seed 263, 10/6 seed 85, 12/6/C10 seed 25)
 BOX_BOUNDS = [
-    ("8/5", dict(max_features=8, max_values=5), 350, 484),
-    ("10/6", dict(max_features=10, max_values=6), 120, 25),
-    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 287),
+    ("8/5", dict(max_features=8, max_values=5), 350, 38),
+    ("10/6", dict(max_features=10, max_values=6), 120, 12),
+    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 24),
 ]
 
 
@@ -108,20 +113,61 @@ def _two_valued_problem(n: int, rules: list[str], constraints: list[str] = ()) -
     return parse_problem("\n".join(lines))
 
 
-def test_doomed_gives_up_on_a_box_no_part_rules_out_early(monkeypatch):
-    # no part of the reach box is ruled out before f29, the last split axis,
-    # is pinned, and the split meets the one goal, f0..f28 = b and f29 = a,
-    # after about 2**30 splits.  The goal is 29 monotone moves deep, and the
-    # breadth-first search spends the default budget (10 * 60 actions * 30
-    # features) on the states nearer the start.
+def test_doomed_finds_a_goal_deeper_than_the_search_budget(monkeypatch):
+    # the one goal, f0..f28 = b and f29 = a, lies in the reach box, and the
+    # split meets it after 32 boxes, cutting along d{i}'s f{i} = a and
+    # popping f{i} = b first, so the start is not doomed.  The goal is 29
+    # monotone moves deep, and the breadth-first search spends the default
+    # budget (10 * 60 actions * 30 features) on the states nearer the start.
     rules = [f"decision d{i} :- f{i} = a, f29 = a." for i in range(29)]
     problem = _two_valued_problem(30, rules + ["decision e :- f29 = b."],
                                   [f"constraint nondecreasing f{i}." for i in range(29)])
     boxes = _counting_boxes(monkeypatch)
     assert not CompiledProblem(problem).doomed(problem.initial.idx)
-    assert len(boxes) <= 1 + 2 * MAX_SPLITS
+    assert len(boxes) <= 1 + MAX_SPLITS
     trace = get_path(problem)
     assert (trace.status, trace.expansions) == ("budget-exhausted", 18000)
+
+
+def test_doomed_gives_up_after_max_splits_boxes(monkeypatch):
+    # 8/5 seed 263 is doomed after 38 boxes; with 8 the split gives up, and
+    # the search proves the failure by expanding every reachable consistent
+    # state (SEARCHED_FAILURES in test_planner.py)
+    monkeypatch.setattr(kernel, "MAX_SPLITS", 8)
+    problem = random_problem(263, max_features=8, max_values=5)
+    boxes = _counting_boxes(monkeypatch)
+    assert not CompiledProblem(problem).doomed(problem.initial.idx)
+    assert len(boxes) <= 9
+    trace = get_path(problem)
+    assert (trace.status, trace.expansions) == ("failure", 1615)
+    assert bfs_shortest_path(problem) is None
+
+
+# random_problem tiers small enough to enumerate every start's reach box
+EXACT_TIERS = [(dict(max_features=6, max_values=4), 120),
+               (dict(max_features=6, max_values=4, max_causal=8), 200)]
+
+
+def test_doomed_is_exact_on_every_enumerable_reach_box(monkeypatch):
+    # doomed must say whether the reach box holds a goal, not only whether a
+    # goal is reachable, and must decide every start within MAX_SPLITS boxes
+    problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
+    problems += [random_problem(seed, **tier) for tier, n in EXACT_TIERS for seed in range(n)]
+    boxes = _counting_boxes(monkeypatch)
+    starts = 0
+    for problem in problems:
+        compiled = CompiledProblem(problem)
+        features = problem.domains.features
+        goal_free = {}  # per reach box
+        for state in enumerate_causally_consistent(problem):
+            reach = tuple(map(kernel._reach, features, state.idx))
+            if reach not in goal_free:
+                goal_free[reach] = not any(map(compiled.goal, itertools.product(*reach)))
+            boxes.clear()
+            assert compiled.doomed(state.idx) == goal_free[reach], state.idx
+            assert len(boxes) <= MAX_SPLITS
+            starts += 1
+    assert starts > 20000
 
 
 def test_doomed_splits_more_axes_than_the_recursion_limit():
