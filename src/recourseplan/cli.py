@@ -228,7 +228,9 @@ def _path_from_file(path_file: str, problem: ProblemSpec) -> CandidatePath:
         states = tuple(State.from_dict(problem.domains, d)
                        for d in record["candidate_path"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise RecourseError(f"malformed path record: {exc}") from exc
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise RecourseError(f"malformed path record: {message}") from exc
     return CandidatePath(states)
 
 

@@ -329,8 +329,9 @@ class State:
     @classmethod
     def from_dict(cls, domains: Domains, data: Mapping) -> "State":
         """The state :meth:`to_dict` wrote.  A numeric entry must name its
-        interval by an integer index, repeat that interval's bounds, and carry
-        no witness or an integer inside the interval."""
+        interval by an integer index in range, repeat that interval's bounds,
+        and carry no witness or an integer inside the interval.  Every error
+        names the feature."""
         idx = []
         reps: list[Optional[int]] = []
         for f in domains:
@@ -341,9 +342,16 @@ class State:
                 idx.append(f.index_of_label(str(v)))
                 reps.append(None)
             else:
+                if not isinstance(v, Mapping):
+                    raise TypeError(f"{f.name}: entry {v!r} is not an object")
+                for field in ("interval_index", "lower", "upper", "lower_open"):
+                    if field not in v:
+                        raise KeyError(f"{f.name}: missing field {field!r}")
                 i, rep = v["interval_index"], v.get("value")
                 if type(i) is not int:
                     raise TypeError(f"{f.name}: interval index {i!r} is not an integer")
+                if not 0 <= i < f.size:
+                    raise ValueError(f"{f.name}: interval index {i} out of range")
                 iv = f.intervals[i]
                 if (v["lower"], v["upper"], v["lower_open"]) != (iv.lower, iv.upper, iv.lower_open):
                     raise ValueError(f"{f.name}: bounds disagree with {iv}")

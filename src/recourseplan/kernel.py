@@ -5,26 +5,27 @@ rules and step them by actions, millions of times on large spaces.
 :class:`CompiledProblem` reads the (feature position, allowed value indices)
 tables the :class:`~recourseplan.rules.ProblemSpec` compiled for every rule,
 tests causal consistency with the one function that owns it
-(:func:`~recourseplan.rules.causal_holds`), decides each causal repair with
-a per-rule box test and derives the action list and every action's
-precondition from the tables, so those loops never touch
+(:func:`~recourseplan.rules.causal_holds`), decides whole boxes of states
+with the one box test :func:`_decide` and derives the action list and every
+action's precondition from the tables, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Set-up compiles nothing and enumerates no states: each repair candidate
 costs one test per causal rule, and the action list is built only for a run
 that steps.  Two tests read mutability and monotonicity off the domains at
-call time to rule a state out before any search:
-:meth:`~CompiledProblem.unrepairable` (no action sequence restores some
-causal rule) and :meth:`~CompiledProblem.doomed` (no state of the reach
-box, the product of the values each feature can still reach, is a goal;
-decided by cutting the box in two along literals the rules straddle until a
-rule rules out each part, a part on which every rule is decided is all
-goals, or a fixed number of boxes is spent).  ``State`` and
+call time to rule a state out before any search, both through
+:func:`_decide` on the reach box, the product of the values each feature
+can still reach: :meth:`~CompiledProblem.unrepairable` (some causal rule is
+broken throughout it, so no action sequence restores that rule) and
+:meth:`~CompiledProblem.doomed` (no state of it is a goal; decided by
+cutting the box in two along literals the rules straddle until a rule rules
+out each part, a part on which every rule is decided is all goals, or a
+fixed number of boxes is spent).  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 from .domains import FeatureDomain
 from .rules import CausalTable, Pairs, ProblemSpec, Rule, causal_holds
@@ -32,32 +33,63 @@ from .rules import CausalTable, Pairs, ProblemSpec, Rule, causal_holds
 Index = tuple[int, ...]
 Pair = tuple[int, frozenset[int]]
 
-# the most boxes :meth:`CompiledProblem.doomed` decides after its root test
-# before it gives up and leaves the start to the search; the generated tiers
-# need at most 37 (8/5 seed 263)
+# the most boxes :meth:`CompiledProblem.doomed` decides, the reach box
+# included, before it gives up and leaves the start to the search; the
+# generated tiers need at most 37 (8/5 seed 263)
 MAX_SPLITS = 2048
 
 
-def _always_consistent_after(causal: Sequence[CausalTable],
-                             box: Sequence[frozenset[int]]) -> bool:
-    """Whether every state of the box is causally consistent: the causal-repair
-    guard sweep, decided without enumerating the box.
+def _decide(causal: Sequence[CausalTable], decision: Sequence[Pairs],
+            box: Sequence[Collection[int]]) -> Union[bool, Pair, None]:
+    """Decide every rule on ``box`` in one pass, without enumerating it:
+    ``True`` when some causal rule is broken or some decision rule fires
+    throughout the box, ``None`` when every rule is decided and none of them
+    is, so that every state of the box is consistent and fires no rule, and
+    otherwise the first pair a rule straddles (its axis meets the pair's
+    values and leaves them).
 
-    ``box`` holds one non-empty value set per feature.  A rule is violated
-    somewhere in the product exactly when its head's axis leaves the head's
-    allowed values and every body feature's axis meets the rule's values on
-    that feature (one pair per feature, its literals intersected): the head
-    feature is never in its own body, and the axes vary independently.
+    ``box`` holds one non-empty value set or range per feature; the axes
+    vary independently, and a head feature is never in its own body.  So a
+    rule's body holds throughout when every body axis lies inside its pair's
+    values, and fails throughout when one misses them.  The cut prefers
+    causal rules, and within one its head pair before its body pairs.  The
+    decision rules are scanned first, so a box that one of them rules out
+    costs one short pass.
     """
-    for body, head, allowed in causal:
-        if box[head] <= allowed:
-            continue
-        for i, meets in body:
-            if box[i].isdisjoint(meets):
-                break
+    later = None  # the first pair a decision rule straddles
+    for body in decision:
+        straddled = None
+        for i, allowed in body:
+            values = box[i]
+            if allowed.issuperset(values):
+                continue
+            if later is not None or allowed.isdisjoint(values):
+                break  # it fails throughout, or an earlier rule's cut comes first
+            if straddled is None:
+                straddled = i, allowed
         else:
-            return False
-    return True
+            if straddled is None:
+                return True
+            later = straddled
+    cut = None
+    for body, head, head_allowed in causal:
+        values = box[head]
+        if head_allowed.issuperset(values):
+            continue
+        straddled = None if head_allowed.isdisjoint(values) else (head, head_allowed)
+        for i, allowed in body:
+            values = box[i]
+            if allowed.issuperset(values):
+                continue
+            if allowed.isdisjoint(values):
+                break
+            if straddled is None:
+                straddled = i, allowed
+        else:
+            if straddled is None:
+                return True
+            cut = cut or straddled
+    return cut or later
 
 
 def _reach(feature: FeatureDomain, vi: int) -> range:
@@ -97,7 +129,8 @@ class CompiledProblem:
     a run records it, and ``ids`` formats them all.
 
     A repair setting a feature to a value survives when every state of its
-    guard box is consistent afterwards.  The box ranges over every feature's
+    guard box is consistent afterwards (:func:`_decide` returns ``None``
+    with no decision rules).  The box ranges over every feature's
     values, narrowed on each guard feature to its body pair (what all of its
     literals allow) and pinned at the new value on the written feature; an
     empty guard axis keeps the repair, since the box then holds no state.
@@ -145,7 +178,7 @@ class CompiledProblem:
             vacuous = not all(box)
             for vi in sorted(allowed):
                 box[fi] = frozenset((vi,))
-                if vacuous or _always_consistent_after(self.causal, box):
+                if vacuous or _decide(self.causal, (), box) is None:
                     rules.append(rule)
                     moves.append((fi, vi, pre[fi][vi] + body))
         self.rules = tuple(rules) + (None,) * len(direct_moves)
@@ -172,12 +205,13 @@ class CompiledProblem:
         """Some causal rule is violated at ``idx`` and at every state reachable
         from it, so no sequence of actions leads to a consistent state.
 
-        That holds when the values the head feature can still reach miss the
+        That holds when :func:`_decide` finds a causal rule broken throughout
+        the reach box: the values the head feature can still reach miss the
         head's allowed ones, and those each body feature can still reach stay
         inside its literals, since every action keeps to mutability and
         monotonicity.
         """
-        return self._broken(list(map(_reach, self.domains.features, idx)))
+        return _decide(self.causal, (), list(map(_reach, self.domains.features, idx))) is True
 
     def doomed(self, idx: Index) -> bool:
         """No state of the reach box of ``idx`` is a goal, so no sequence of
@@ -186,100 +220,39 @@ class CompiledProblem:
         The reach box is the product of the values each feature can still
         reach from ``idx`` (:func:`_reach`).  It holds every reachable state,
         since every action (a direct move, a causal repair and so every
-        repair-chain step) keeps to mutability and monotonicity.  The whole
-        box is tested first, on the reach ranges (:meth:`_ruled_out`).  A box
-        it does not rule out becomes one value set per feature, and boxes are
-        then popped off a stack and decided in one pass over the rules
-        (:meth:`_decide`).  A box that no rule rules out is cut in two along
-        the first pair a rule straddles, into the part inside the pair's
-        values and the part outside them, and is goal-free only if both parts
-        are; the outside part is popped first.  A box on which every rule is
+        repair-chain step) keeps to mutability and monotonicity.  Each box,
+        the reach box first, is decided in one pass over the rules
+        (:func:`_decide`).  Every axis is non-empty, as :func:`_decide`
+        requires: the reach ranges are, and so are both parts of a straddled
+        axis.  A box that no rule rules out is cut in two along the first
+        pair a rule straddles, into the part inside the pair's values and the
+        part outside them (value sets on the cut axis, the other axes kept),
+        and is goal-free only if both parts are; the outside part is decided
+        next and the inside one waits on a stack.  A box on which every rule is
         decided and none rules it out holds only goals.  A goal in the box
         need not be reachable, and the test gives up after :data:`MAX_SPLITS`
         boxes, so ``False`` proves nothing.
         """
+        causal, decision = self.causal, self.decision
         box = list(map(_reach, self.domains.features, idx))
-        if self._ruled_out(box):
-            return True
-        stack = [list(map(frozenset, box))]
-        for _ in range(MAX_SPLITS):
-            box = stack.pop()
-            cut = self._decide(box)
-            if cut is None:
+        stack = []
+        budget = MAX_SPLITS
+        while budget:
+            budget -= 1
+            cut = _decide(causal, decision, box)
+            if cut is True:
+                if not stack:
+                    return True
+                box = stack.pop()
+            elif cut is None:
                 return False  # a goal witness
-            if cut is not True:
+            else:
                 i, allowed = cut
                 part = box.copy()
-                part[i] = box[i] - allowed
-                box[i] = box[i] & allowed
+                part[i] = frozenset(box[i]) - allowed
+                box[i] = allowed.intersection(box[i])
                 stack.append(box)
-                stack.append(part)
-            if not stack:
-                return True
-        return False
-
-    def _decide(self, box: Sequence[frozenset[int]]) -> Union[bool, Pair, None]:
-        """Decide every rule on ``box`` (one value set per feature) in one
-        pass: ``True`` when some causal rule is broken throughout it or some
-        decision rule fires throughout it, ``None`` when every rule is
-        decided and none of them is, so that every state of the box is a
-        goal, and otherwise the first pair a rule straddles (its axis meets
-        the pair's values and leaves them).  Causal rules come first, and
-        within one its head pair before its body pairs."""
-        cut = None
-        for body, head, head_allowed in self.causal:
-            values = box[head]
-            if values <= head_allowed:
-                continue
-            straddled = None if head_allowed.isdisjoint(values) else (head, head_allowed)
-            for i, allowed in body:
-                values = box[i]
-                if values.isdisjoint(allowed):
-                    break
-                if straddled is None and not values <= allowed:
-                    straddled = i, allowed
-            else:
-                if straddled is None:
-                    return True
-                cut = cut or straddled
-        for body in self.decision:
-            straddled = None
-            for i, allowed in body:
-                values = box[i]
-                if values.isdisjoint(allowed):
-                    break
-                if straddled is None and not values <= allowed:
-                    straddled = i, allowed
-            else:
-                if straddled is None:
-                    return True
-                cut = cut or straddled
-        return cut
-
-    def _ruled_out(self, box: Sequence[Sequence[int]]) -> bool:
-        """No state of ``box`` (the reach box, one value range per feature)
-        is a goal by one rule: some decision rule's body contains the box on
-        every body axis, so the rule fires throughout, or some causal rule is
-        broken throughout (:meth:`_broken`)."""
-        for body in self.decision:
-            for i, allowed in body:
-                if not allowed.issuperset(box[i]):
-                    break
-            else:
-                return True
-        return self._broken(box)
-
-    def _broken(self, box: Sequence[Sequence[int]]) -> bool:
-        """Some causal rule is violated at every state of ``box``: its body
-        contains the box on every body axis while the head's axis misses the
-        head's allowed values."""
-        for body, head, head_allowed in self.causal:
-            if head_allowed.isdisjoint(box[head]):
-                for i, allowed in body:
-                    if not allowed.issuperset(box[i]):
-                        break
-                else:
-                    return True
+                box = part
         return False
 
     def fires(self, idx: Index) -> bool:

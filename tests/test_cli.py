@@ -220,9 +220,20 @@ def test_validate_artifact_with_wrong_features_is_usage_error(tmp_path):
     assert "malformed path record" in err
 
 
+def _validate_edited_record(tmp_path, edit):
+    """Validate german's saved plan after ``edit`` changed its record."""
+    _, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
+    record = json.loads(planned)
+    edit(record["candidate_path"])
+    artifact = tmp_path / "edited.json"
+    artifact.write_text(json.dumps(record))
+    return run_cli("validate", "--scenario", "german", "--path-file", str(artifact))
+
+
 # (path state, feature, field, value) edits to german's saved record that the
-# problem contradicts: the interval index is not an integer, the bounds are
-# not the declared interval's, or the witness is not an integer inside it
+# problem contradicts: the interval index is not an integer or not one of the
+# feature's 2 intervals, the bounds are not the declared interval's, or the
+# witness is not an integer inside it
 CONTRADICTING_EDITS = [
     (1, "duration_months", "value", 3),
     (0, "credit_amount", "value", "lots"),
@@ -231,6 +242,9 @@ CONTRADICTING_EDITS = [
     (1, "duration_months", "interval_index", True),
     (1, "duration_months", "interval_index", "1"),
     (1, "duration_months", "interval_index", 1.0),
+    (1, "duration_months", "interval_index", 2),
+    (1, "duration_months", "interval_index", 99),
+    (1, "duration_months", "interval_index", -1),
     (1, "duration_months", "lower", 8),
     (1, "duration_months", "upper", 71),
     (1, "duration_months", "lower_open", False),
@@ -240,15 +254,31 @@ CONTRADICTING_EDITS = [
 @pytest.mark.parametrize("position, feature, field, value", CONTRADICTING_EDITS)
 def test_validate_artifact_contradicting_the_problem_is_usage_error(
         position, feature, field, value, tmp_path):
-    code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
-    record = json.loads(planned)
-    record["candidate_path"][position][feature][field] = value
-    artifact = tmp_path / "edited.json"
-    artifact.write_text(json.dumps(record))
-    code, out, err = run_cli("validate", "--scenario", "german",
-                             "--path-file", str(artifact))
+    def edit(path):
+        path[position][feature][field] = value
+
+    code, out, err = _validate_edited_record(tmp_path, edit)
     assert (code, out) == (1, "")
-    assert err.startswith("error: malformed path record: ")
+    assert err.startswith(f"error: malformed path record: {feature}: ")
+
+
+# (edit, error message) pairs that leave an entry of german's saved record
+# incomplete or of the wrong kind: each message names the feature, unquoted
+MALFORMED_ENTRIES = [
+    *[(lambda path, field=field: path[1]["duration_months"].pop(field),
+       f"duration_months: missing field '{field}'")
+      for field in ("interval_index", "lower", "upper", "lower_open")],
+    (lambda path: path[0].update(credit_amount=5000),
+     "credit_amount: entry 5000 is not an object"),
+    (lambda path: path[0].pop("credit_amount"), "missing feature 'credit_amount'"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_ENTRIES,
+                         ids=[message for _, message in MALFORMED_ENTRIES])
+def test_validate_artifact_with_a_malformed_entry_names_the_feature(edit, message, tmp_path):
+    assert _validate_edited_record(tmp_path, edit) == (
+        1, "", f"error: malformed path record: {message}\n")
 
 
 # records nested past the JSON decoder's recursion limit, bare and under the key

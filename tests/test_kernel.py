@@ -47,17 +47,16 @@ def test_kernel_matches_state_api_on_every_state(make):
 
 
 def _counting_boxes(monkeypatch) -> list:
-    """Count the boxes :meth:`CompiledProblem.doomed` tests: the root test on
-    the reach ranges, then each box the split decides."""
+    """Count the boxes :meth:`CompiledProblem.doomed` decides, the reach box
+    first: each is one call to :func:`kernel._decide`."""
     boxes = []
-    for name in ("_ruled_out", "_decide"):
-        real = getattr(CompiledProblem, name)
+    real = kernel._decide
 
-        def counting(self, box, real=real):
-            boxes.append(1)
-            return real(self, box)
+    def counting(causal, decision, box):
+        boxes.append(1)
+        return real(causal, decision, box)
 
-        monkeypatch.setattr(CompiledProblem, name, counting)
+    monkeypatch.setattr(kernel, "_decide", counting)
     return boxes
 
 
@@ -74,25 +73,29 @@ def test_no_goal_is_reachable_from_a_doomed_state(monkeypatch):
             boxes.clear()
             if kernel.doomed(state.idx):
                 doomed += 1
-                split += len(boxes) > 1  # the root check on the reach box did not decide it
+                split += len(boxes) > 1  # the reach box alone did not decide it
                 assert bfs_shortest_path(dataclasses.replace(problem, initial=state)) is None
     assert 0 < split < doomed
 
 
-# the most boxes one start's doomed test visited, root test included, seeds
-# 0-349, 0-119 and 0-199 (8/5 seed 263, 10/6 seed 85, 12/6/C10 seed 25)
+# the most boxes one start's doomed test visited, the reach box included,
+# seeds 0-349, 0-119 and 0-199 (8/5 seed 263, 10/6 seed 85, 12/6/C10 seed
+# 25), and the boxes all of a tier's non-goal starts visited
 BOX_BOUNDS = [
-    ("8/5", dict(max_features=8, max_values=5), 350, 38),
-    ("10/6", dict(max_features=10, max_values=6), 120, 12),
-    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 24),
+    ("8/5", dict(max_features=8, max_values=5), 350, 37, 550),
+    ("10/6", dict(max_features=10, max_values=6), 120, 11, 166),
+    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 23, 444),
 ]
 
 
-@pytest.mark.parametrize("tier, seeds, most", [(tier, n, most) for _, tier, n, most in BOX_BOUNDS],
+@pytest.mark.parametrize("tier, seeds, most, total",
+                         [(tier, n, most, total) for _, tier, n, most, total in BOX_BOUNDS],
                          ids=[name for name, *_ in BOX_BOUNDS])
-def test_doomed_visits_few_boxes(tier, seeds, most, monkeypatch):
+def test_doomed_visits_few_boxes(tier, seeds, most, total, monkeypatch):
     # counted rather than timed, so a slow host cannot fail it; twice the
-    # measured maximum leaves room for a change of split order
+    # measured maximum leaves room for a change of split order, while the
+    # exact total pins the order itself (causal cuts before decision cuts)
+    # and one decision pass per box
     boxes = _counting_boxes(monkeypatch)
     visited = []
     for seed in range(seeds):
@@ -103,6 +106,7 @@ def test_doomed_visits_few_boxes(tier, seeds, most, monkeypatch):
             kernel.doomed(problem.initial.idx)
             visited.append(len(boxes))
     assert max(visited) <= 2 * most
+    assert sum(visited) == total
 
 
 def _two_valued_problem(n: int, rules: list[str], constraints: list[str] = ()) -> ProblemSpec:
@@ -115,7 +119,7 @@ def _two_valued_problem(n: int, rules: list[str], constraints: list[str] = ()) -
 
 def test_doomed_finds_a_goal_deeper_than_the_search_budget(monkeypatch):
     # the one goal, f0..f28 = b and f29 = a, lies in the reach box, and the
-    # split meets it after 32 boxes, cutting along d{i}'s f{i} = a and
+    # split meets it after 31 boxes, cutting along d{i}'s f{i} = a and
     # popping f{i} = b first, so the start is not doomed.  The goal is 29
     # monotone moves deep, and the breadth-first search spends the default
     # budget (10 * 60 actions * 30 features) on the states nearer the start.
@@ -130,7 +134,7 @@ def test_doomed_finds_a_goal_deeper_than_the_search_budget(monkeypatch):
 
 
 def test_doomed_gives_up_after_max_splits_boxes(monkeypatch):
-    # 8/5 seed 263 is doomed after 38 boxes; with 8 the split gives up, and
+    # 8/5 seed 263 is doomed after 37 boxes; with 8 the split gives up, and
     # the search proves the failure by expanding every reachable consistent
     # state (SEARCHED_FAILURES in test_planner.py)
     monkeypatch.setattr(kernel, "MAX_SPLITS", 8)

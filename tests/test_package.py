@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import runpy
@@ -12,11 +13,30 @@ from recourseplan.generate import random_problem
 from tests.conftest import run_cli
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+SOURCES = sorted(pathlib.Path(recourseplan.__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in recourseplan.__all__ if not hasattr(recourseplan, name)]
     assert missing == []
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # pyproject.toml declares no dependencies, so every import in the package
+    # must be relative or name a standard-library module
+    foreign = []
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(source.name, node.lineno, name) for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert len(SOURCES) > 10
+    assert foreign == []
 
 
 def test_demos_are_found():

@@ -498,13 +498,13 @@ def test_goal_start_builds_no_action_list(monkeypatch):
     problem = random_problem(28, max_features=10, max_values=6)
     assert problem.causal_rules and problem.decision_rules
     swept = []
-    real_sweep = kernel_module._always_consistent_after
+    real_decide = kernel_module._decide
 
-    def counting_sweep(*args):
+    def counting_decide(*args):
         swept.append(args)
-        return real_sweep(*args)
+        return real_decide(*args)
 
-    monkeypatch.setattr(kernel_module, "_always_consistent_after", counting_sweep)
+    monkeypatch.setattr(kernel_module, "_decide", counting_decide)
     build_actions(problem)
     assert swept  # building the action list decides a repair candidate here
     swept.clear()
