@@ -103,8 +103,15 @@ class _Parser:
     def take_int(self, what: str = "integer") -> int:
         lexeme = self.tokens[self.pos]
         if lexeme[:1] == "-" or lexeme[:1].isdecimal():  # \d is any Unicode decimal digit
+            try:
+                value = int(lexeme)
+            except ValueError:  # more digits than the interpreter's int-string limit
+                digits = len(lexeme.lstrip("-"))
+                offset = _offsets(self.text)[self.pos]
+                raise ParseError(f"integer constant of {digits} digits is too long",
+                                 *_position(self.text, offset)) from None
             self.pos += 1
-            return int(lexeme)
+            return value
         raise self._fail(what)
 
     def take_value(self) -> Union[str, int]:

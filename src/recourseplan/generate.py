@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .domains import Domains, FeatureDomain, Interval, State, partition_range
-from .rules import Literal, ProblemSpec, Rule, _causal_tables, causal_holds
+from .rules import Literal, ProblemSpec, Rule, _causal_tables, none_holds
 
 # sampled states before a problem gives up its causal rules for want of a
 # consistent initial state
@@ -119,6 +119,6 @@ def _consistent_initial(rng: random.Random, domains: Domains,
     sizes, randrange = domains.sizes, rng.randrange
     for _ in range(INITIAL_TRIES):
         idx = tuple([randrange(size) for size in sizes])
-        if causal_holds(tables, idx):
+        if none_holds(tables, idx):
             return State(domains, idx)
     return None

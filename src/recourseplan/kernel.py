@@ -2,12 +2,13 @@
 
 Search and the causal-repair guard sweep test plain index tuples against the
 rules and step them by actions, millions of times on large spaces.
-:class:`CompiledProblem` reads the (feature position, allowed value indices)
-tables the :class:`~recourseplan.rules.ProblemSpec` compiled for every rule,
-tests causal consistency with the one function that owns it
-(:func:`~recourseplan.rules.causal_holds`), decides whole boxes of states
-with the one box test :func:`_decide` and derives the action list and every
-action's precondition from the tables, so those loops never touch
+:class:`CompiledProblem` reads the tables of (feature position, allowed value
+indices) pairs the :class:`~recourseplan.rules.ProblemSpec` compiled for
+every rule, one shape for both kinds: a decision rule's table holds where it
+fires, a causal rule's where it is broken.  It tests states with the one
+membership test :func:`~recourseplan.rules.none_holds`, decides whole boxes
+of states with the one box test :func:`_decide` and derives the action list
+and every action's precondition from the tables, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Set-up compiles nothing and enumerates no states: each repair candidate
 costs one test per causal rule, and the action list is built only for a run
@@ -28,68 +29,47 @@ from __future__ import annotations
 from typing import Collection, Optional, Sequence, Union
 
 from .domains import FeatureDomain
-from .rules import CausalTable, Pairs, ProblemSpec, Rule, causal_holds
+from .rules import Pairs, ProblemSpec, Rule, none_holds
 
 Index = tuple[int, ...]
 Pair = tuple[int, frozenset[int]]
 
 # the most boxes :meth:`CompiledProblem.doomed` decides, the reach box
 # included, before it gives up and leaves the start to the search; the
-# generated tiers need at most 37 (8/5 seed 263)
+# generated tiers need at most 10 (12/6/C10 seed 150)
 MAX_SPLITS = 2048
 
 
-def _decide(causal: Sequence[CausalTable], decision: Sequence[Pairs],
+def _decide(tables: Sequence[Pairs],
             box: Sequence[Collection[int]]) -> Union[bool, Pair, None]:
-    """Decide every rule on ``box`` in one pass, without enumerating it:
-    ``True`` when some causal rule is broken or some decision rule fires
-    throughout the box, ``None`` when every rule is decided and none of them
-    is, so that every state of the box is consistent and fires no rule, and
-    otherwise the first pair a rule straddles (its axis meets the pair's
-    values and leaves them).
+    """Decide every table on ``box`` in one pass, without enumerating it:
+    ``True`` when some table holds throughout the box (a causal rule is
+    broken or a decision rule fires there), ``None`` when every table fails
+    throughout, and otherwise the first pair a table straddles (its axis
+    meets the pair's values and leaves them).
 
     ``box`` holds one non-empty value set or range per feature; the axes
-    vary independently, and a head feature is never in its own body.  So a
-    rule's body holds throughout when every body axis lies inside its pair's
-    values, and fails throughout when one misses them.  The cut prefers
-    causal rules, and within one its head pair before its body pairs.  The
-    decision rules are scanned first, so a box that one of them rules out
-    costs one short pass.
+    vary independently, and a table names each feature once.  So a table
+    holds throughout when every axis lies inside its pair's values, and
+    fails throughout when one misses them.  Once a cut is found, a later
+    table is only checked for holding throughout.
     """
-    later = None  # the first pair a decision rule straddles
-    for body in decision:
-        straddled = None
-        for i, allowed in body:
-            values = box[i]
-            if allowed.issuperset(values):
-                continue
-            if later is not None or allowed.isdisjoint(values):
-                break  # it fails throughout, or an earlier rule's cut comes first
-            if straddled is None:
-                straddled = i, allowed
-        else:
-            if straddled is None:
-                return True
-            later = straddled
     cut = None
-    for body, head, head_allowed in causal:
-        values = box[head]
-        if head_allowed.issuperset(values):
-            continue
-        straddled = None if head_allowed.isdisjoint(values) else (head, head_allowed)
-        for i, allowed in body:
+    for table in tables:
+        straddled = None
+        for i, allowed in table:
             values = box[i]
             if allowed.issuperset(values):
                 continue
-            if allowed.isdisjoint(values):
-                break
+            if cut is not None or allowed.isdisjoint(values):
+                break  # it fails throughout, or an earlier table's cut comes first
             if straddled is None:
                 straddled = i, allowed
         else:
             if straddled is None:
                 return True
-            cut = cut or straddled
-    return cut or later
+            cut = straddled
+    return cut
 
 
 def _reach(feature: FeatureDomain, vi: int) -> range:
@@ -108,13 +88,14 @@ class CompiledProblem:
     """Rules and actions of one problem, compiled against its domains.
 
     Construction compiles nothing.  ``causal`` is the problem's
-    ``causal_tables``, one ``(body pairs, head position, head values)``
-    triple per causal rule, and ``decision`` its ``decision_bodies``, the
-    body pairs of each decision rule.  They are all that deciding consistency
-    (:meth:`consistent`, through
-    :func:`~recourseplan.rules.causal_holds`) and goal membership reads.
+    ``causal_tables``, each causal rule's breaking table (the head position
+    with the values the head refuses, then the body pairs), ``decision`` its
+    ``decision_bodies``, the body pairs of each decision rule, and
+    ``tables`` the decision tables then the causal ones: a goal is a state
+    where none of them holds.  They are all that consistency, firing and
+    goal membership read (:func:`~recourseplan.rules.none_holds`).
     :meth:`unrepairable` and :meth:`doomed` read them too, with the domains,
-    and keep no table.
+    and keep no other table.
 
     :meth:`compile_actions` builds the action list, so a run builds it only
     at its first expansion: a start in the goal set, or a doomed one, takes
@@ -125,24 +106,27 @@ class CompiledProblem:
     precondition pairs)`` triple per action.  A precondition holds exactly
     where the action is permitted: the feature off the target, on the side
     of it that monotonicity allows, and a repair's guard (its rule's body
-    pairs).  Set-up formats no action id: :meth:`action_id` formats one when
-    a run records it, and ``ids`` formats them all.
+    pairs, the breaking table after the head pair).  Set-up formats no
+    action id: :meth:`action_id` formats one when a run records it, and
+    ``ids`` formats them all.
 
-    A repair setting a feature to a value survives when every state of its
-    guard box is consistent afterwards (:func:`_decide` returns ``None``
-    with no decision rules).  The box ranges over every feature's
-    values, narrowed on each guard feature to its body pair (what all of its
-    literals allow) and pinned at the new value on the written feature; an
-    empty guard axis keeps the repair, since the box then holds no state.
+    A repair setting a feature to a value the head allows survives when
+    every state of its guard box is consistent afterwards (:func:`_decide`
+    returns ``None`` on the causal tables).  The box ranges over every
+    feature's values, narrowed on each guard feature to its body pair (what
+    all of its literals allow) and pinned at the new value on the written
+    feature; an empty guard axis keeps the repair, since the box then holds
+    no state.
     """
 
-    __slots__ = ("domains", "causal", "decision", "rules", "moves", "_causal_rules")
+    __slots__ = ("domains", "causal", "decision", "tables", "rules", "moves", "_causal_rules")
 
     def __init__(self, problem: ProblemSpec) -> None:
         self.domains = problem.domains
         self._causal_rules = problem.causal_rules
         self.causal = problem.causal_tables
         self.decision = problem.decision_bodies
+        self.tables = self.decision + self.causal
 
     def compile_actions(self) -> None:
         """Build the action list, ``rules`` and ``moves``: the guard sweep
@@ -169,18 +153,19 @@ class CompiledProblem:
 
         rules: list[Optional[Rule]] = []
         moves: list[tuple[int, int, Pairs]] = []
-        for rule, (body, fi, allowed) in zip(self._causal_rules, self.causal):
+        for rule, table in zip(self._causal_rules, self.causal):
+            (fi, refused), guard = table[0], table[1:]
             if not domains[fi].mutable:
                 continue
             box = list(full)
-            for i, meets in body:
+            for i, meets in guard:
                 box[i] = meets
             vacuous = not all(box)
-            for vi in sorted(allowed):
+            for vi in sorted(full[fi] - refused):
                 box[fi] = frozenset((vi,))
-                if vacuous or _decide(self.causal, (), box) is None:
+                if vacuous or _decide(self.causal, box) is None:
                     rules.append(rule)
-                    moves.append((fi, vi, pre[fi][vi] + body))
+                    moves.append((fi, vi, pre[fi][vi] + guard))
         self.rules = tuple(rules) + (None,) * len(direct_moves)
         self.moves = tuple(moves + direct_moves)
 
@@ -198,20 +183,20 @@ class CompiledProblem:
         return tuple(map(self.action_id, range(len(self.moves))))
 
     def consistent(self, idx: Index) -> bool:
-        """Every causal implication holds."""
-        return causal_holds(self.causal, idx)
+        """Every causal implication holds: no breaking table holds."""
+        return none_holds(self.causal, idx)
 
     def unrepairable(self, idx: Index) -> bool:
         """Some causal rule is violated at ``idx`` and at every state reachable
         from it, so no sequence of actions leads to a consistent state.
 
-        That holds when :func:`_decide` finds a causal rule broken throughout
-        the reach box: the values the head feature can still reach miss the
-        head's allowed ones, and those each body feature can still reach stay
+        That holds when :func:`_decide` finds a breaking table holding
+        throughout the reach box: the values the head feature can still reach
+        are all refused, and those each body feature can still reach stay
         inside its literals, since every action keeps to mutability and
         monotonicity.
         """
-        return _decide(self.causal, (), list(map(_reach, self.domains.features, idx))) is True
+        return _decide(self.causal, list(map(_reach, self.domains.features, idx))) is True
 
     def doomed(self, idx: Index) -> bool:
         """No state of the reach box of ``idx`` is a goal, so no sequence of
@@ -221,25 +206,27 @@ class CompiledProblem:
         reach from ``idx`` (:func:`_reach`).  It holds every reachable state,
         since every action (a direct move, a causal repair and so every
         repair-chain step) keeps to mutability and monotonicity.  Each box,
-        the reach box first, is decided in one pass over the rules
-        (:func:`_decide`).  Every axis is non-empty, as :func:`_decide`
-        requires: the reach ranges are, and so are both parts of a straddled
-        axis.  A box that no rule rules out is cut in two along the first
-        pair a rule straddles, into the part inside the pair's values and the
-        part outside them (value sets on the cut axis, the other axes kept),
-        and is goal-free only if both parts are; the outside part is decided
-        next and the inside one waits on a stack.  A box on which every rule is
-        decided and none rules it out holds only goals.  A goal in the box
-        need not be reachable, and the test gives up after :data:`MAX_SPLITS`
-        boxes, so ``False`` proves nothing.
+        the reach box first, is decided in one pass over ``tables``
+        (:func:`_decide`), the decision tables first: a box where a decision
+        rule fires throughout costs one short pass, and a decision rule's cut
+        is taken before a causal rule's.  Every axis is non-empty, as
+        :func:`_decide` requires: the reach ranges are, and so are both parts
+        of a straddled axis.  A box that no table rules out is cut in two
+        along the first pair a table straddles, into the part inside the
+        pair's values and the part outside them (value sets on the cut axis,
+        the other axes kept), and is goal-free only if both parts are; the
+        outside part is decided next and the inside one waits on a stack.  A
+        box on which every table fails throughout holds only goals.  A goal
+        in the box need not be reachable, and the test gives up after
+        :data:`MAX_SPLITS` boxes, so ``False`` proves nothing.
         """
-        causal, decision = self.causal, self.decision
+        tables = self.tables
         box = list(map(_reach, self.domains.features, idx))
         stack = []
         budget = MAX_SPLITS
         while budget:
             budget -= 1
-            cut = _decide(causal, decision, box)
+            cut = _decide(tables, box)
             if cut is True:
                 if not stack:
                     return True
@@ -257,17 +244,11 @@ class CompiledProblem:
 
     def fires(self, idx: Index) -> bool:
         """Some decision rule's body holds."""
-        for body in self.decision:
-            for i, allowed in body:
-                if idx[i] not in allowed:
-                    break
-            else:
-                return True
-        return False
+        return not none_holds(self.decision, idx)
 
     def goal(self, idx: Index) -> bool:
-        """Causally consistent and no decision rule fires."""
-        return self.consistent(idx) and not self.fires(idx)
+        """Causally consistent and no decision rule fires: no table holds."""
+        return none_holds(self.tables, idx)
 
     def step(self, k: int, idx: Index) -> Optional[Index]:
         """The successor under action ``k``, or ``None`` when it is not permitted."""

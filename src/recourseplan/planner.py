@@ -7,8 +7,9 @@ consistent leads there.  One whose outcome breaks a causal rule continues
 through a repair chain (:func:`_complete`): the first causally consistent
 state in breadth-first order from the raw outcome.  An action with no
 consistent completion leads nowhere.  Every raw outcome is tested against
-every causal rule, by the one consistency test
-(:func:`~recourseplan.rules.causal_holds`).
+every causal rule's breaking table, and every consistent successor against
+the decision rules' tables, by the one membership test
+(:func:`~recourseplan.rules.none_holds`).
 
 A state is tested for the goal when it is discovered, and no state is
 entered twice.  So the found path has the fewest consistent states of any
@@ -38,7 +39,7 @@ from typing import Iterator, NamedTuple, Optional
 from .domains import State
 from .errors import EmptySequenceError, NotASolution
 from .kernel import CompiledProblem, Index
-from .rules import ProblemSpec, causal_holds
+from .rules import ProblemSpec, none_holds
 from .rules import is_counterfactual as is_counterfactual  # re-export: callers import it from here
 
 
@@ -90,7 +91,7 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
             nxt = step(k, idx)
             if nxt is None or nxt in parent or nxt in dead:
                 continue
-            if causal_holds(causal, nxt):
+            if none_holds(causal, nxt):
                 edges: list[ChainEdge] = [(idx, k)]
                 while (edge := parent[edges[-1][0]]) is not None:
                     edges.append(edge)
@@ -162,7 +163,7 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
     (:func:`_record_path`).
     """
     root = trace.entries[0].state.idx
-    step, causal, fires = kernel.step, kernel.causal, kernel.fires
+    step, causal, decision = kernel.step, kernel.causal, kernel.decision
     positions = range(len(kernel.moves))
     chains: dict[Index, Chain] = {}
     dead: set[Index] = set()
@@ -176,7 +177,7 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
             raw = step(k, idx)
             if raw is None:
                 continue
-            if causal_holds(causal, raw):
+            if none_holds(causal, raw):
                 final = raw
             else:
                 chain = chains.get(raw)
@@ -191,7 +192,7 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
             if final in parents:
                 continue
             parents[final] = idx, k
-            if not fires(final):  # consistent, so a goal
+            if none_holds(decision, final):  # consistent, so a goal
                 _record_path(trace, kernel, parents, chains, final)
                 return "success"
             frontier.append(final)

@@ -119,8 +119,6 @@ def _literal_support(domain: FeatureDomain, lit: Literal) -> frozenset[int]:
 
 Pairs = tuple[tuple[int, frozenset[int]], ...]
 CompiledRule = tuple[Pairs, Optional[tuple[int, frozenset[int]]]]
-# a causal rule's body pairs, head position and head values
-CausalTable = tuple[Pairs, int, frozenset[int]]
 
 
 def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
@@ -136,23 +134,27 @@ def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
     return tuple(body.items()), None if rule.head is None else pair(rule.head)
 
 
-def _causal_tables(domains: Domains, rules: Sequence[Rule]) -> tuple[CausalTable, ...]:
-    """Each causal rule compiled once (:func:`_compile_rule`) into the table
-    :func:`causal_holds` reads."""
+def _causal_tables(domains: Domains, rules: Sequence[Rule]) -> tuple[Pairs, ...]:
+    """Each causal rule compiled once (:func:`_compile_rule`) into its
+    breaking table: the head position with the values the head literal
+    refuses, then the body pairs.  The table holds exactly where the rule is
+    broken, so it has the shape of a decision rule's body pairs."""
+    sizes = domains.sizes
     compiled = (_compile_rule(domains, rule) for rule in rules)
-    return tuple((body, *head) for body, head in compiled)
+    return tuple(((head, frozenset(range(sizes[head])) - allowed),) + body
+                 for body, (head, allowed) in compiled)
 
 
-def causal_holds(causal: Sequence[CausalTable], idx: tuple[int, ...]) -> bool:
-    """Every causal rule holds at the index tuple: none has its head's value
-    outside the head values while each body pair holds."""
-    for body, head, allowed in causal:
-        if idx[head] not in allowed:
-            for i, meets in body:
-                if idx[i] not in meets:
-                    break
-            else:
-                return False
+def none_holds(tables: Sequence[Pairs], idx: tuple[int, ...]) -> bool:
+    """No table holds at the index tuple: each has a pair whose values miss
+    the tuple's value there.  On breaking tables this says every causal rule
+    holds, on decision bodies that no decision rule fires."""
+    for table in tables:
+        for i, allowed in table:
+            if idx[i] not in allowed:
+                break
+        else:
+            return False
     return True
 
 
@@ -210,9 +212,9 @@ class ProblemSpec:
 
     Construction compiles every rule once against the domains,
     without a cache, causal rules first: ``causal_tables`` holds each causal
-    rule's table (:func:`_causal_tables`), which :func:`causal_holds` reads
-    for the initial check, and ``decision_bodies`` each decision rule's body
-    pairs.  A body names each feature once in these tables, with the
+    rule's breaking table (:func:`_causal_tables`), which :func:`none_holds`
+    reads for the initial check, and ``decision_bodies`` each decision rule's
+    body pairs.  A body names each feature once in these tables, with the
     intersection of its literals on that feature (:func:`_compile_rule`).
     """
 
@@ -221,8 +223,8 @@ class ProblemSpec:
     decision_rules: tuple[Rule, ...] = ()
     initial: State = None  # type: ignore[assignment]
     action_budget: Optional[int] = None
-    causal_tables: tuple[CausalTable, ...] = field(default=(), init=False, compare=False,
-                                                   repr=False)
+    causal_tables: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
+                                             repr=False)
     decision_bodies: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
                                                repr=False)
 
@@ -248,7 +250,7 @@ class ProblemSpec:
             raise SemanticError("duplicate-declaration", "rule id declared twice")
         if self.action_budget is not None and self.action_budget <= 0:
             raise ValueError("action budget must be positive")
-        if not causal_holds(causal, self.initial.idx):
+        if not none_holds(causal, self.initial.idx):
             raise SemanticError("causally-inconsistent-initial",
                                 "initial state violates a causal rule")
 

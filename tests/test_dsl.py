@@ -129,6 +129,25 @@ def test_decimal_constants_rejected():
     assert "decimal" in str(exc.value)
 
 
+# the interpreter's limit on the digits int() converts (0 when it has none)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this interpreter has no int-string limit")
+@pytest.mark.parametrize("text, line, col", [
+    ("feature n: numeric [0, {huge}].\n", 1, 24),
+    ("feature n: numeric [-{huge}, 0].\n", 1, 21),
+    ("feature n: numeric [0, 10].\ndecision d :- n >= {huge}.\n", 2, 20),
+    ("feature n: numeric [0, 10].\ninitial {{ n = {huge} }}.\n", 2, 15),
+], ids=["range bound", "negative range bound", "rule constant", "initial value"])
+def test_an_over_long_integer_is_a_parse_error_at_its_token(text, line, col):
+    digits = INT_DIGITS + 1
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text.format(huge="9" * digits))
+    assert f"integer constant of {digits} digits is too long" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_unknown_statement_keyword():
     with pytest.raises(ParseError):
         parse_problem("rule a :- b.\n")

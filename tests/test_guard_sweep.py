@@ -35,17 +35,16 @@ def _compare(problem):
     kernel = CompiledProblem(problem)
     kernel.compile_actions()
     domains = problem.domains
-    named = {head for _, head, _ in kernel.causal}
-    for body, _, _ in kernel.causal:
-        named.update(i for i, _ in body)
+    named = {i for table in kernel.causal for i, _ in table}
     axes = [range(f.size) if fi in named else range(1) for fi, f in enumerate(domains)]
     kept = {aid for aid, rule in zip(kernel.ids, kernel.rules) if rule is not None}
     expected = []
     checked = skipped = 0
-    for rule, (body, fi, allowed) in zip(problem.causal_rules, kernel.causal):
+    for rule, ((fi, refused), *body) in zip(problem.causal_rules, kernel.causal):
         f = domains[fi]
         if not f.mutable:
             continue
+        allowed = set(range(f.size)) - refused
         for vi in sorted(allowed):
             aid = f"causal:{rule.id}:{f.name}:{f.value_text(vi)}"
             box = [len(axis) for axis in axes]
@@ -183,8 +182,7 @@ def _wide_problem():
 def test_kernel_enumerates_no_guard_box(monkeypatch):
     problem = _wide_problem()
     domains = problem.domains
-    body, _, _ = problem.causal_tables[0]
-    (a0, support), = body
+    _, (a0, support) = problem.causal_tables[0]
     y = domains.index("y")
     assert math.prod(domains.sizes) // (domains.sizes[a0] * domains.sizes[y]) \
         * len(support) >= BOX_CAP

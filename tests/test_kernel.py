@@ -52,9 +52,9 @@ def _counting_boxes(monkeypatch) -> list:
     boxes = []
     real = kernel._decide
 
-    def counting(causal, decision, box):
+    def counting(tables, box):
         boxes.append(1)
-        return real(causal, decision, box)
+        return real(tables, box)
 
     monkeypatch.setattr(kernel, "_decide", counting)
     return boxes
@@ -79,12 +79,12 @@ def test_no_goal_is_reachable_from_a_doomed_state(monkeypatch):
 
 
 # the most boxes one start's doomed test visited, the reach box included,
-# seeds 0-349, 0-119 and 0-199 (8/5 seed 263, 10/6 seed 85, 12/6/C10 seed
-# 25), and the boxes all of a tier's non-goal starts visited
+# seeds 0-349, 0-119 and 0-199 (8/5 seed 206, 10/6 seed 2, 12/6/C10 seed
+# 150), and the boxes all of a tier's non-goal starts visited
 BOX_BOUNDS = [
-    ("8/5", dict(max_features=8, max_values=5), 350, 37, 550),
-    ("10/6", dict(max_features=10, max_values=6), 120, 11, 166),
-    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 23, 444),
+    ("8/5", dict(max_features=8, max_values=5), 350, 7, 422),
+    ("10/6", dict(max_features=10, max_values=6), 120, 5, 134),
+    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 10, 297),
 ]
 
 
@@ -94,8 +94,8 @@ BOX_BOUNDS = [
 def test_doomed_visits_few_boxes(tier, seeds, most, total, monkeypatch):
     # counted rather than timed, so a slow host cannot fail it; twice the
     # measured maximum leaves room for a change of split order, while the
-    # exact total pins the order itself (causal cuts before decision cuts)
-    # and one decision pass per box
+    # exact total pins the order itself (decision cuts before causal cuts)
+    # and one pass over the tables per box
     boxes = _counting_boxes(monkeypatch)
     visited = []
     for seed in range(seeds):
@@ -134,14 +134,14 @@ def test_doomed_finds_a_goal_deeper_than_the_search_budget(monkeypatch):
 
 
 def test_doomed_gives_up_after_max_splits_boxes(monkeypatch):
-    # 8/5 seed 263 is doomed after 37 boxes; with 8 the split gives up, and
+    # 8/5 seed 263 is doomed after 5 boxes; with 4 the split gives up, and
     # the search proves the failure by expanding every reachable consistent
     # state (SEARCHED_FAILURES in test_planner.py)
-    monkeypatch.setattr(kernel, "MAX_SPLITS", 8)
+    monkeypatch.setattr(kernel, "MAX_SPLITS", 4)
     problem = random_problem(263, max_features=8, max_values=5)
     boxes = _counting_boxes(monkeypatch)
     assert not CompiledProblem(problem).doomed(problem.initial.idx)
-    assert len(boxes) <= 9
+    assert len(boxes) <= 5
     trace = get_path(problem)
     assert (trace.status, trace.expansions) == ("failure", 1615)
     assert bfs_shortest_path(problem) is None

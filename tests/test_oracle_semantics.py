@@ -229,5 +229,5 @@ def test_oracle_does_not_import_the_planner_semantics():
     forbidden = {"kernel", "CompiledProblem", "compile_rule", "compile_literals",
                  "literal_support", "is_permitted", "apply_action", "eval_rule",
                  "is_causally_consistent", "satisfies_decision", "is_counterfactual",
-                 "causal_holds"}
+                 "causal_holds", "none_holds"}
     assert not imported & forbidden

@@ -53,7 +53,7 @@ def test_demo_runs(demo, capsys):
 def test_benchmark_selftest_passes():
     # the benchmark imports the program's API; a refactor that breaks it fails here
     root = pathlib.Path(__file__).parent.parent
-    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+    done = subprocess.run([sys.executable, "-W", "error", "perfbench/selftest.py"], cwd=root,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "selftest: ok" in done.stdout
@@ -81,3 +81,15 @@ def test_python_m_reports_a_stray_character_with_its_position(tmp_path):
     done = _run_module("validate", "--file", str(problem_file))
     assert done.returncode == 1
     assert done.stderr == "error: line 4, col 3: unexpected character '@'\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+                    reason="this interpreter has no int-string limit")
+def test_python_m_reports_an_over_long_integer_with_its_position(tmp_path):
+    digits = sys.get_int_max_str_digits() + 1
+    problem_file = tmp_path / "huge.rp"
+    problem_file.write_text(f"feature n: numeric [0, 10].\ninitial {{ n = {'7' * digits} }}.\n")
+    done = _run_module("validate", "--file", str(problem_file))
+    assert done.returncode == 1
+    assert done.stderr == (f"error: line 2, col 15: integer constant of {digits} digits"
+                           " is too long\n")

@@ -13,7 +13,7 @@ from recourseplan.kernel import CompiledProblem
 from recourseplan.oracle import enumerate_causally_consistent, enumerate_states, state_set_report
 from recourseplan.planner import get_path
 from recourseplan.rules import (Literal, ProblemSpec, Rule, compile_rule, eval_rule,
-                                is_causally_consistent, literal_support,
+                                is_causally_consistent, literal_support, none_holds,
                                 satisfies_decision)
 
 
@@ -213,10 +213,11 @@ def test_a_body_naming_a_feature_twice_compiles_to_one_intersected_pair():
         return frozenset(i for i, iv in enumerate(intervals)
                          if lo <= iv.min_element and iv.max_element <= hi)
 
-    # one pair per body feature, in order of first mention
+    # a causal rule's breaking table: the head with the values it refuses,
+    # then one pair per body feature, in order of first mention
     assert problem.causal_tables == (
-        (((n, within(3, 7)),), y, frozenset({0})),
-        (((n, within(0, 2)),), y, frozenset({1})),
+        ((y, frozenset({1})), (n, within(3, 7))),
+        ((y, frozenset({0})), (n, within(0, 2))),
     )
     assert problem.decision_bodies == (((n, within(3, 9)), (z, frozenset({0}))),)
     # the strata, and the kernel's tests, agree with the State-level evaluators
@@ -232,3 +233,27 @@ def test_a_body_naming_a_feature_twice_compiles_to_one_intersected_pair():
     report = state_set_report(problem)
     assert (report.total_states, report.causally_consistent, report.decision_consistent,
             report.goal) == (domains.state_count, consistent, fired, consistent - fired)
+
+
+TABLE_PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem)
+                   for name in SCENARIO_NAMES]
+                  + [(f"random {seed}",
+                      lambda seed=seed: random_problem(seed, max_features=6, max_values=4))
+                     for seed in range(30)])
+
+
+@pytest.mark.parametrize("make", [make for _, make in TABLE_PROBLEMS],
+                         ids=[name for name, _ in TABLE_PROBLEMS])
+def test_each_rule_table_agrees_with_eval_rule_on_every_state(make):
+    # rule by rule, so a wrong table that another rule masks still shows: a
+    # causal rule's breaking table holds exactly where the rule is false, a
+    # decision rule's body exactly where it is true
+    problem = make()
+    causal = list(zip(problem.causal_rules, problem.causal_tables))
+    decision = list(zip(problem.decision_rules, problem.decision_bodies))
+    for state in enumerate_states(problem.domains):
+        idx = state.idx
+        for rule, table in causal:
+            assert none_holds((table,), idx) == eval_rule(rule, state), (rule.id, idx)
+        for rule, body in decision:
+            assert (not none_holds((body,), idx)) == eval_rule(rule, state), (rule.id, idx)
