@@ -12,21 +12,17 @@ and every action's precondition from the tables, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Set-up compiles nothing and enumerates no states: each repair candidate
 costs one test per causal rule, and the action list is built only for a run
-that steps.  Two tests read mutability and monotonicity off the domains at
-call time to rule a state out before any search, both through
-:func:`_decide` on the reach box, the product of the values each feature
-can still reach: :meth:`~CompiledProblem.unrepairable` (some causal rule is
-broken throughout it, so no action sequence restores that rule) and
-:meth:`~CompiledProblem.doomed` (no state of it is a goal; decided by
-cutting the box in two along literals the rules straddle until a rule rules
-out each part, a part on which every rule is decided is all goals, or a
-fixed number of boxes is spent).  ``State`` and
-:class:`~recourseplan.actions.Action` objects exist only at the API boundary.
+that steps.  Two tests rule a state out before any search, both by the one
+cover test :func:`_covered` on the reach box (the values each feature can
+still reach): :meth:`~CompiledProblem.doomed` (no state of it is a goal) and
+:meth:`~CompiledProblem.unrepairable` (every state of it breaks a causal
+rule).  ``State`` and :class:`~recourseplan.actions.Action` objects exist
+only at the API boundary.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .domains import FeatureDomain
 from .rules import Pairs, ProblemSpec, Rule, none_holds
@@ -34,9 +30,8 @@ from .rules import Pairs, ProblemSpec, Rule, none_holds
 Index = tuple[int, ...]
 Pair = tuple[int, frozenset[int]]
 
-# the most boxes :meth:`CompiledProblem.doomed` decides, the reach box
-# included, before it gives up and leaves the start to the search; the
-# generated tiers need at most 10 (12/6/C10 seed 150)
+# the most boxes :func:`_covered` decides, the first included, before it
+# gives up; ``doomed`` on the generated tiers needs at most 10 (12/6/C10 seed 150)
 MAX_SPLITS = 2048
 
 
@@ -70,6 +65,40 @@ def _decide(tables: Sequence[Pairs],
                 return True
             cut = straddled
     return cut
+
+
+def _covered(tables: Sequence[Pairs], box: Iterable[Collection[int]]) -> bool:
+    """Every state of ``box`` has some table holding; ``False`` proves nothing.
+
+    Each box, ``box`` first, is decided by :func:`_decide`, so an earlier
+    table's cut is taken first.  A box that no table holds throughout is cut
+    in two along the pair it returns, into the part inside the pair's values
+    and the part outside them, and is covered only if both parts are; the
+    outside part is decided next and the inside one waits on a stack.  Both
+    parts keep every axis non-empty.  A box on which every table fails
+    throughout holds an uncovered state, and the test gives up after
+    :data:`MAX_SPLITS` boxes.
+    """
+    box = list(box)
+    stack = []
+    budget = MAX_SPLITS
+    while budget:
+        budget -= 1
+        cut = _decide(tables, box)
+        if cut is True:
+            if not stack:
+                return True
+            box = stack.pop()
+        elif cut is None:
+            return False  # an uncovered witness
+        else:
+            i, allowed = cut
+            part = box.copy()
+            part[i] = frozenset(box[i]) - allowed
+            box[i] = allowed.intersection(box[i])
+            stack.append(box)
+            box = part
+    return False
 
 
 def _reach(feature: FeatureDomain, vi: int) -> range:
@@ -119,7 +148,7 @@ class CompiledProblem:
     no state.
     """
 
-    __slots__ = ("domains", "causal", "decision", "tables", "rules", "moves", "_causal_rules")
+    __slots__ = ("domains", "causal", "decision", "tables", "rules", "moves", "_causal_rules", "_memo")
 
     def __init__(self, problem: ProblemSpec) -> None:
         self.domains = problem.domains
@@ -127,6 +156,7 @@ class CompiledProblem:
         self.causal = problem.causal_tables
         self.decision = problem.decision_bodies
         self.tables = self.decision + self.causal
+        self._memo = None  # unrepairable's, built on its first call
 
     def compile_actions(self) -> None:
         """Build the action list, ``rules`` and ``moves``: the guard sweep
@@ -182,69 +212,37 @@ class CompiledProblem:
         """Every action's id, in action order."""
         return tuple(map(self.action_id, range(len(self.moves))))
 
-    def consistent(self, idx: Index) -> bool:
-        """Every causal implication holds: no breaking table holds."""
-        return none_holds(self.causal, idx)
-
     def unrepairable(self, idx: Index) -> bool:
-        """Some causal rule is violated at ``idx`` and at every state reachable
-        from it, so no sequence of actions leads to a consistent state.
-
-        That holds when :func:`_decide` finds a breaking table holding
-        throughout the reach box: the values the head feature can still reach
-        are all refused, and those each body feature can still reach stay
-        inside its literals, since every action keeps to mutability and
-        monotonicity.
+        """Every state of the reach box of ``idx`` (:meth:`doomed`) breaks
+        some causal rule, so no sequence of actions leads to a consistent
+        state; ``False`` proves nothing.  The box depends on ``idx`` only at
+        immutable and monotone features, so the verdicts are kept per value
+        of those, as long as the kernel lives (one run).
         """
-        return _decide(self.causal, list(map(_reach, self.domains.features, idx))) is True
+        if self._memo is None:
+            self._memo = tuple(i for i, f in enumerate(self.domains)
+                               if not f.mutable or f.monotonicity != "none"), {}
+        pinned, verdicts = self._memo
+        key = tuple(map(idx.__getitem__, pinned))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _covered(self.causal, map(_reach, self.domains.features, idx))
+        return verdict
 
     def doomed(self, idx: Index) -> bool:
         """No state of the reach box of ``idx`` is a goal, so no sequence of
-        actions leads to one.
+        actions leads to one; ``False`` proves nothing.
 
         The reach box is the product of the values each feature can still
         reach from ``idx`` (:func:`_reach`).  It holds every reachable state,
         since every action (a direct move, a causal repair and so every
-        repair-chain step) keeps to mutability and monotonicity.  Each box,
-        the reach box first, is decided in one pass over ``tables``
-        (:func:`_decide`), the decision tables first: a box where a decision
-        rule fires throughout costs one short pass, and a decision rule's cut
-        is taken before a causal rule's.  Every axis is non-empty, as
-        :func:`_decide` requires: the reach ranges are, and so are both parts
-        of a straddled axis.  A box that no table rules out is cut in two
-        along the first pair a table straddles, into the part inside the
-        pair's values and the part outside them (value sets on the cut axis,
-        the other axes kept), and is goal-free only if both parts are; the
-        outside part is decided next and the inside one waits on a stack.  A
-        box on which every table fails throughout holds only goals.  A goal
-        in the box need not be reachable, and the test gives up after
-        :data:`MAX_SPLITS` boxes, so ``False`` proves nothing.
+        repair-chain step) keeps to mutability and monotonicity.  It is
+        goal-free when every state of it has some table holding
+        (:func:`_covered`), the decision tables first, so a decision rule's
+        cut is taken before a causal rule's.  A goal in the box need not be
+        reachable.
         """
-        tables = self.tables
-        box = list(map(_reach, self.domains.features, idx))
-        stack = []
-        budget = MAX_SPLITS
-        while budget:
-            budget -= 1
-            cut = _decide(tables, box)
-            if cut is True:
-                if not stack:
-                    return True
-                box = stack.pop()
-            elif cut is None:
-                return False  # a goal witness
-            else:
-                i, allowed = cut
-                part = box.copy()
-                part[i] = frozenset(box[i]) - allowed
-                box[i] = allowed.intersection(box[i])
-                stack.append(box)
-                box = part
-        return False
-
-    def fires(self, idx: Index) -> bool:
-        """Some decision rule's body holds."""
-        return not none_holds(self.decision, idx)
+        return _covered(self.tables, map(_reach, self.domains.features, idx))
 
     def goal(self, idx: Index) -> bool:
         """Causally consistent and no decision rule fires: no table holds."""

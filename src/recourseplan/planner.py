@@ -73,10 +73,11 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
 
     ``dead`` holds inconsistent states from which no consistent state is
     reachable; they are skipped like entered ones, which changes no result,
-    since every state reachable from a dead state is dead too.  A failed search saw
-    only states of that kind, so all of them are added to it.  So is a start
-    that :meth:`~recourseplan.kernel.CompiledProblem.unrepairable` rules out
-    before any search.
+    since every state reachable from a dead state is dead too.  A failed
+    search saw only states of that kind, so all of them are added to it.  So
+    is a start that :meth:`~recourseplan.kernel.CompiledProblem.unrepairable`
+    rules out before any search: every state of its reach box breaks a
+    causal rule, a verdict the kernel keeps per reach box for the run.
     """
     causal, step = kernel.causal, kernel.step
     if kernel.unrepairable(start):

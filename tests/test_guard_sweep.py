@@ -13,21 +13,24 @@ import math
 
 import pytest
 
+from recourseplan import kernel as kernel_module
 from recourseplan.dsl import parse_problem
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
+from recourseplan.rules import none_holds
 
 BOX_CAP = 10 ** 6  # boxes beyond this many states are not enumerated here
 
 
 def _enumerating_sweep(kernel, axes, guard, feature_index, new_index):
-    """The sweep as it was before the box test, verbatim but for ``self``."""
+    """The sweep as it was before the box test, verbatim but for ``self`` and
+    the consistency test, ``none_holds`` on the breaking tables."""
     axes = list(axes)
     for fi, allowed in guard:
         axes[fi] = sorted(allowed.intersection(axes[fi]))
     axes[feature_index] = (new_index,)
-    return all(map(kernel.consistent, itertools.product(*axes)))
+    return all(none_holds(kernel.causal, idx) for idx in itertools.product(*axes))
 
 
 def _compare(problem):
@@ -187,13 +190,13 @@ def test_kernel_enumerates_no_guard_box(monkeypatch):
     assert math.prod(domains.sizes) // (domains.sizes[a0] * domains.sizes[y]) \
         * len(support) >= BOX_CAP
     calls = []
-    real = CompiledProblem.consistent
+    real = none_holds
 
-    def counting(self, idx):
+    def counting(tables, idx):
         calls.append(idx)
-        return real(self, idx)
+        return real(tables, idx)
 
-    monkeypatch.setattr(CompiledProblem, "consistent", counting)
+    monkeypatch.setattr(kernel_module, "none_holds", counting)
     kernel = CompiledProblem(problem)
     kernel.compile_actions()
     assert calls == []

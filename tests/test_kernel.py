@@ -17,7 +17,7 @@ from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import MAX_SPLITS, CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, enumerate_causally_consistent, enumerate_states
 from recourseplan.planner import get_path, is_counterfactual
-from recourseplan.rules import ProblemSpec, is_causally_consistent, satisfies_decision
+from recourseplan.rules import ProblemSpec, is_causally_consistent, none_holds, satisfies_decision
 
 PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
             + [(f"random {seed}",
@@ -37,9 +37,8 @@ def test_kernel_matches_state_api_on_every_state(make):
     causal, decision = problem.causal_rules, problem.decision_rules
     for state in enumerate_states(domains):
         idx = state.idx
-        consistent = kernel.consistent(idx)
-        assert consistent == is_causally_consistent(state, causal)
-        assert kernel.fires(idx) == satisfies_decision(state, decision)
+        assert none_holds(kernel.causal, idx) == is_causally_consistent(state, causal)
+        assert (not none_holds(kernel.decision, idx)) == satisfies_decision(state, decision)
         assert kernel.goal(idx) == is_counterfactual(state, causal, decision)
         for k, action in enumerate(actions):
             expected = apply_action(action, state).idx if is_permitted(action, state) else None

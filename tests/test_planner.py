@@ -20,7 +20,7 @@ from recourseplan.kernel import CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, delta_oracle, validate_solution_path
 from recourseplan.planner import (PathTrace, TraceEntry, _complete,
                                   extract_candidate_path, get_path, is_counterfactual)
-from recourseplan.rules import ProblemSpec, eval_rule, is_causally_consistent
+from recourseplan.rules import ProblemSpec, is_causally_consistent, none_holds
 from tests.conftest import DOOMED_START
 
 
@@ -251,7 +251,7 @@ def test_candidate_paths_move_along_oracle_transitions(seed):
 
 def _inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
     for idx in itertools.product(*(range(f.size) for f in problem.domains)):
-        if not kernel.consistent(idx):
+        if not none_holds(kernel.causal, idx):
             yield idx
 
 
@@ -271,7 +271,7 @@ def _breadth_first_complete(kernel, start):
     """The repair policy stated plainly: breadth-first over ``kernel.step``
     from ``start``, actions in order, ending at the first consistent state
     discovered, with no dead set and no unrepairability test."""
-    if kernel.consistent(start):
+    if none_holds(kernel.causal, start):
         return start, ()
     parent = {start: None}
     queue = collections.deque([start])
@@ -282,7 +282,7 @@ def _breadth_first_complete(kernel, start):
             if nxt is None or nxt in parent:
                 continue
             parent[nxt] = (idx, k)
-            if kernel.consistent(nxt):
+            if none_holds(kernel.causal, nxt):
                 edges = []
                 node = nxt
                 while parent[node] is not None:
@@ -302,7 +302,7 @@ def _reaches_a_consistent_state(kernel, sources) -> bool:
             nxt = kernel.step(k, idx)
             if nxt is None or nxt in reached:
                 continue
-            if kernel.consistent(nxt):
+            if none_holds(kernel.causal, nxt):
                 return True
             reached.add(nxt)
             frontier.append(nxt)
@@ -329,9 +329,10 @@ def test_chains_match_the_breadth_first_reference(seed):
 def _depth_first_complete(kernel, start, dead):
     """The repair-chain search before chains became breadth-first, in the
     form that steps every state afresh (its exit-table form took the same
-    steps).  Kept verbatim as the reference."""
-    consistent, step = kernel.consistent, kernel.step
-    if consistent(start):
+    steps).  Kept verbatim as the reference, but for the consistency test,
+    ``none_holds`` on the breaking tables."""
+    causal, step = kernel.causal, kernel.step
+    if none_holds(causal, start):
         return start, ()
     positions = range(len(kernel.moves))
     seen = {start}
@@ -344,7 +345,7 @@ def _depth_first_complete(kernel, start, dead):
             if nxt is None or nxt in seen or nxt in dead:
                 continue
             edges.append((idx, k))
-            if consistent(nxt):
+            if none_holds(causal, nxt):
                 return nxt, tuple(edges)
             seen.add(nxt)
             stack.append((nxt, iter(positions)))
@@ -420,20 +421,88 @@ def _reachable_values(feature, vi):
 
 
 @pytest.mark.parametrize("seed", [4, 14, 20, 48, 63, 66, 72, 92])
-def test_unrepairable_means_a_causal_rule_is_broken_throughout_the_reach_box(seed):
-    # brute force on the rule evaluator: list every state of the box
+def test_unrepairable_means_no_state_of_the_reach_box_is_consistent(seed):
+    # brute force on the State-level evaluator: list every state of the box
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
-    domains = problem.domains
+    domains, causal = problem.domains, problem.causal_rules
     verdicts = []
     for idx in _inconsistent_states(problem, kernel):
-        box = [State(domains, s) for s in itertools.product(
-            *map(_reachable_values, domains.features, idx))]
-        broken = any(all(not eval_rule(rule, s) for s in box)
-                     for rule in problem.causal_rules)
-        assert kernel.unrepairable(idx) == broken, idx
-        verdicts.append(broken)
+        box = itertools.product(*map(_reachable_values, domains.features, idx))
+        no_exit = not any(is_causally_consistent(State(domains, s), causal) for s in box)
+        assert kernel.unrepairable(idx) == no_exit, idx
+        verdicts.append(no_exit)
     assert any(verdicts)
+
+
+def _seed_459() -> ProblemSpec:
+    # 30 features of up to 8 values and 24 causal rules: a repair chain from
+    # the first expansion walked an inconsistent region until memory ran out
+    return random_problem(459, max_features=30, max_values=8, max_causal=24)
+
+
+def test_seed_459_raw_outcome_is_unrepairable_though_no_rule_is_broken_throughout():
+    problem = _seed_459()
+    kernel = CompiledProblem(problem)
+    kernel.compile_actions()
+    root = problem.initial.idx
+    raw = [nxt for nxt in (kernel.step(k, root) for k in range(len(kernel.moves)))
+           if nxt is not None and not none_holds(kernel.causal, nxt)]
+    # the second inconsistent raw outcome in action order: two causal rules
+    # cover its reach box between them, and the box test alone cuts it
+    reach = list(map(kernel_module._reach, problem.domains.features, raw[1]))
+    assert kernel_module._decide(kernel.causal, reach) is not True
+    assert kernel.unrepairable(raw[1])
+
+
+# steps of the seed 459 run: its first expansion takes 152 (110 actions from
+# the root, the rest in repair chains); a runaway chain passes the cap long
+# before it fills memory
+STEP_CAP = 10_000
+
+
+def test_seed_459_succeeds_after_one_expansion(monkeypatch):
+    # counted rather than timed: every state a repair chain enters is a step
+    taken = []
+    real_step = CompiledProblem.step
+
+    def capped_step(self, k, idx):
+        if len(taken) == STEP_CAP:
+            raise AssertionError(f"more than {STEP_CAP} steps")
+        taken.append(k)
+        return real_step(self, k, idx)
+
+    monkeypatch.setattr(CompiledProblem, "step", capped_step)
+    trace = get_path(_seed_459())
+    assert (trace.status, trace.expansions) == ("success", 1)
+    assert len(taken) == 152
+
+
+def test_unrepairable_verdicts_last_one_run(monkeypatch):
+    covered, completed = [], []
+    real_covered, real_complete = kernel_module._covered, planner._complete
+
+    def counting_covered(tables, box):
+        covered.append(tables)
+        return real_covered(tables, box)
+
+    def counting_complete(*args):
+        completed.append(args[1])
+        return real_complete(*args)
+
+    monkeypatch.setattr(kernel_module, "_covered", counting_covered)
+    monkeypatch.setattr(planner, "_complete", counting_complete)
+    # the root's doomed test, then one reach box shared by 28 repair chains
+    problem = random_problem(202, max_features=8, max_values=5)
+    assert get_path(problem).status == "success"
+    assert (len(covered), len(completed)) == (2, 28)
+    # a second run decides that reach box afresh: no verdict outlives its run
+    get_path(problem)
+    assert (len(covered), len(completed)) == (4, 56)
+    # a goal start tests no box
+    covered.clear()
+    trace = get_path(random_problem(0, max_features=8, max_values=5))
+    assert (trace.status, trace.expansions, covered) == ("success", 0, [])
 
 
 def test_wide_seed_68_fails_and_bfs_finds_no_goal():

@@ -226,8 +226,8 @@ def test_a_body_naming_a_feature_twice_compiles_to_one_intersected_pair():
     for state in enumerate_states(domains):
         ok = is_causally_consistent(state, problem.causal_rules)
         fires = satisfies_decision(state, problem.decision_rules)
-        assert kernel.consistent(state.idx) == ok
-        assert kernel.fires(state.idx) == fires
+        assert none_holds(kernel.causal, state.idx) == ok
+        assert (not none_holds(kernel.decision, state.idx)) == fires
         consistent += ok
         fired += ok and fires
     report = state_set_report(problem)
