@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class RecourseError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error pickles and copies without calling ``__init__`` again, whose
+    parameters differ from the ``args`` it stores: it is rebuilt from its
+    ``args`` and its attributes.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(RecourseError):

@@ -212,22 +212,32 @@ class CompiledProblem:
         """Every action's id, in action order."""
         return tuple(map(self.action_id, range(len(self.moves))))
 
-    def unrepairable(self, idx: Index) -> bool:
-        """Every state of the reach box of ``idx`` (:meth:`doomed`) breaks
-        some causal rule, so no sequence of actions leads to a consistent
-        state; ``False`` proves nothing.  The box depends on ``idx`` only at
-        immutable and monotone features, so the verdicts are kept per value
-        of those, as long as the kernel lives (one run).
-        """
+    def _verdicts(self, idx: Index) -> tuple[dict[Index, bool], Index]:
+        """:meth:`unrepairable`'s verdicts and ``idx``'s key: the values its reach box depends on."""
         if self._memo is None:
             self._memo = tuple(i for i, f in enumerate(self.domains)
                                if not f.mutable or f.monotonicity != "none"), {}
         pinned, verdicts = self._memo
-        key = tuple(map(idx.__getitem__, pinned))
+        return verdicts, tuple(map(idx.__getitem__, pinned))
+
+    def unrepairable(self, idx: Index) -> bool:
+        """Every state of the reach box of ``idx`` (:meth:`doomed`) breaks
+        some causal rule, so no action sequence leads to a consistent state;
+        ``False`` proves nothing.  Verdicts last the kernel's life (one run).
+        Where :func:`_covered` gives up, a repair chain that meets no
+        consistent state proves one (:meth:`mark_unrepairable`): each direct
+        move is unguarded and permitted from every value monotonicity lets
+        its feature leave, so the chain enters all of its start's reach box."""
+        verdicts, key = self._verdicts(idx)
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = _covered(self.causal, map(_reach, self.domains.features, idx))
         return verdict
+
+    def mark_unrepairable(self, idx: Index) -> None:
+        """File the verdict that ``idx`` is :meth:`unrepairable`."""
+        verdicts, key = self._verdicts(idx)
+        verdicts[key] = True
 
     def doomed(self, idx: Index) -> bool:
         """No state of the reach box of ``idx`` is a goal, so no sequence of

@@ -6,10 +6,10 @@ direct moves, then declaration order).  An action whose outcome is causally
 consistent leads there.  One whose outcome breaks a causal rule continues
 through a repair chain (:func:`_complete`): the first causally consistent
 state in breadth-first order from the raw outcome.  An action with no
-consistent completion leads nowhere.  Every raw outcome is tested against
-every causal rule's breaking table, and every consistent successor against
-the decision rules' tables, by the one membership test
-(:func:`~recourseplan.rules.none_holds`).
+consistent completion leads nowhere, and the kernel keeps that verdict for
+the run.  Every raw outcome is tested against every causal rule's breaking
+table, and every consistent successor against the decision rules' tables, by
+the one membership test (:func:`~recourseplan.rules.none_holds`).
 
 A state is tested for the goal when it is discovered, and no state is
 entered twice.  So the found path has the fewest consistent states of any
@@ -59,7 +59,7 @@ ChainEdge = tuple[Index, int]
 Chain = tuple[Index, tuple[ChainEdge, ...]]
 
 
-def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Optional[Chain]:
+def _complete(kernel: CompiledProblem, start: Index) -> Optional[Chain]:
     """First causally consistent state reachable from ``start``, in
     breadth-first order; ``start`` itself must be causally inconsistent.
 
@@ -69,19 +69,12 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
     chain and is never expanded.  Returns the consistent endpoint plus the
     (state, action position) edges leading to it, or ``None`` when no
     completion exists.  So the chain is a shortest one, and where some action
-    repairs the start in one step it is the first such action.
-
-    ``dead`` holds inconsistent states from which no consistent state is
-    reachable; they are skipped like entered ones, which changes no result,
-    since every state reachable from a dead state is dead too.  A failed
-    search saw only states of that kind, so all of them are added to it.  So
-    is a start that :meth:`~recourseplan.kernel.CompiledProblem.unrepairable`
-    rules out before any search: every state of its reach box breaks a
-    causal rule, a verdict the kernel keeps per reach box for the run.
+    repairs the start in one step it is the first such action.  A start that
+    :meth:`~recourseplan.kernel.CompiledProblem.unrepairable` rules out is
+    not searched, and a search that fails files that verdict.
     """
     causal, step = kernel.causal, kernel.step
     if kernel.unrepairable(start):
-        dead.add(start)
         return None
     positions = range(len(kernel.moves))
     # each entered state: the edge it was discovered along
@@ -90,7 +83,7 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
     for idx in frontier:  # grows while it is read: a queue in discovery order
         for k in positions:
             nxt = step(k, idx)
-            if nxt is None or nxt in parent or nxt in dead:
+            if nxt is None or nxt in parent:
                 continue
             if none_holds(causal, nxt):
                 edges: list[ChainEdge] = [(idx, k)]
@@ -99,7 +92,7 @@ def _complete(kernel: CompiledProblem, start: Index, dead: set[Index]) -> Option
                 return nxt, tuple(reversed(edges))
             parent[nxt] = idx, k
             frontier.append(nxt)
-    dead.update(parent)
+    kernel.mark_unrepairable(start)
     return None
 
 
@@ -156,18 +149,16 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
 
     The frontier is expanded in order, each state by the ordered action list.
     An action's raw outcome is the successor when it is consistent, else the
-    end of its repair chain (:func:`_complete`, memoized per raw outcome,
-    with one ``dead`` set for the run); an action with no completion is
-    skipped.  A raw outcome is tested against every causal rule.  A successor
-    is tested for the goal when it is discovered, and no state is entered
-    twice.  On success the found path replaces the root entry
-    (:func:`_record_path`).
+    end of its repair chain (:func:`_complete`, memoized per raw outcome
+    that has one); an action with no completion is skipped.  A raw outcome
+    is tested against every causal rule.  A successor is tested for the
+    goal when it is discovered, and no state is entered twice.  On success
+    the found path replaces the root entry (:func:`_record_path`).
     """
     root = trace.entries[0].state.idx
     step, causal, decision = kernel.step, kernel.causal, kernel.decision
     positions = range(len(kernel.moves))
     chains: dict[Index, Chain] = {}
-    dead: set[Index] = set()
     parents: Parents = {root: None}
     frontier = [root]
     for idx in frontier:  # grows while it is read: a queue in discovery order
@@ -183,9 +174,7 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
             else:
                 chain = chains.get(raw)
                 if chain is None:
-                    if raw in dead:
-                        continue
-                    chain = _complete(kernel, raw, dead)
+                    chain = _complete(kernel, raw)
                     if chain is None:
                         continue
                     chains[raw] = chain

@@ -204,8 +204,10 @@ class ProblemSpec:
     Holds the feature domains, the causal rules, the decision rules that
     currently fire for the individual, the initial state, and an optional cap
     on planner expansions.  The plausibility constraints live on the domains
-    alone, as each feature's ``mutable`` and ``monotonicity``
-    (:meth:`~recourseplan.domains.Domains.with_constraints` applies them).
+    alone, as each feature's ``mutable`` and ``monotonicity``, set when a
+    feature is built (:func:`~recourseplan.dsl.parse_problem` and
+    :func:`~recourseplan.generate.random_problem` do so) or on built domains
+    by :meth:`~recourseplan.domains.Domains.with_constraints`.
     Construction re-binds the initial state to ``domains`` when it sits on
     other domains; the state must satisfy every causal rule, and
     construction rejects it otherwise.

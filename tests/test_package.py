@@ -1,6 +1,8 @@
 import ast
+import copy
 import os
 import pathlib
+import pickle
 import runpy
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import sys
 import pytest
 
 import recourseplan
+from recourseplan import errors
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
 from tests.conftest import run_cli
@@ -19,6 +22,38 @@ SOURCES = sorted(pathlib.Path(recourseplan.__file__).parent.glob("*.py"))
 def test_every_exported_name_resolves():
     missing = [name for name in recourseplan.__all__ if not hasattr(recourseplan, name)]
     assert missing == []
+
+
+# one instance of every error type, ParseError with and without `expected`
+ERRORS = [
+    errors.RecourseError("base"),
+    errors.ParseError("unexpected token", 3, 7, "'.'"),
+    errors.ParseError("stray character", 1, 2),
+    errors.SemanticError("type-mismatch", "x needs an integer"),
+    errors.NotApplicable("not permitted"),
+    errors.EmptySequenceError("trace is empty"),
+    errors.NotASolution("trace status is 'failure'"),
+    errors.CapExceeded(1000, 10),
+    errors.EmptyRange("[3, 1]"),
+    errors.OutOfDomain("age", "200 is out of range"),
+    errors.UnknownScenario("nope"),
+]
+
+
+def test_every_error_type_is_exercised():
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.RecourseError)}
+    assert classes == {type(e) for e in ERRORS}
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy],
+                         ids=["pickle", "copy"])
+def test_errors_survive_pickle_and_copy(error, clone):
+    # a multiprocessing worker's error reaches the parent pickled
+    twin = clone(error)
+    assert type(twin) is type(error)
+    assert (str(twin), twin.args, vars(twin)) == (str(error), error.args, vars(error))
 
 
 def test_package_imports_only_itself_and_the_standard_library():

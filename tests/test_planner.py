@@ -255,22 +255,10 @@ def _inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
             yield idx
 
 
-@pytest.mark.parametrize("seed", [172, 329])
-def test_dead_set_changes_no_repair_chain(seed):
-    problem = random_problem(seed, max_features=8, max_values=5)
-    kernel = CompiledProblem(problem)
-    kernel.compile_actions()
-    dead: set = set()
-    for idx in _inconsistent_states(problem, kernel):
-        assert _complete(kernel, idx, dead) == _complete(kernel, idx, set())
-    # seed 329 has chains that fail, so later calls ran against a filled set
-    assert bool(dead) == (seed == 329)
-
-
 def _breadth_first_complete(kernel, start):
     """The repair policy stated plainly: breadth-first over ``kernel.step``
     from ``start``, actions in order, ending at the first consistent state
-    discovered, with no dead set and no unrepairability test."""
+    discovered, with no unrepairability test."""
     if none_holds(kernel.causal, start):
         return start, ()
     parent = {start: None}
@@ -314,16 +302,13 @@ def test_chains_match_the_breadth_first_reference(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
     kernel.compile_actions()
-    # one dead set for all calls, as in a run; a chain that fails leaves its
-    # start dead, and the last assertion covers the reference on dead states
-    dead: set = set()
+    # one kernel for all calls, as in a run, so later calls read the
+    # unrepairable verdicts earlier ones filed
     for idx in _inconsistent_states(problem, kernel):
-        result = _complete(kernel, idx, dead)
+        result = _complete(kernel, idx)
+        assert result == _breadth_first_complete(kernel, idx)
         if result is None:
-            assert idx in dead
-        else:
-            assert result == _breadth_first_complete(kernel, idx)
-    assert not _reaches_a_consistent_state(kernel, dead)
+            assert kernel.unrepairable(idx)
 
 
 def _depth_first_complete(kernel, start, dead):
@@ -372,13 +357,16 @@ def test_one_edge_repairs_are_those_of_the_depth_first_walk():
         problem = random_problem(seed, max_features=8, max_values=5)
         kernel = CompiledProblem(problem)
         kernel.compile_actions()
-        dead: set = set()
         reference_dead: set = set()
         for idx in _inconsistent_states(problem, kernel):
             walked = _depth_first_complete(kernel, idx, reference_dead)
+            result = _complete(kernel, idx)
+            assert result == _breadth_first_complete(kernel, idx)
+            if result is None:
+                assert kernel.unrepairable(idx)
             if walked is not None and len(walked[1]) == 1:
                 one_edge += 1
-                assert _complete(kernel, idx, dead) == walked
+                assert result == walked
     assert one_edge > 1000
 
 
@@ -400,7 +388,10 @@ def test_seed_263_repair_chains_are_short(monkeypatch):
     assert sum(steps) / len(steps) <= 2
 
 
-@pytest.mark.parametrize("seed", [4, 14, 20, 48, 63, 66, 72, 92])
+UNREPAIRABLE_SEEDS = [4, 14, 20, 48, 63, 66, 72, 92]
+
+
+@pytest.mark.parametrize("seed", UNREPAIRABLE_SEEDS)
 def test_unrepairable_states_reach_no_consistent_state(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
@@ -420,16 +411,29 @@ def _reachable_values(feature, vi):
     return range(feature.size)
 
 
-@pytest.mark.parametrize("seed", [4, 14, 20, 48, 63, 66, 72, 92])
-def test_unrepairable_means_no_state_of_the_reach_box_is_consistent(seed):
-    # brute force on the State-level evaluator: list every state of the box
+@pytest.mark.parametrize("seed, max_splits",
+                         [pytest.param(seed, kernel_module.MAX_SPLITS, id=str(seed))
+                          for seed in UNREPAIRABLE_SEEDS]
+                         + [pytest.param(seed, 1, id=f"{seed}-one-box") for seed in UNREPAIRABLE_SEEDS])
+def test_unrepairable_means_no_state_of_the_reach_box_is_consistent(seed, max_splits, monkeypatch):
+    # brute force on the State-level evaluator: list every state of the box.
+    # With one box the cover test gives up unless a rule is broken throughout
+    # the reach box, and a failed repair chain files the verdict instead.
+    monkeypatch.setattr(kernel_module, "MAX_SPLITS", max_splits)
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
+    kernel.compile_actions()
     domains, causal = problem.domains, problem.causal_rules
     verdicts = []
     for idx in _inconsistent_states(problem, kernel):
         box = itertools.product(*map(_reachable_values, domains.features, idx))
         no_exit = not any(is_causally_consistent(State(domains, s), causal) for s in box)
+        covered = kernel.unrepairable(idx)
+        if max_splits == 1:
+            assert no_exit or not covered, idx
+        else:
+            assert covered == no_exit, idx
+        assert (_complete(kernel, idx) is None) == no_exit, idx
         assert kernel.unrepairable(idx) == no_exit, idx
         verdicts.append(no_exit)
     assert any(verdicts)
@@ -455,27 +459,42 @@ def test_seed_459_raw_outcome_is_unrepairable_though_no_rule_is_broken_throughou
     assert kernel.unrepairable(raw[1])
 
 
-# steps of the seed 459 run: its first expansion takes 152 (110 actions from
-# the root, the rest in repair chains); a runaway chain passes the cap long
-# before it fills memory
-STEP_CAP = 10_000
-
-
-def test_seed_459_succeeds_after_one_expansion(monkeypatch):
-    # counted rather than timed: every state a repair chain enters is a step
+def _cap_steps(monkeypatch, cap: int) -> list:
+    """Record every ``CompiledProblem.step`` call's action, failing past
+    ``cap``: counted rather than timed, since every state a repair chain
+    enters is a step."""
     taken = []
     real_step = CompiledProblem.step
 
     def capped_step(self, k, idx):
-        if len(taken) == STEP_CAP:
-            raise AssertionError(f"more than {STEP_CAP} steps")
+        if len(taken) == cap:
+            raise AssertionError(f"more than {cap} steps")
         taken.append(k)
         return real_step(self, k, idx)
 
     monkeypatch.setattr(CompiledProblem, "step", capped_step)
+    return taken
+
+
+def test_seed_459_succeeds_after_one_expansion(monkeypatch):
+    # its first expansion takes 152 steps (110 actions from the root, the
+    # rest in repair chains); a runaway chain passes the cap long before it
+    # fills memory
+    taken = _cap_steps(monkeypatch, 10_000)
     trace = get_path(_seed_459())
     assert (trace.status, trace.expansions) == ("success", 1)
     assert len(taken) == 152
+
+
+def test_failed_chains_file_their_verdict_where_the_cover_test_gives_up(monkeypatch):
+    # With one box the cover test decides only a reach box some causal rule
+    # is broken throughout.  Every other unrepairable start is searched by a
+    # repair chain, whose failure files the verdict for its reach box; a
+    # search that filed nothing walks the same regions again and passes the cap.
+    monkeypatch.setattr(kernel_module, "MAX_SPLITS", 1)
+    _cap_steps(monkeypatch, 200_000)
+    trace = get_path(random_problem(68, max_features=12, max_values=6, max_causal=10))
+    assert (trace.status, trace.expansions) == ("failure", 320)
 
 
 def test_unrepairable_verdicts_last_one_run(monkeypatch):
