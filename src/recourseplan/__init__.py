@@ -8,8 +8,7 @@ result against an exhaustive oracle.
 """
 
 from .actions import Action, apply_action, build_actions, is_permitted
-from .domains import (Domains, FeatureDomain, Interval, PlausibilityConstraint,
-                      State, partition_range)
+from .domains import Domains, FeatureDomain, Interval, State, partition_range
 from .dsl import parse_problem, pretty_print
 from .errors import (CapExceeded, EmptyRange, EmptySequenceError, NotApplicable,
                      NotASolution, OutOfDomain, ParseError, RecourseError,
@@ -31,7 +30,7 @@ __all__ = [
     "Action", "CandidatePath", "CapExceeded", "CompiledProblem", "Domains",
     "EmptyRange", "EmptySequenceError", "FeatureDomain", "GoldenStep",
     "Interval", "Literal", "NotApplicable", "NotASolution", "OutOfDomain",
-    "ParseError", "PathTrace", "PlausibilityConstraint", "ProblemSpec",
+    "ParseError", "PathTrace", "ProblemSpec",
     "RecourseError", "Rule", "SCENARIO_NAMES", "Scenario", "SemanticError",
     "State", "StateSetReport", "TraceEntry", "UnknownScenario",
     "ValidationReport", "apply_action", "bfs_shortest_path", "build_actions",

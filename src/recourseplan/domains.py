@@ -8,14 +8,13 @@ and makes exhaustive cross-checks exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
 
 from .errors import EmptyRange, OutOfDomain, SemanticError
 
 Kind = Literal["categorical", "numeric"]
 Monotonicity = Literal["none", "nondecreasing", "nonincreasing"]
-ConstraintKind = Literal["immutable", "nondecreasing", "nonincreasing"]
 
 
 @dataclass(frozen=True)
@@ -82,26 +81,15 @@ def partition_range(lo: int, hi: int, thresholds: Iterable[int]) -> tuple[Interv
 
 
 @dataclass(frozen=True)
-class PlausibilityConstraint:
-    """Restriction on how a feature may change: frozen, or one-way only."""
-
-    feature: str
-    kind: ConstraintKind
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("immutable", "nondecreasing", "nonincreasing"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class FeatureDomain:
     """One feature: its finite value set and how it is allowed to move.
 
     Categorical features carry an ordered tuple of labels; numeric features
     carry an ordered interval partition of their declared range.  A feature's
     plausibility constraint is stored here and nowhere else, as ``mutable``
-    and ``monotonicity``, given at construction or set by
-    :meth:`Domains.with_constraints`.
+    (``False``: the feature is frozen) or ``monotonicity`` (it moves one way
+    only), given at construction or with :func:`dataclasses.replace`; a
+    feature takes at most one of the two.
     """
 
     name: str
@@ -153,11 +141,6 @@ class FeatureDomain:
                 return i
         raise KeyError(f"{self.name}: {x} outside range {self.intervals[0].lower}..{self.intervals[-1].upper}")
 
-    def constrained(self, constraint: PlausibilityConstraint) -> "FeatureDomain":
-        if constraint.kind == "immutable":
-            return replace(self, mutable=False)
-        return replace(self, monotonicity=constraint.kind)
-
 
 @dataclass(frozen=True)
 class Domains:
@@ -165,7 +148,7 @@ class Domains:
 
     Construction computes the name index and ``sizes`` (each feature's number
     of values, in declaration order) once; neither takes part in equality,
-    hashing or ``repr``.  A feature name declared twice is rejected.
+    hashing or ``repr``.  A feature name declared twice is rejected, by name.
     """
 
     features: tuple[FeatureDomain, ...]
@@ -175,7 +158,8 @@ class Domains:
     def __post_init__(self) -> None:
         by_name = {f.name: i for i, f in enumerate(self.features)}
         if len(by_name) != len(self.features):
-            raise SemanticError("duplicate-declaration", "feature declared twice")
+            name = next(f.name for i, f in enumerate(self.features) if by_name[f.name] != i)
+            raise SemanticError("duplicate-declaration", f"feature {name!r} declared twice")
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "sizes", tuple(f.size for f in self.features))
 
@@ -207,17 +191,6 @@ class Domains:
         for f in self.features:
             n *= f.size
         return n
-
-    def with_constraints(self, constraints: Sequence[PlausibilityConstraint]) -> "Domains":
-        """These domains with each constraint applied; a feature takes at most one."""
-        updated = list(self.features)
-        for c in constraints:
-            i = self.index(c.feature)
-            if not updated[i].mutable or updated[i].monotonicity != "none":
-                raise SemanticError("duplicate-declaration",
-                                    f"more than one constraint on feature {c.feature!r}")
-            updated[i] = updated[i].constrained(c)
-        return Domains(tuple(updated))
 
     def make_state(self, values: Mapping[str, Union[str, int]]) -> "State":
         """Build a state from concrete values; numeric values keep their witness.
@@ -360,3 +333,17 @@ class State:
                 idx.append(i)
                 reps.append(rep)
         return cls(domains, tuple(idx), tuple(reps))
+
+
+@dataclass(frozen=True)
+class CandidatePath:
+    """A path of states: a planner trace with its causally inconsistent
+    intermediates removed, or a path read from a file for validation."""
+
+    states: tuple[State, ...]
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self) -> Iterator[State]:
+        return iter(self.states)

@@ -24,7 +24,7 @@ import string
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar, Union
 
-from .domains import Domains, FeatureDomain, PlausibilityConstraint, State, partition_range
+from .domains import Domains, FeatureDomain, State, partition_range
 from .errors import OutOfDomain, ParseError, SemanticError
 from .rules import COMPARATORS, Literal, ProblemSpec, Rule
 
@@ -202,7 +202,8 @@ class _Parser:
         self.take_punct(":-")
         body = tuple(self._items(self._literal))
         self.take_punct(".")
-        parsed.add_rule(Rule(rid, role, body, head=head))
+        (parsed.causal if role == "causal" else parsed.decision).append(
+            Rule(rid, role, body, head=head))
 
     def _constraint(self, parsed: "_Parsed") -> None:
         self.pos += 1
@@ -212,7 +213,7 @@ class _Parser:
             raise self._fail("immutable, nondecreasing or nonincreasing")
         feature = self.take_ident("feature name")
         self.take_punct(".")
-        parsed.constraints.append(PlausibilityConstraint(feature, kind))  # type: ignore[arg-type]
+        parsed.constraints.append((feature, kind))
 
     def _initial(self, parsed: "_Parsed") -> None:
         self.pos += 1
@@ -250,15 +251,8 @@ class _Parsed:
         self.features: dict[str, _FeatureDecl] = {}  # by name, in declaration order
         self.causal: list[Rule] = []
         self.decision: list[Rule] = []
-        self.rule_ids: set[str] = set()
-        self.constraints: list[PlausibilityConstraint] = []
+        self.constraints: list[tuple[str, str]] = []  # (feature, kind), in text order
         self.initial: Optional[dict[str, Union[str, int]]] = None
-
-    def add_rule(self, rule: Rule) -> None:
-        if rule.id in self.rule_ids:
-            raise SemanticError("duplicate-declaration", f"rule id {rule.id!r} declared twice")
-        self.rule_ids.add(rule.id)
-        (self.causal if rule.role == "causal" else self.decision).append(rule)
 
 
 # threshold induction -------------------------------------------------------
@@ -292,7 +286,7 @@ def _build_domains(parsed: _Parsed) -> Domains:
                                         f"{lit}: numeric feature needs an integer constant")
                 thresholds[lit.feature].update(_boundaries_for(lit.op, lit.const))
 
-    constraint = {c.feature: c.kind for c in parsed.constraints}  # checked in parse_problem
+    constraint = dict(parsed.constraints)  # checked in parse_problem
     features = []
     for d in parsed.features.values():
         kind = constraint.get(d.name, "none")
@@ -333,14 +327,14 @@ def parse_problem(text: str) -> ProblemSpec:
     parsed = _Parser(text).parse()
     domains = _build_domains(parsed)
     initial = _build_initial(parsed, domains)
-    seen: set[str] = set()  # the errors Domains.with_constraints raises, after the initial's
-    for c in parsed.constraints:
-        if c.feature not in parsed.features:
-            raise SemanticError("undeclared-feature", f"feature {c.feature!r} is not declared")
-        if c.feature in seen:
+    seen: set[str] = set()  # a feature takes at most one constraint
+    for feature, _ in parsed.constraints:
+        if feature not in parsed.features:
+            raise SemanticError("undeclared-feature", f"feature {feature!r} is not declared")
+        if feature in seen:
             raise SemanticError("duplicate-declaration",
-                                f"more than one constraint on feature {c.feature!r}")
-        seen.add(c.feature)
+                                f"more than one constraint on feature {feature!r}")
+        seen.add(feature)
     return ProblemSpec(domains=domains, causal_rules=tuple(parsed.causal),
                        decision_rules=tuple(parsed.decision), initial=initial)
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .actions import Action, build_actions
-from .domains import Domains, State
+from .domains import CandidatePath, Domains, State
 from .errors import CapExceeded
-from .planner import CandidatePath
 from .rules import Literal, ProblemSpec
 
 DEFAULT_STATE_CAP = 10**7

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from .domains import State
+from .domains import CandidatePath, State
 from .errors import EmptySequenceError, NotASolution
 from .kernel import CompiledProblem, Index
 from .rules import ProblemSpec, none_holds
@@ -122,19 +122,6 @@ class PathTrace:
 
     def entry_records(self) -> Iterator[tuple[TraceEntry, bool]]:
         return ((entry, entry.consistent) for entry in self.entries)
-
-
-@dataclass(frozen=True)
-class CandidatePath:
-    """The trace with causally inconsistent intermediates removed."""
-
-    states: tuple[State, ...]
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterator[State]:
-        return iter(self.states)
 
 
 # the algorithm ----------------------------------------------------------------

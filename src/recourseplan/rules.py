@@ -206,11 +206,12 @@ class ProblemSpec:
     on planner expansions.  The plausibility constraints live on the domains
     alone, as each feature's ``mutable`` and ``monotonicity``, set when a
     feature is built (:func:`~recourseplan.dsl.parse_problem` and
-    :func:`~recourseplan.generate.random_problem` do so) or on built domains
-    by :meth:`~recourseplan.domains.Domains.with_constraints`.
+    :func:`~recourseplan.generate.random_problem` do so; code that builds a
+    problem passes them to :class:`~recourseplan.domains.FeatureDomain`).
     Construction re-binds the initial state to ``domains`` when it sits on
     other domains; the state must satisfy every causal rule, and
-    construction rejects it otherwise.
+    construction rejects it otherwise.  A rule id may be declared once, over
+    the causal and decision rules together.
 
     Construction compiles every rule once against the domains,
     without a cache, causal rules first: ``causal_tables`` holds each causal
@@ -236,20 +237,20 @@ class ProblemSpec:
         if self.initial.domains is not self.domains:
             object.__setattr__(self, "initial",
                                State(self.domains, self.initial.idx, self.initial.reps))
-        for rule in self.causal_rules:
-            if rule.role != "causal":
-                raise ValueError(f"rule {rule.id!r} listed as causal but has role {rule.role!r}")
-        for rule in self.decision_rules:
-            if rule.role != "decision":
-                raise ValueError(f"rule {rule.id!r} listed as decision but has role {rule.role!r}")
+        seen: set[str] = set()
+        for role, rules in (("causal", self.causal_rules), ("decision", self.decision_rules)):
+            for rule in rules:
+                if rule.role != role:
+                    raise ValueError(f"rule {rule.id!r} listed as {role} but has role {rule.role!r}")
+                if rule.id in seen:
+                    raise SemanticError("duplicate-declaration",
+                                        f"rule id {rule.id!r} declared twice")
+                seen.add(rule.id)
         # validates features, kinds, alignment
         causal = _causal_tables(self.domains, self.causal_rules)
         object.__setattr__(self, "causal_tables", causal)
         object.__setattr__(self, "decision_bodies", tuple(
             _compile_rule(self.domains, rule)[0] for rule in self.decision_rules))
-        rule_ids = [r.id for r in self.causal_rules + self.decision_rules]
-        if len(set(rule_ids)) != len(rule_ids):
-            raise SemanticError("duplicate-declaration", "rule id declared twice")
         if self.action_budget is not None and self.action_budget <= 0:
             raise ValueError("action budget must be positive")
         if not none_holds(causal, self.initial.idx):

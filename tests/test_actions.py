@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recourseplan.actions import apply_action, build_actions, is_permitted
-from recourseplan.domains import Domains, FeatureDomain, PlausibilityConstraint
+from recourseplan.domains import Domains, FeatureDomain
 from recourseplan.dsl import parse_problem
 from recourseplan.errors import NotApplicable
 from recourseplan.generate import random_problem
@@ -101,10 +102,10 @@ def test_conflicting_repairs_are_discarded():
 
 
 def test_causal_action_for_immutable_head_discarded(husband_toy):
-    constrained = ProblemSpec(
-        domains=husband_toy.domains.with_constraints(
-            (PlausibilityConstraint("relationship", "immutable"),)),
-        causal_rules=husband_toy.causal_rules, initial=husband_toy.initial)
+    domains = Domains(tuple(dataclasses.replace(f, mutable=False) if f.name == "relationship"
+                            else f for f in husband_toy.domains))
+    constrained = ProblemSpec(domains=domains, causal_rules=husband_toy.causal_rules,
+                              initial=husband_toy.initial)
     actions = _of_kind(constrained, "causal")
     assert actions == ()
 

@@ -61,13 +61,18 @@ def test_feature_domain_invariants():
         FeatureDomain("f", "numeric", intervals=(Interval(0, 3), Interval(5, 9, True)))
     with pytest.raises(ValueError):  # first interval must be closed on the left
         FeatureDomain("f", "numeric", intervals=(Interval(0, 3, True),))
+    with pytest.raises(ValueError):  # a feature takes at most one constraint
+        FeatureDomain("f", "categorical", labels=("a", "b"), mutable=False,
+                      monotonicity="nondecreasing")
 
 
 def test_domains_reject_duplicate_names():
-    f = FeatureDomain("f", "categorical", labels=("a", "b"))
+    # the error names the first feature declared twice
+    a = FeatureDomain("a", "categorical", labels=("x", "y"))
+    n = FeatureDomain("n", "numeric", intervals=partition_range(0, 9, ()))
     with pytest.raises(SemanticError) as exc:
-        Domains((f, f))
-    assert exc.value.kind == "duplicate-declaration"
+        Domains((a, n, a, n))
+    assert str(exc.value) == "duplicate-declaration: feature 'a' declared twice"
 
 
 def test_state_count_is_product():

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recourseplan import dsl
-from recourseplan.domains import (Domains, FeatureDomain, Interval, PlausibilityConstraint,
-                                  partition_range)
+from recourseplan.domains import Domains, FeatureDomain, Interval, partition_range
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import ParseError, SemanticError
 from recourseplan.generate import random_problem
@@ -294,6 +293,37 @@ def test_constraints_parse_into_domains():
     assert problem.domains.by_name("n").monotonicity == "nondecreasing"
 
 
+@pytest.mark.parametrize("constraints, message", [
+    ("constraint immutable x.\nconstraint nondecreasing x.\n",
+     "duplicate-declaration: more than one constraint on feature 'x'"),
+    ("constraint nondecreasing x.\nconstraint nondecreasing x.\n",
+     "duplicate-declaration: more than one constraint on feature 'x'"),
+    ("constraint immutable b.\n", "undeclared-feature: feature 'b' is not declared"),
+    ("constraint immutable b.\nconstraint immutable x.\nconstraint immutable x.\n",
+     "undeclared-feature: feature 'b' is not declared"),
+], ids=["two kinds", "one kind twice", "undeclared", "undeclared first"])
+def test_constraint_errors_are_named(constraints, message):
+    text = f"feature x: categorical {{f, t}}.\n{constraints}initial {{ x = f }}.\n"
+    with pytest.raises(SemanticError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("initial, message", [
+    ("", "missing-initial: problem has no initial block"),
+    ("initial { x = f, b = f }.\n",
+     "undeclared-feature: initial block mentions undeclared feature 'b'"),
+    ("initial { x = z }.\n", "type-mismatch: initial x: 'z' is not a declared value"),
+], ids=["no initial block", "undeclared in initial", "value outside the domain"])
+def test_an_initial_block_error_wins_over_a_constraint_error(initial, message):
+    text = ("feature x: categorical {f, t}.\n"
+            "constraint immutable x.\nconstraint immutable x.\nconstraint immutable b.\n"
+            f"{initial}")
+    with pytest.raises(SemanticError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == message
+
+
 def test_constraint_order_does_not_change_the_problem():
     # constraints live on the features, so their statement order is not
     # part of the problem; the printer writes them in feature order
@@ -316,17 +346,14 @@ def test_constraint_order_does_not_change_the_problem():
 
 
 def _api_built_problem() -> ProblemSpec:
-    """A problem built in code, its constraints applied out of feature order."""
+    """A problem built in code, its constraints set on the features it builds."""
     domains = Domains((
-        FeatureDomain("a", "categorical", labels=("x", "y")),
+        FeatureDomain("a", "categorical", labels=("x", "y"), mutable=False),
         FeatureDomain("n", "numeric", intervals=partition_range(0, 9, ())),
-        FeatureDomain("m", "numeric", intervals=partition_range(0, 9, ())),
+        FeatureDomain("m", "numeric", intervals=partition_range(0, 9, ()),
+                      monotonicity="nonincreasing"),
     ))
-    return ProblemSpec(
-        domains=domains.with_constraints((PlausibilityConstraint("m", "nonincreasing"),
-                                          PlausibilityConstraint("a", "immutable"))),
-        initial=domains.make_state({"a": "y", "n": 4, "m": 2}),
-    )
+    return ProblemSpec(domains=domains, initial=domains.make_state({"a": "y", "n": 4, "m": 2}))
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ import hashlib
 
 import pytest
 
-from recourseplan import domains as domains_module
 from recourseplan.domains import Domains, FeatureDomain, State
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
@@ -92,7 +91,6 @@ def test_each_problem_builds_its_features_domains_and_state_once(monkeypatch):
         return real_replace(obj, **changes)
     real_replace = dataclasses.replace
     monkeypatch.setattr(dataclasses, "replace", counting_replace)
-    monkeypatch.setattr(domains_module, "replace", counting_replace)
     for seed in range(350):
         for cls in built:
             built[cls] = 0

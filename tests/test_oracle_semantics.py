@@ -226,7 +226,7 @@ def test_oracle_does_not_import_the_planner_semantics():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    forbidden = {"kernel", "CompiledProblem", "compile_rule", "compile_literals",
+    forbidden = {"planner", "kernel", "CompiledProblem", "compile_rule", "compile_literals",
                  "literal_support", "is_permitted", "apply_action", "eval_rule",
                  "is_causally_consistent", "satisfies_decision", "is_counterfactual",
                  "causal_holds", "none_holds"}

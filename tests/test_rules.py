@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from recourseplan.actions import build_actions, is_permitted
-from recourseplan.domains import Domains, FeatureDomain, PlausibilityConstraint, partition_range
+from recourseplan.domains import Domains, FeatureDomain, partition_range
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import SemanticError
 from recourseplan.generate import random_problem
@@ -145,33 +145,17 @@ def test_problem_rejects_undeclared_feature():
     assert exc.value.kind == "undeclared-feature"
 
 
-def test_problem_rejects_double_constraint():
-    with pytest.raises(SemanticError) as exc:
-        bool_pair().with_constraints((PlausibilityConstraint("x", "immutable"),
-                                      PlausibilityConstraint("x", "nondecreasing")))
-    assert exc.value.kind == "duplicate-declaration"
-
-
-def test_a_feature_holds_one_constraint():
-    # a feature prints at most one constraint line, so it may hold only one
-    constrained = bool_pair().with_constraints((PlausibilityConstraint("x", "nondecreasing"),))
-    with pytest.raises(SemanticError) as exc:
-        constrained.with_constraints((PlausibilityConstraint("x", "immutable"),))
-    assert exc.value.kind == "duplicate-declaration"
-    with pytest.raises(ValueError):
-        FeatureDomain("x", "categorical", labels=("f", "t"), mutable=False,
-                      monotonicity="nondecreasing")
-
-
-def test_constraints_are_mirrored_into_domains():
+def test_problem_names_a_rule_id_declared_twice():
+    # the one duplicate-id check, for parsed and code-built problems alike
     domains = bool_pair()
-    problem = ProblemSpec(
-        domains=domains.with_constraints((PlausibilityConstraint("x", "immutable"),
-                                          PlausibilityConstraint("y", "nondecreasing"))),
-        initial=domains.make_state({"x": "f", "y": "f"}),
-    )
-    assert not problem.domains.by_name("x").mutable
-    assert problem.domains.by_name("y").monotonicity == "nondecreasing"
+    decision = Rule("r", "decision", (Literal("x", "=", "t"),))
+    causal = Rule("r", "causal", (Literal("x", "=", "t"),), head=Literal("y", "=", "t"))
+    for rules in ({"decision_rules": (decision, decision)},
+                  {"causal_rules": (causal,), "decision_rules": (decision,)}):
+        with pytest.raises(SemanticError) as exc:
+            ProblemSpec(domains=domains, initial=domains.make_state({"x": "f", "y": "f"}),
+                        **rules)
+        assert str(exc.value) == "duplicate-declaration: rule id 'r' declared twice"
 
 
 def test_construction_and_planning_leave_the_rule_caches_empty():
