@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import Domains, FeatureValue, State
+from .domains import State
 from .errors import NotApplicable
 from .kernel import CompiledProblem
 from .rules import Literal, ProblemSpec, literal_support
@@ -41,10 +41,6 @@ class Action:
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind == "direct" and self.guard:
             raise ValueError("direct actions carry no guard")
-
-    def new_value(self, domains: Domains) -> FeatureValue:
-        f = domains[self.feature_index]
-        return f.labels[self.new_index] if f.kind == "categorical" else f.intervals[self.new_index]
 
 
 def build_actions(problem: ProblemSpec) -> tuple[Action, ...]:

@@ -262,9 +262,6 @@ class State:
             return f.labels[self.idx[i]]
         return f.intervals[self.idx[i]]
 
-    def rep(self, name: str) -> Optional[int]:
-        return self.reps[self.domains.index(name)]
-
     def display(self, name: str) -> str:
         """Rendering for path tables: concrete witness when known, else the interval."""
         i = self.domains.index(name)

@@ -16,8 +16,9 @@ that steps.  Two tests rule a state out before any search, both by the one
 cover test :func:`_covered` on the reach box (the values each feature can
 still reach): :meth:`~CompiledProblem.doomed` (no state of it is a goal) and
 :meth:`~CompiledProblem.unrepairable` (every state of it breaks a causal
-rule).  ``State`` and :class:`~recourseplan.actions.Action` objects exist
-only at the API boundary.
+rule).  Every repair chain is walked and memoized here, for one run
+(:meth:`~CompiledProblem.complete`).  ``State`` and
+:class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .rules import Pairs, ProblemSpec, Rule, none_holds
 
 Index = tuple[int, ...]
 Pair = tuple[int, frozenset[int]]
+# a repair chain: its consistent endpoint, then each step's state and action position
+ChainEdge = tuple[Index, int]
+Chain = tuple[Index, tuple[ChainEdge, ...]]
 
 # the most boxes :func:`_covered` decides, the first included, before it
 # gives up; ``doomed`` on the generated tiers needs at most 10 (12/6/C10 seed 150)
@@ -126,12 +130,13 @@ class CompiledProblem:
     :meth:`unrepairable` and :meth:`doomed` read them too, with the domains,
     and keep no other table.
 
-    :meth:`compile_actions` builds the action list, so a run builds it only
-    at its first expansion: a start in the goal set, or a doomed one, takes
-    no step and needs none.  The list comes in order: verified causal repairs first, then one
-    direct move per (mutable feature, value), in declaration then domain
-    order.  ``rules`` holds the causal rule each action repairs (``None`` for
-    a direct move), and ``moves`` one ``(feature index, new index,
+    :meth:`compile_actions` builds the action list and the run's memos, of
+    :meth:`complete` and :meth:`unrepairable`.  So a run builds them only at
+    its first expansion: a start in the goal set, or a doomed one, takes no
+    step and needs none.  The list comes in order: verified causal repairs
+    first, then one direct move per (mutable feature, value), in declaration
+    then domain order.  ``rules`` holds the causal rule each action repairs
+    (``None`` for a direct move), and ``moves`` one ``(feature index, new index,
     precondition pairs)`` triple per action.  A precondition holds exactly
     where the action is permitted: the feature off the target, on the side
     of it that monotonicity allows, and a repair's guard (its rule's body
@@ -148,7 +153,8 @@ class CompiledProblem:
     no state.
     """
 
-    __slots__ = ("domains", "causal", "decision", "tables", "rules", "moves", "_causal_rules", "_memo")
+    __slots__ = ("domains", "causal", "decision", "tables", "rules", "moves", "_causal_rules",
+                 "_pinned", "_chains", "_verdicts")
 
     def __init__(self, problem: ProblemSpec) -> None:
         self.domains = problem.domains
@@ -156,7 +162,6 @@ class CompiledProblem:
         self.causal = problem.causal_tables
         self.decision = problem.decision_bodies
         self.tables = self.decision + self.causal
-        self._memo = None  # unrepairable's, built on its first call
 
     def compile_actions(self) -> None:
         """Build the action list, ``rules`` and ``moves``: the guard sweep
@@ -198,6 +203,11 @@ class CompiledProblem:
                     moves.append((fi, vi, pre[fi][vi] + guard))
         self.rules = tuple(rules) + (None,) * len(direct_moves)
         self.moves = tuple(moves + direct_moves)
+        # the run's memos; a verdict's key is the values its reach box depends on
+        self._pinned = tuple(i for i, f in enumerate(domains)
+                             if not f.mutable or f.monotonicity != "none")
+        self._chains: dict[Index, Chain] = {}
+        self._verdicts: dict[Index, bool] = {}
 
     def action_id(self, k: int) -> str:
         """Action ``k``'s id, formatted on each call:
@@ -212,32 +222,57 @@ class CompiledProblem:
         """Every action's id, in action order."""
         return tuple(map(self.action_id, range(len(self.moves))))
 
-    def _verdicts(self, idx: Index) -> tuple[dict[Index, bool], Index]:
-        """:meth:`unrepairable`'s verdicts and ``idx``'s key: the values its reach box depends on."""
-        if self._memo is None:
-            self._memo = tuple(i for i, f in enumerate(self.domains)
-                               if not f.mutable or f.monotonicity != "none"), {}
-        pinned, verdicts = self._memo
-        return verdicts, tuple(map(idx.__getitem__, pinned))
-
     def unrepairable(self, idx: Index) -> bool:
         """Every state of the reach box of ``idx`` (:meth:`doomed`) breaks
         some causal rule, so no action sequence leads to a consistent state;
-        ``False`` proves nothing.  Verdicts last the kernel's life (one run).
-        Where :func:`_covered` gives up, a repair chain that meets no
-        consistent state proves one (:meth:`mark_unrepairable`): each direct
-        move is unguarded and permitted from every value monotonicity lets
-        its feature leave, so the chain enters all of its start's reach box."""
-        verdicts, key = self._verdicts(idx)
-        verdict = verdicts.get(key)
+        ``False`` proves nothing.  Verdicts last the run, one per reach box;
+        where :func:`_covered` gives up, a failed :meth:`complete` files one."""
+        key = tuple(map(idx.__getitem__, self._pinned))
+        verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = verdicts[key] = _covered(self.causal, map(_reach, self.domains.features, idx))
+            verdict = self._verdicts[key] = _covered(self.causal, map(_reach, self.domains.features, idx))
         return verdict
 
-    def mark_unrepairable(self, idx: Index) -> None:
-        """File the verdict that ``idx`` is :meth:`unrepairable`."""
-        verdicts, key = self._verdicts(idx)
-        verdicts[key] = True
+    def complete(self, start: Index) -> Optional[Chain]:
+        """First causally consistent state reachable from ``start``, in
+        breadth-first order; ``start`` itself must be causally inconsistent.
+
+        The frontier is expanded in order, each state by the ordered action
+        list (causal repairs first), and no state is entered twice.  A
+        state's consistency is tested when it is discovered: a consistent one
+        ends the chain and is never expanded.  Returns the consistent endpoint
+        plus the (state, action position) edges leading to it, memoized under
+        ``start`` for the run, or ``None`` when no completion exists.  So the
+        chain is a shortest one, and where some action repairs the start in
+        one step it is the first such action.  A start that
+        :meth:`unrepairable` rules out is not searched, and a search that
+        fails files that verdict: each direct move is unguarded and permitted
+        from every value monotonicity lets its feature leave, so the search
+        entered all of the start's reach box.
+        """
+        chain = self._chains.get(start)
+        if chain is not None or self.unrepairable(start):
+            return chain
+        causal, step = self.causal, self.step
+        positions = range(len(self.moves))
+        # each entered state: the edge it was discovered along
+        parent: dict[Index, Optional[ChainEdge]] = {start: None}
+        frontier = [start]
+        for idx in frontier:  # grows while it is read: a queue in discovery order
+            for k in positions:
+                nxt = step(k, idx)
+                if nxt is None or nxt in parent:
+                    continue
+                if none_holds(causal, nxt):
+                    edges: list[ChainEdge] = [(idx, k)]
+                    while (edge := parent[edges[-1][0]]) is not None:
+                        edges.append(edge)
+                    chain = self._chains[start] = nxt, tuple(reversed(edges))
+                    return chain
+                parent[nxt] = idx, k
+                frontier.append(nxt)
+        self._verdicts[tuple(map(start.__getitem__, self._pinned))] = True
+        return None
 
     def doomed(self, idx: Index) -> bool:
         """No state of the reach box of ``idx`` is a goal, so no sequence of

@@ -270,11 +270,10 @@ class _Tables:
 # enumeration -----------------------------------------------------------------------
 
 def enumerate_states(domains: Domains, cap: Optional[int] = None) -> Iterator[State]:
-    """Every state exactly once, in declaration-then-domain order."""
+    """Every state exactly once, in declaration-then-domain order; the cap
+    is checked at the call, before the first state."""
     _check_cap(domains, cap)
-    axes = [range(f.size) for f in domains]
-    for idx in itertools.product(*axes):
-        yield State(domains, idx)
+    return (State(domains, idx) for idx in itertools.product(*map(range, domains.sizes)))
 
 
 def _leaves(problem: ProblemSpec, cap: Optional[int] = None) -> list[tuple[Box, bool]]:

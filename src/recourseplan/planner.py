@@ -4,12 +4,13 @@ The search runs over causally consistent states.  It expands its frontier in
 discovery order, each state by every action in order (causal repairs before
 direct moves, then declaration order).  An action whose outcome is causally
 consistent leads there.  One whose outcome breaks a causal rule continues
-through a repair chain (:func:`_complete`): the first causally consistent
-state in breadth-first order from the raw outcome.  An action with no
-consistent completion leads nowhere, and the kernel keeps that verdict for
-the run.  Every raw outcome is tested against every causal rule's breaking
-table, and every consistent successor against the decision rules' tables, by
-the one membership test (:func:`~recourseplan.rules.none_holds`).
+through a repair chain, which the kernel walks and memoizes
+(:meth:`~recourseplan.kernel.CompiledProblem.complete`): the first causally
+consistent state in breadth-first order from the raw outcome.  An action
+with no consistent completion leads nowhere.  Every raw outcome is tested
+against every causal rule's breaking table, and every consistent successor
+against the decision rules' tables, by the one membership test
+(:func:`~recourseplan.rules.none_holds`).
 
 A state is tested for the goal when it is discovered, and no state is
 entered twice.  So the found path has the fewest consistent states of any
@@ -53,49 +54,6 @@ class TraceEntry(NamedTuple):
     consistent: bool = True
 
 
-# chain completion ----------------------------------------------------------
-
-ChainEdge = tuple[Index, int]
-Chain = tuple[Index, tuple[ChainEdge, ...]]
-
-
-def _complete(kernel: CompiledProblem, start: Index) -> Optional[Chain]:
-    """First causally consistent state reachable from ``start``, in
-    breadth-first order; ``start`` itself must be causally inconsistent.
-
-    The frontier is expanded in order, each state by the ordered action list
-    (causal repairs first), and no state is entered twice.  A state's
-    consistency is tested when it is discovered: a consistent one ends the
-    chain and is never expanded.  Returns the consistent endpoint plus the
-    (state, action position) edges leading to it, or ``None`` when no
-    completion exists.  So the chain is a shortest one, and where some action
-    repairs the start in one step it is the first such action.  A start that
-    :meth:`~recourseplan.kernel.CompiledProblem.unrepairable` rules out is
-    not searched, and a search that fails files that verdict.
-    """
-    causal, step = kernel.causal, kernel.step
-    if kernel.unrepairable(start):
-        return None
-    positions = range(len(kernel.moves))
-    # each entered state: the edge it was discovered along
-    parent: dict[Index, Optional[ChainEdge]] = {start: None}
-    frontier = [start]
-    for idx in frontier:  # grows while it is read: a queue in discovery order
-        for k in positions:
-            nxt = step(k, idx)
-            if nxt is None or nxt in parent:
-                continue
-            if none_holds(causal, nxt):
-                edges: list[ChainEdge] = [(idx, k)]
-                while (edge := parent[edges[-1][0]]) is not None:
-                    edges.append(edge)
-                return nxt, tuple(reversed(edges))
-            parent[nxt] = idx, k
-            frontier.append(nxt)
-    kernel.mark_unrepairable(start)
-    return None
-
-
 # the trace -------------------------------------------------------------------
 
 @dataclass
@@ -136,16 +94,15 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
 
     The frontier is expanded in order, each state by the ordered action list.
     An action's raw outcome is the successor when it is consistent, else the
-    end of its repair chain (:func:`_complete`, memoized per raw outcome
-    that has one); an action with no completion is skipped.  A raw outcome
-    is tested against every causal rule.  A successor is tested for the
+    end of its repair chain (:meth:`~recourseplan.kernel.CompiledProblem.complete`);
+    an action with no completion is skipped.  A raw outcome is tested
+    against every causal rule.  A successor is tested for the
     goal when it is discovered, and no state is entered twice.  On success
     the found path replaces the root entry (:func:`_record_path`).
     """
     root = trace.entries[0].state.idx
-    step, causal, decision = kernel.step, kernel.causal, kernel.decision
+    step, complete, causal, decision = kernel.step, kernel.complete, kernel.causal, kernel.decision
     positions = range(len(kernel.moves))
-    chains: dict[Index, Chain] = {}
     parents: Parents = {root: None}
     frontier = [root]
     for idx in frontier:  # grows while it is read: a queue in discovery order
@@ -159,33 +116,29 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
             if none_holds(causal, raw):
                 final = raw
             else:
-                chain = chains.get(raw)
+                chain = complete(raw)
                 if chain is None:
-                    chain = _complete(kernel, raw)
-                    if chain is None:
-                        continue
-                    chains[raw] = chain
+                    continue
                 final = chain[0]
             if final in parents:
                 continue
             parents[final] = idx, k
             if none_holds(decision, final):  # consistent, so a goal
-                _record_path(trace, kernel, parents, chains, final)
+                _record_path(trace, kernel, parents, final)
                 return "success"
             frontier.append(final)
     return "failure"
 
 
-def _record_path(trace: PathTrace, kernel: CompiledProblem, parents: Parents,
-                 chains: dict[Index, Chain], goal: Index) -> None:
+def _record_path(trace: PathTrace, kernel: CompiledProblem, parents: Parents, goal: Index) -> None:
     """Replace the root entry by the path from it to ``goal``, with every
     repair chain's inconsistent intermediates.
 
     Each entry's state is its predecessor's moved by the action between them
     (:meth:`~recourseplan.domains.State.with_value`), so it keeps the
     predecessor's witnesses except on the feature that action wrote.  A hop
-    whose raw outcome is not its successor ran the repair chain memoized
-    under that outcome.
+    whose raw outcome is not its successor ran that outcome's repair chain,
+    which the kernel replays from its memo.
     """
     hops = []
     idx = goal
@@ -198,7 +151,7 @@ def _record_path(trace: PathTrace, kernel: CompiledProblem, parents: Parents,
         entries.append(TraceEntry(state, (kernel.action_id(k),)))
         state = state.with_value(*moves[k][:2])
         if state.idx != final:
-            for _, repair in chains[state.idx][1]:
+            for _, repair in kernel.complete(state.idx)[1]:
                 entries.append(TraceEntry(state, (kernel.action_id(repair),), False))
                 state = state.with_value(*moves[repair][:2])
     entries.append(TraceEntry(state))

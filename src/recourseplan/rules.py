@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .domains import Domains, FeatureDomain, State
@@ -209,8 +210,11 @@ class ProblemSpec:
     :func:`~recourseplan.generate.random_problem` do so; code that builds a
     problem passes them to :class:`~recourseplan.domains.FeatureDomain`).
     Construction re-binds the initial state to ``domains`` when it sits on
-    other domains; the state must satisfy every causal rule, and
-    construction rejects it otherwise.  A rule id may be declared once, over
+    other domains that declare the same features with the same labels or
+    intervals, in order (their constraint flags may differ), and raises
+    ``ValueError`` naming the first feature that differs otherwise.  The
+    state must satisfy every causal rule, and construction rejects it
+    otherwise.  A rule id may be declared once, over
     the causal and decision rules together.
 
     Construction compiles every rule once against the domains,
@@ -235,6 +239,10 @@ class ProblemSpec:
         if self.initial is None:
             raise SemanticError("missing-initial", "problem has no initial state")
         if self.initial.domains is not self.domains:
+            for f, g in zip_longest(self.domains, self.initial.domains):
+                if (f is None or g is None
+                        or (f.name, f.labels, f.intervals) != (g.name, g.labels, g.intervals)):
+                    raise ValueError(f"the initial state's feature {(f or g).name!r} is not the problem's")
             object.__setattr__(self, "initial",
                                State(self.domains, self.initial.idx, self.initial.reps))
         seen: set[str] = set()

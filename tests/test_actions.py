@@ -25,7 +25,8 @@ def test_direct_action_count_is_sum_of_mutable_domain_sizes(car):
 
 def test_car_has_the_persons_four_action(car):
     actions = _of_kind(car.problem, "direct")
-    assert any(a.feature == "persons" and a.new_value(car.problem.domains) == "4"
+    domains = car.problem.domains
+    assert any(a.feature == "persons" and domains[a.feature_index].value_text(a.new_index) == "4"
                for a in actions)
 
 
@@ -59,7 +60,7 @@ def test_husband_rule_yields_one_guarded_action(husband_toy):
     (a,) = actions
     assert a.kind == "causal"
     assert a.feature == "relationship"
-    assert a.new_value(husband_toy.domains) == "husband"
+    assert husband_toy.domains[a.feature_index].value_text(a.new_index) == "husband"
     assert a.guard == husband_toy.causal_rules[0].body
 
 
@@ -158,7 +159,7 @@ def test_nonincreasing_is_symmetric():
     ))
     mid = domains.make_state({"level": "mid"})
     actions = _of_kind(ProblemSpec(domains=domains, initial=mid), "direct")
-    permitted = {a.new_value(domains) for a in actions if is_permitted(a, mid)}
+    permitted = {domains[a.feature_index].value_text(a.new_index) for a in actions if is_permitted(a, mid)}
     assert permitted == {"low"}
 
 

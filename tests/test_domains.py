@@ -103,7 +103,7 @@ def test_make_state_maps_numeric_to_interval():
     ))
     s = d.make_state({"gain": 1000})
     assert s.idx == (0,)
-    assert s.rep("gain") == 1000
+    assert s.reps[d.index("gain")] == 1000
     assert s.display("gain") == "1000"
     s2 = d.make_state({"gain": 7000})
     assert s2.idx == (1,)
@@ -140,7 +140,7 @@ def test_make_state_rejects_non_integer_numbers(value):
 def test_make_state_accepts_integral_numbers(value):
     d = Domains((FeatureDomain("age", "numeric", intervals=partition_range(0, 99, {30})),))
     s = d.make_state({"age": value})
-    assert (s.idx, s.rep("age")) == ((0,), 30)
+    assert (s.idx, s.reps[d.index("age")]) == ((0,), 30)
 
 
 def test_state_equality_is_interval_based():
@@ -170,7 +170,7 @@ def test_state_dict_round_trip():
     s = d.make_state({"color": "blue", "n": 7})
     again = State.from_dict(d, s.to_dict())
     assert again == s
-    assert again.rep("n") == 7
+    assert again.reps[d.index("n")] == 7
 
 
 @given(st.integers(0, 50), st.integers(1, 60), st.sets(st.integers(-5, 70), max_size=6))

@@ -58,7 +58,7 @@ def test_cap_exceeded():
     d = Domains((FeatureDomain("a", "categorical", labels=tuple("abcdefgh")),
                  FeatureDomain("b", "categorical", labels=tuple("abcdefgh"))))
     with pytest.raises(CapExceeded):
-        list(enumerate_states(d, cap=63))
+        enumerate_states(d, cap=63)  # at the call, before any state is asked for
     assert sum(1 for _ in enumerate_states(d, cap=64)) == 64
 
 

@@ -18,8 +18,8 @@ from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, delta_oracle, validate_solution_path
-from recourseplan.planner import (PathTrace, TraceEntry, _complete,
-                                  extract_candidate_path, get_path, is_counterfactual)
+from recourseplan.planner import (PathTrace, TraceEntry, extract_candidate_path, get_path,
+                                  is_counterfactual)
 from recourseplan.rules import ProblemSpec, is_causally_consistent, none_holds
 from tests.conftest import DOOMED_START
 
@@ -305,7 +305,7 @@ def test_chains_match_the_breadth_first_reference(seed):
     # one kernel for all calls, as in a run, so later calls read the
     # unrepairable verdicts earlier ones filed
     for idx in _inconsistent_states(problem, kernel):
-        result = _complete(kernel, idx)
+        result = kernel.complete(idx)
         assert result == _breadth_first_complete(kernel, idx)
         if result is None:
             assert kernel.unrepairable(idx)
@@ -360,7 +360,7 @@ def test_one_edge_repairs_are_those_of_the_depth_first_walk():
         reference_dead: set = set()
         for idx in _inconsistent_states(problem, kernel):
             walked = _depth_first_complete(kernel, idx, reference_dead)
-            result = _complete(kernel, idx)
+            result = kernel.complete(idx)
             assert result == _breadth_first_complete(kernel, idx)
             if result is None:
                 assert kernel.unrepairable(idx)
@@ -375,14 +375,14 @@ def test_seed_263_repair_chains_are_short(monkeypatch):
     # does not search from this doomed start, so the search loop is run past
     # the doomed-start test
     steps = []
-    real_complete = planner._complete
+    real_complete = CompiledProblem.complete
 
-    def counting_complete(*args):
-        result = real_complete(*args)
+    def counting_complete(self, start):
+        result = real_complete(self, start)
         steps.append(0 if result is None else len(result[1]))
         return result
 
-    monkeypatch.setattr(planner, "_complete", counting_complete)
+    monkeypatch.setattr(CompiledProblem, "complete", counting_complete)
     _search(random_problem(263, max_features=8, max_values=5))
     assert steps
     assert sum(steps) / len(steps) <= 2
@@ -433,7 +433,7 @@ def test_unrepairable_means_no_state_of_the_reach_box_is_consistent(seed, max_sp
             assert no_exit or not covered, idx
         else:
             assert covered == no_exit, idx
-        assert (_complete(kernel, idx) is None) == no_exit, idx
+        assert (kernel.complete(idx) is None) == no_exit, idx
         assert kernel.unrepairable(idx) == no_exit, idx
         verdicts.append(no_exit)
     assert any(verdicts)
@@ -499,25 +499,27 @@ def test_failed_chains_file_their_verdict_where_the_cover_test_gives_up(monkeypa
 
 def test_unrepairable_verdicts_last_one_run(monkeypatch):
     covered, completed = [], []
-    real_covered, real_complete = kernel_module._covered, planner._complete
+    real_covered, real_complete = kernel_module._covered, CompiledProblem.complete
 
     def counting_covered(tables, box):
         covered.append(tables)
         return real_covered(tables, box)
 
-    def counting_complete(*args):
-        completed.append(args[1])
-        return real_complete(*args)
+    def counting_complete(self, start):
+        completed.append(start)
+        return real_complete(self, start)
 
     monkeypatch.setattr(kernel_module, "_covered", counting_covered)
-    monkeypatch.setattr(planner, "_complete", counting_complete)
-    # the root's doomed test, then one reach box shared by 28 repair chains
+    monkeypatch.setattr(CompiledProblem, "complete", counting_complete)
+    # the root's doomed test, then one reach box shared by the repair chains
+    # of 28 starts (complete is called 32 times, memo hits included)
     problem = random_problem(202, max_features=8, max_values=5)
     assert get_path(problem).status == "success"
-    assert (len(covered), len(completed)) == (2, 28)
+    assert (len(covered), len(set(completed))) == (2, 28)
     # a second run decides that reach box afresh: no verdict outlives its run
+    completed.clear()
     get_path(problem)
-    assert (len(covered), len(completed)) == (4, 56)
+    assert (len(covered), len(set(completed))) == (4, 28)
     # a goal start tests no box
     covered.clear()
     trace = get_path(random_problem(0, max_features=8, max_values=5))

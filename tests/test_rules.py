@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from recourseplan.actions import build_actions, is_permitted
-from recourseplan.domains import Domains, FeatureDomain, partition_range
+from recourseplan.domains import Domains, FeatureDomain, State, partition_range
 from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.errors import SemanticError
 from recourseplan.generate import random_problem
@@ -143,6 +143,23 @@ def test_problem_rejects_undeclared_feature():
         ProblemSpec(domains=domains, decision_rules=(rule,),
                     initial=domains.make_state({"x": "f", "y": "f"}))
     assert exc.value.kind == "undeclared-feature"
+
+
+def test_problem_rebinds_an_initial_state_only_from_the_same_features():
+    income = Domains((FeatureDomain("income", "categorical", labels=("low", "high")),))
+    # equal features on another Domains object re-bind
+    twin = Domains((FeatureDomain("income", "categorical", labels=("low", "high")),))
+    assert ProblemSpec(domains=income, initial=State(twin, (1,))).initial.domains is income
+    # the same shape on other names or labels does not
+    for other in (Domains((FeatureDomain("x", "categorical", labels=("p", "q")),)),
+                  Domains((FeatureDomain("income", "categorical", labels=("high", "low")),)),
+                  Domains((FeatureDomain("income", "numeric", intervals=partition_range(0, 1, {0})),))):
+        with pytest.raises(ValueError, match="'income'"):
+            ProblemSpec(domains=income, initial=State(other, (1,)))
+    # nor does a state with a feature more or fewer
+    wider = Domains(twin.features + (FeatureDomain("age", "categorical", labels=("young", "old")),))
+    with pytest.raises(ValueError, match="'age'"):
+        ProblemSpec(domains=income, initial=State(wider, (1, 0)))
 
 
 def test_problem_names_a_rule_id_declared_twice():
