@@ -105,16 +105,17 @@ def _covered(tables: Sequence[Pairs], box: Iterable[Collection[int]]) -> bool:
     return False
 
 
-def _reach(feature: FeatureDomain, vi: int) -> range:
-    """Every value index the feature can take from ``vi`` on: only ``vi``
-    when it is immutable, else those on the side its monotonicity allows."""
+def _reach(feature: FeatureDomain, vi: int, size: int) -> range:
+    """Every value index the feature, of ``size`` values, can take from ``vi``
+    on: only ``vi`` when it is immutable, else those on the side its
+    monotonicity allows."""
     if not feature.mutable:
         return range(vi, vi + 1)
     if feature.monotonicity == "nondecreasing":
-        return range(vi, feature.size)
+        return range(vi, size)
     if feature.monotonicity == "nonincreasing":
         return range(vi + 1)
-    return range(feature.size)
+    return range(size)
 
 
 class CompiledProblem:
@@ -230,7 +231,7 @@ class CompiledProblem:
         key = tuple(map(idx.__getitem__, self._pinned))
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._verdicts[key] = _covered(self.causal, map(_reach, self.domains.features, idx))
+            verdict = self._verdicts[key] = _covered(self.causal, self._reach_box(idx))
         return verdict
 
     def complete(self, start: Index) -> Optional[Chain]:
@@ -287,7 +288,13 @@ class CompiledProblem:
         cut is taken before a causal rule's.  A goal in the box need not be
         reachable.
         """
-        return _covered(self.tables, map(_reach, self.domains.features, idx))
+        return _covered(self.tables, self._reach_box(idx))
+
+    def _reach_box(self, idx: Index) -> Iterable[range]:
+        """Each feature's :func:`_reach` from ``idx``, its size read off
+        ``domains.sizes``."""
+        domains = self.domains
+        return map(_reach, domains.features, idx, domains.sizes)
 
     def goal(self, idx: Index) -> bool:
         """Causally consistent and no decision rule fires: no table holds."""

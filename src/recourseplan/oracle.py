@@ -6,8 +6,12 @@ breadth-first shortest path.  None of it consults the planner's search, and
 it evaluates rules and actions with its own tables (:class:`_Tables`), not
 the planner's compiled kernel: a literal's truth on an interval is read off
 the interval's smallest and largest elements, on a categorical value off
-label equality.  Only the action list itself comes from ``build_actions``,
-and path validation asks for it only when the path has a step to check.
+label equality.  It builds its own action list too (:func:`_own_actions`),
+in the order ``build_actions`` lists the planner's, so a fault in the
+planner's repair sweep shows as a path the oracle refuses; path validation
+builds it only when the path has a step to check, and counting never.
+``delta_oracle`` and ``bfs_shortest_path`` also take a caller's list.  The
+rule tables are compiled once per problem (:func:`_rule_tables`).
 
 The strata are exact counts from one split of boxes (:func:`_leaves`), a
 box holding a set of value indices per feature: a box is cut in two along a
@@ -25,11 +29,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Protocol, Sequence, Union
 
-from .actions import Action, build_actions
-from .domains import CandidatePath, Domains, State
+from .domains import CandidatePath, Domains, FeatureDomain, State
 from .errors import CapExceeded
 from .rules import Literal, ProblemSpec
 
@@ -110,11 +114,10 @@ def _on_boxes(tables: Sequence[Table], box: Box) -> tuple[Union[bool, Pair], lis
     return cut, live
 
 
-def _may_leave(domains: Domains, action: Action) -> frozenset[int]:
-    """Current values of the written feature from which the action may move
-    it: none when the feature is immutable, never the target itself, and only
+def _may_leave(f: FeatureDomain, target: int) -> frozenset[int]:
+    """Current values of feature ``f`` from which a move may write ``target``:
+    none when the feature is immutable, never the target itself, and only
     from the side of the target that the feature's monotonicity allows."""
-    f, target = domains[action.feature_index], action.new_index
     if not f.mutable:
         return frozenset()
     if f.monotonicity == "nondecreasing":
@@ -124,29 +127,111 @@ def _may_leave(domains: Domains, action: Action) -> frozenset[int]:
     return frozenset(range(f.size)) - {target}
 
 
+class ListedAction(Protocol):
+    """What the oracle reads of an action a caller lists, such as
+    :func:`~recourseplan.actions.build_actions`' ``Action`` objects."""
+
+    feature_index: int
+    new_index: int
+    guard: tuple[Literal, ...]
+
+
+RuleTables = tuple[tuple[Table, ...], tuple[Table, ...]]
+# the one problem whose rule tables were compiled last, and those tables
+_compiled: tuple[Optional[weakref.ref], RuleTables] = (None, ((), ()))
+
+
+def _rule_tables(problem: ProblemSpec) -> RuleTables:
+    """The problem's causal and decision tables (see :class:`_Tables`),
+    compiled once for the last problem asked about, so the calls one
+    ``validate`` makes share them.  A problem is immutable, and the memo
+    holds it by a weak reference, so a new problem never meets another's
+    tables.  The tables are immutable too; two threads racing here at worst
+    both compile them."""
+    global _compiled
+    ref, tables = _compiled
+    if ref is None or ref() is not problem:
+        domains = problem.domains
+        tables = (tuple((_literal_table(domains, r.head, negated=True),) + _table(domains, r.body)
+                        for r in problem.causal_rules),
+                  tuple(_table(domains, r.body) for r in problem.decision_rules))
+        _compiled = weakref.ref(problem), tables
+    return tables
+
+
+def _per_axis(table: Table) -> Table:
+    """The table with its pairs on one feature intersected: it holds on the
+    same states, but names each feature once, as :func:`_on_boxes` needs to
+    tell a table that misses a box from one that straddles it."""
+    axes: dict[int, frozenset[int]] = {}
+    for i, allowed in table:
+        axes[i] = axes[i] & allowed if i in axes else allowed
+    return tuple(axes.items())
+
+
+def _own_actions(problem: ProblemSpec) -> Iterator[tuple[int, int, Table]]:
+    """The oracle's own action list, as ``(feature index, new index, guard
+    table)`` triples in ``build_actions``' order: causal repairs first, then
+    one unguarded direct move per (mutable feature, value), in declaration
+    then domain order.
+
+    Each causal rule with a mutable head offers one repair per value its head
+    allows, in value order, guarded by the rule's body.  The repair survives
+    when, from every state of its guard, writing that value leaves every
+    causal rule holding: narrow the full box to the guard, pin the head
+    feature at the value, and keep the repair when every breaking table
+    misses that box.  A guard no state meets gives an empty box, which every
+    table misses.
+    """
+    domains = problem.domains
+    causal = _rule_tables(problem)[0]
+    full = [frozenset(range(n)) for n in domains.sizes]
+    breaking = [_per_axis(table) for table in causal]
+    for table in causal:
+        (fi, refused), guard = table[0], table[1:]
+        if not domains[fi].mutable:
+            continue
+        box = list(full)
+        for i, allowed in guard:
+            box[i] = box[i] & allowed
+        vacuous = not all(box)
+        for vi in sorted(full[fi] - refused):
+            box[fi] = frozenset((vi,))
+            # no cut and no table throughout: every breaking table misses the box
+            if vacuous or not _on_boxes(breaking, box)[0]:
+                yield fi, vi, guard
+    for fi, f in enumerate(domains):
+        if f.mutable:
+            for vi in range(f.size):
+                yield fi, vi, ()
+
+
 class _Tables:
     """One problem's rules and actions, tabled by the oracle on index tuples.
 
     ``causal`` holds one table per causal rule, of the states that break it
-    (the negated head, then the body), ``decision`` the body table of each
-    decision rule, and ``moves`` one ``(feature index, new index, permission
-    table)`` triple per action in action order; the permission table pairs
-    the written feature with :func:`_may_leave` and adds the guard.  One
-    object serves one top-level call and remembers, for that call, the
-    successor list of every causally inconsistent state it expands, the
-    canonical repair of every raw outcome and the states no repair leaves.
+    (the negated head, then the body), and ``decision`` the body table of
+    each decision rule, one pair per literal (:func:`_rule_tables`).
+    ``moves`` holds one ``(feature index, new index, permission table)``
+    triple per action in action order: the oracle's own list
+    (:func:`_own_actions`), or the ``actions`` a caller passes.  The
+    permission table pairs the written feature with :func:`_may_leave` and
+    adds the guard.  One object serves one top-level call and remembers, for
+    that call, the successor list of every causally inconsistent state it
+    expands, the canonical repair of every raw outcome and the states no
+    repair leaves.
     """
 
     __slots__ = ("causal", "decision", "moves", "_region", "_repairs", "_dead")
 
-    def __init__(self, problem: ProblemSpec, actions: Sequence[Action] = ()) -> None:
+    def __init__(self, problem: ProblemSpec,
+                 actions: Optional[Sequence[ListedAction]] = None) -> None:
         domains = problem.domains
-        self.causal = tuple((_literal_table(domains, r.head, negated=True),)
-                            + _table(domains, r.body) for r in problem.causal_rules)
-        self.decision = tuple(_table(domains, r.body) for r in problem.decision_rules)
-        self.moves = tuple((a.feature_index, a.new_index,
-                            ((a.feature_index, _may_leave(domains, a)),) + _table(domains, a.guard))
-                           for a in actions)
+        self.causal, self.decision = _rule_tables(problem)
+        listed = (_own_actions(problem) if actions is None
+                  else ((a.feature_index, a.new_index, _table(domains, a.guard)) for a in actions))
+        self.moves = tuple((fi, target, ((fi, _may_leave(domains[fi], target)),) + guard)
+                           for fi, target, guard in listed)
         self._region: dict[Index, Successors] = {}
         self._repairs: dict[Index, Optional[tuple[Index, tuple[int, ...]]]] = {}
         self._dead: set[Index] = set()
@@ -285,9 +370,9 @@ def _leaves(problem: ProblemSpec, cap: Optional[int] = None) -> list[tuple[Box, 
     body may be longer than the recursion limit."""
     domains = problem.domains
     _check_cap(domains, cap)
-    tables = _Tables(problem)
+    causal, decision = _rule_tables(problem)
     leaves: list[tuple[Box, bool]] = []
-    stack = [(tuple(frozenset(range(n)) for n in domains.sizes), tables.causal, tables.decision)]
+    stack = [(tuple(frozenset(range(n)) for n in domains.sizes), causal, decision)]
     while stack:
         box, causal, decision = stack.pop()
         cut, causal = _on_boxes(causal, box)
@@ -348,15 +433,16 @@ def state_set_report(problem: ProblemSpec, cap: Optional[int] = None) -> StateSe
 # one-step transitions --------------------------------------------------------
 
 def delta_oracle(state: State, problem: ProblemSpec,
-                 actions: Optional[Sequence[Action]] = None) -> set[State]:
+                 actions: Optional[Sequence[ListedAction]] = None) -> set[State]:
     """All causally consistent states reachable from ``state`` in one step.
 
-    Each permitted action is applied; an inconsistent outcome continues along
+    Each permitted action, of the oracle's own list or of ``actions`` when a
+    caller passes them, is applied; an inconsistent outcome continues along
     the deterministic repair policy: the first consistent state in
     breadth-first order, with actions tried in order (causal actions first,
     then declaration order).  The input state itself is never a member.
     """
-    tables = _Tables(problem, build_actions(problem) if actions is None else actions)
+    tables = _Tables(problem, actions)
     successors = tables.canonical(state.idx, tables.successors(state.idx))
     return {State(problem.domains, idx, tables.witnesses(state.reps, written))
             for idx, written in successors.items()}
@@ -417,7 +503,7 @@ def validate_solution_path(path: CandidatePath, problem: ProblemSpec) -> Validat
     """
     if not path.states:
         raise ValueError("cannot validate an empty path")
-    tables = _Tables(problem, build_actions(problem) if len(path.states) > 1 else ())
+    tables = _Tables(problem, None if len(path.states) > 1 else ())
     idxs = [s.idx for s in path.states]
     goal = [tables.goal(idx) for idx in idxs]
     steps_ok = True
@@ -437,16 +523,17 @@ def validate_solution_path(path: CandidatePath, problem: ProblemSpec) -> Validat
 
 
 def bfs_shortest_path(problem: ProblemSpec,
-                      actions: Optional[Sequence[Action]] = None) -> Optional[CandidatePath]:
+                      actions: Optional[Sequence[ListedAction]] = None) -> Optional[CandidatePath]:
     """Minimum-length solution path by breadth-first search, or ``None``.
 
     Used as a completeness and optimality cross-check: when this returns
     ``None`` the goal set is unreachable and a planning run must fail; when
-    it returns a path, no correct run can be shorter.  The declared state
-    space is bounded by :data:`DEFAULT_STATE_CAP`.
+    it returns a path, no correct run can be shorter.  It steps by the
+    oracle's own action list unless a caller passes ``actions``.  The
+    declared state space is bounded by :data:`DEFAULT_STATE_CAP`.
     """
     _check_cap(problem.domains)
-    tables = _Tables(problem, build_actions(problem) if actions is None else actions)
+    tables = _Tables(problem, actions)
     start = problem.initial
     if tables.goal(start.idx):
         return CandidatePath((start,))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -457,12 +458,32 @@ def test_validate_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, mon
 
 # (exit code, stdout, stderr) of ``plan`` and ``plan --validate``, each in table
 # and structured form, on the same four scenarios and 120 printed seeds (98
-# successes, 26 failures); recorded before the CLI stopped mirroring its parsed
-# arguments in a config object, and re-recorded when the doomed-start test
-# began to split the reach box, which turned the failures of seeds 2, 64, 85
-# and 86 into one-entry failures with no expansion, and when the search became
-# breadth-first, which shortened 26 of the paths to the oracle's shortest
-PLAN_DIGEST = "e4f34de12c945e7936224767ed3f79f53636158c4cc7a1174622b153b37d7967"
+# successes, 26 failures), with each structured record's top-level
+# ``expansions`` line cut out.  The digest before that cut was recorded before
+# the CLI stopped mirroring its parsed arguments in a config object, and
+# re-recorded when the doomed-start test began to split the reach box, which
+# turned the failures of seeds 2, 64, 85 and 86 into one-entry failures with
+# no expansion, and when the search became breadth-first, which shortened 26
+# of the paths to the oracle's shortest length.
+PLAN_DIGEST = "61d9965fd2fc44433f73379237f0852c8bb88f0531316dbbbb90dfb56e14266b"
+# the cut-out expansions of each source's run, in source order; ``plan`` and
+# ``plan --validate`` record the same count
+PLAN_EXPANSIONS = [
+    1, 1, 2, 2,  # the scenarios
+    0, 0, 0, 1, 1, 0, 0, 0, 7, 3, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0,  # seeds 0-19
+    0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0,  # seeds 20-39
+    0, 1, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0,  # seeds 40-59
+    0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1,  # seeds 60-79
+    0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 1, 0, 0, 0,  # seeds 80-99
+    0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 3, 0, 0, 0, 0, 1, 0, 1, 1, 0,  # seeds 100-119
+]
+
+
+def _without_expansions(stdout: str) -> tuple[str, int]:
+    """A structured record's text without its top-level ``expansions`` line,
+    and the count that line held."""
+    match = re.search(r'^  "expansions": (\d+),\n', stdout, re.MULTILINE)
+    return stdout[:match.start()] + stdout[match.end():], int(match.group(1))
 
 
 def test_plan_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, monkeypatch):
@@ -474,11 +495,17 @@ def test_plan_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, monkeyp
                                                                  max_values=6)))
         sources.append(("--file", name))
     digest = hashlib.sha256()
+    expansions = []
     for source in sources:
         for flags in ((), ("--validate",)):
             for fmt in ("table", "structured"):
-                digest.update(repr(run_cli("plan", *source, *flags, "--format", fmt)).encode())
+                code, out, err = run_cli("plan", *source, *flags, "--format", fmt)
+                if fmt == "structured":
+                    out, count = _without_expansions(out)
+                    expansions.append(count)
+                digest.update(repr((code, out, err)).encode())
     assert digest.hexdigest() == PLAN_DIGEST
+    assert expansions[::2] == expansions[1::2] == PLAN_EXPANSIONS
 
 
 @pytest.mark.parametrize("command", ["plan", "validate"])

@@ -5,7 +5,8 @@ guard state with one test per causal rule.  Here it is checked, candidate by
 candidate, against the enumerating sweep it replaced, on the bundled
 scenarios, seeded random problems and hand-made edge cases; and a problem
 whose guard box holds millions of states shows that the kernel enumerates
-none of them.
+none of them.  The oracle's own sweep, over its own literal tables, is
+checked against the kernel's list too.
 """
 
 import itertools
@@ -13,7 +14,8 @@ import math
 
 import pytest
 
-from recourseplan import kernel as kernel_module
+from recourseplan import kernel as kernel_module, oracle
+from recourseplan.actions import build_actions
 from recourseplan.dsl import parse_problem
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
@@ -204,3 +206,50 @@ def test_kernel_enumerates_no_guard_box(monkeypatch):
     # r2-r7 repair leaves the other five rules violated
     direct = tuple(f"direct:{f.name}:{f.value_text(v)}" for f in domains for v in range(f.size))
     assert kernel.ids == ("causal:r1:y:t",) + direct
+
+
+# the oracle's own action list -------------------------------------------------------
+
+def _own_and_planner_lists(problem):
+    """``(feature, value, guard table)`` per action of the oracle's own list
+    and of ``build_actions``' list, each guard tabled by the oracle."""
+    domains = problem.domains
+    own = list(oracle._own_actions(problem))
+    listed = [(a.feature_index, a.new_index, oracle._table(domains, a.guard))
+              for a in build_actions(problem)]
+    return own, listed
+
+
+# each tier's seeds, and the causal repairs kept over them
+OWN_LIST_TIERS = [
+    ("8/5", dict(max_features=8, max_values=5), 350, 466),
+    ("10/6", dict(max_features=10, max_values=6), 200, 297),
+    ("12/6/C10", dict(max_features=12, max_values=6, max_causal=10), 200, 312),
+]
+
+
+@pytest.mark.parametrize("kwargs, seeds, repairs",
+                         [(kwargs, seeds, repairs) for _, kwargs, seeds, repairs in OWN_LIST_TIERS],
+                         ids=[name for name, *_ in OWN_LIST_TIERS])
+def test_oracle_lists_the_planner_actions_on_random_problems(kwargs, seeds, repairs):
+    kept = 0
+    for seed in range(seeds):
+        own, listed = _own_and_planner_lists(random_problem(seed, **kwargs))
+        assert own == listed, seed
+        kept += sum(1 for _, _, guard in own if guard)
+    assert kept == repairs
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_oracle_lists_the_planner_actions_on_scenarios(name):
+    own, listed = _own_and_planner_lists(builtin_scenario(name).problem)
+    assert own == listed
+
+
+@pytest.mark.parametrize("name", list(CRAFTED))
+def test_oracle_lists_the_planner_actions_on_edge_cases(name):
+    # the first three guards name n twice: the oracle keeps a pair per literal
+    text, kept = CRAFTED[name]
+    own, listed = _own_and_planner_lists(parse_problem(text))
+    assert own == listed
+    assert sum(1 for _, _, guard in own if guard) == len(kept)

@@ -163,7 +163,7 @@ def test_doomed_is_exact_on_every_enumerable_reach_box(monkeypatch):
         features = problem.domains.features
         goal_free = {}  # per reach box
         for state in enumerate_causally_consistent(problem):
-            reach = tuple(map(kernel._reach, features, state.idx))
+            reach = tuple(map(kernel._reach, features, state.idx, problem.domains.sizes))
             if reach not in goal_free:
                 goal_free[reach] = not any(map(compiled.goal, itertools.product(*reach)))
             boxes.clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -423,13 +424,13 @@ def test_validation_rejects_empty_path(german):
 def test_validation_builds_the_action_list_only_for_a_path_with_a_step(boolean_pair, german,
                                                                        monkeypatch):
     built = []
-    real_build = oracle.build_actions
+    real_build = oracle._own_actions
 
     def counting_build(problem):
         built.append(problem)
         return real_build(problem)
 
-    monkeypatch.setattr(oracle, "build_actions", counting_build)
+    monkeypatch.setattr(oracle, "_own_actions", counting_build)
     # one state, a goal or not: the step clause holds with no step to check
     report = validate_solution_path(CandidatePath((boolean_pair.initial,)), boolean_pair)
     assert report.clause_results == (True, True, True, True, True)
@@ -440,6 +441,35 @@ def test_validation_builds_the_action_list_only_for_a_path_with_a_step(boolean_p
     report = validate_solution_path(extract_candidate_path(get_path(p)), p)
     assert report.overall
     assert built == [p]
+
+
+def test_counting_builds_no_action_list_and_shares_the_rule_tables(german, monkeypatch):
+    # validate's two oracle calls on one problem compile its rule tables once
+    built, compiled = [], []
+    real_build, real_table = oracle._own_actions, oracle._table
+
+    def counting_build(problem):
+        built.append(problem)
+        return real_build(problem)
+
+    def counting_table(domains, literals):
+        compiled.append(literals)
+        return real_table(domains, literals)
+
+    monkeypatch.setattr(oracle, "_own_actions", counting_build)
+    monkeypatch.setattr(oracle, "_table", counting_table)
+    p = dataclasses.replace(german.problem)  # an object no earlier call compiled
+    tables = len(p.causal_rules) + len(p.decision_rules)
+    state_set_report(p)
+    assert built == []
+    assert len(compiled) == tables
+    validate_solution_path(extract_candidate_path(get_path(p)), p)
+    state_set_report(p)
+    assert built == [p]
+    assert len(compiled) == tables
+    # a new problem object, even an equal one, is compiled afresh
+    state_set_report(dataclasses.replace(p))
+    assert len(compiled) == 2 * tables
 
 
 def test_validation_scans_each_step_once(monkeypatch):

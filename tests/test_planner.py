@@ -454,7 +454,7 @@ def test_seed_459_raw_outcome_is_unrepairable_though_no_rule_is_broken_throughou
            if nxt is not None and not none_holds(kernel.causal, nxt)]
     # the second inconsistent raw outcome in action order: two causal rules
     # cover its reach box between them, and the box test alone cuts it
-    reach = list(map(kernel_module._reach, problem.domains.features, raw[1]))
+    reach = list(map(kernel_module._reach, problem.domains.features, raw[1], problem.domains.sizes))
     assert kernel_module._decide(kernel.causal, reach) is not True
     assert kernel.unrepairable(raw[1])
 
@@ -640,33 +640,47 @@ def _search(problem: ProblemSpec) -> PathTrace:
     return trace
 
 
-def _trace_digest(problems) -> str:
+def _trace_digest(problems) -> tuple[str, list[int]]:
+    """SHA-256 over each run's status and entries, and each run's expansions."""
     digest = hashlib.sha256()
+    expansions = []
     for problem in problems:
         trace = get_path(problem)
-        record = (trace.status, trace.expansions,
-                  [(e.state.idx, e.state.reps, e.actions_taken, ok)
-                   for e, ok in trace.entry_records()])
+        record = (trace.status, [(e.state.idx, e.state.reps, e.actions_taken, ok)
+                                 for e, ok in trace.entry_records()])
         digest.update(repr(record).encode())
-    return digest.hexdigest()
+        expansions.append(trace.expansions)
+    return digest.hexdigest(), expansions
 
 
 # SHA-256 over every trace of the four bundled scenarios and of
 # random_problem(seed, max_features=8, max_values=5) for seeds 0-99: status,
-# expansions, and per entry the state's indices and witnesses, the action ids
-# and the consistency flag.  Any change to search order, repair chains or
-# witness bookkeeping changes it.  Re-recorded when repair chains became
-# breadth-first, when doomed starts began to fail at once, when that test
-# began to split the reach box, and when the search became breadth-first,
-# which shortened 16 of the paths to the oracle's shortest length and left
-# the other 88 traces as they were.
-TRACE_DIGEST = "b736952ac576d8d58c5e6307ff8e303add8f18a3d4aa13fce2a63229ad1312c8"
+# and per entry the state's indices and witnesses, the action ids and the
+# consistency flag.  Any change to a path, a repair chain or witness
+# bookkeeping changes it.  The previous digest, which also hashed expansions,
+# was re-recorded when repair chains became breadth-first, when doomed starts
+# began to fail at once, when that test began to split the reach box, and
+# when the search became breadth-first, which shortened 16 of the paths to
+# the oracle's shortest length and left the other 88 traces as they were.
+TRACE_DIGEST = "d85875fb22ec3e2ec4960143f2f94aaa79cd09f90225c43b032e78e818396989"
+# each of those runs' expansions, in the same order: a change that only
+# searches less shows here, and leaves TRACE_DIGEST as it is
+TRACE_EXPANSIONS = [
+    1, 1, 2, 2,  # the scenarios
+    0, 1, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 3, 1, 0, 0, 0,  # seeds 0-19
+    1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  # seeds 20-39
+    0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,  # seeds 40-59
+    0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0,  # seeds 60-79
+    1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0,  # seeds 80-99
+]
 
 
 def test_traces_match_pinned_digest():
     problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
     problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(100)]
-    assert _trace_digest(problems) == TRACE_DIGEST
+    digest, expansions = _trace_digest(problems)
+    assert digest == TRACE_DIGEST
+    assert expansions == TRACE_EXPANSIONS
 
 
 # The same digest over runs that TRACE_DIGEST leaves out:
@@ -674,8 +688,9 @@ def test_traces_match_pinned_digest():
 # 196, 268 and 271, then the printed and reparsed random_problem(seed,
 # max_features=10, max_values=6) for seeds 11, 24, 52, 81 and 83.  Every start
 # is doomed (172's only since the test splits the reach box), so
-# WIDE_TRACE_DIGEST pins eleven one-entry failures.
-WIDE_TRACE_DIGEST = "956aea807767f4f0127608f19a57f6d3ba35ae9d1b97390b549b79075c72ba27"
+# WIDE_TRACE_DIGEST pins eleven one-entry failures, with no expansion.
+WIDE_TRACE_DIGEST = "1ae5234d14178a8f0b6cca3e4222d5bdd478da3bb1bf17a9a8c63e4570f9f9d2"
+WIDE_TRACE_EXPANSIONS = [0] * 11
 
 
 def test_more_traces_match_second_pinned_digest():
@@ -683,7 +698,9 @@ def test_more_traces_match_second_pinned_digest():
                 for seed in (106, 111, 172, 196, 268, 271)]
     problems += [parse_problem(pretty_print(random_problem(seed, max_features=10, max_values=6)))
                  for seed in (11, 24, 52, 81, 83)]
-    assert _trace_digest(problems) == WIDE_TRACE_DIGEST
+    digest, expansions = _trace_digest(problems)
+    assert digest == WIDE_TRACE_DIGEST
+    assert expansions == WIDE_TRACE_EXPANSIONS
 
 
 # failures that get_path decides before any expansion, with the expansions
