@@ -9,8 +9,8 @@ applying them yields a causally consistent state; a discarded repair's
 mutation stays reachable as a direct action.  Plausibility constraints never
 add states; they only filter which actions are permitted.
 
-The list is built by :meth:`~recourseplan.kernel.CompiledProblem.compile_actions`;
-:func:`build_actions` is its view as :class:`Action` objects.
+The list is built when a :class:`~recourseplan.kernel.CompiledProblem` is
+constructed; :func:`build_actions` is its view as :class:`Action` objects.
 :func:`is_permitted` and :func:`apply_action` are the State-level reference
 semantics of one action.
 """
@@ -50,7 +50,6 @@ def build_actions(problem: ProblemSpec) -> tuple[Action, ...]:
     ids, order and guards (a repair's guard is its rule's body).
     """
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     domains = kernel.domains
     return tuple(
         Action(id=aid, kind="direct" if rule is None else "causal",

@@ -29,6 +29,7 @@ each subcommand reads the parsed arguments as argparse returns them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import io
@@ -322,7 +323,9 @@ def main(argv: Optional[Sequence[str]] = None,
          out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        # argparse prints help and usage errors itself; they go to out and err
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handler = {"plan": cmd_plan, "validate": cmd_validate, "enumerate": cmd_enumerate}[ns.command]

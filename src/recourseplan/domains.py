@@ -8,6 +8,7 @@ and makes exhaustive cross-checks exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
 
@@ -187,10 +188,7 @@ class Domains:
 
     @property
     def state_count(self) -> int:
-        n = 1
-        for f in self.features:
-            n *= f.size
-        return n
+        return math.prod(self.sizes)
 
     def make_state(self, values: Mapping[str, Union[str, int]]) -> "State":
         """Build a state from concrete values; numeric values keep their witness.

@@ -10,11 +10,12 @@ membership test :func:`~recourseplan.rules.none_holds`, decides whole boxes
 of states with the one box test :func:`_decide` and derives the action list
 and every action's precondition from the tables, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
-it.  Set-up compiles nothing and enumerates no states: each repair candidate
-costs one test per causal rule, and the action list is built only for a run
-that steps.  Two tests rule a state out before any search, both by the one
-cover test :func:`_covered` on the reach box (the values each feature can
-still reach): :meth:`~CompiledProblem.doomed` (no state of it is a goal) and
+it.  Construction compiles no rule and enumerates no states: each repair
+candidate costs one test per causal rule.  Two tests rule a state out before
+any search, both by the one cover test :func:`_covered` on the reach box
+(the values each feature can still reach, :func:`_reach_box`):
+:func:`doomed` (no state of it is a goal), which reads only the problem's
+tables, so a start it rules out needs no kernel, and
 :meth:`~CompiledProblem.unrepairable` (every state of it breaks a causal
 rule).  Every repair chain is walked and memoized here, for one run
 (:meth:`~CompiledProblem.complete`).  ``State`` and
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Optional, Sequence, Union
 
-from .domains import FeatureDomain
+from .domains import Domains, FeatureDomain
 from .rules import Pairs, ProblemSpec, Rule, none_holds
 
 Index = tuple[int, ...]
@@ -118,32 +119,49 @@ def _reach(feature: FeatureDomain, vi: int, size: int) -> range:
     return range(size)
 
 
+def _reach_box(domains: Domains, idx: Index) -> Iterable[range]:
+    """Each feature's :func:`_reach` from ``idx``, its size read off
+    ``domains.sizes``: the box holding every state reachable from ``idx``,
+    since every action (a direct move, a causal repair and so every
+    repair-chain step) keeps to mutability and monotonicity."""
+    return map(_reach, domains.features, idx, domains.sizes)
+
+
+def doomed(problem: ProblemSpec, idx: Index) -> bool:
+    """No state of the reach box of ``idx`` (:func:`_reach_box`) is a goal,
+    so no sequence of actions leads to one; ``False`` proves nothing.
+
+    The box is goal-free when every state of it has some table holding
+    (:func:`_covered`): a decision rule's body or a causal rule's breaking
+    table, the decision tables first, so a decision rule's cut is taken
+    before a causal rule's.  A goal in the box need not be reachable.
+    """
+    return _covered(problem.decision_bodies + problem.causal_tables,
+                    _reach_box(problem.domains, idx))
+
+
 class CompiledProblem:
-    """Rules and actions of one problem, compiled against its domains.
+    """Rules and actions of one problem, compiled against its domains, for
+    one run.
 
-    Construction compiles nothing.  ``causal`` is the problem's
-    ``causal_tables``, each causal rule's breaking table (the head position
-    with the values the head refuses, then the body pairs), ``decision`` its
-    ``decision_bodies``, the body pairs of each decision rule, and
-    ``tables`` the decision tables then the causal ones: a goal is a state
-    where none of them holds.  They are all that consistency, firing and
-    goal membership read (:func:`~recourseplan.rules.none_holds`).
-    :meth:`unrepairable` and :meth:`doomed` read them too, with the domains,
-    and keep no other table.
+    ``causal`` is the problem's ``causal_tables``, each causal rule's
+    breaking table (the head position with the values the head refuses,
+    then the body pairs), and ``decision`` its ``decision_bodies``, the body
+    pairs of each decision rule.  They are all that consistency and firing
+    read (:func:`~recourseplan.rules.none_holds`).  :meth:`unrepairable`
+    reads ``causal`` too, with the domains, and keeps no other table.
 
-    :meth:`compile_actions` builds the action list and the run's memos, of
-    :meth:`complete` and :meth:`unrepairable`.  So a run builds them only at
-    its first expansion: a start in the goal set, or a doomed one, takes no
-    step and needs none.  The list comes in order: verified causal repairs
-    first, then one direct move per (mutable feature, value), in declaration
-    then domain order.  ``rules`` holds the causal rule each action repairs
-    (``None`` for a direct move), and ``moves`` one ``(feature index, new index,
-    precondition pairs)`` triple per action.  A precondition holds exactly
-    where the action is permitted: the feature off the target, on the side
-    of it that monotonicity allows, and a repair's guard (its rule's body
-    pairs, the breaking table after the head pair).  Set-up formats no
-    action id: :meth:`action_id` formats one when a run records it, and
-    ``ids`` formats them all.
+    Construction builds the action list and starts the run's memos, of
+    :meth:`complete` and :meth:`unrepairable`.  The list comes in order:
+    verified causal repairs first, then one direct move per (mutable
+    feature, value), in declaration then domain order.  ``rules`` holds the
+    causal rule each action repairs (``None`` for a direct move), and
+    ``moves`` one ``(feature index, new index, precondition pairs)`` triple
+    per action.  A precondition holds exactly where the action is permitted:
+    the feature off the target, on the side of it that monotonicity allows,
+    and a repair's guard (its rule's body pairs, the breaking table after
+    the head pair).  Set-up formats no action id: :meth:`action_id` formats
+    one when a run records it, and ``ids`` formats them all.
 
     A repair setting a feature to a value the head allows survives when
     every state of its guard box is consistent afterwards (:func:`_decide`
@@ -154,20 +172,13 @@ class CompiledProblem:
     no state.
     """
 
-    __slots__ = ("domains", "causal", "decision", "tables", "rules", "moves", "_causal_rules",
+    __slots__ = ("domains", "causal", "decision", "rules", "moves",
                  "_pinned", "_chains", "_verdicts")
 
     def __init__(self, problem: ProblemSpec) -> None:
-        self.domains = problem.domains
-        self._causal_rules = problem.causal_rules
+        domains = self.domains = problem.domains
         self.causal = problem.causal_tables
         self.decision = problem.decision_bodies
-        self.tables = self.decision + self.causal
-
-    def compile_actions(self) -> None:
-        """Build the action list, ``rules`` and ``moves``: the guard sweep
-        decides the causal repairs, then the direct moves follow."""
-        domains = self.domains
         # per mutable feature and value: the direct move's precondition, the
         # values that may move there under monotonicity
         full = [frozenset(range(n)) for n in domains.sizes]
@@ -189,7 +200,7 @@ class CompiledProblem:
 
         rules: list[Optional[Rule]] = []
         moves: list[tuple[int, int, Pairs]] = []
-        for rule, table in zip(self._causal_rules, self.causal):
+        for rule, table in zip(problem.causal_rules, self.causal):
             (fi, refused), guard = table[0], table[1:]
             if not domains[fi].mutable:
                 continue
@@ -224,14 +235,14 @@ class CompiledProblem:
         return tuple(map(self.action_id, range(len(self.moves))))
 
     def unrepairable(self, idx: Index) -> bool:
-        """Every state of the reach box of ``idx`` (:meth:`doomed`) breaks
+        """Every state of the reach box of ``idx`` (:func:`_reach_box`) breaks
         some causal rule, so no action sequence leads to a consistent state;
         ``False`` proves nothing.  Verdicts last the run, one per reach box;
         where :func:`_covered` gives up, a failed :meth:`complete` files one."""
         key = tuple(map(idx.__getitem__, self._pinned))
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._verdicts[key] = _covered(self.causal, self._reach_box(idx))
+            verdict = self._verdicts[key] = _covered(self.causal, _reach_box(self.domains, idx))
         return verdict
 
     def complete(self, start: Index) -> Optional[Chain]:
@@ -274,31 +285,6 @@ class CompiledProblem:
                 frontier.append(nxt)
         self._verdicts[tuple(map(start.__getitem__, self._pinned))] = True
         return None
-
-    def doomed(self, idx: Index) -> bool:
-        """No state of the reach box of ``idx`` is a goal, so no sequence of
-        actions leads to one; ``False`` proves nothing.
-
-        The reach box is the product of the values each feature can still
-        reach from ``idx`` (:func:`_reach`).  It holds every reachable state,
-        since every action (a direct move, a causal repair and so every
-        repair-chain step) keeps to mutability and monotonicity.  It is
-        goal-free when every state of it has some table holding
-        (:func:`_covered`), the decision tables first, so a decision rule's
-        cut is taken before a causal rule's.  A goal in the box need not be
-        reachable.
-        """
-        return _covered(self.tables, self._reach_box(idx))
-
-    def _reach_box(self, idx: Index) -> Iterable[range]:
-        """Each feature's :func:`_reach` from ``idx``, its size read off
-        ``domains.sizes``."""
-        domains = self.domains
-        return map(_reach, domains.features, idx, domains.sizes)
-
-    def goal(self, idx: Index) -> bool:
-        """Causally consistent and no decision rule fires: no table holds."""
-        return none_holds(self.tables, idx)
 
     def step(self, k: int, idx: Index) -> Optional[Index]:
         """The successor under action ``k``, or ``None`` when it is not permitted."""

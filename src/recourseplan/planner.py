@@ -24,11 +24,11 @@ goal), ``failure`` (the search expanded every reachable consistent state, or
 none exists), or ``budget-exhausted`` (the expansion budget ran out first).
 The last two keep only the root entry.  A run whose initial state is a goal
 succeeds with that one entry.  A run whose initial state is doomed
-(:meth:`~recourseplan.kernel.CompiledProblem.doomed`: its reach box, which
-holds every state reachable from it, is cut in two along straddled literals
-until each part is ruled out, within a fixed number of boxes) fails with
-that one entry, before any budget is counted.
-Only a run that takes a step builds the action list (the causal-repair guard
+(:func:`~recourseplan.kernel.doomed`: its reach box, which holds every state
+reachable from it, is cut in two along straddled literals until each part is
+ruled out, within a fixed number of boxes) fails with that one entry, before
+any budget is counted.  Both tests read the problem's tables, so only a run
+that searches builds the kernel and its action list (the causal-repair guard
 sweep).
 """
 
@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .domains import CandidatePath, State
 from .errors import EmptySequenceError, NotASolution
-from .kernel import CompiledProblem, Index
+from .kernel import CompiledProblem, Index, doomed
 from .rules import ProblemSpec, none_holds
 from .rules import is_counterfactual as is_counterfactual  # re-export: callers import it from here
 
@@ -167,19 +167,19 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     A start in the goal set ends the run at once in ``success``, and a
     doomed start (its reach box, cut until each part is ruled out, holds
     no goal) in ``failure``, each with the one root entry, no action and no
-    expansion, before the action list is built: only a run that steps builds
+    expansion, before the kernel is built: only a run that searches builds
     it, and the default budget counts its actions.
     """
-    kernel = CompiledProblem(problem)
-    # construction rejects an inconsistent start
+    root = problem.initial.idx
     trace = PathTrace([TraceEntry(problem.initial)])
-    if kernel.goal(problem.initial.idx):
+    # construction rejects an inconsistent start, so this is the goal test
+    if none_holds(problem.decision_bodies, root):
         trace.status = "success"
         return trace
-    if kernel.doomed(problem.initial.idx):
+    if doomed(problem, root):
         trace.status = "failure"
         return trace
-    kernel.compile_actions()
+    kernel = CompiledProblem(problem)
     # the default budget is generous for any enumerable instance
     budget = problem.action_budget or max(1, 10 * len(kernel.moves) * len(problem.domains))
     trace.status = _search(trace, kernel, budget)

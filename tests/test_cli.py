@@ -539,19 +539,27 @@ def test_reused_parser_answers_like_a_fresh_one(capsys):
     fresh = []
     for args in PARSER_SEQUENCE:
         cli._build_parser.cache_clear()
-        fresh.append((run_cli(*args), capsys.readouterr()))
-    reused = [(run_cli(*args), capsys.readouterr()) for args in PARSER_SEQUENCE]
+        fresh.append(run_cli(*args))
+    reused = [run_cli(*args) for args in PARSER_SEQUENCE]
     assert reused == fresh
     assert cli._build_parser.cache_info().currsize == 1
-    assert [code for (code, _, _), _ in reused] == [1, 0, 0, 1, 1, 1, 1, 1, 1, 1]
-    # argparse reports usage errors on the process's stderr
-    assert "unrecognized arguments: --path-file" in reused[3][1].err
-    for (_, out, _), captured in reused[4:8]:
+    assert [code for code, _, _ in reused] == [1, 0, 0, 1, 1, 1, 1, 1, 1, 1]
+    # argparse reports usage errors on main's err, not the process's stderr
+    assert "unrecognized arguments: --path-file" in reused[3][2]
+    for _, out, err in reused[4:8]:
         assert out == ""
-        assert "unrecognized arguments: --" in captured.err
-    for (_, out, err), _ in reused[8:]:
+        assert "unrecognized arguments: --" in err
+    for _, out, err in reused[8:]:
         assert out == ""
         assert err == "error: --seed applies only to --scenario random\n"
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_mains_out(capsys):
+    code, out, err = run_cli("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")
+    assert capsys.readouterr() == ("", "")
 
 
 # the layer calls the benchmark traces --------------------------------------------

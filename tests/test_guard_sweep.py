@@ -38,7 +38,6 @@ def _enumerating_sweep(kernel, axes, guard, feature_index, new_index):
 def _compare(problem):
     """Check every repair candidate; return (kept, checked, skipped) counts."""
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     domains = problem.domains
     named = {i for table in kernel.causal for i, _ in table}
     axes = [range(f.size) if fi in named else range(1) for fi, f in enumerate(domains)]
@@ -167,7 +166,6 @@ def test_box_test_matches_enumeration_on_edge_cases(name):
     problem = parse_problem(text)
     _compare(problem)
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     assert [aid for aid, rule in zip(kernel.ids, kernel.rules) if rule is not None] == kept
 
 
@@ -200,7 +198,6 @@ def test_kernel_enumerates_no_guard_box(monkeypatch):
 
     monkeypatch.setattr(kernel_module, "none_holds", counting)
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     assert calls == []
     # the list the enumerating sweep gives: r1's repair survives, and every
     # r2-r7 repair leaves the other five rules violated

@@ -16,7 +16,7 @@ from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import MAX_SPLITS, CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, enumerate_causally_consistent, enumerate_states
-from recourseplan.planner import get_path, is_counterfactual
+from recourseplan.planner import get_path
 from recourseplan.rules import ProblemSpec, is_causally_consistent, none_holds, satisfies_decision
 
 PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
@@ -30,7 +30,6 @@ def test_kernel_matches_state_api_on_every_state(make):
     problem = make()
     domains = problem.domains
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     actions = build_actions(problem)
     assert kernel.ids == tuple(a.id for a in actions)
     assert all(domains[fi].mutable for fi, _, _ in kernel.moves)
@@ -39,14 +38,19 @@ def test_kernel_matches_state_api_on_every_state(make):
         idx = state.idx
         assert none_holds(kernel.causal, idx) == is_causally_consistent(state, causal)
         assert (not none_holds(kernel.decision, idx)) == satisfies_decision(state, decision)
-        assert kernel.goal(idx) == is_counterfactual(state, causal, decision)
         for k, action in enumerate(actions):
             expected = apply_action(action, state).idx if is_permitted(action, state) else None
             assert kernel.step(k, idx) == expected
 
 
+def _goal(problem: ProblemSpec, idx: tuple[int, ...]) -> bool:
+    """No table of the problem holds at ``idx``: no decision rule fires and
+    no causal rule is broken there."""
+    return none_holds(problem.decision_bodies + problem.causal_tables, idx)
+
+
 def _counting_boxes(monkeypatch) -> list:
-    """Count the boxes :meth:`CompiledProblem.doomed` decides, the reach box
+    """Count the boxes :func:`kernel.doomed` decides, the reach box
     first: each is one call to :func:`kernel._decide`."""
     boxes = []
     real = kernel._decide
@@ -67,10 +71,9 @@ def test_no_goal_is_reachable_from_a_doomed_state(monkeypatch):
     boxes = _counting_boxes(monkeypatch)
     doomed = split = 0
     for problem in problems:
-        kernel = CompiledProblem(problem)
         for state in enumerate_causally_consistent(problem):
             boxes.clear()
-            if kernel.doomed(state.idx):
+            if kernel.doomed(problem, state.idx):
                 doomed += 1
                 split += len(boxes) > 1  # the reach box alone did not decide it
                 assert bfs_shortest_path(dataclasses.replace(problem, initial=state)) is None
@@ -99,10 +102,9 @@ def test_doomed_visits_few_boxes(tier, seeds, most, total, monkeypatch):
     visited = []
     for seed in range(seeds):
         problem = random_problem(seed, **tier)
-        kernel = CompiledProblem(problem)
-        if not kernel.goal(problem.initial.idx):
+        if not _goal(problem, problem.initial.idx):
             boxes.clear()
-            kernel.doomed(problem.initial.idx)
+            kernel.doomed(problem, problem.initial.idx)
             visited.append(len(boxes))
     assert max(visited) <= 2 * most
     assert sum(visited) == total
@@ -126,7 +128,7 @@ def test_doomed_finds_a_goal_deeper_than_the_search_budget(monkeypatch):
     problem = _two_valued_problem(30, rules + ["decision e :- f29 = b."],
                                   [f"constraint nondecreasing f{i}." for i in range(29)])
     boxes = _counting_boxes(monkeypatch)
-    assert not CompiledProblem(problem).doomed(problem.initial.idx)
+    assert not kernel.doomed(problem, problem.initial.idx)
     assert len(boxes) <= 1 + MAX_SPLITS
     trace = get_path(problem)
     assert (trace.status, trace.expansions) == ("budget-exhausted", 18000)
@@ -139,7 +141,7 @@ def test_doomed_gives_up_after_max_splits_boxes(monkeypatch):
     monkeypatch.setattr(kernel, "MAX_SPLITS", 4)
     problem = random_problem(263, max_features=8, max_values=5)
     boxes = _counting_boxes(monkeypatch)
-    assert not CompiledProblem(problem).doomed(problem.initial.idx)
+    assert not kernel.doomed(problem, problem.initial.idx)
     assert len(boxes) <= 5
     trace = get_path(problem)
     assert (trace.status, trace.expansions) == ("failure", 1615)
@@ -159,15 +161,14 @@ def test_doomed_is_exact_on_every_enumerable_reach_box(monkeypatch):
     boxes = _counting_boxes(monkeypatch)
     starts = 0
     for problem in problems:
-        compiled = CompiledProblem(problem)
         features = problem.domains.features
         goal_free = {}  # per reach box
         for state in enumerate_causally_consistent(problem):
             reach = tuple(map(kernel._reach, features, state.idx, problem.domains.sizes))
             if reach not in goal_free:
-                goal_free[reach] = not any(map(compiled.goal, itertools.product(*reach)))
+                goal_free[reach] = not any(_goal(problem, idx) for idx in itertools.product(*reach))
             boxes.clear()
-            assert compiled.doomed(state.idx) == goal_free[reach], state.idx
+            assert kernel.doomed(problem, state.idx) == goal_free[reach], state.idx
             assert len(boxes) <= MAX_SPLITS
             starts += 1
     assert starts > 20000
@@ -192,7 +193,6 @@ def test_ids_are_formatted_on_first_use(name, monkeypatch):
 
     monkeypatch.setattr(FeatureDomain, "value_text", counting_value_text)
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     assert calls == []
     # formatted one at a time and in any order, each id is the action list's
     last_first = [kernel.action_id(k) for k in reversed(range(len(kernel.moves)))]

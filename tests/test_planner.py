@@ -116,18 +116,18 @@ DOOMED_STARTS = {
 def test_doomed_start_fails_without_expanding(text, monkeypatch):
     problem = parse_problem(text)
     assert build_actions(problem)  # a search would have moves to try
-    compiled = []
-    real_compile = CompiledProblem.compile_actions
+    built = []
+    real_init = CompiledProblem.__init__
 
-    def counting_compile(self):
-        compiled.append(self)
-        return real_compile(self)
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
 
-    monkeypatch.setattr(CompiledProblem, "compile_actions", counting_compile)
+    monkeypatch.setattr(CompiledProblem, "__init__", counting_init)
     trace = get_path(problem)
     assert (trace.status, trace.expansions) == ("failure", 0)
     assert trace.entries == [TraceEntry(problem.initial, ())]
-    assert compiled == []
+    assert built == []
 
 
 def test_unreachable_goal_fails(unreachable_goal):
@@ -301,7 +301,6 @@ def _reaches_a_consistent_state(kernel, sources) -> bool:
 def test_chains_match_the_breadth_first_reference(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     # one kernel for all calls, as in a run, so later calls read the
     # unrepairable verdicts earlier ones filed
     for idx in _inconsistent_states(problem, kernel):
@@ -356,7 +355,6 @@ def test_one_edge_repairs_are_those_of_the_depth_first_walk():
     for seed in ONE_EDGE_SEEDS:
         problem = random_problem(seed, max_features=8, max_values=5)
         kernel = CompiledProblem(problem)
-        kernel.compile_actions()
         reference_dead: set = set()
         for idx in _inconsistent_states(problem, kernel):
             walked = _depth_first_complete(kernel, idx, reference_dead)
@@ -395,7 +393,6 @@ UNREPAIRABLE_SEEDS = [4, 14, 20, 48, 63, 66, 72, 92]
 def test_unrepairable_states_reach_no_consistent_state(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     ruled_out = [idx for idx in _inconsistent_states(problem, kernel) if kernel.unrepairable(idx)]
     assert ruled_out
     assert not _reaches_a_consistent_state(kernel, ruled_out)
@@ -422,7 +419,6 @@ def test_unrepairable_means_no_state_of_the_reach_box_is_consistent(seed, max_sp
     monkeypatch.setattr(kernel_module, "MAX_SPLITS", max_splits)
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     domains, causal = problem.domains, problem.causal_rules
     verdicts = []
     for idx in _inconsistent_states(problem, kernel):
@@ -448,7 +444,6 @@ def _seed_459() -> ProblemSpec:
 def test_seed_459_raw_outcome_is_unrepairable_though_no_rule_is_broken_throughout():
     problem = _seed_459()
     kernel = CompiledProblem(problem)
-    kernel.compile_actions()
     root = problem.initial.idx
     raw = [nxt for nxt in (kernel.step(k, root) for k in range(len(kernel.moves)))
            if nxt is not None and not none_holds(kernel.causal, nxt)]
@@ -579,8 +574,9 @@ def test_get_path_compiles_the_problem_once(make, monkeypatch):
     assert compiled == list(problem.causal_rules + problem.decision_rules)
     # ... and planning reads those tables
     compiled.clear()
-    get_path(problem)
-    assert len(built) == 1
+    trace = get_path(problem)
+    # one kernel for a run that expands, none for a goal or doomed start
+    assert len(built) == (1 if trace.expansions else 0)
     assert compiled == []
 
 
@@ -635,7 +631,6 @@ def _search(problem: ProblemSpec) -> PathTrace:
     a goal past the doomed-start test."""
     kernel = CompiledProblem(problem)
     trace = PathTrace([TraceEntry(problem.initial)])
-    kernel.compile_actions()
     trace.status = planner._search(trace, kernel, sys.maxsize)
     return trace
 
@@ -745,8 +740,9 @@ def test_search_fails_from_every_doomed_start(benchmark_tiers):
     # the planner, reaches no goal from a start the kernel calls doomed
     doomed = []
     for problem, _, shortest in benchmark_tiers:
-        kernel, idx = CompiledProblem(problem), problem.initial.idx
-        if not kernel.goal(idx) and kernel.doomed(idx):
+        idx = problem.initial.idx
+        goal = none_holds(problem.decision_bodies + problem.causal_tables, idx)
+        if not goal and kernel_module.doomed(problem, idx):
             doomed.append(shortest)
     assert len(doomed) == 113
     assert doomed == [None] * len(doomed)
