@@ -28,7 +28,7 @@ for seed in range(RUNS):
         problem, action_budget=problem.state_count * max(1, len(actions)))
     trace = get_path(problem)
     outcomes[trace.status] += 1
-    shortest = bfs_shortest_path(problem, actions=actions)
+    shortest = bfs_shortest_path(problem)
     if trace.status == "success":
         path = extract_candidate_path(trace)
         report = validate_solution_path(path, problem)

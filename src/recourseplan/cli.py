@@ -320,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None,
-         out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
+         out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
+    out, err = out or sys.stdout, err or sys.stderr  # the streams at call time
     parser = _build_parser()
     try:
         # argparse prints help and usage errors itself; they go to out and err

@@ -26,7 +26,7 @@ from typing import Callable, Optional, TypeVar, Union
 
 from .domains import Domains, FeatureDomain, State, partition_range
 from .errors import OutOfDomain, ParseError, SemanticError
-from .rules import COMPARATORS, Literal, ProblemSpec, Rule
+from .rules import COMPARATORS, Literal, ProblemSpec, Rule, _cuts
 
 # One ``findall`` returns the lexemes: a match is a token and the whitespace
 # and comments after it (``_SKIP_RE`` skips those before the first).  The empty
@@ -256,20 +256,8 @@ class _Parsed:
 
 
 # threshold induction -------------------------------------------------------
-
-def _boundaries_for(op: str, const: int) -> tuple[int, ...]:
-    """Cut points that make ``x op const`` constant on each interval.
-
-    Features are integer-granular, so strict and left-closed comparisons map
-    onto right-closed cuts: ``x < c`` cuts at ``c - 1``, ``x >= c`` likewise,
-    and equality isolates the singleton ``(c - 1, c]``.
-    """
-    if op in ("=<", ">"):
-        return (const,)
-    if op in ("<", ">="):
-        return (const - 1,)
-    return (const - 1, const)  # "=", "!="
-
+# Each numeric feature is cut at the cuts (``rules._cuts``) of every literal
+# on it, so every rule literal is constant on each of its intervals.
 
 def _build_domains(parsed: _Parsed) -> Domains:
     thresholds: dict[str, set[int]] = {name: set() for name in parsed.features}
@@ -281,10 +269,7 @@ def _build_domains(parsed: _Parsed) -> Domains:
                 raise SemanticError("undeclared-feature",
                                     f"rule {rule.id!r} mentions undeclared feature {lit.feature!r}")
             if decl.kind == "numeric":
-                if not isinstance(lit.const, int):
-                    raise SemanticError("type-mismatch",
-                                        f"{lit}: numeric feature needs an integer constant")
-                thresholds[lit.feature].update(_boundaries_for(lit.op, lit.const))
+                thresholds[lit.feature].update(_cuts(lit))
 
     constraint = dict(parsed.constraints)  # checked in parse_problem
     features = []

@@ -9,6 +9,7 @@ every realistic state must satisfy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
@@ -17,7 +18,9 @@ from typing import Optional, Sequence, Union
 from .domains import Domains, FeatureDomain, State
 from .errors import SemanticError
 
-COMPARATORS = ("=", "!=", "=<", "<", ">=", ">")
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "=<": operator.le,
+            "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+COMPARATORS = tuple(_COMPARE)
 
 
 @dataclass(frozen=True)
@@ -71,15 +74,36 @@ class Rule:
         return f"causal {self.id}: {self.head} :- {body}."
 
 
+def _cuts(lit: Literal) -> tuple[int, ...]:
+    """Where a literal on a numeric feature changes truth, as interval cuts.
+
+    A cut at ``t`` parts the integers ``=< t`` from those ``> t``: ``=<`` and
+    ``>`` cut at ``c``, ``<`` and ``>=`` at ``c - 1``, and ``=`` and ``!=``
+    at both, isolating ``(c - 1, c]``.  The parser cuts each numeric feature
+    at the cuts of every literal on it; :func:`_literal_support` rejects a
+    partition that is not cut there.
+    """
+    if not isinstance(lit.const, int) or isinstance(lit.const, bool):
+        raise SemanticError("type-mismatch", f"{lit}: numeric feature needs an integer constant")
+    c = lit.const
+    if lit.op in ("=<", ">"):
+        return (c,)
+    if lit.op in ("<", ">="):
+        return (c - 1,)
+    return (c - 1, c)  # "=", "!="
+
+
 def _literal_support(domain: FeatureDomain, lit: Literal) -> frozenset[int]:
     """Value indices of ``domain`` on which the literal holds.
 
-    For numeric features the partition must align with the constant, i.e. the
-    literal is constant on every interval.  The parser guarantees this by
-    inducing interval boundaries from all rule constants.
+    A numeric interval with ``min_element <= t < upper`` for one of the
+    literal's cuts ``t`` (:func:`_cuts`) holds values on both sides of the
+    comparison and raises ``type-mismatch``.  Otherwise the literal holds on
+    an interval exactly where it holds at ``upper``.
     """
     if lit.feature != domain.name:
         raise ValueError(f"literal {lit} does not talk about feature {domain.name!r}")
+    compare = _COMPARE[lit.op]
     if domain.kind == "categorical":
         if lit.op not in ("=", "!="):
             raise SemanticError("type-mismatch",
@@ -88,33 +112,17 @@ def _literal_support(domain: FeatureDomain, lit: Literal) -> frozenset[int]:
         if label not in domain.labels:
             raise SemanticError("type-mismatch",
                                 f"{lit}: {label!r} is not a value of {domain.name!r}")
-        eq = frozenset(i for i, l in enumerate(domain.labels) if l == label)
-        return eq if lit.op == "=" else frozenset(range(domain.size)) - eq
-    if not isinstance(lit.const, int) or isinstance(lit.const, bool):
-        raise SemanticError("type-mismatch", f"{lit}: numeric feature needs an integer constant")
-    c = lit.const
+        return frozenset(i for i, l in enumerate(domain.labels) if compare(l, label))
+    c, cuts = lit.const, _cuts(lit)
     hold = []
     for i, iv in enumerate(domain.intervals):
-        lo, hi = iv.min_element, iv.max_element
-        if lit.op == "=<":
-            ok, bad = hi <= c, lo > c
-        elif lit.op == "<":
-            ok, bad = hi < c, lo >= c
-        elif lit.op == ">=":
-            ok, bad = lo >= c, hi < c
-        elif lit.op == ">":
-            ok, bad = lo > c, hi <= c
-        elif lit.op == "=":
-            ok, bad = lo == hi == c, c < lo or c > hi
-        else:  # "!="
-            ok, bad = c < lo or c > hi, lo == hi == c
-        if ok:
+        lo, hi = iv.min_element, iv.upper
+        for t in cuts:
+            if lo <= t < hi:
+                raise SemanticError("type-mismatch", f"{lit}: constant {c} is not an "
+                                    f"interval boundary of {domain.name!r}")
+        if compare(hi, c):
             hold.append(i)
-        elif not bad:
-            raise SemanticError(
-                "type-mismatch",
-                f"{lit}: constant {c} is not an interval boundary of {domain.name!r}",
-            )
     return frozenset(hold)
 
 

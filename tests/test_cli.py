@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 
@@ -560,6 +562,15 @@ def test_help_goes_to_mains_out(capsys):
     assert (code, err) == (0, "")
     assert out.startswith("usage: ")
     assert capsys.readouterr() == ("", "")
+
+
+def test_main_without_streams_writes_to_the_redirected_ones():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["enumerate", "--scenario", "car"]) == 0
+        assert cli.main(["plan", "--scenario", "titanic"]) == 1
+    assert out.getvalue() == run_cli("enumerate", "--scenario", "car")[1] != ""
+    assert err.getvalue() == run_cli("plan", "--scenario", "titanic")[2] != ""
 
 
 # the layer calls the benchmark traces --------------------------------------------

@@ -1,5 +1,7 @@
+import operator
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from recourseplan.domains import (Domains, FeatureDomain, Interval, State,
                                   partition_range)
@@ -186,22 +188,23 @@ def test_partition_tiles_the_range(lo, width, thresholds):
         assert sum(1 for p in parts if p.contains(x)) == 1
 
 
-@given(st.integers(0, 30), st.integers(2, 40), st.sets(st.integers(0, 70), min_size=1, max_size=5),
-       st.sampled_from(("=<", "<", ">=", ">")), st.data())
-def test_rule_comparisons_constant_on_each_interval(lo, width, thresholds, op, data):
-    # A comparison against any induced boundary has one truth value per interval.
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(-20, 20), st.integers(0, 30), st.sets(st.integers(-2, 32), max_size=10))
+def test_rule_comparisons_constant_on_each_interval(lo, width, offsets):
+    # Every comparison against any constant, in range, out of range or
+    # misaligned, has one truth value per interval, or the partition is refused.
     hi = lo + width
-    parts = partition_range(lo, hi, thresholds)
+    parts = partition_range(lo, hi, {lo + o for o in offsets})
     domain = FeatureDomain("n", "numeric", intervals=parts)
-    # "=<"/">" align on a boundary itself, "<"/">=" on the next integer up
-    uppers = [p.upper for p in parts]
-    const = data.draw(st.sampled_from(uppers)) if op in ("=<", ">") \
-        else data.draw(st.sampled_from([u + 1 for u in uppers]))
-    support = literal_support(domain, Literal("n", op, const))
-    for i, part in enumerate(parts):
-        points = {part.min_element, part.upper,
-                  data.draw(st.integers(part.min_element, part.upper))}
-        for x in points:
-            holds = {"=<": x <= const, "<": x < const,
-                     ">=": x >= const, ">": x > const}[op]
-            assert holds == (i in support)
+    for op, compare in (("=", operator.eq), ("!=", operator.ne), ("=<", operator.le),
+                        ("<", operator.lt), (">=", operator.ge), (">", operator.gt)):
+        for const in range(lo - 3, hi + 4):
+            truths = [{compare(x, const) for x in range(p.min_element, p.upper + 1)}
+                      for p in parts]
+            literal = Literal("n", op, const)
+            if any(len(t) == 2 for t in truths):
+                with pytest.raises(SemanticError, match="is not an interval boundary"):
+                    literal_support(domain, literal)
+            else:
+                assert literal_support(domain, literal) == {
+                    i for i, t in enumerate(truths) if True in t}
