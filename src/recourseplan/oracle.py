@@ -3,25 +3,27 @@
 The oracle computes the causally consistent set, the decision-consistent
 set, the goal set, the one-step transition relation, path validation, and a
 breadth-first shortest path.  None of it consults the planner's search, and
-it evaluates rules and actions with its own tables (:class:`_Tables`), not
-the planner's compiled kernel: a literal's truth on an interval is read off
-the interval's smallest and largest elements, on a categorical value off
-label equality.  It builds its own action list too (:func:`_own_actions`),
-in the order ``build_actions`` lists the planner's, so a fault in the
-planner's repair sweep shows as a path the oracle refuses; path validation
-builds it only when the path has a step to check, and counting never.
-``delta_oracle`` and ``bfs_shortest_path`` also take a caller's list.  The
-rule tables are compiled once per problem (:func:`_rule_tables`).
+it evaluates rules and actions with its own tables (:class:`_Tables`), one
+pair of allowed value indices per feature a rule or guard names
+(:func:`_table`), not the planner's compiled kernel: a literal's truth on an
+interval is read off the interval's smallest and largest elements, on a
+categorical value off label equality.  The oracle builds its own action
+list too (:func:`_own_actions`), in the order ``build_actions`` lists the
+planner's, so a fault in the planner's repair sweep shows as a path the
+oracle refuses; path validation builds it only when the path has a step to
+check, and counting never.  ``delta_oracle`` and ``bfs_shortest_path`` also
+take a caller's list.  The rule tables are compiled once per problem
+(:func:`_rule_tables`).
 
 The strata are exact counts from one split of boxes (:func:`_leaves`), a
 box holding a set of value indices per feature: a box is cut in two along a
-rule's literal until every rule is decided on it, and counts as the product
-of its axis sizes.  No state is visited.  Each box the split visits is
-non-empty, and the boxes it keeps or drops are disjoint, so it visits fewer
-than twice as many boxes as there are declared states: the cap bounds its work.
-Path validation is path-local: the five clauses are predicates on the path
-states plus one-step checks, so it enumerates nothing and no state cap
-applies to it.
+pair of a table that holds on part of it until every rule is decided on it,
+and counts as the product of its axis sizes.  No state is visited.  Each box
+the split visits is non-empty, and the boxes it keeps or drops are disjoint,
+so it visits fewer than twice as many boxes as there are declared states:
+the cap bounds its work.  Path validation is path-local: the five clauses
+are predicates on the path states plus one-step checks, so it enumerates
+nothing and no state cap applies to it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,12 @@ def _literal_table(domains: Domains, lit: Literal, negated: bool = False) -> Pai
 
 
 def _table(domains: Domains, literals: Sequence[Literal]) -> Table:
-    return tuple(_literal_table(domains, lit) for lit in literals)
+    """The states where every literal holds: one pair per feature, in order of
+    first mention, with the pairs of a feature named twice intersected."""
+    pairs: dict[int, frozenset[int]] = {}
+    for i, allowed in (_literal_table(domains, lit) for lit in literals):
+        pairs[i] = pairs[i] & allowed if i in pairs else allowed
+    return tuple(pairs.items())
 
 
 def _holds(table: Table, idx: Index) -> bool:
@@ -95,7 +102,9 @@ def _on_boxes(tables: Sequence[Table], box: Box) -> tuple[Union[bool, Pair], lis
     """``True`` when some table holds throughout ``box``; otherwise the first
     pair along which a table is undecided (its axis meets its values and
     leaves them), or ``False`` when none is, with the undecided tables: the
-    only ones a part of ``box`` needs to test."""
+    only ones a part of ``box`` needs to test.  A table names each feature
+    once, so an undecided one holds on part of the box, and one left out on
+    none of it."""
     cut: Union[bool, Pair] = False
     live: list[Table] = []
     for table in tables:
@@ -159,16 +168,6 @@ def _rule_tables(problem: ProblemSpec) -> RuleTables:
     return tables
 
 
-def _per_axis(table: Table) -> Table:
-    """The table with its pairs on one feature intersected: it holds on the
-    same states, but names each feature once, as :func:`_on_boxes` needs to
-    tell a table that misses a box from one that straddles it."""
-    axes: dict[int, frozenset[int]] = {}
-    for i, allowed in table:
-        axes[i] = axes[i] & allowed if i in axes else allowed
-    return tuple(axes.items())
-
-
 def _own_actions(problem: ProblemSpec) -> Iterator[tuple[int, int, Table]]:
     """The oracle's own action list, as ``(feature index, new index, guard
     table)`` triples in ``build_actions``' order: causal repairs first, then
@@ -186,19 +185,18 @@ def _own_actions(problem: ProblemSpec) -> Iterator[tuple[int, int, Table]]:
     domains = problem.domains
     causal = _rule_tables(problem)[0]
     full = [frozenset(range(n)) for n in domains.sizes]
-    breaking = [_per_axis(table) for table in causal]
     for table in causal:
         (fi, refused), guard = table[0], table[1:]
         if not domains[fi].mutable:
             continue
         box = list(full)
         for i, allowed in guard:
-            box[i] = box[i] & allowed
+            box[i] = allowed
         vacuous = not all(box)
         for vi in sorted(full[fi] - refused):
             box[fi] = frozenset((vi,))
             # no cut and no table throughout: every breaking table misses the box
-            if vacuous or not _on_boxes(breaking, box)[0]:
+            if vacuous or not _on_boxes(causal, box)[0]:
                 yield fi, vi, guard
     for fi, f in enumerate(domains):
         if f.mutable:
@@ -210,8 +208,9 @@ class _Tables:
     """One problem's rules and actions, tabled by the oracle on index tuples.
 
     ``causal`` holds one table per causal rule, of the states that break it
-    (the negated head, then the body), and ``decision`` the body table of
-    each decision rule, one pair per literal (:func:`_rule_tables`).
+    (the negated head, then the body, which never names the head's feature),
+    and ``decision`` the body table of each decision rule: each table names a
+    feature once (:func:`_table`, :func:`_rule_tables`).
     ``moves`` holds one ``(feature index, new index, permission table)``
     triple per action in action order: the oracle's own list
     (:func:`_own_actions`), or the ``actions`` a caller passes.  The

@@ -245,7 +245,7 @@ def test_oracle_lists_the_planner_actions_on_scenarios(name):
 
 @pytest.mark.parametrize("name", list(CRAFTED))
 def test_oracle_lists_the_planner_actions_on_edge_cases(name):
-    # the first three guards name n twice: the oracle keeps a pair per literal
+    # the first three problems name n twice in one rule: the oracle intersects its pairs
     text, kept = CRAFTED[name]
     own, listed = _own_and_planner_lists(parse_problem(text))
     assert own == listed

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_guard_sweep import CRAFTED
 from recourseplan import oracle
 from recourseplan.actions import build_actions
 from recourseplan.domains import Domains, FeatureDomain, State
@@ -150,6 +151,18 @@ decision q :- c = f.
 initial { u = u0, a = f, w = w0, b = f, c = f }.
 """
 
+# d1 and c1 name x twice: d1's body holds nowhere, and c1 breaks where
+# 2 < x =< 5 and z = p
+NAMED_TWICE = """\
+feature x: numeric [0, 9].
+feature y: categorical {a, b, c}.
+feature z: categorical {p, q}.
+decision d1 :- x > 5, x =< 2.
+decision d2 :- y = a, y != b, z = p.
+causal c1: z = q :- x > 2, x =< 5.
+initial { x = 0, y = a, z = p }.
+"""
+
 
 def _singleton_chain(n: int, k: int) -> ProblemSpec:
     """``n`` features over ``k`` values and, for each pair of neighbours and
@@ -176,7 +189,8 @@ STRATA_PROBLEMS = (
     + [("singleton chain 5x6", lambda: _singleton_chain(5, 6))]
     + [(name, lambda text=text: parse_problem(text))
        for name, text in (("no rules", NO_RULES), ("decision only", DECISION_ONLY),
-                          ("unnamed features", UNNAMED_FEATURES))])
+                          ("unnamed features", UNNAMED_FEATURES),
+                          ("feature named twice", NAMED_TWICE))])
 
 
 def _counted_state_by_state(problem: ProblemSpec) -> tuple[set, set]:
@@ -232,6 +246,52 @@ def _counting_boxes(monkeypatch) -> list:
 
     monkeypatch.setattr(oracle, "_on_boxes", counting_on_boxes)
     return boxes
+
+
+def test_split_cuts_no_rule_that_holds_nowhere(monkeypatch):
+    # a split that cuts along d1, which holds nowhere, or along c1's two x
+    # literals one at a time visits 13 boxes and keeps 6
+    problem = parse_problem(NAMED_TWICE)
+    boxes = _counting_boxes(monkeypatch)
+    report = state_set_report(problem)
+    assert (report.total_states, report.causally_consistent, report.decision_consistent,
+            report.goal) == (18, 15, 2, 13)
+    assert len(boxes) <= 7
+    assert len(_leaves(problem)) == 3
+
+
+def _box_test_problems():
+    for name in SCENARIO_NAMES:
+        yield name, builtin_scenario(name).problem
+    for name, (text, _) in CRAFTED.items():
+        yield name, parse_problem(text)
+    for seed in range(100):
+        yield f"8/5 {seed}", random_problem(seed, max_features=8, max_values=5)
+
+
+def test_box_test_is_exact(monkeypatch):
+    # each verdict of the split's box test, against the box's states: a table
+    # left out holds at none of them, and a live one at some but not all
+    real_on_boxes = oracle._on_boxes
+
+    def checked_on_boxes(tables, box):
+        cut, live = real_on_boxes(tables, box)
+        states = list(itertools.product(*box))
+        held = [sum(oracle._holds(table, idx) for idx in states) for table in tables]
+        if cut is True:
+            assert len(states) in held, name
+        else:
+            for table, n in zip(tables, held):
+                assert (0 < n < len(states)) if table in live else n == 0, name
+            assert (cut is False) == (not live), name
+            assert cut is False or any(cut in table for table in live), name
+        return cut, live
+
+    monkeypatch.setattr(oracle, "_on_boxes", checked_on_boxes)
+    for name, problem in _box_test_problems():
+        for table in itertools.chain(*oracle._rule_tables(problem)):
+            assert len({i for i, _ in table}) == len(table), name
+        state_set_report(problem)
 
 
 # the most boxes one state_set_report visited, seeds 0-499 and 0-199 (seed 38
