@@ -13,7 +13,9 @@ planner's, so a fault in the planner's repair sweep shows as a path the
 oracle refuses; path validation builds it only when the path has a step to
 check, and counting never.  ``delta_oracle`` and ``bfs_shortest_path`` also
 take a caller's list.  The rule tables are compiled once per problem
-(:func:`_rule_tables`).
+(:func:`_rule_tables`).  The oracle answers membership, counts and lengths:
+the states it returns carry no numeric witnesses, and a verdict never reads
+one (``State`` equality ignores them).
 
 The strata are exact counts from one split of boxes (:func:`_leaves`), a
 box holding a set of value indices per feature: a box is cut in two along a
@@ -51,11 +53,10 @@ def _check_cap(domains: Domains, cap: Optional[int] = None) -> None:
 # the oracle's rule and action tables ---------------------------------------------
 
 Index = tuple[int, ...]
-Reps = tuple[Optional[int], ...]
 Pair = tuple[int, frozenset[int]]
 Table = tuple[Pair, ...]
 Box = tuple[frozenset[int], ...]
-Successors = tuple[tuple[int, Index, bool], ...]
+Successors = tuple[tuple[Index, bool], ...]
 
 _COMPARE = {"=": operator.eq, "!=": operator.ne, "=<": operator.le,
             "<": operator.lt, ">=": operator.ge, ">": operator.gt}
@@ -215,10 +216,11 @@ class _Tables:
     triple per action in action order: the oracle's own list
     (:func:`_own_actions`), or the ``actions`` a caller passes.  The
     permission table pairs the written feature with :func:`_may_leave` and
-    adds the guard.  One object serves one top-level call and remembers, for
-    that call, the successor list of every causally inconsistent state it
-    expands, the canonical repair of every raw outcome and the states no
-    repair leaves.
+    adds the guard.  The layer works on endpoints only: which state an
+    action or a repair reaches, never which actions led there.  One object
+    serves one top-level call and remembers, for that call, the successor
+    list of every causally inconsistent state it expands, the canonical
+    repair of every raw outcome and the states no repair leaves.
     """
 
     __slots__ = ("causal", "decision", "moves", "_region", "_repairs", "_dead")
@@ -232,7 +234,7 @@ class _Tables:
         self.moves = tuple((fi, target, ((fi, _may_leave(domains[fi], target)),) + guard)
                            for fi, target, guard in listed)
         self._region: dict[Index, Successors] = {}
-        self._repairs: dict[Index, Optional[tuple[Index, tuple[int, ...]]]] = {}
+        self._repairs: dict[Index, Optional[Index]] = {}
         self._dead: set[Index] = set()
 
     def consistent(self, idx: Index) -> bool:
@@ -250,16 +252,16 @@ class _Tables:
         return self.consistent(idx) and not any(_holds(body, idx) for body in self.decision)
 
     def successors(self, idx: Index) -> Successors:
-        """``(action position, outcome, outcome consistent)`` for every action
-        permitted at ``idx``, in action order."""
+        """``(outcome, outcome consistent)`` for every action permitted at
+        ``idx``, in action order."""
         out = []
-        for k, (fi, target, permission) in enumerate(self.moves):
+        for fi, target, permission in self.moves:
             for i, allowed in permission:
                 if idx[i] not in allowed:
                     break
             else:
                 nxt = idx[:fi] + (target,) + idx[fi + 1:]
-                out.append((k, nxt, self.consistent(nxt)))
+                out.append((nxt, self.consistent(nxt)))
         return tuple(out)
 
     def _region_successors(self, idx: Index) -> Successors:
@@ -269,13 +271,12 @@ class _Tables:
             hit = self._region[idx] = self.successors(idx)
         return hit
 
-    def _repair(self, raw: Index) -> Optional[tuple[Index, tuple[int, ...]]]:
-        """The repair policy from an inconsistent raw outcome: the first
-        consistent state in breadth-first order, where the frontier is
-        expanded in order, each state by its successors in action order
-        (causal repairs first), a state is tested when it is discovered and
-        none is entered twice; with the action positions of the chain, or
-        ``None`` when no completion exists.
+    def _repair(self, raw: Index) -> Optional[Index]:
+        """The state the repair policy reaches from an inconsistent raw
+        outcome: the first consistent state in breadth-first order, where the
+        frontier is expanded in order, each state by its successors in action
+        order (causal repairs first), a state is tested when it is discovered
+        and none is entered twice; ``None`` when no completion exists.
 
         A failed search saw only states from which no consistent state is
         reachable: later searches skip them like entered ones, which changes
@@ -283,40 +284,28 @@ class _Tables:
         if raw in self._repairs:
             return self._repairs[raw]
         dead = self._dead
-        # each entered state: the state it was discovered from and the action
-        parent: dict[Index, Optional[tuple[Index, int]]] = {raw: None}
+        entered = {raw}
         frontier = [raw]
         for current in frontier:  # grows while it is read: a queue in discovery order
-            for k, nxt, ok in self._region_successors(current):
-                if nxt in parent or nxt in dead:
+            for nxt, ok in self._region_successors(current):
+                if nxt in entered or nxt in dead:
                     continue
                 if ok:
-                    chain = [k]
-                    while (link := parent[current]) is not None:
-                        current, position = link
-                        chain.append(position)
-                    result = self._repairs[raw] = nxt, tuple(reversed(chain))
-                    return result
-                parent[nxt] = current, k
+                    self._repairs[raw] = nxt
+                    return nxt
+                entered.add(nxt)
                 frontier.append(nxt)
-        dead.update(parent)
+        dead.update(entered)
         self._repairs[raw] = None
         return None
 
-    def canonical(self, idx: Index, succ: Successors) -> dict[Index, tuple[int, ...]]:
+    def canonical(self, idx: Index, succ: Successors) -> set[Index]:
         """The consistent one-step successors of ``idx``, given its
         :meth:`successors` ``succ``: the repair policy's outcome of each
-        permitted action, other than ``idx`` itself, with the positions of the
-        actions that wrote it along its first route in action order."""
-        out: dict[Index, tuple[int, ...]] = {}
-        for k, raw, ok in succ:
-            if ok:
-                out.setdefault(raw, (k,))
-                continue
-            repaired = self._repair(raw)
-            if repaired is not None and repaired[0] != idx:
-                out.setdefault(repaired[0], (k,) + repaired[1])
-        return out
+        permitted action, other than ``idx`` itself (a move never writes the
+        value it leaves, so only a repair chain can end there)."""
+        finals = (raw if ok else self._repair(raw) for raw, ok in succ)
+        return {t for t in finals if t is not None and t != idx}
 
     def liberal_exits(self, succ: Successors) -> Iterator[Index]:
         """Every consistent state some repair order reaches in one step from
@@ -327,7 +316,7 @@ class _Tables:
         outcomes, so exits may repeat and may include the source state.
         """
         seen: set[Index] = set()
-        for _, raw, ok in succ:
+        for raw, ok in succ:
             if ok:
                 yield raw
                 continue
@@ -336,19 +325,12 @@ class _Tables:
             seen.add(raw)
             frontier = [raw]
             while frontier:
-                for _, nxt, nxt_ok in self._region_successors(frontier.pop()):
+                for nxt, nxt_ok in self._region_successors(frontier.pop()):
                     if nxt_ok:
                         yield nxt
                     elif nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)
-
-    def witnesses(self, reps: Reps, written: tuple[int, ...]) -> Reps:
-        """Witnesses after the given actions: a written feature loses its own."""
-        out = list(reps)
-        for k in written:
-            out[self.moves[k][0]] = None
-        return tuple(out)
 
 
 # enumeration -----------------------------------------------------------------------
@@ -439,12 +421,12 @@ def delta_oracle(state: State, problem: ProblemSpec,
     caller passes them, is applied; an inconsistent outcome continues along
     the deterministic repair policy: the first consistent state in
     breadth-first order, with actions tried in order (causal actions first,
-    then declaration order).  The input state itself is never a member.
+    then declaration order).  The input state itself is never a member, and
+    no member carries a numeric witness.
     """
     tables = _Tables(problem, actions)
-    successors = tables.canonical(state.idx, tables.successors(state.idx))
-    return {State(problem.domains, idx, tables.witnesses(state.reps, written))
-            for idx, written in successors.items()}
+    return {State(problem.domains, idx)
+            for idx in tables.canonical(state.idx, tables.successors(state.idx))}
 
 
 # path validation ---------------------------------------------------------------
@@ -528,32 +510,32 @@ def bfs_shortest_path(problem: ProblemSpec,
     Used as a completeness and optimality cross-check: when this returns
     ``None`` the goal set is unreachable and a planning run must fail; when
     it returns a path, no correct run can be shorter.  It steps by the
-    oracle's own action list unless a caller passes ``actions``.  The
-    declared state space is bounded by :data:`DEFAULT_STATE_CAP`.
+    oracle's own action list unless a caller passes ``actions``.  The path
+    starts at ``problem.initial`` itself; the states after it carry no
+    numeric witnesses.  The declared state space is bounded by
+    :data:`DEFAULT_STATE_CAP`.
     """
     _check_cap(problem.domains)
     tables = _Tables(problem, actions)
     start = problem.initial
     if tables.goal(start.idx):
         return CandidatePath((start,))
-    # each reached state: the state it was first reached from, and its witnesses
-    reached: dict[Index, tuple[Optional[Index], Reps]] = {start.idx: (None, start.reps)}
+    # each reached state: the state it was first reached from (the start: itself)
+    reached: dict[Index, Index] = {start.idx: start.idx}
     frontier = [start.idx]
     while frontier:
         nxt_frontier: list[Index] = []
         for s in frontier:
-            reps = reached[s][1]
-            successors = tables.canonical(s, tables.successors(s))
-            for t in sorted(successors):
+            for t in sorted(tables.canonical(s, tables.successors(s))):
                 if t in reached:
                     continue
-                reached[t] = (s, tables.witnesses(reps, successors[t]))
+                reached[t] = s
                 if tables.goal(t):
-                    chain: list[Optional[Index]] = [t]
-                    while chain[-1] != start.idx:
-                        chain.append(reached[chain[-1]][0])
-                    return CandidatePath(tuple(State(problem.domains, i, reached[i][1])
-                                               for i in reversed(chain)))
+                    tail = [t]
+                    while (prev := reached[tail[-1]]) != start.idx:
+                        tail.append(prev)
+                    return CandidatePath((start,) + tuple(State(problem.domains, i)
+                                                          for i in reversed(tail)))
                 nxt_frontier.append(t)
         frontier = nxt_frontier
     return None

@@ -39,7 +39,8 @@ SEEDS = [seed for seed in range(200) if _random(seed).state_count <= 128][:50]
 
 # Numeric features with concrete witnesses, a repair chain that writes one
 # (x = t is repaired by c setting m), and shortest paths whose second step
-# writes another feature than the first: witnesses must follow each route.
+# writes another feature than the first: numeric repair routes that one-step
+# membership and BFS must follow.
 WITNESSES = """\
 feature n: numeric [0, 10].
 feature m: numeric [0, 10].
@@ -202,7 +203,8 @@ def test_bfs_matches_the_state_level_reference(make):
     found, expected = bfs_shortest_path(problem), reference_bfs(problem)
     assert (found is None) == (expected is None)
     if found is not None:
-        assert [(s.idx, s.reps) for s in found] == [(s.idx, s.reps) for s in expected]
+        assert found.states[0] is problem.initial
+        assert [s.idx for s in found] == [s.idx for s in expected]
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)

@@ -1,5 +1,6 @@
 import ast
 import copy
+import hashlib
 import os
 import pathlib
 import pickle
@@ -83,6 +84,24 @@ def test_demo_runs(demo, capsys):
     # a demo that imports a removed public name, or whose checks fail, raises here
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+# the first 12 hex digits of the SHA-256 of each demo's stdout; demo 04's
+# line "N seeded instances in T s" is dropped first, as it prints a time
+DEMO_DIGESTS = {
+    "01_problems_and_rules": "c40a2529945e",
+    "02_planning_recourse": "0dc0a690ec9b",
+    "03_oracle_checks": "850057220985",  # prints delta_oracle's successors
+    "04_random_stress": "cba07e7c50dd",
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_output_matches_its_digest(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    out = "".join(line for line in lines if " seeded instances in " not in line)
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == DEMO_DIGESTS[demo.stem]
 
 
 def test_benchmark_selftest_passes():
