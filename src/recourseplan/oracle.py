@@ -218,12 +218,12 @@ class _Tables:
     permission table pairs the written feature with :func:`_may_leave` and
     adds the guard.  The layer works on endpoints only: which state an
     action or a repair reaches, never which actions led there.  One object
-    serves one top-level call and remembers, for that call, the successor
-    list of every causally inconsistent state it expands, the canonical
-    repair of every raw outcome and the states no repair leaves.
+    serves one top-level call and remembers two things for it: the repair
+    found from each raw outcome, and the dead states, from which no walk
+    through causally inconsistent states reaches a consistent one.
     """
 
-    __slots__ = ("causal", "decision", "moves", "_region", "_repairs", "_dead")
+    __slots__ = ("causal", "decision", "moves", "_repairs", "_dead")
 
     def __init__(self, problem: ProblemSpec,
                  actions: Optional[Sequence[ListedAction]] = None) -> None:
@@ -233,8 +233,7 @@ class _Tables:
                   else ((a.feature_index, a.new_index, _table(domains, a.guard)) for a in actions))
         self.moves = tuple((fi, target, ((fi, _may_leave(domains[fi], target)),) + guard)
                            for fi, target, guard in listed)
-        self._region: dict[Index, Successors] = {}
-        self._repairs: dict[Index, Optional[Index]] = {}
+        self._repairs: dict[Index, Index] = {}
         self._dead: set[Index] = set()
 
     def consistent(self, idx: Index) -> bool:
@@ -264,13 +263,6 @@ class _Tables:
                 out.append((nxt, self.consistent(nxt)))
         return tuple(out)
 
-    def _region_successors(self, idx: Index) -> Successors:
-        # inconsistent states are revisited by many repair chains and regions
-        hit = self._region.get(idx)
-        if hit is None:
-            hit = self._region[idx] = self.successors(idx)
-        return hit
-
     def _repair(self, raw: Index) -> Optional[Index]:
         """The state the repair policy reaches from an inconsistent raw
         outcome: the first consistent state in breadth-first order, where the
@@ -279,15 +271,16 @@ class _Tables:
         and none is entered twice; ``None`` when no completion exists.
 
         A failed search saw only states from which no consistent state is
-        reachable: later searches skip them like entered ones, which changes
-        no result."""
-        if raw in self._repairs:
-            return self._repairs[raw]
+        reachable, its raw outcome among them: it adds them all to the dead
+        states, which later searches skip like entered ones and which answer
+        ``None`` for a dead raw outcome.  Neither changes a result."""
+        if raw in self._repairs or raw in self._dead:
+            return self._repairs.get(raw)
         dead = self._dead
         entered = {raw}
         frontier = [raw]
         for current in frontier:  # grows while it is read: a queue in discovery order
-            for nxt, ok in self._region_successors(current):
+            for nxt, ok in self.successors(current):
                 if nxt in entered or nxt in dead:
                     continue
                 if ok:
@@ -296,7 +289,6 @@ class _Tables:
                 entered.add(nxt)
                 frontier.append(nxt)
         dead.update(entered)
-        self._repairs[raw] = None
         return None
 
     def canonical(self, idx: Index, succ: Successors) -> set[Index]:
@@ -313,22 +305,25 @@ class _Tables:
         validation's repair-order flag asks.
 
         One traversal of the causally inconsistent region below all the raw
-        outcomes, so exits may repeat and may include the source state.
+        outcomes, so exits may repeat and may include the source state.  It
+        skips the dead states the repair walks recorded, since none of them
+        leads to an exit; :func:`_check_step` runs those walks first.
         """
+        dead = self._dead
         seen: set[Index] = set()
         for raw, ok in succ:
             if ok:
                 yield raw
                 continue
-            if raw in seen:
+            if raw in seen or raw in dead:
                 continue
             seen.add(raw)
             frontier = [raw]
             while frontier:
-                for nxt, nxt_ok in self._region_successors(frontier.pop()):
+                for nxt, nxt_ok in self.successors(frontier.pop()):
                     if nxt_ok:
                         yield nxt
-                    elif nxt not in seen:
+                    elif nxt not in seen and nxt not in dead:
                         seen.add(nxt)
                         frontier.append(nxt)
 

@@ -163,6 +163,22 @@ def test_plan_structured_with_validate_stays_one_json_document():
     assert all(record["validation"]["clauses"].values())
 
 
+def test_plan_validate_exits_2_when_the_oracle_refuses_the_path(monkeypatch):
+    # the planner's path is correct, so only a refusing oracle reaches this
+    # branch; the command line looks the oracle's function up at call time
+    refused = oracle.ValidationReport(True, True, True, True, False)
+    monkeypatch.setattr(oracle, "validate_solution_path", lambda path, problem: refused)
+    code, out, err = run_cli("plan", "--scenario", "german", "--validate")
+    assert code == 2
+    assert "FAIL  every step is a one-step transition" in out.splitlines()
+    assert "overall: FAIL" in out
+    assert err == ""
+    code, out, err = run_cli("plan", "--scenario", "german", "--validate",
+                             "--format", "structured")
+    assert code == 2
+    assert json.loads(out)["validation"]["overall"] is False
+
+
 def test_validate_from_artifact_matches_in_process(tmp_path):
     code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
     assert code == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -590,3 +591,18 @@ def test_bfs_never_longer_than_the_planner(seed):
         assert len(shortest) <= len(extract_candidate_path(trace))
     elif trace.status == "failure":
         assert shortest is None
+
+
+def test_bfs_keeps_no_successor_lists():
+    # seed 68's 12/6/C10 problem has no recourse: BFS reaches every state it
+    # can, and remembers of each one only its parent, beside the repair walks'
+    # found repairs and dead states
+    problem = random_problem(68, max_features=12, max_values=6, max_causal=10)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        assert bfs_shortest_path(problem) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3_000_000

@@ -57,6 +57,60 @@ def test_errors_survive_pickle_and_copy(error, clone):
     assert (str(twin), twin.args, vars(twin)) == (str(error), error.args, vars(error))
 
 
+# values built from outside the program that each input check refuses, with
+# the error it raises
+_X = recourseplan.FeatureDomain("x", "categorical", labels=("a", "b"))
+_DOMAINS = recourseplan.Domains((_X,))
+_LIT = recourseplan.Literal("x", "=", "a")
+_DECISION = recourseplan.Rule("d", "decision", (_LIT,))
+_INITIAL = recourseplan.State(_DOMAINS, (1,))
+BAD_VALUES = [
+    ("comparator", lambda: recourseplan.Literal("x", "~", "a"),
+     ValueError, "unknown comparator '~'"),
+    ("headless causal rule", lambda: recourseplan.Rule("c", "causal", (_LIT,)),
+     ValueError, "c: causal rules need a head"),
+    ("rule role", lambda: recourseplan.Rule("r", "constraint", (_LIT,)),
+     ValueError, "r: unknown role 'constraint'"),
+    ("numeric feature with labels",
+     lambda: recourseplan.FeatureDomain("n", "numeric", labels=("a",),
+                                        intervals=(recourseplan.Interval(0, 9),)),
+     ValueError, "n: numeric features need intervals only"),
+    ("feature kind", lambda: recourseplan.FeatureDomain("k", "ordinal", labels=("a",)),
+     ValueError, "k: unknown kind 'ordinal'"),
+    ("monotonicity",
+     lambda: recourseplan.FeatureDomain("m", "categorical", labels=("a",), monotonicity="up"),
+     ValueError, "m: bad monotonicity 'up'"),
+    ("state arity", lambda: recourseplan.State(_DOMAINS, (0, 0)),
+     ValueError, "state arity does not match the declared features"),
+    ("witness arity", lambda: recourseplan.State(_DOMAINS, (0,), (None, None)),
+     ValueError, "witness arity does not match the declared features"),
+    ("no initial state", lambda: recourseplan.ProblemSpec(_DOMAINS),
+     errors.SemanticError, "missing-initial: problem has no initial state"),
+    ("rule under the wrong role",
+     lambda: recourseplan.ProblemSpec(_DOMAINS, causal_rules=(_DECISION,), initial=_INITIAL),
+     ValueError, "rule 'd' listed as causal but has role 'decision'"),
+    ("budget", lambda: recourseplan.ProblemSpec(_DOMAINS, initial=_INITIAL, action_budget=0),
+     ValueError, "action budget must be positive"),
+    ("semantic error kind", lambda: errors.SemanticError("bogus", "message"),
+     ValueError, "unknown semantic error kind: bogus"),
+    ("action kind", lambda: recourseplan.Action("a", "swap", "x", 0, 1),
+     ValueError, "unknown action kind 'swap'"),
+    ("guarded direct action", lambda: recourseplan.Action("a", "direct", "x", 0, 1, (_LIT,)),
+     ValueError, "direct actions carry no guard"),
+    ("state-set counts", lambda: recourseplan.StateSetReport(10, 5, 3, 1),
+     ValueError, "inconsistent state-set cardinalities"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", [case[1:] for case in BAD_VALUES],
+                         ids=[case[0] for case in BAD_VALUES])
+def test_input_checks_refuse_bad_values(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # pyproject.toml declares no dependencies, so every import in the package
     # must be relative or name a standard-library module
