@@ -1,4 +1,6 @@
+import hashlib
 import io
+import pathlib
 
 import pytest
 
@@ -91,3 +93,28 @@ def run_cli(*args):
 @pytest.fixture
 def cli():
     return run_cli
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_line(label: str, *fields, record: str) -> str:
+    """One line of a golden table: the instance's label, its summary fields,
+    and the first 12 hex digits of the SHA-256 of its full record."""
+    return " ".join([label, *map(str, fields), hashlib.sha256(record.encode()).hexdigest()[:12]])
+
+
+def check_golden(name: str, lines: list[str]) -> None:
+    """Compare computed lines with the table ``tests/golden/<name>``, one line
+    per instance, keyed by its first field.  A failure prints the pinned and
+    the computed line of every label that changed, is missing or is extra."""
+    pinned = (GOLDEN / name).read_text().splitlines()
+    if lines == pinned:
+        return
+    old = {line.split()[0]: line for line in pinned}
+    new = {line.split()[0]: line for line in lines}
+    changed = [f"{label}\n  pinned:   {old.get(label, '(none)')}\n"
+               f"  computed: {new.get(label, '(none)')}"
+               for label in dict.fromkeys([*old, *new]) if old.get(label) != new.get(label)]
+    pytest.fail(f"{name}: {len(changed)} instance(s) differ\n" + "\n".join(changed)
+                if changed else f"{name}: same lines in another order, or a label twice")

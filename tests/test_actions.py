@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +11,7 @@ from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.oracle import enumerate_states
 from recourseplan.rules import ProblemSpec, is_causally_consistent
+from tests.conftest import check_golden, golden_line
 
 
 def _of_kind(problem, kind):
@@ -235,21 +235,19 @@ def test_monotone_features_never_move_backwards_along_walks(seed):
         frontier = nxt
 
 
-# SHA-256 over build_actions for the four bundled scenarios and for
-# random_problem seeds 0-199 at the default tier and at max_features=8,
-# max_values=5: per action its id, kind, feature index, new index and guard.
-# Any change to which repairs survive, the action order or an id changes it.
-# Recorded before the action list moved into CompiledProblem.
-ACTIONS_DIGEST = "33a76e82bcaec7f49bdd79e93eb99934800a728206e893326d24ba2ad3acfdf1"
-
-
+# one line per problem in tests/golden/actions.txt, for the four bundled
+# scenarios, then random_problem seeds 0-199 at the default tier and at
+# max_features=8, max_values=5: label, action count, repair count, and the hash
+# of the list of each action's id, kind, feature index, new index and guard
 def test_action_lists_match_pinned_digest():
-    problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
-    problems += [random_problem(seed) for seed in range(200)]
-    problems += [random_problem(seed, max_features=8, max_values=5) for seed in range(200)]
-    digest = hashlib.sha256()
-    for problem in problems:
-        record = [(a.id, a.kind, a.feature_index, a.new_index, a.guard)
-                  for a in build_actions(problem)]
-        digest.update(repr(record).encode())
-    assert digest.hexdigest() == ACTIONS_DIGEST
+    problems = [(name, builtin_scenario(name).problem) for name in SCENARIO_NAMES]
+    problems += [(f"default:{seed}", random_problem(seed)) for seed in range(200)]
+    problems += [(f"8/5:{seed}", random_problem(seed, max_features=8, max_values=5))
+                 for seed in range(200)]
+    lines = []
+    for label, problem in problems:
+        actions = build_actions(problem)
+        record = [(a.id, a.kind, a.feature_index, a.new_index, a.guard) for a in actions]
+        causal = sum(a.kind == "causal" for a in actions)
+        lines.append(golden_line(label, len(actions), causal, record=repr(record)))
+    check_golden("actions.txt", lines)

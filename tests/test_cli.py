@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import re
@@ -13,7 +12,7 @@ from recourseplan.generate import random_problem
 from recourseplan.ingest import GERMAN_TEXT, SCENARIO_NAMES
 from recourseplan.planner import CandidatePath, get_path
 from recourseplan.rules import Literal, ProblemSpec, Rule
-from tests.conftest import DOOMED_START, UNREACHABLE_GOAL, run_cli
+from tests.conftest import DOOMED_START, UNREACHABLE_GOAL, check_golden, golden_line, run_cli
 
 
 def test_plan_car_table_marks_direct_on_persons():
@@ -427,74 +426,32 @@ def test_validate_structured_record():
     assert record["counts"]["goal"] == 1
 
 
-# ``validate --format structured`` on random_problem(seed, max_features=10,
-# max_values=6) printed to a file, for the seeds whose validation used to
-# enumerate the liberal one-step relation for seconds to a minute; digests
-# recorded before validation became path-local
-SLOW_VALIDATION_DIGESTS = {
-    8: "4edf187930b0c2aded911d8972197f3dfbdc8abe26bd39e08a2fedd8811a0ab0",
-    47: "d656986f4577d7716473a86823cbf47b6f0963c20418d1f5ff7260bd3ab31138",
-    61: "a0267647290e93dba2042411b17a46e577c0c03d13e50596185025e8fe379f5d",
-    102: "347563c01fe510bfca31b3c5ed46dba28f6a56dcd6dbd1cd1af16de1816d2904",
-    106: "d43670b270e458c3422c1dd63dad0bacbc7fea7682da4c51e17937bb9585e4e7",
-}
-
-
-@pytest.mark.parametrize("seed", sorted(SLOW_VALIDATION_DIGESTS))
-def test_validate_output_of_formerly_slow_seeds_is_pinned(seed, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    name = f"seed-{seed}.rp"
-    (tmp_path / name).write_text(pretty_print(random_problem(seed, max_features=10, max_values=6)))
-    code, out, err = run_cli("validate", "--file", name, "--format", "structured")
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SLOW_VALIDATION_DIGESTS[seed]
-
-
-# (exit code, stdout, stderr) of ``validate --format structured`` on the four
-# scenarios and on random_problem(seed, max_features=10, max_values=6) printed
-# to a file, seeds 0-119: 64 goal starts, 26 failures and 34 paths with steps;
-# recorded before goal starts stopped building the action list, and
-# re-recorded when the search became breadth-first, which shortened seed 41's
-# path so that it no longer meets a state with an alternate-order successor
-# (``liberal_divergence`` became false)
-CERTIFY_DIGEST = "ea83bab1a4f53f79962ef1cd6b366eb2f71188ee7453816c66e1688186794126"
-
-
-def test_validate_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    sources = [("--scenario", name) for name in SCENARIO_NAMES]
+@pytest.fixture(scope="module")
+def printed_sources(tmp_path_factory):
+    """A folder holding random_problem(seed, max_features=10, max_values=6)
+    printed to ``seed-<seed>.rp`` for seeds 0-119, and the (label, source
+    arguments) of the four scenarios and those files, relative to the folder."""
+    folder = tmp_path_factory.mktemp("printed")
+    sources = [(name, ("--scenario", name)) for name in SCENARIO_NAMES]
     for seed in range(120):
         name = f"seed-{seed}.rp"
-        (tmp_path / name).write_text(pretty_print(random_problem(seed, max_features=10,
-                                                                 max_values=6)))
-        sources.append(("--file", name))
-    digest = hashlib.sha256()
-    for source in sources:
-        digest.update(repr(run_cli("validate", *source, "--format", "structured")).encode())
-    assert digest.hexdigest() == CERTIFY_DIGEST
+        (folder / name).write_text(pretty_print(random_problem(seed, max_features=10,
+                                                               max_values=6)))
+        sources.append((f"10/6:{seed}", ("--file", name)))
+    return folder, sources
 
 
-# (exit code, stdout, stderr) of ``plan`` and ``plan --validate``, each in table
-# and structured form, on the same four scenarios and 120 printed seeds (98
-# successes, 26 failures), with each structured record's top-level
-# ``expansions`` line cut out.  The digest before that cut was recorded before
-# the CLI stopped mirroring its parsed arguments in a config object, and
-# re-recorded when the doomed-start test began to split the reach box, which
-# turned the failures of seeds 2, 64, 85 and 86 into one-entry failures with
-# no expansion, and when the search became breadth-first, which shortened 26
-# of the paths to the oracle's shortest length.
-PLAN_DIGEST = "61d9965fd2fc44433f73379237f0852c8bb88f0531316dbbbb90dfb56e14266b"
-# the cut-out expansions of each source's run, in source order; ``plan`` and
-# ``plan --validate`` record the same count
-PLAN_EXPANSIONS = [
-    1, 1, 2, 2,  # the scenarios
-    0, 0, 0, 1, 1, 0, 0, 0, 7, 3, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0,  # seeds 0-19
-    0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0,  # seeds 20-39
-    0, 1, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0,  # seeds 40-59
-    0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1,  # seeds 60-79
-    0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 1, 0, 0, 0,  # seeds 80-99
-    0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 3, 0, 0, 0, 0, 1, 0, 1, 1, 0,  # seeds 100-119
-]
+# one line per source in tests/golden/certify.txt: label, exit code and the
+# hash of the (exit code, stdout, stderr) of ``validate --format structured``;
+# 64 goal starts, 26 failures and 34 paths with steps
+def test_validate_output_on_scenarios_and_seeds_0_to_119_is_pinned(printed_sources, monkeypatch):
+    folder, sources = printed_sources
+    monkeypatch.chdir(folder)
+    lines = []
+    for label, source in sources:
+        record = run_cli("validate", *source, "--format", "structured")
+        lines.append(golden_line(label, record[0], record=repr(record)))
+    check_golden("certify.txt", lines)
 
 
 def _without_expansions(stdout: str) -> tuple[str, int]:
@@ -504,26 +461,30 @@ def _without_expansions(stdout: str) -> tuple[str, int]:
     return stdout[:match.start()] + stdout[match.end():], int(match.group(1))
 
 
-def test_plan_output_on_scenarios_and_seeds_0_to_119_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    sources = [("--scenario", name) for name in SCENARIO_NAMES]
-    for seed in range(120):
-        name = f"seed-{seed}.rp"
-        (tmp_path / name).write_text(pretty_print(random_problem(seed, max_features=10,
-                                                                 max_values=6)))
-        sources.append(("--file", name))
-    digest = hashlib.sha256()
-    expansions = []
-    for source in sources:
+# one line per source in tests/golden/plan.txt: label, exit code of ``plan``,
+# candidate-path length ("-" on a failure), expansions, and one hash over the
+# (exit code, stdout, stderr) of ``plan`` and ``plan --validate``, each in table
+# and structured form, with each structured record's ``expansions`` line cut
+# out; both structured records report the same expansions
+def test_plan_output_on_scenarios_and_seeds_0_to_119_is_pinned(printed_sources, monkeypatch):
+    folder, sources = printed_sources
+    monkeypatch.chdir(folder)
+    lines = []
+    for label, source in sources:
+        records, expansions = [], set()
         for flags in ((), ("--validate",)):
             for fmt in ("table", "structured"):
                 code, out, err = run_cli("plan", *source, *flags, "--format", fmt)
                 if fmt == "structured":
+                    path = json.loads(out).get("candidate_path")
                     out, count = _without_expansions(out)
-                    expansions.append(count)
-                digest.update(repr((code, out, err)).encode())
-    assert digest.hexdigest() == PLAN_DIGEST
-    assert expansions[::2] == expansions[1::2] == PLAN_EXPANSIONS
+                    expansions.add(count)
+                records.append((code, out, err))
+        (count,) = expansions
+        length = "-" if path is None else len(path)
+        lines.append(golden_line(label, records[0][0], length, count,
+                                 record="".join(map(repr, records))))
+    check_golden("plan.txt", lines)
 
 
 @pytest.mark.parametrize("command", ["plan", "validate"])

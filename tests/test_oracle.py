@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from test_guard_sweep import CRAFTED
 from recourseplan import oracle
-from recourseplan.actions import build_actions
+from recourseplan.actions import Action, apply_action, build_actions, is_permitted
 from recourseplan.domains import Domains, FeatureDomain, State
 from recourseplan.dsl import parse_problem, pretty_print
-from recourseplan.errors import CapExceeded
+from recourseplan.errors import CapExceeded, NotApplicable
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.oracle import (_leaves, _Tables, bfs_shortest_path, compute_goal_set,
@@ -387,6 +387,19 @@ def test_delta_includes_repaired_two_feature_move(adult):
     repaired = p.initial.with_value(domains.index("marital_status"), 1) \
                         .with_value(domains.index("relationship"), 1)
     assert repaired in succ
+
+
+def test_listed_move_on_an_immutable_feature_is_refused(adult):
+    # no action list the program builds holds such a move; only a caller's can
+    p = adult.problem
+    move = Action("direct:sex:female", "direct", "sex", p.domains.index("sex"), 1)
+    assert not is_permitted(move, p.initial)
+    with pytest.raises(NotApplicable):
+        apply_action(move, p.initial)
+    assert delta_oracle(p.initial, p, (move,)) == set()
+    assert bfs_shortest_path(p, (move,)) is None
+    actions = build_actions(p)
+    assert delta_oracle(p.initial, p, actions + (move,)) == delta_oracle(p.initial, p, actions)
 
 
 def _liberal_exits(p: ProblemSpec, state: State) -> set:

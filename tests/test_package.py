@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import recourseplan
-from recourseplan import errors
+from recourseplan import errors, rules
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
 from tests.conftest import run_cli
@@ -99,6 +99,10 @@ BAD_VALUES = [
      ValueError, "direct actions carry no guard"),
     ("state-set counts", lambda: recourseplan.StateSetReport(10, 5, 3, 1),
      ValueError, "inconsistent state-set cardinalities"),
+    ("literal on another feature",
+     lambda: rules.literal_support(recourseplan.builtin_scenario("adult").problem.domains[0],
+                                   recourseplan.Literal("sex", "=", "male")),
+     ValueError, "literal sex = male does not talk about feature 'capital_gain'"),
 ]
 
 
