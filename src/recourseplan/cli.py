@@ -221,7 +221,7 @@ def _path_from_file(path_file: str, problem: ProblemSpec) -> CandidatePath:
     with open(path_file, encoding="utf-8-sig") as handle:
         try:
             record = json.load(handle)
-        except RecursionError as exc:  # nested deeper than the decoder recurses
+        except (RecursionError, ValueError) as exc:  # not UTF-8 JSON, or nested too deep
             raise RecourseError(f"malformed path record: {exc}") from exc
     if not isinstance(record, dict) or "candidate_path" not in record:
         raise RecourseError("record carries no candidate path (planning did not succeed)")

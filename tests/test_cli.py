@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import re
 
 import pytest
@@ -12,18 +13,32 @@ from recourseplan.generate import random_problem
 from recourseplan.ingest import GERMAN_TEXT, SCENARIO_NAMES
 from recourseplan.planner import CandidatePath, get_path
 from recourseplan.rules import Literal, ProblemSpec, Rule
-from tests.conftest import DOOMED_START, UNREACHABLE_GOAL, check_golden, golden_line, run_cli
+from tests.cli_contract import failures, make_inputs, read_rows
+from tests.conftest import DOOMED_START, REPAIR_CHAIN, check_golden, golden_line, run_cli
+
+ROWS = read_rows()
 
 
-def test_plan_car_table_marks_direct_on_persons():
-    code, out, err = run_cli("plan", "--scenario", "car")
-    assert code == 0
-    persons_row = next(line for line in out.splitlines() if line.startswith("persons"))
-    assert "Direct" in persons_row
-    assert "Goal_State" in out
-    for line in out.splitlines():
-        if line.startswith(("maint", "buying", "safety")):
-            assert "N/A" in line and "Direct" not in line
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("contract")
+    make_inputs(folder, lambda args: run_cli(*args))
+    return folder
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_cli_contract(row, contract_inputs, monkeypatch):
+    monkeypatch.chdir(contract_inputs)
+    code, out, err = run_cli(*row.args)
+    found = failures(row, code, out, err)
+    assert not found, "\n".join([*found, "--- stdout", out, "--- stderr", err])
+
+
+def test_readme_shows_the_german_table_row():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    (row,) = [row for row in ROWS if row.name == "german-table"]
+    missing = [line for kind, line in row.expect if kind == "out" and line not in readme]
+    assert not missing
 
 
 def test_plan_adult_structured_has_two_path_states():
@@ -38,15 +53,8 @@ def test_plan_adult_structured_has_two_path_states():
 
 
 def test_plan_structured_trace_includes_repair_intermediates(tmp_path):
-    text = (
-        "feature marital_status: categorical {never_married, married}.\n"
-        "feature relationship: categorical {unmarried, husband}.\n"
-        "feature sex: categorical {male, female}.\n"
-        "causal spouse_role: relationship = husband :- marital_status = married, sex = male.\n"
-        "decision still_single :- relationship = unmarried.\n"
-        "initial { marital_status = never_married, relationship = unmarried, sex = male }.\n")
     f = tmp_path / "chain.rp"
-    f.write_text(text)
+    f.write_text(REPAIR_CHAIN)
     code, out, err = run_cli("plan", "--file", str(f), "--format", "structured")
     assert code == 0
     record = json.loads(out)
@@ -77,17 +85,6 @@ def test_table_reads_kinds_off_states_when_labels_hold_colons():
     assert rows["r"] == ["r", "u", "Causal", "h:x"]
 
 
-def test_plan_missing_file_is_usage_error():
-    code, out, err = run_cli("plan", "--file", "missing.cfg")
-    assert code == 1
-    assert "error" in err
-
-
-def test_plan_unknown_scenario_is_usage_error():
-    code, out, err = run_cli("plan", "--scenario", "titanic")
-    assert code == 1
-
-
 @pytest.mark.parametrize("command", ["plan", "validate", "enumerate"])
 @pytest.mark.parametrize("name", ["", "titanic"])
 def test_unknown_scenario_error_names_it_and_lists_random(command, name):
@@ -96,61 +93,14 @@ def test_unknown_scenario_error_names_it_and_lists_random(command, name):
         1, "", f"error: unknown scenario {name!r} (known: {known})\n")
 
 
-def test_plan_budget_exhaustion_exit_code():
-    code, out, err = run_cli("plan", "--scenario", "german", "--budget", "1")
-    assert code == 3
-
-
-def test_plan_failure_exit_code(tmp_path):
-    f = tmp_path / "stuck.rp"
-    f.write_text(UNREACHABLE_GOAL)
-    code, out, err = run_cli("plan", "--file", str(f))
-    assert code == 2
-    assert "failed" in err
-
-
 def test_plan_doomed_start_fails_before_expanding(tmp_path):
     f = tmp_path / "doomed.rp"
     f.write_text(DOOMED_START)
-    failed = "planning failed: no reachable counterfactual state\n"
     code, out, err = run_cli("plan", "--file", str(f), "--format", "structured")
-    assert (code, err) == (2, failed)
+    assert (code, err) == (2, "planning failed: no reachable counterfactual state\n")
     record = json.loads(out)
     assert (record["status"], record["expansions"]) == ("failure", 0)
     assert [entry["actions_taken"] for entry in record["trace"]] == [[]]
-    # the verdict comes before the first expansion, so no budget runs out
-    assert run_cli("plan", "--file", str(f), "--budget", "1") == (2, "", failed)
-    assert run_cli("plan", "--file", str(f)) == (2, "", failed)
-    assert run_cli("validate", "--file", str(f)) == (
-        2, "", "nothing to validate: planning ended with failure\n")
-
-
-def test_enumerate_counts(tmp_path):
-    f = tmp_path / "toy.rp"
-    f.write_text(
-        "feature sex: categorical {male, female}.\n"
-        "feature marital_status: categorical {married, never_married}.\n"
-        "feature relationship: categorical {husband, wife, unmarried}.\n"
-        "causal spouse_role: relationship = husband :- marital_status = married, sex = male.\n"
-        "initial { sex = male, marital_status = never_married, relationship = unmarried }.\n")
-    code, out, err = run_cli("enumerate", "--file", str(f))
-    assert code == 0
-    assert "states: 12" in out
-    assert "causally consistent: 10" in out
-    assert "goal: 10" in out
-
-
-def test_validate_german_passes():
-    code, out, err = run_cli("validate", "--scenario", "german")
-    assert code == 0
-    assert out.count("PASS") == 6  # five clauses plus the overall line
-    assert "overall: PASS" in out
-
-
-def test_plan_with_validate_flag():
-    code, out, err = run_cli("plan", "--scenario", "adult", "--validate")
-    assert code == 0
-    assert "overall: PASS" in out
 
 
 def test_plan_structured_with_validate_stays_one_json_document():
@@ -178,64 +128,18 @@ def test_plan_validate_exits_2_when_the_oracle_refuses_the_path(monkeypatch):
     assert json.loads(out)["validation"]["overall"] is False
 
 
-def test_validate_from_artifact_matches_in_process(tmp_path):
-    code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
-    assert code == 0
-    artifact = tmp_path / "german.json"
-    artifact.write_text(planned)
-    code1, direct_out, _ = run_cli("validate", "--scenario", "german")
-    code2, artifact_out, _ = run_cli("validate", "--scenario", "german",
-                                     "--path-file", str(artifact))
-    assert (code1, direct_out) == (code2, artifact_out)
-
-
-def test_path_record_with_a_byte_order_mark_reads_like_one_without(tmp_path):
-    code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
-    artifact = tmp_path / "german.json"
-    artifact.write_text(planned, encoding="utf-8-sig")
-    assert artifact.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert (run_cli("validate", "--scenario", "german", "--path-file", str(artifact))
+def test_validate_from_artifact_matches_in_process(contract_inputs):
+    saved = str(contract_inputs / "german.json")
+    assert (run_cli("validate", "--scenario", "german", "--path-file", saved)
             == run_cli("validate", "--scenario", "german"))
 
 
-def test_validate_corrupted_path_fails_step_clause(tmp_path):
-    code, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
-    record = json.loads(planned)
-    del record["candidate_path"][1]  # jump straight to the goal: not a transition
-    artifact = tmp_path / "bad.json"
-    artifact.write_text(json.dumps(record))
-    code, out, err = run_cli("validate", "--scenario", "german",
-                             "--path-file", str(artifact))
-    assert code == 2
-    assert "FAIL  every step is a one-step transition" in out
-    assert "overall: FAIL" in out
-
-
-def test_validate_rejects_a_budget_with_a_path_file(tmp_path):
-    # a saved path is not planned again, so no budget can apply to it
-    _, planned, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
+def test_path_record_with_a_byte_order_mark_reads_like_one_without(contract_inputs, tmp_path):
     artifact = tmp_path / "german.json"
-    artifact.write_text(planned)
-    assert run_cli("validate", "--scenario", "german", "--path-file", str(artifact),
-                   "--budget", "1") == (
-        1, "", "error: --budget applies only when validate plans (not with --path-file)\n")
-
-
-def test_validate_garbage_artifact_is_usage_error(tmp_path):
-    artifact = tmp_path / "bad.json"
-    artifact.write_text("not json at all")
-    code, out, err = run_cli("validate", "--scenario", "german",
-                             "--path-file", str(artifact))
-    assert code == 1
-
-
-def test_validate_artifact_with_wrong_features_is_usage_error(tmp_path):
-    artifact = tmp_path / "wrong.json"
-    artifact.write_text(json.dumps({"candidate_path": [{"bogus": "x"}]}))
-    code, out, err = run_cli("validate", "--scenario", "german",
-                             "--path-file", str(artifact))
-    assert code == 1
-    assert "malformed path record" in err
+    artifact.write_text((contract_inputs / "german.json").read_text(), encoding="utf-8-sig")
+    assert artifact.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert (run_cli("validate", "--scenario", "german", "--path-file", str(artifact))
+            == run_cli("validate", "--scenario", "german"))
 
 
 def _validate_edited_record(tmp_path, edit):
@@ -313,22 +217,6 @@ def test_validate_deeply_nested_record_is_usage_error(text, tmp_path):
     assert err.startswith("error: malformed path record: ")
 
 
-def test_validate_artifact_from_failed_run_is_usage_error(tmp_path):
-    artifact = tmp_path / "failed.json"
-    artifact.write_text(json.dumps({"status": "failure", "trace": []}))
-    code, out, err = run_cli("validate", "--scenario", "german",
-                             "--path-file", str(artifact))
-    assert code == 1
-    assert "no candidate path" in err
-
-
-def test_validate_on_unplannable_problem(tmp_path):
-    f = tmp_path / "stuck.rp"
-    f.write_text(UNREACHABLE_GOAL)
-    code, out, err = run_cli("validate", "--file", str(f))
-    assert code == 2
-
-
 def test_validate_trivial_single_state_path(tmp_path):
     # no decision rules: the initial state is already a goal
     f = tmp_path / "done.rp"
@@ -341,41 +229,21 @@ def test_validate_trivial_single_state_path(tmp_path):
 
 
 def test_structured_output_is_byte_identical_between_runs():
-    _, first, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
-    _, second, _ = run_cli("plan", "--scenario", "german", "--format", "structured")
-    assert first == second
+    args = ("plan", "--scenario", "german", "--format", "structured")
+    assert run_cli(*args) == run_cli(*args)
 
 
 def test_random_scenario_is_seed_deterministic():
-    _, a, _ = run_cli("plan", "--scenario", "random", "--seed", "7",
-                      "--format", "structured")
-    _, b, _ = run_cli("plan", "--scenario", "random", "--seed", "7",
-                      "--format", "structured")
-    assert a == b
+    args = ("plan", "--scenario", "random", "--seed", "7", "--format", "structured")
+    assert run_cli(*args) == run_cli(*args)
 
 
 def test_max_states_cap_exit_code(monkeypatch):
-    # car's rules name 2 of its 4 features (9 of its 144 states), and the cap
-    # bounds the declared space, not that projection
-    code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", "10")
-    assert code == 4
-    # validate counts the state sets, so the cap applies; path validation
-    # alone enumerates nothing
-    code, out, err = run_cli("validate", "--scenario", "car", "--max-states", "10")
-    assert code == 4
-    # plan enumerates nothing, so it has no cap to set, and the default cap
-    # does not apply to it
-    code, out, err = run_cli("plan", "--validate", "--scenario", "car", "--max-states", "10")
-    assert (code, out) == (1, "")
+    # the default cap, like --max-states (the cap rows of tests/golden/cli.txt),
+    # applies to enumerate but not to plan --validate, which enumerates nothing
     monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", 10)
-    code, out, err = run_cli("plan", "--validate", "--scenario", "car")
-    assert code == 0
-    code, out, err = run_cli("enumerate", "--scenario", "car")
-    assert code == 4
-    for bad in ("-1", "0"):
-        code, out, err = run_cli("enumerate", "--scenario", "car", "--max-states", bad)
-        assert code == 1
-        assert "--max-states" in err
+    assert run_cli("plan", "--validate", "--scenario", "car")[0] == 0
+    assert run_cli("enumerate", "--scenario", "car")[0] == 4
 
 
 def test_cap_environment_variable_is_not_read(monkeypatch):
@@ -383,14 +251,6 @@ def test_cap_environment_variable_is_not_read(monkeypatch):
     monkeypatch.setenv("RECOURSE_MAX_STATES", "10")
     code, out, err = run_cli("enumerate", "--scenario", "car")
     assert code == 0
-
-
-def test_file_problems_plan_like_scenarios(tmp_path):
-    f = tmp_path / "german.rp"
-    f.write_text(GERMAN_TEXT)
-    code, out, err = run_cli("plan", "--file", str(f))
-    assert code == 0
-    assert "Goal_State" in out
 
 
 @pytest.mark.parametrize("text", [GERMAN_TEXT, "feature a: numeric [1, 2].\n  @\n"],

@@ -5,6 +5,7 @@ import os
 import pathlib
 import pickle
 import runpy
+import shutil
 import subprocess
 import sys
 
@@ -162,10 +163,15 @@ def test_demo_output_matches_its_digest(demo, capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == DEMO_DIGESTS[demo.stem]
 
 
-def test_benchmark_selftest_passes():
-    # the benchmark imports the program's API; a refactor that breaks it fails here
+def test_benchmark_selftest_passes(tmp_path):
+    # the benchmark imports the program's API; a refactor that breaks it fails here.
+    # It runs in a copy, so perfbench/out/ keeps the last benchmark run's records
     root = pathlib.Path(__file__).parent.parent
-    done = subprocess.run([sys.executable, "-W", "error", "perfbench/selftest.py"], cwd=root,
+    skip = shutil.ignore_patterns("out", "__pycache__", "*.egg-info")
+    for folder in ("perfbench", "src"):
+        shutil.copytree(root / folder, tmp_path / folder, ignore=skip)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    done = subprocess.run([sys.executable, "-W", "error", "perfbench/selftest.py"], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "selftest: ok" in done.stdout
