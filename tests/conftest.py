@@ -3,9 +3,15 @@ import io
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from recourseplan import builtin_scenario, parse_problem
 from recourseplan.cli import main
+
+# no wall-clock deadline: a host stall would fail a correct example.  A test's
+# own @settings(max_examples=...) inherits this profile
+settings.register_profile("tier-1", deadline=None)
+settings.load_profile("tier-1")
 
 HUSBAND_TOY = """\
 feature sex: categorical {male, female}.

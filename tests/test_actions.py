@@ -163,7 +163,7 @@ def test_nonincreasing_is_symmetric():
     assert permitted == {"low"}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2000))
 def test_permitted_iff_apply_succeeds(seed):
     problem = random_problem(seed)
@@ -178,7 +178,7 @@ def test_permitted_iff_apply_succeeds(seed):
                     apply_action(action, state)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2000))
 def test_every_application_writes_exactly_one_feature(seed):
     problem = random_problem(seed)
@@ -193,7 +193,7 @@ def test_every_application_writes_exactly_one_feature(seed):
             assert diff == [action.feature]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2000))
 def test_causal_actions_always_land_consistent(seed):
     problem = random_problem(seed)
@@ -206,7 +206,7 @@ def test_causal_actions_always_land_consistent(seed):
                 assert is_causally_consistent(after, problem.causal_rules)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2000))
 def test_monotone_features_never_move_backwards_along_walks(seed):
     # reachable transition sequences respect monotone constraints end to end

@@ -188,7 +188,7 @@ def test_partition_tiles_the_range(lo, width, thresholds):
         assert sum(1 for p in parts if p.contains(x)) == 1
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=400)
 @given(st.integers(-20, 20), st.integers(0, 30), st.sets(st.integers(-2, 32), max_size=10))
 def test_rule_comparisons_constant_on_each_interval(lo, width, offsets):
     # Every comparison against any constant, in range, out of range or

@@ -364,7 +364,7 @@ def test_scenario_round_trip(make):
     assert parse_problem(pretty_print(problem)) == problem
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2000))
 def test_random_problem_round_trip(seed):
     # Text cannot carry interval cuts that no rule mentions, so normalize the

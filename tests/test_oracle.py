@@ -593,7 +593,7 @@ def test_bfs_result_is_itself_a_valid_solution(german):
     assert validate_solution_path(path, german.problem).overall
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 3000))
 def test_bfs_never_longer_than_the_planner(seed):
     problem = random_problem(seed)

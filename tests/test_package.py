@@ -177,6 +177,46 @@ def test_benchmark_selftest_passes(tmp_path):
     assert "selftest: ok" in done.stdout
 
 
+PLANTED_GIVEN = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_planted_failure(n):
+    assert n < 10
+
+
+def test_after_the_failure():
+    pass
+"""
+
+PLANTED_WARNING = """\
+import warnings
+
+
+def test_planted_deprecation():
+    warnings.warn("planted", DeprecationWarning)
+"""
+
+
+def test_tier_1_settings_fail_a_warning_and_report_a_falsifying_example(tmp_path):
+    # two planted files under a copy of the repo's pytest settings, and none from the
+    # environment: a warning fails its test, and a failing @given test prints its
+    # example without ending the run (hypothesis' report imports libcst where installed)
+    shutil.copy(pathlib.Path(__file__).parent.parent / "pyproject.toml", tmp_path)
+    (tmp_path / "test_given.py").write_text(PLANTED_GIVEN)
+    (tmp_path / "test_warning.py").write_text(PLANTED_WARNING)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTEST_ADDOPTS", "PYTHONWARNINGS")}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "test_given.py", "test_warning.py"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    out = done.stdout + done.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "Falsifying example: test_planted_failure(" in out, out
+    assert "FAILED test_warning.py::test_planted_deprecation - DeprecationWarning: planted" in out
+    assert out.splitlines()[-1].startswith("2 failed, 1 passed in "), out
+
+
 def _run_module(*args):
     root = pathlib.Path(__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -233,7 +233,7 @@ def test_candidate_path_starts_at_initial_and_ends_in_goal(adult):
     assert is_counterfactual(path.states[-1], p.causal_rules, p.decision_rules)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 3000))
 def test_candidate_paths_move_along_oracle_transitions(seed):
     problem = random_problem(seed)
