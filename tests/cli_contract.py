@@ -117,6 +117,10 @@ def make_inputs(folder: pathlib.Path, invoke) -> None:
         "doomed.rp": DOOMED_START,
         "husband.rp": HUSBAND_TOY,
         "german.rp": GERMAN_TEXT,
+        "syntax.rp": "feature a categorical {x}.\n",
+        "undeclared.rp": ("feature a: categorical {x}.\n"
+                          "decision q :- ghost = x.\n"
+                          "initial { a = x }.\n"),
         "garbage.json": "not json at all",
         "wrong.json": json.dumps({"candidate_path": [{"bogus": "x"}]}),
         "failed.json": json.dumps({"status": "failure", "trace": []}),

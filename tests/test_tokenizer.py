@@ -16,6 +16,7 @@ A valid parse computes no offset or position at all.
 import hashlib
 import random
 import re
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -93,8 +94,8 @@ def _generated_texts() -> list[str]:
 
 
 def _error_position_texts() -> list[str]:
-    cases = test_dsl.test_error_position_after_a_tab_or_a_comment.pytestmark[0].args[1]
-    return [text for text, *_ in cases]
+    # an error after a tab or a comment: the position- rows of tests/golden/parse.txt
+    return [row.text for row in test_dsl.PARSE_ROWS if row.name.startswith("position-")]
 
 
 # pieces a mutation inserts or substitutes: whitespace the columns must
@@ -145,11 +146,12 @@ def _with_positions(text: str):
             for lexeme, offset in zip(lexemes, _offsets(text), strict=True)]
 
 
-def _parse_outcome(text: str) -> str:
+def _parse_outcome(text: str) -> tuple[str, str]:
+    """The error's class and ``<class>: <message>``, or ``ok`` and the printed problem."""
     try:
-        return pretty_print(parse_problem(text))
+        return "ok", pretty_print(parse_problem(text))
     except (ParseError, SemanticError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return type(exc).__name__, f"{type(exc).__name__}: {exc}"
 
 
 MUTANTS = 6000
@@ -180,11 +182,16 @@ def test_tokens_and_errors_match_the_reference_on_mutants():
 
 
 def test_parse_outcomes_match_the_pinned_digest():
-    digest = hashlib.sha256()
+    digest, classes = hashlib.sha256(), Counter()
     base = _base_texts()
     for text in base + _mutants(base, MUTANTS):
-        digest.update(_parse_outcome(text).encode())
+        kind, outcome = _parse_outcome(text)
+        classes[kind] += 1
+        digest.update(outcome.encode())
         digest.update(b"\0")
+    # every text parses or raises one of the language's two error classes: a
+    # ValueError would be a check the parser misses
+    assert classes == {"ParseError": 5657, "SemanticError": 142, "ok": 329}
     assert digest.hexdigest() == PARSE_OUTCOMES_DIGEST
 
 
