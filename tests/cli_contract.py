@@ -19,35 +19,9 @@ from typing import NamedTuple
 
 from recourseplan import pretty_print, random_problem
 from recourseplan.ingest import GERMAN_TEXT
-from tests.conftest import DOOMED_START, HUSBAND_TOY, UNREACHABLE_GOAL
+from tests.contract import TEXTS
 
 TABLE = pathlib.Path(__file__).parent / "golden" / "cli.txt"
-
-# every numeric comparator: no scenario or generated problem uses <, >= or a
-# numeric !=
-COMPARATORS = """\
-feature income: numeric [0, 100].
-feature debt: numeric [0, 50].
-feature age: numeric [18, 70].
-feature owner: categorical {yes, no}.
-decision d1 :- income < 40.
-decision d2 :- debt > 20, age != 30.
-decision d3 :- age =< 20.
-causal c1: owner = yes :- income >= 60.
-initial { income = 10, debt = 30, age = 19, owner = no }.
-"""
-
-# rules that name a feature twice: d1's body holds nowhere, and the oracle's
-# split cuts along neither of its literals
-TWICE = """\
-feature x: numeric [0, 9].
-feature y: categorical {a, b, c}.
-feature z: categorical {p, q}.
-decision d1 :- x > 5, x =< 2.
-decision d2 :- y = a, y != b, z = p.
-causal c1: z = q :- x > 2, x =< 5.
-initial { x = 0, y = a, z = p }.
-"""
 
 LINE_KINDS = ("out", "err", "out-never-starts")
 EMPTY_KINDS = ("out-empty", "err-empty")
@@ -111,11 +85,11 @@ def make_inputs(folder: pathlib.Path, invoke) -> None:
         "skip.json": json.dumps(skipped),
         "problem.rp": problem,
         "bom.rp": "\ufeff" + problem,
-        "comparators.rp": COMPARATORS,
-        "twice.rp": TWICE,
-        "unreachable.rp": UNREACHABLE_GOAL,
-        "doomed.rp": DOOMED_START,
-        "husband.rp": HUSBAND_TOY,
+        "comparators.rp": TEXTS["comparators"],
+        "twice.rp": TEXTS["rules naming a feature twice"],
+        "unreachable.rp": TEXTS["unreachable goal"],
+        "doomed.rp": TEXTS["doomed start"],
+        "husband.rp": TEXTS["husband toy"],
         "german.rp": GERMAN_TEXT,
         "syntax.rp": "feature a categorical {x}.\n",
         "undeclared.rp": ("feature a: categorical {x}.\n"

@@ -1,77 +1,40 @@
+import ast
 import hashlib
 import io
 import pathlib
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
-from recourseplan import builtin_scenario, parse_problem
+from recourseplan import builtin_scenario
 from recourseplan.cli import main
+from tests.contract import named_problem
 
 # no wall-clock deadline: a host stall would fail a correct example.  A test's
 # own @settings(max_examples=...) inherits this profile
 settings.register_profile("tier-1", deadline=None)
 settings.load_profile("tier-1")
 
-HUSBAND_TOY = """\
-feature sex: categorical {male, female}.
-feature marital_status: categorical {married, never_married}.
-feature relationship: categorical {husband, wife, unmarried}.
-causal spouse_role: relationship = husband :- marital_status = married, sex = male.
-initial { sex = male, marital_status = never_married, relationship = unmarried }.
-"""
-
-BOOLEAN_PAIR = """\
-feature x: categorical {f, t}.
-feature y: categorical {f, t}.
-causal implies: y = t :- x = t.
-initial { x = f, y = f }.
-"""
-
-UNREACHABLE_GOAL = """\
-feature x: categorical {v0, v1}.
-decision q0 :- x = v0.
-decision q1 :- x = v1.
-initial { x = v0 }.
-"""
-
-# a decision rule names an immutable feature, so it fires at every reachable state
-DOOMED_START = """\
-feature age: categorical {young, old}.
-feature income: categorical {low, high}.
-decision too_young :- age = young.
-constraint immutable age.
-initial { age = young, income = low }.
-"""
-
-REPAIR_CHAIN = """\
-feature marital_status: categorical {never_married, married}.
-feature relationship: categorical {unmarried, husband}.
-feature sex: categorical {male, female}.
-causal spouse_role: relationship = husband :- marital_status = married, sex = male.
-decision still_single :- relationship = unmarried.
-initial { marital_status = never_married, relationship = unmarried, sex = male }.
-"""
-
 
 @pytest.fixture
 def husband_toy():
-    return parse_problem(HUSBAND_TOY)
+    return named_problem("husband toy")
 
 
 @pytest.fixture
 def boolean_pair():
-    return parse_problem(BOOLEAN_PAIR)
+    return named_problem("boolean pair")
 
 
 @pytest.fixture
 def unreachable_goal():
-    return parse_problem(UNREACHABLE_GOAL)
+    return named_problem("unreachable goal")
 
 
 @pytest.fixture
 def repair_chain():
-    return parse_problem(REPAIR_CHAIN)
+    return named_problem("repair chain")
 
 
 @pytest.fixture
@@ -124,3 +87,23 @@ def check_golden(name: str, lines: list[str]) -> None:
                for label in dict.fromkeys([*old, *new]) if old.get(label) != new.get(label)]
     pytest.fail(f"{name}: {len(changed)} instance(s) differ\n" + "\n".join(changed)
                 if changed else f"{name}: same lines in another order, or a label twice")
+
+
+class ParseRow(NamedTuple):
+    name: str
+    text: str
+    outcome: str
+
+
+def read_parse_rows() -> list[ParseRow]:
+    """The rows of ``tests/golden/parse.txt``: ``<name> <literal> => <outcome>``."""
+    rows = []
+    for line in (GOLDEN / "parse.txt").read_text(encoding="utf-8").splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        name, _, rest = line.partition(" ")
+        literal, arrow, outcome = rest.rpartition(" => ")
+        if not arrow:
+            raise ValueError(f"parse.txt: no ' => ' in {line!r}")
+        rows.append(ParseRow(name, ast.literal_eval(literal), outcome))
+    return rows

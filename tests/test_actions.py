@@ -12,6 +12,7 @@ from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.oracle import enumerate_states
 from recourseplan.rules import ProblemSpec, is_causally_consistent
 from tests.conftest import check_golden, golden_line
+from tests.contract import TEXTS, named_problem
 
 
 def _of_kind(problem, kind):
@@ -76,14 +77,10 @@ def test_causal_action_safety_exhaustive(husband_toy):
 def test_guard_sweep_does_not_depend_on_literal_order():
     # r1's guard names n twice; the sweep must cover 3 =< n =< 7 only, where
     # setting y = t breaks no rule, whichever literal comes first
+    text = TEXTS["guard naming a feature twice"]
     ids = []
     for body in ("n >= 3, n =< 7", "n =< 7, n >= 3"):
-        problem = parse_problem(
-            "feature n: numeric [0, 10].\n"
-            "feature y: categorical {t, f}.\n"
-            f"causal r1: y = t :- {body}.\n"
-            "causal r2: y = f :- n =< 2.\n"
-            "initial { n = 0, y = f }.\n")
+        problem = parse_problem(text.replace("n >= 3, n =< 7", body))
         ids.append([a.id for a in _of_kind(problem, "causal")])
     assert ids[0] == ids[1]
     assert "causal:r1:y:t" in ids[0]
@@ -92,14 +89,7 @@ def test_guard_sweep_does_not_depend_on_literal_order():
 def test_conflicting_repairs_are_discarded():
     # two rules demand different values of b when a = t; neither repair can
     # guarantee consistency, so no causal action survives
-    text = (
-        "feature a: categorical {f, t}.\n"
-        "feature b: categorical {f, t}.\n"
-        "causal r1: b = t :- a = t.\n"
-        "causal r2: b = f :- a = t.\n"
-        "initial { a = f, b = f }.\n")
-    problem = parse_problem(text)
-    assert _of_kind(problem, "causal") == ()
+    assert _of_kind(named_problem("conflicting repairs"), "causal") == ()
 
 
 def test_causal_action_for_immutable_head_discarded(husband_toy):

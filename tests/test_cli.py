@@ -14,7 +14,8 @@ from recourseplan.ingest import GERMAN_TEXT, SCENARIO_NAMES
 from recourseplan.planner import CandidatePath, get_path
 from recourseplan.rules import Literal, ProblemSpec, Rule
 from tests.cli_contract import failures, make_inputs, read_rows
-from tests.conftest import DOOMED_START, REPAIR_CHAIN, check_golden, golden_line, run_cli
+from tests.conftest import check_golden, golden_line, run_cli
+from tests.contract import TEXTS
 
 ROWS = read_rows()
 
@@ -54,7 +55,7 @@ def test_plan_adult_structured_has_two_path_states():
 
 def test_plan_structured_trace_includes_repair_intermediates(tmp_path):
     f = tmp_path / "chain.rp"
-    f.write_text(REPAIR_CHAIN)
+    f.write_text(TEXTS["repair chain"])
     code, out, err = run_cli("plan", "--file", str(f), "--format", "structured")
     assert code == 0
     record = json.loads(out)
@@ -95,7 +96,7 @@ def test_unknown_scenario_error_names_it_and_lists_random(command, name):
 
 def test_plan_doomed_start_fails_before_expanding(tmp_path):
     f = tmp_path / "doomed.rp"
-    f.write_text(DOOMED_START)
+    f.write_text(TEXTS["doomed start"])
     code, out, err = run_cli("plan", "--file", str(f), "--format", "structured")
     assert (code, err) == (2, "planning failed: no reachable counterfactual state\n")
     record = json.loads(out)

@@ -1,7 +1,4 @@
-import ast
-import pathlib
 import sys
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +10,7 @@ from recourseplan.errors import SEMANTIC_KINDS, ParseError, SemanticError
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.rules import ProblemSpec
+from tests.conftest import read_parse_rows
 
 CAR_TEXT = """\
 % car evaluation, four features
@@ -86,29 +84,6 @@ def test_out_of_range_constant_is_just_constant():
     from recourseplan.rules import eval_rule
     assert not eval_rule(problem.decision_rules[0], problem.initial)
     assert eval_rule(problem.decision_rules[1], problem.initial)
-
-
-PARSE_TABLE = pathlib.Path(__file__).parent / "golden" / "parse.txt"
-
-
-class ParseRow(NamedTuple):
-    name: str
-    text: str
-    outcome: str
-
-
-def read_parse_rows() -> list[ParseRow]:
-    """The rows of ``tests/golden/parse.txt``: ``<name> <literal> => <outcome>``."""
-    rows = []
-    for line in PARSE_TABLE.read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        name, _, rest = line.partition(" ")
-        literal, arrow, outcome = rest.rpartition(" => ")
-        if not arrow:
-            raise ValueError(f"parse.txt: no ' => ' in {line!r}")
-        rows.append(ParseRow(name, ast.literal_eval(literal), outcome))
-    return rows
 
 
 PARSE_ROWS = read_parse_rows()

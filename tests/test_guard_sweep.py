@@ -2,70 +2,24 @@
 
 ``CompiledProblem`` decides whether a repair lands consistent from every
 guard state with one test per causal rule.  Here it is checked, candidate by
-candidate, against the enumerating sweep it replaced, on the bundled
-scenarios, seeded random problems and hand-made edge cases; and a problem
-whose guard box holds millions of states shows that the kernel enumerates
-none of them.  The oracle's own sweep, over its own literal tables, is
-checked against the kernel's list too.
+candidate, against the enumerating sweep it replaced, on seeded random
+problems (the named problems run the same check in
+``tests/test_contract.py``); the crafted edge cases keep the repairs listed
+here; and a problem whose guard box holds millions of states shows that the
+kernel enumerates none of them.  The oracle's own sweep, over its own literal
+tables, is checked against the kernel's list too.
 """
 
-import itertools
 import math
 
 import pytest
 
-from recourseplan import kernel as kernel_module, oracle
-from recourseplan.actions import build_actions
+from recourseplan import kernel as kernel_module
 from recourseplan.dsl import parse_problem
 from recourseplan.generate import random_problem
-from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
 from recourseplan.rules import none_holds
-
-BOX_CAP = 10 ** 6  # boxes beyond this many states are not enumerated here
-
-
-def _enumerating_sweep(kernel, axes, guard, feature_index, new_index):
-    """The sweep as it was before the box test, verbatim but for ``self`` and
-    the consistency test, ``none_holds`` on the breaking tables."""
-    axes = list(axes)
-    for fi, allowed in guard:
-        axes[fi] = sorted(allowed.intersection(axes[fi]))
-    axes[feature_index] = (new_index,)
-    return all(none_holds(kernel.causal, idx) for idx in itertools.product(*axes))
-
-
-def _compare(problem):
-    """Check every repair candidate; return (kept, checked, skipped) counts."""
-    kernel = CompiledProblem(problem)
-    domains = problem.domains
-    named = {i for table in kernel.causal for i, _ in table}
-    axes = [range(f.size) if fi in named else range(1) for fi, f in enumerate(domains)]
-    kept = {aid for aid, rule in zip(kernel.ids, kernel.rules) if rule is not None}
-    expected = []
-    checked = skipped = 0
-    for rule, ((fi, refused), *body) in zip(problem.causal_rules, kernel.causal):
-        f = domains[fi]
-        if not f.mutable:
-            continue
-        allowed = set(range(f.size)) - refused
-        for vi in sorted(allowed):
-            aid = f"causal:{rule.id}:{f.name}:{f.value_text(vi)}"
-            box = [len(axis) for axis in axes]
-            for i, support in body:
-                box[i] = len(support.intersection(range(box[i])))
-            box[fi] = 1
-            if math.prod(box) > BOX_CAP:
-                skipped += 1
-                continue
-            checked += 1
-            if _enumerating_sweep(kernel, axes, body, fi, vi):
-                expected.append(aid)
-            assert (aid in kept) == (aid in expected), aid
-    # kept repairs come in candidate order
-    assert [aid for aid in kernel.ids if aid in expected] == expected
-    return len(expected), checked, skipped
-
+from tests.contract import BOX_CAP, check_guard_sweep, check_own_list, named_problem
 
 TIERS = [
     ("default", {}, 200),
@@ -88,85 +42,28 @@ TIER_COUNTS = {
 def test_box_test_matches_enumeration_on_random_problems(tier, kwargs, seeds):
     totals = [0, 0, 0]
     for seed in range(seeds):
-        for k, n in enumerate(_compare(random_problem(seed, **kwargs))):
+        for k, n in enumerate(check_guard_sweep(random_problem(seed, **kwargs))):
             totals[k] += n
     assert tuple(totals) == TIER_COUNTS[tier]
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_box_test_matches_enumeration_on_scenarios(name):
-    _compare(builtin_scenario(name).problem)
-
-
-CRAFTED = {
-    # r1's guard names n twice: its box holds 3 =< n =< 7 only, where y = t
-    # breaks no rule
-    "feature named twice": (
-        "feature n: numeric [0, 10].\n"
-        "feature y: categorical {t, f}.\n"
-        "causal r1: y = t :- n >= 3, n =< 7.\n"
-        "causal r2: y = f :- n =< 2.\n"
-        "initial { n = 0, y = f }.\n",
-        ["causal:r1:y:t", "causal:r2:y:f"]),
-    # no n satisfies r1's guard: its box is empty, so the repair is kept,
-    # though y = t breaks r2 wherever b = t
-    "contradictory guard": (
-        "feature n: numeric [0, 10].\n"
-        "feature b: categorical {f, t}.\n"
-        "feature y: categorical {t, f}.\n"
-        "causal r1: y = t :- n >= 8, n =< 2.\n"
-        "causal r2: y = f :- b = t.\n"
-        "initial { n = 0, b = f, y = f }.\n",
-        ["causal:r1:y:t", "causal:r2:y:f"]),
-    # r2's body is contradictory, so it never fires and never blocks r1,
-    # though each of its literals alone meets r1's box
-    "rule that never fires": (
-        "feature n: numeric [0, 10].\n"
-        "feature b: categorical {f, t}.\n"
-        "feature y: categorical {t, f}.\n"
-        "causal r1: y = t :- b = t.\n"
-        "causal r2: y = f :- n >= 8, n =< 2.\n"
-        "initial { n = 0, b = f, y = f }.\n",
-        ["causal:r1:y:t", "causal:r2:y:f"]),
-    # repairs of an immutable head are never candidates
-    "immutable head": (
-        "feature a: categorical {f, t}.\n"
-        "feature b: categorical {f, t}.\n"
-        "causal r1: b = t :- a = t.\n"
-        "constraint immutable b.\n"
-        "initial { a = f, b = f }.\n",
-        []),
-    # r1 and r2 demand different values of b when a = t
-    "conflicting repairs": (
-        "feature a: categorical {f, t}.\n"
-        "feature b: categorical {f, t}.\n"
-        "causal r1: b = t :- a = t.\n"
-        "causal r2: b = f :- a = t.\n"
-        "initial { a = f, b = f }.\n",
-        []),
-    # r2's repair: the box meets r1's and r3's bodies, but its axes on their
-    # heads lie inside the allowed values; r3's repair leaves r1 violated at
-    # a = z; no rule names u
-    "head inside another rule": (
-        "feature a: categorical {x, y, z}.\n"
-        "feature b: categorical {f, t}.\n"
-        "feature c: categorical {f, t}.\n"
-        "feature u: categorical {p, q}.\n"
-        "causal r1: b = t :- a != x.\n"
-        "causal r2: c = t :- b = t, a = y.\n"
-        "causal r3: c != f :- a = z.\n"
-        "initial { a = x, b = f, c = t, u = p }.\n",
-        ["causal:r2:c:t"]),
+# the causal repairs the kernel keeps on the crafted problems of tests/contract.py
+CRAFTED_REPAIRS = {
+    "guard naming a feature twice": ["causal:r1:y:t", "causal:r2:y:f"],
+    "contradictory guard": ["causal:r1:y:t", "causal:r2:y:f"],
+    "rule that never fires": ["causal:r1:y:t", "causal:r2:y:f"],
+    "immutable head": [],
+    "conflicting repairs": [],
+    "head inside another rule": ["causal:r2:c:t"],
 }
 
 
-@pytest.mark.parametrize("name", list(CRAFTED))
-def test_box_test_matches_enumeration_on_edge_cases(name):
-    text, kept = CRAFTED[name]
-    problem = parse_problem(text)
-    _compare(problem)
-    kernel = CompiledProblem(problem)
-    assert [aid for aid, rule in zip(kernel.ids, kernel.rules) if rule is not None] == kept
+def test_crafted_problems_keep_the_listed_repairs():
+    kept = {}
+    for name in CRAFTED_REPAIRS:
+        kernel = CompiledProblem(named_problem(name))
+        kept[name] = [aid for aid, rule in zip(kernel.ids, kernel.rules) if rule is not None]
+    assert kept == CRAFTED_REPAIRS
 
 
 def _wide_problem():
@@ -207,16 +104,6 @@ def test_kernel_enumerates_no_guard_box(monkeypatch):
 
 # the oracle's own action list -------------------------------------------------------
 
-def _own_and_planner_lists(problem):
-    """``(feature, value, guard table)`` per action of the oracle's own list
-    and of ``build_actions``' list, each guard tabled by the oracle."""
-    domains = problem.domains
-    own = list(oracle._own_actions(problem))
-    listed = [(a.feature_index, a.new_index, oracle._table(domains, a.guard))
-              for a in build_actions(problem)]
-    return own, listed
-
-
 # each tier's seeds, and the causal repairs kept over them
 OWN_LIST_TIERS = [
     ("8/5", dict(max_features=8, max_values=5), 350, 466),
@@ -229,24 +116,4 @@ OWN_LIST_TIERS = [
                          [(kwargs, seeds, repairs) for _, kwargs, seeds, repairs in OWN_LIST_TIERS],
                          ids=[name for name, *_ in OWN_LIST_TIERS])
 def test_oracle_lists_the_planner_actions_on_random_problems(kwargs, seeds, repairs):
-    kept = 0
-    for seed in range(seeds):
-        own, listed = _own_and_planner_lists(random_problem(seed, **kwargs))
-        assert own == listed, seed
-        kept += sum(1 for _, _, guard in own if guard)
-    assert kept == repairs
-
-
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_oracle_lists_the_planner_actions_on_scenarios(name):
-    own, listed = _own_and_planner_lists(builtin_scenario(name).problem)
-    assert own == listed
-
-
-@pytest.mark.parametrize("name", list(CRAFTED))
-def test_oracle_lists_the_planner_actions_on_edge_cases(name):
-    # the first three problems name n twice in one rule: the oracle intersects its pairs
-    text, kept = CRAFTED[name]
-    own, listed = _own_and_planner_lists(parse_problem(text))
-    assert own == listed
-    assert sum(1 for _, _, guard in own if guard) == len(kept)
+    assert sum(check_own_list(random_problem(seed, **kwargs)) for seed in range(seeds)) == repairs

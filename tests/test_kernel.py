@@ -1,52 +1,29 @@
-"""The compiled kernel agrees with the State-level rule and action API on
-every state of small problems, its action list with ``build_actions``, and
-its doomed-state test with the oracle's reachability."""
+"""The compiled kernel agrees with the State-level rule and action API, and
+its doomed-state test with its reach box, on seeded random problems (the
+named problems run the same checks in ``tests/test_contract.py``); the
+doomed test's box counts and search budgets."""
 
 import dataclasses
-import itertools
 import sys
 
 import pytest
 
 from recourseplan import kernel
-from recourseplan.actions import apply_action, build_actions, is_permitted
+from recourseplan.actions import build_actions
 from recourseplan.domains import FeatureDomain
 from recourseplan.dsl import parse_problem
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import MAX_SPLITS, CompiledProblem
-from recourseplan.oracle import bfs_shortest_path, enumerate_causally_consistent, enumerate_states
+from recourseplan.oracle import bfs_shortest_path, enumerate_causally_consistent
 from recourseplan.planner import get_path
-from recourseplan.rules import ProblemSpec, is_causally_consistent, none_holds, satisfies_decision
-
-PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
-            + [(f"random {seed}",
-                lambda seed=seed: random_problem(seed, max_features=6, max_values=5))
-               for seed in (0, 5, 6, 12, 27, 30)])
+from recourseplan.rules import ProblemSpec
+from tests.contract import check_doomed, check_kernel, goal
 
 
-@pytest.mark.parametrize("make", [make for _, make in PROBLEMS], ids=[name for name, _ in PROBLEMS])
-def test_kernel_matches_state_api_on_every_state(make):
-    problem = make()
-    domains = problem.domains
-    kernel = CompiledProblem(problem)
-    actions = build_actions(problem)
-    assert kernel.ids == tuple(a.id for a in actions)
-    assert all(domains[fi].mutable for fi, _, _ in kernel.moves)
-    causal, decision = problem.causal_rules, problem.decision_rules
-    for state in enumerate_states(domains):
-        idx = state.idx
-        assert none_holds(kernel.causal, idx) == is_causally_consistent(state, causal)
-        assert (not none_holds(kernel.decision, idx)) == satisfies_decision(state, decision)
-        for k, action in enumerate(actions):
-            expected = apply_action(action, state).idx if is_permitted(action, state) else None
-            assert kernel.step(k, idx) == expected
-
-
-def _goal(problem: ProblemSpec, idx: tuple[int, ...]) -> bool:
-    """No table of the problem holds at ``idx``: no decision rule fires and
-    no causal rule is broken there."""
-    return none_holds(problem.decision_bodies + problem.causal_tables, idx)
+@pytest.mark.parametrize("seed", (0, 5, 6, 12, 27, 30), ids=lambda seed: f"random {seed}")
+def test_kernel_matches_state_api_on_every_state(seed):
+    check_kernel(random_problem(seed, max_features=6, max_values=5))
 
 
 def _counting_boxes(monkeypatch) -> list:
@@ -102,7 +79,7 @@ def test_doomed_visits_few_boxes(tier, seeds, most, total, monkeypatch):
     visited = []
     for seed in range(seeds):
         problem = random_problem(seed, **tier)
-        if not _goal(problem, problem.initial.idx):
+        if not goal(problem, problem.initial.idx):
             boxes.clear()
             kernel.doomed(problem, problem.initial.idx)
             visited.append(len(boxes))
@@ -153,24 +130,9 @@ EXACT_TIERS = [(dict(max_features=6, max_values=4), 120),
                (dict(max_features=6, max_values=4, max_causal=8), 200)]
 
 
-def test_doomed_is_exact_on_every_enumerable_reach_box(monkeypatch):
-    # doomed must say whether the reach box holds a goal, not only whether a
-    # goal is reachable, and must decide every start within MAX_SPLITS boxes
-    problems = [builtin_scenario(name).problem for name in SCENARIO_NAMES]
-    problems += [random_problem(seed, **tier) for tier, n in EXACT_TIERS for seed in range(n)]
-    boxes = _counting_boxes(monkeypatch)
-    starts = 0
-    for problem in problems:
-        features = problem.domains.features
-        goal_free = {}  # per reach box
-        for state in enumerate_causally_consistent(problem):
-            reach = tuple(map(kernel._reach, features, state.idx, problem.domains.sizes))
-            if reach not in goal_free:
-                goal_free[reach] = not any(_goal(problem, idx) for idx in itertools.product(*reach))
-            boxes.clear()
-            assert kernel.doomed(problem, state.idx) == goal_free[reach], state.idx
-            assert len(boxes) <= MAX_SPLITS
-            starts += 1
+def test_doomed_is_exact_on_every_enumerable_reach_box():
+    problems = [random_problem(seed, **tier) for tier, n in EXACT_TIERS for seed in range(n)]
+    starts = sum(map(check_doomed, problems))
     assert starts > 20000
 
 

@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_guard_sweep import CRAFTED
 from recourseplan import oracle
 from recourseplan.actions import Action, apply_action, build_actions, is_permitted
 from recourseplan.domains import Domains, FeatureDomain, State
@@ -18,16 +17,8 @@ from recourseplan.oracle import (_leaves, _Tables, bfs_shortest_path, compute_go
                                  enumerate_states, state_set_report, validate_solution_path)
 from recourseplan.planner import (CandidatePath, extract_candidate_path, get_path,
                                   is_counterfactual)
-from recourseplan.rules import ProblemSpec, is_causally_consistent, satisfies_decision
-
-REPAIR_ORDER_SENSITIVE = """\
-feature a: categorical {f, t}.
-feature b: categorical {f, t}.
-feature c: categorical {f, t}.
-causal r1: b = t :- a = t.
-decision q :- c = t.
-initial { a = f, b = f, c = t }.
-"""
+from recourseplan.rules import ProblemSpec, is_causally_consistent
+from tests.contract import NAMED, check_strata, named_problem
 
 
 # enumeration -------------------------------------------------------------------
@@ -125,46 +116,6 @@ def test_report_matches_enumerations(seed):
 
 # the strata from the box split, against a state-by-state count ------------------
 
-NO_RULES = """\
-feature a: categorical {x, y, z}.
-feature n: numeric [0, 10].
-initial { a = x, n = 3 }.
-"""
-
-DECISION_ONLY = """\
-feature a: categorical {x, y, z}.
-feature b: categorical {p, q}.
-feature n: numeric [0, 10].
-decision d1 :- a = x.
-decision d2 :- b = q, n >= 4.
-initial { a = x, b = p, n = 2 }.
-"""
-
-# u and w are named by no rule, so the box split never cuts them
-UNNAMED_FEATURES = """\
-feature u: categorical {u0, u1, u2}.
-feature a: categorical {f, t}.
-feature w: categorical {w0, w1, w2, w3}.
-feature b: categorical {f, t}.
-feature c: categorical {f, t}.
-causal r: b = t :- a = t.
-decision q :- c = f.
-initial { u = u0, a = f, w = w0, b = f, c = f }.
-"""
-
-# d1 and c1 name x twice: d1's body holds nowhere, and c1 breaks where
-# 2 < x =< 5 and z = p
-NAMED_TWICE = """\
-feature x: numeric [0, 9].
-feature y: categorical {a, b, c}.
-feature z: categorical {p, q}.
-decision d1 :- x > 5, x =< 2.
-decision d2 :- y = a, y != b, z = p.
-causal c1: z = q :- x > 2, x =< 5.
-initial { x = 0, y = a, z = p }.
-"""
-
-
 def _singleton_chain(n: int, k: int) -> ProblemSpec:
     """``n`` features over ``k`` values and, for each pair of neighbours and
     each value, a decision rule whose literals each hold on that one value:
@@ -179,48 +130,24 @@ def _singleton_chain(n: int, k: int) -> ProblemSpec:
 
 
 STRATA_PROBLEMS = (
-    [(name, lambda name=name: builtin_scenario(name).problem) for name in SCENARIO_NAMES]
-    + [(f"random {seed}", lambda seed=seed: random_problem(seed, max_features=6, max_values=4))
-       for seed in range(50)]
+    [(f"random {seed}", lambda seed=seed: random_problem(seed, max_features=6, max_values=4))
+     for seed in range(50)]
     + [(f"8/5 {seed}", lambda seed=seed: random_problem(seed, max_features=8, max_values=5))
        for seed in range(60)]
     # as the command line reads them: printed, then parsed back
     + [(f"printed 10/6 {seed}", lambda seed=seed: parse_problem(pretty_print(
         random_problem(seed, max_features=10, max_values=6)))) for seed in range(30)]
-    + [("singleton chain 5x6", lambda: _singleton_chain(5, 6))]
-    + [(name, lambda text=text: parse_problem(text))
-       for name, text in (("no rules", NO_RULES), ("decision only", DECISION_ONLY),
-                          ("unnamed features", UNNAMED_FEATURES),
-                          ("feature named twice", NAMED_TWICE))])
-
-
-def _counted_state_by_state(problem: ProblemSpec) -> tuple[set, set]:
-    domains = problem.domains
-    consistent, goal = set(), set()
-    for idx in itertools.product(*(range(f.size) for f in domains)):
-        state = State(domains, idx)
-        if is_causally_consistent(state, problem.causal_rules):
-            consistent.add(state)
-            if not satisfies_decision(state, problem.decision_rules):
-                goal.add(state)
-    return consistent, goal
+    + [("singleton chain 5x6", lambda: _singleton_chain(5, 6))])
 
 
 @pytest.mark.parametrize("make", [make for _, make in STRATA_PROBLEMS],
                          ids=[name for name, _ in STRATA_PROBLEMS])
 def test_projected_strata_match_a_state_by_state_count(make):
-    problem = make()
-    consistent, goal = _counted_state_by_state(problem)
-    report = state_set_report(problem)
-    assert (report.total_states, report.causally_consistent, report.decision_consistent,
-            report.goal) == (problem.state_count, len(consistent),
-                             len(consistent) - len(goal), len(goal))
-    assert enumerate_causally_consistent(problem) == consistent
-    assert compute_goal_set(problem) == goal
+    check_strata(make())
 
 
 def test_stratum_pass_leaves_out_features_no_rule_names():
-    problem = parse_problem(UNNAMED_FEATURES)
+    problem = named_problem("unnamed features")
     domains = problem.domains
     leaves = _leaves(problem)
     assert leaves
@@ -228,7 +155,7 @@ def test_stratum_pass_leaves_out_features_no_rule_names():
         for name in ("u", "w"):
             i = domains.index(name)
             assert box[i] == frozenset(range(domains[i].size))
-    no_rules = parse_problem(NO_RULES)
+    no_rules = named_problem("no rules")
     assert _leaves(no_rules) == [(tuple(frozenset(range(f.size)) for f in no_rules.domains),
                                   False)]
 
@@ -252,7 +179,7 @@ def _counting_boxes(monkeypatch) -> list:
 def test_split_cuts_no_rule_that_holds_nowhere(monkeypatch):
     # a split that cuts along d1, which holds nowhere, or along c1's two x
     # literals one at a time visits 13 boxes and keeps 6
-    problem = parse_problem(NAMED_TWICE)
+    problem = named_problem("rules naming a feature twice")
     boxes = _counting_boxes(monkeypatch)
     report = state_set_report(problem)
     assert (report.total_states, report.causally_consistent, report.decision_consistent,
@@ -262,10 +189,8 @@ def test_split_cuts_no_rule_that_holds_nowhere(monkeypatch):
 
 
 def _box_test_problems():
-    for name in SCENARIO_NAMES:
-        yield name, builtin_scenario(name).problem
-    for name, (text, _) in CRAFTED.items():
-        yield name, parse_problem(text)
+    for name in NAMED:
+        yield name, named_problem(name)
     for seed in range(100):
         yield f"8/5 {seed}", random_problem(seed, max_features=8, max_values=5)
 
@@ -410,7 +335,7 @@ def _liberal_exits(p: ProblemSpec, state: State) -> set:
 
 
 def test_liberal_delta_is_superset_and_flags_order_sensitivity():
-    p = parse_problem(REPAIR_ORDER_SENSITIVE)
+    p = named_problem("repair order sensitive")
     canonical = {s.idx for s in delta_oracle(p.initial, p)}
     liberal = _liberal_exits(p, p.initial)
     assert canonical < liberal  # strictly more successors under other orders
@@ -483,7 +408,7 @@ def test_validation_flags_non_transition_jump(german):
 
 
 def test_validation_records_order_sensitivity_note():
-    p = parse_problem(REPAIR_ORDER_SENSITIVE)
+    p = named_problem("repair order sensitive")
     trace = get_path(p)
     report = validate_solution_path(extract_candidate_path(trace), p)
     assert report.overall

@@ -1,5 +1,4 @@
 import ast
-import collections
 import dataclasses
 import itertools
 import pathlib
@@ -20,7 +19,9 @@ from recourseplan.oracle import bfs_shortest_path, delta_oracle, validate_soluti
 from recourseplan.planner import (PathTrace, TraceEntry, extract_candidate_path, get_path,
                                   is_counterfactual)
 from recourseplan.rules import ProblemSpec, is_causally_consistent, none_holds
-from tests.conftest import DOOMED_START, check_golden, golden_line
+from tests.conftest import check_golden, golden_line
+from tests.contract import (check_chains, goal, inconsistent_states, named_problem,
+                            reachable_values)
 
 
 # goal test ----------------------------------------------------------------------
@@ -99,21 +100,10 @@ def test_fails_without_actions_and_keeps_the_root():
 
 # a decision rule fires at every state reachable from the start, though other
 # features can move
-DOOMED_STARTS = {
-    "immutable feature": DOOMED_START,
-    "monotone feature at its end value": (
-        "feature age: numeric [17, 90].\n"
-        "feature income: categorical {low, high}.\n"
-        "decision too_old :- age > 60, income = low.\n"
-        "decision still_old :- age > 60.\n"
-        "constraint nondecreasing age.\n"
-        "initial { age = 70, income = low }.\n"),
-}
-
-
-@pytest.mark.parametrize("text", DOOMED_STARTS.values(), ids=DOOMED_STARTS)
-def test_doomed_start_fails_without_expanding(text, monkeypatch):
-    problem = parse_problem(text)
+@pytest.mark.parametrize("name", ["doomed start", "monotone feature at its end value"],
+                         ids=["immutable feature", "monotone feature at its end value"])
+def test_doomed_start_fails_without_expanding(name, monkeypatch):
+    problem = named_problem(name)
     assert build_actions(problem)  # a search would have moves to try
     built = []
     real_init = CompiledProblem.__init__
@@ -248,38 +238,6 @@ def test_candidate_paths_move_along_oracle_transitions(seed):
 
 # dead regions -----------------------------------------------------------------------
 
-def _inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
-    for idx in itertools.product(*(range(f.size) for f in problem.domains)):
-        if not none_holds(kernel.causal, idx):
-            yield idx
-
-
-def _breadth_first_complete(kernel, start):
-    """The repair policy stated plainly: breadth-first over ``kernel.step``
-    from ``start``, actions in order, ending at the first consistent state
-    discovered, with no unrepairability test."""
-    if none_holds(kernel.causal, start):
-        return start, ()
-    parent = {start: None}
-    queue = collections.deque([start])
-    while queue:
-        idx = queue.popleft()
-        for k in range(len(kernel.moves)):
-            nxt = kernel.step(k, idx)
-            if nxt is None or nxt in parent:
-                continue
-            parent[nxt] = (idx, k)
-            if none_holds(kernel.causal, nxt):
-                edges = []
-                node = nxt
-                while parent[node] is not None:
-                    edges.append(parent[node])
-                    node = parent[node][0]
-                return nxt, tuple(reversed(edges))
-            queue.append(nxt)
-    return None
-
-
 def _reaches_a_consistent_state(kernel, sources) -> bool:
     reached = set(sources)
     frontier = list(reached)
@@ -296,75 +254,15 @@ def _reaches_a_consistent_state(kernel, sources) -> bool:
     return False
 
 
-@pytest.mark.parametrize("seed", [106, 111, 172, 329])
+# 8/5 seeds of 0-119 with at most 2,000 states, and four larger ones
+CHAIN_SEEDS = [seed for seed in range(120)
+               if random_problem(seed, max_features=8, max_values=5).state_count <= 2000]
+CHAIN_SEEDS += [106, 111, 172, 329]
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
 def test_chains_match_the_breadth_first_reference(seed):
-    problem = random_problem(seed, max_features=8, max_values=5)
-    kernel = CompiledProblem(problem)
-    # one kernel for all calls, as in a run, so later calls read the
-    # unrepairable verdicts earlier ones filed
-    for idx in _inconsistent_states(problem, kernel):
-        result = kernel.complete(idx)
-        assert result == _breadth_first_complete(kernel, idx)
-        if result is None:
-            assert kernel.unrepairable(idx)
-
-
-def _depth_first_complete(kernel, start, dead):
-    """The repair-chain search before chains became breadth-first, in the
-    form that steps every state afresh (its exit-table form took the same
-    steps).  Kept verbatim as the reference, but for the consistency test,
-    ``none_holds`` on the breaking tables."""
-    causal, step = kernel.causal, kernel.step
-    if none_holds(causal, start):
-        return start, ()
-    positions = range(len(kernel.moves))
-    seen = {start}
-    stack = [(start, iter(positions))]
-    edges = []
-    while stack:
-        idx, pending = stack[-1]
-        for k in pending:
-            nxt = step(k, idx)
-            if nxt is None or nxt in seen or nxt in dead:
-                continue
-            edges.append((idx, k))
-            if none_holds(causal, nxt):
-                return nxt, tuple(edges)
-            seen.add(nxt)
-            stack.append((nxt, iter(positions)))
-            break
-        else:
-            stack.pop()
-            if edges:
-                edges.pop()
-    dead.update(seen)
-    return None
-
-
-# 8/5 seeds of 0-119 with at most 2,000 states
-ONE_EDGE_SEEDS = [seed for seed in range(120)
-                  if random_problem(seed, max_features=8, max_values=5).state_count <= 2000]
-
-
-def test_one_edge_repairs_are_those_of_the_depth_first_walk():
-    # Where the depth-first walk repairs in one edge, the first consistent
-    # outcome in action order is also the first breadth-first order meets:
-    # why the change of policy kept the scenario paths.
-    one_edge = 0
-    for seed in ONE_EDGE_SEEDS:
-        problem = random_problem(seed, max_features=8, max_values=5)
-        kernel = CompiledProblem(problem)
-        reference_dead: set = set()
-        for idx in _inconsistent_states(problem, kernel):
-            walked = _depth_first_complete(kernel, idx, reference_dead)
-            result = kernel.complete(idx)
-            assert result == _breadth_first_complete(kernel, idx)
-            if result is None:
-                assert kernel.unrepairable(idx)
-            if walked is not None and len(walked[1]) == 1:
-                one_edge += 1
-                assert result == walked
-    assert one_edge > 1000
+    check_chains(random_problem(seed, max_features=8, max_values=5))
 
 
 def test_seed_263_repair_chains_are_short(monkeypatch):
@@ -392,19 +290,9 @@ UNREPAIRABLE_SEEDS = [4, 14, 20, 48, 63, 66, 72, 92]
 def test_unrepairable_states_reach_no_consistent_state(seed):
     problem = random_problem(seed, max_features=8, max_values=5)
     kernel = CompiledProblem(problem)
-    ruled_out = [idx for idx in _inconsistent_states(problem, kernel) if kernel.unrepairable(idx)]
+    ruled_out = [idx for idx in inconsistent_states(problem, kernel) if kernel.unrepairable(idx)]
     assert ruled_out
     assert not _reaches_a_consistent_state(kernel, ruled_out)
-
-
-def _reachable_values(feature, vi):
-    if not feature.mutable:
-        return range(vi, vi + 1)
-    if feature.monotonicity == "nondecreasing":
-        return range(vi, feature.size)
-    if feature.monotonicity == "nonincreasing":
-        return range(vi + 1)
-    return range(feature.size)
 
 
 @pytest.mark.parametrize("seed, max_splits",
@@ -420,8 +308,8 @@ def test_unrepairable_means_no_state_of_the_reach_box_is_consistent(seed, max_sp
     kernel = CompiledProblem(problem)
     domains, causal = problem.domains, problem.causal_rules
     verdicts = []
-    for idx in _inconsistent_states(problem, kernel):
-        box = itertools.product(*map(_reachable_values, domains.features, idx))
+    for idx in inconsistent_states(problem, kernel):
+        box = itertools.product(*map(reachable_values, domains.features, idx))
         no_exit = not any(is_causally_consistent(State(domains, s), causal) for s in box)
         covered = kernel.unrepairable(idx)
         if max_splits == 1:
@@ -701,8 +589,7 @@ def test_search_fails_from_every_doomed_start(benchmark_tiers):
     doomed = []
     for problem, _, shortest in benchmark_tiers:
         idx = problem.initial.idx
-        goal = none_holds(problem.decision_bodies + problem.causal_tables, idx)
-        if not goal and kernel_module.doomed(problem, idx):
+        if not goal(problem, idx) and kernel_module.doomed(problem, idx):
             doomed.append(shortest)
     assert len(doomed) == 113
     assert doomed == [None] * len(doomed)

@@ -15,6 +15,7 @@ from recourseplan.planner import get_path
 from recourseplan.rules import (Literal, ProblemSpec, Rule, compile_rule, eval_rule,
                                 is_causally_consistent, literal_support, none_holds,
                                 satisfies_decision)
+from tests.contract import check_rule_tables
 
 
 def bool_pair():
@@ -236,25 +237,6 @@ def test_a_body_naming_a_feature_twice_compiles_to_one_intersected_pair():
             report.goal) == (domains.state_count, consistent, fired, consistent - fired)
 
 
-TABLE_PROBLEMS = ([(name, lambda name=name: builtin_scenario(name).problem)
-                   for name in SCENARIO_NAMES]
-                  + [(f"random {seed}",
-                      lambda seed=seed: random_problem(seed, max_features=6, max_values=4))
-                     for seed in range(30)])
-
-
-@pytest.mark.parametrize("make", [make for _, make in TABLE_PROBLEMS],
-                         ids=[name for name, _ in TABLE_PROBLEMS])
-def test_each_rule_table_agrees_with_eval_rule_on_every_state(make):
-    # rule by rule, so a wrong table that another rule masks still shows: a
-    # causal rule's breaking table holds exactly where the rule is false, a
-    # decision rule's body exactly where it is true
-    problem = make()
-    causal = list(zip(problem.causal_rules, problem.causal_tables))
-    decision = list(zip(problem.decision_rules, problem.decision_bodies))
-    for state in enumerate_states(problem.domains):
-        idx = state.idx
-        for rule, table in causal:
-            assert none_holds((table,), idx) == eval_rule(rule, state), (rule.id, idx)
-        for rule, body in decision:
-            assert (not none_holds((body,), idx)) == eval_rule(rule, state), (rule.id, idx)
+@pytest.mark.parametrize("seed", range(30), ids=lambda seed: f"random {seed}")
+def test_each_rule_table_agrees_with_eval_rule_on_every_state(seed):
+    check_rule_tables(random_problem(seed, max_features=6, max_values=4))

@@ -21,12 +21,12 @@ from typing import NamedTuple
 
 import pytest
 
-import test_dsl
 from recourseplan import dsl
 from recourseplan.dsl import _offsets, _position, _tokenize, parse_problem, pretty_print
 from recourseplan.errors import ParseError, SemanticError
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
+from tests.conftest import read_parse_rows
 
 # --- reference: the previous tokenizer, verbatim ---------------------------
 
@@ -95,7 +95,7 @@ def _generated_texts() -> list[str]:
 
 def _error_position_texts() -> list[str]:
     # an error after a tab or a comment: the position- rows of tests/golden/parse.txt
-    return [row.text for row in test_dsl.PARSE_ROWS if row.name.startswith("position-")]
+    return [row.text for row in read_parse_rows() if row.name.startswith("position-")]
 
 
 # pieces a mutation inserts or substitutes: whitespace the columns must
