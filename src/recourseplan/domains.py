@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
 
 from .errors import EmptyRange, OutOfDomain, SemanticError
@@ -143,18 +144,37 @@ class FeatureDomain:
         raise KeyError(f"{self.name}: {x} outside range {self.intervals[0].lower}..{self.intervals[-1].upper}")
 
 
+@lru_cache(maxsize=256)
+def _reaches(mutable: bool, monotonicity: Monotonicity, size: int) -> tuple[range, ...]:
+    """For each value index of a feature of ``size`` values, the value
+    indices it can take from there on: only itself when it is immutable, else
+    those on the side its monotonicity allows.  Shared by every
+    :class:`Domains` of the process: at most 256 shapes, each holding
+    ``size`` ranges."""
+    if not mutable:
+        return tuple(range(vi, vi + 1) for vi in range(size))
+    if monotonicity == "nondecreasing":
+        return tuple(range(vi, size) for vi in range(size))
+    if monotonicity == "nonincreasing":
+        return tuple(range(vi + 1) for vi in range(size))
+    return (range(size),) * size
+
+
 @dataclass(frozen=True)
 class Domains:
     """Ordered collection of feature domains; the schema of a state space.
 
-    Construction computes the name index and ``sizes`` (each feature's number
-    of values, in declaration order) once; neither takes part in equality,
-    hashing or ``repr``.  A feature name declared twice is rejected, by name.
+    Construction computes the name index, ``sizes`` (each feature's number
+    of values, in declaration order) and ``reaches`` (per feature and value
+    index, the values reachable from it, :func:`_reaches`) once; none takes
+    part in equality, hashing or ``repr``.  A feature name declared twice is
+    rejected, by name.
     """
 
     features: tuple[FeatureDomain, ...]
     _by_name: dict[str, int] = field(init=False, compare=False, repr=False)
     sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    reaches: tuple[tuple[range, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         by_name = {f.name: i for i, f in enumerate(self.features)}
@@ -163,6 +183,8 @@ class Domains:
             raise SemanticError("duplicate-declaration", f"feature {name!r} declared twice")
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "sizes", tuple(f.size for f in self.features))
+        object.__setattr__(self, "reaches", tuple(_reaches(f.mutable, f.monotonicity, size)
+                                                  for f, size in zip(self.features, self.sizes)))
 
     def __iter__(self) -> Iterator[FeatureDomain]:
         return iter(self.features)
@@ -270,12 +292,20 @@ class State:
         return str(r) if r is not None else f.intervals[self.idx[i]].describe()
 
     def with_value(self, feature_index: int, new_index: int) -> "State":
-        """This state with one feature moved; the moved feature has no witness."""
+        """This state with one feature moved; the moved feature has no witness.
+
+        Only the written value is checked, with the error construction
+        raises: every other value is this state's own.
+        """
         idx = list(self.idx)
         reps = list(self.reps)
         idx[feature_index] = new_index
         reps[feature_index] = None
-        return State(self.domains, tuple(idx), tuple(reps))
+        if not 0 <= new_index < self.domains.sizes[feature_index]:
+            raise ValueError(f"{self.domains[feature_index].name}: value index {new_index} out of range")
+        moved = object.__new__(State)
+        vars(moved).update(domains=self.domains, idx=tuple(idx), reps=tuple(reps))
+        return moved
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; numeric entries keep enough to rebuild the state."""

@@ -11,9 +11,23 @@ of states with the one box test :func:`_decide` and derives the action list
 and every action's precondition from the tables, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Construction compiles no rule and enumerates no states: each repair
-candidate costs one test per causal rule.  Two tests rule a state out before
-any search, both by the one cover test :func:`_covered` on the reach box
-(the values each feature can still reach, :func:`_reach_box`):
+candidate costs one test per causal rule.
+
+What depends on the rules is built per :class:`CompiledProblem`, so once per
+``get_path`` call that searches: the guard sweep, the action list and the
+run's memos.  What depends only on a feature's shape is built once per
+process, in bounded memos every problem shares: each mutable feature's
+direct moves, keyed by (position, size, monotonicity)
+(:func:`_direct_moves`, at most 1,024 shapes), and each size's full value
+set (:func:`_values`, at most 256 sizes); the reach box reads
+:attr:`~recourseplan.domains.Domains.reaches`, filled at construction from a
+memo of its own.  An entry for a feature of ``n`` values holds ``n`` sets of
+fewer than ``n`` indices, or one set of ``n``, so the two memos retain at
+most 1,024 n² + 256 n indices for features of at most ``n`` values.
+
+Two tests rule a state out before any search, both by the one cover test
+:func:`_covered` on the reach box (the values each feature can still reach,
+:func:`_reach_box`):
 :func:`doomed` (no state of it is a goal), which reads only the problem's
 tables, so a start it rules out needs no kernel, and
 :meth:`~CompiledProblem.unrepairable` (every state of it breaks a causal
@@ -24,13 +38,17 @@ rule).  Every repair chain is walked and memoized here, for one run
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
 from typing import Collection, Iterable, Optional, Sequence, Union
 
-from .domains import Domains, FeatureDomain
+from .domains import Domains, Monotonicity
 from .rules import Pairs, ProblemSpec, Rule, none_holds
 
 Index = tuple[int, ...]
 Pair = tuple[int, frozenset[int]]
+# an action: the feature it writes, the value it writes and its precondition
+Move = tuple[int, int, Pairs]
 # a repair chain: its consistent endpoint, then each step's state and action position
 ChainEdge = tuple[Index, int]
 Chain = tuple[Index, tuple[ChainEdge, ...]]
@@ -106,25 +124,36 @@ def _covered(tables: Sequence[Pairs], box: Iterable[Collection[int]]) -> bool:
     return False
 
 
-def _reach(feature: FeatureDomain, vi: int, size: int) -> range:
-    """Every value index the feature, of ``size`` values, can take from ``vi``
-    on: only ``vi`` when it is immutable, else those on the side its
-    monotonicity allows."""
-    if not feature.mutable:
-        return range(vi, vi + 1)
-    if feature.monotonicity == "nondecreasing":
-        return range(vi, size)
-    if feature.monotonicity == "nonincreasing":
-        return range(vi + 1)
-    return range(size)
-
-
 def _reach_box(domains: Domains, idx: Index) -> Iterable[range]:
-    """Each feature's :func:`_reach` from ``idx``, its size read off
-    ``domains.sizes``: the box holding every state reachable from ``idx``,
-    since every action (a direct move, a causal repair and so every
+    """Each feature's :attr:`~recourseplan.domains.Domains.reaches` axis at
+    its value in ``idx``: the box holding every state reachable from
+    ``idx``, since every action (a direct move, a causal repair and so every
     repair-chain step) keeps to mutability and monotonicity."""
-    return map(_reach, domains.features, idx, domains.sizes)
+    return map(tuple.__getitem__, domains.reaches, idx)
+
+
+@lru_cache(maxsize=256)
+def _values(size: int) -> frozenset[int]:
+    """Every value index of a feature of ``size`` values; shared by every
+    problem, for at most 256 sizes."""
+    return frozenset(range(size))
+
+
+@lru_cache(maxsize=1024)
+def _direct_moves(fi: int, size: int, monotonicity: Monotonicity) -> tuple[Move, ...]:
+    """The direct moves of a mutable feature at position ``fi`` with ``size``
+    values, one ``(fi, target, ((fi, sources),))`` triple per target in domain
+    order: ``sources`` are the values that may move to the target under
+    monotonicity.  Shared by every problem: at most 1,024 shapes, each
+    holding ``size`` sets of fewer than ``size`` indices."""
+    if monotonicity == "nondecreasing":
+        sources = [frozenset(range(vi)) for vi in range(size)]
+    elif monotonicity == "nonincreasing":
+        sources = [frozenset(range(vi + 1, size)) for vi in range(size)]
+    else:
+        full = _values(size)
+        sources = [full - {vi} for vi in range(size)]
+    return tuple((fi, vi, ((fi, allowed),)) for vi, allowed in enumerate(sources))
 
 
 def doomed(problem: ProblemSpec, idx: Index) -> bool:
@@ -151,9 +180,11 @@ class CompiledProblem:
     read (:func:`~recourseplan.rules.none_holds`).  :meth:`unrepairable`
     reads ``causal`` too, with the domains, and keeps no other table.
 
-    Construction builds the action list and starts the run's memos, of
-    :meth:`complete` and :meth:`unrepairable`.  The list comes in order:
-    verified causal repairs first, then one direct move per (mutable
+    Construction runs the guard sweep, builds the action list and starts
+    the run's memos, of :meth:`complete` and :meth:`unrepairable`; the
+    direct moves, and so every repair's direct precondition, it reads from
+    :func:`_direct_moves`, which every problem shares.  The list comes in
+    order: verified causal repairs first, then one direct move per (mutable
     feature, value), in declaration then domain order.  ``rules`` holds the
     causal rule each action repairs (``None`` for a direct move), and
     ``moves`` one ``(feature index, new index, precondition pairs)`` triple
@@ -179,27 +210,13 @@ class CompiledProblem:
         domains = self.domains = problem.domains
         self.causal = problem.causal_tables
         self.decision = problem.decision_bodies
-        # per mutable feature and value: the direct move's precondition, the
-        # values that may move there under monotonicity
-        full = [frozenset(range(n)) for n in domains.sizes]
-        pre: list[list[Pairs]] = [[] for _ in full]
-        direct_moves: list[tuple[int, int, Pairs]] = []
-        for fi, f in enumerate(domains):
-            if not f.mutable:
-                continue
-            size, monotonicity = len(full[fi]), f.monotonicity
-            for vi in range(size):
-                if monotonicity == "nondecreasing":
-                    sources = frozenset(range(vi))
-                elif monotonicity == "nonincreasing":
-                    sources = frozenset(range(vi + 1, size))
-                else:
-                    sources = full[fi] - {vi}
-                pre[fi].append(((fi, sources),))
-                direct_moves.append((fi, vi, pre[fi][vi]))
+        full = list(map(_values, domains.sizes))
+        # per mutable feature: its direct moves, one per value
+        direct = [_direct_moves(fi, size, f.monotonicity) if f.mutable else ()
+                  for fi, (f, size) in enumerate(zip(domains, domains.sizes))]
 
         rules: list[Optional[Rule]] = []
-        moves: list[tuple[int, int, Pairs]] = []
+        moves: list[Move] = []
         for rule, table in zip(problem.causal_rules, self.causal):
             (fi, refused), guard = table[0], table[1:]
             if not domains[fi].mutable:
@@ -212,9 +229,9 @@ class CompiledProblem:
                 box[fi] = frozenset((vi,))
                 if vacuous or _decide(self.causal, box) is None:
                     rules.append(rule)
-                    moves.append((fi, vi, pre[fi][vi] + guard))
-        self.rules = tuple(rules) + (None,) * len(direct_moves)
-        self.moves = tuple(moves + direct_moves)
+                    moves.append((fi, vi, direct[fi][vi][2] + guard))
+        self.moves = tuple(moves) + tuple(itertools.chain.from_iterable(direct))
+        self.rules = tuple(rules) + (None,) * (len(self.moves) - len(moves))
         # the run's memos; a verdict's key is the values its reach box depends on
         self._pinned = tuple(i for i, f in enumerate(domains)
                              if not f.mutable or f.monotonicity != "none")

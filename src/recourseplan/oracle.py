@@ -35,9 +35,10 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Protocol, Sequence, Union
 
-from .domains import CandidatePath, Domains, FeatureDomain, State
+from .domains import CandidatePath, Domains, Monotonicity, State
 from .errors import CapExceeded
 from .rules import Literal, ProblemSpec
 
@@ -124,17 +125,22 @@ def _on_boxes(tables: Sequence[Table], box: Box) -> tuple[Union[bool, Pair], lis
     return cut, live
 
 
-def _may_leave(f: FeatureDomain, target: int) -> frozenset[int]:
-    """Current values of feature ``f`` from which a move may write ``target``:
-    none when the feature is immutable, never the target itself, and only
-    from the side of the target that the feature's monotonicity allows."""
-    if not f.mutable:
-        return frozenset()
-    if f.monotonicity == "nondecreasing":
-        return frozenset(range(target))
-    if f.monotonicity == "nonincreasing":
-        return frozenset(range(target + 1, f.size))
-    return frozenset(range(f.size)) - {target}
+@lru_cache(maxsize=256)
+def _may_leave(mutable: bool, monotonicity: Monotonicity, size: int) -> tuple[frozenset[int], ...]:
+    """For each target value index of a feature of ``size`` values, the
+    current values from which a move may write it: none when the feature is
+    immutable, never the target itself, and only from the side of the target
+    that the feature's monotonicity allows.  Shared by every problem: at
+    most 256 shapes, each holding ``size`` sets of fewer than ``size``
+    indices."""
+    if not mutable:
+        return (frozenset(),) * size
+    if monotonicity == "nondecreasing":
+        return tuple(frozenset(range(target)) for target in range(size))
+    if monotonicity == "nonincreasing":
+        return tuple(frozenset(range(target + 1, size)) for target in range(size))
+    full = frozenset(range(size))
+    return tuple(full - {target} for target in range(size))
 
 
 class ListedAction(Protocol):
@@ -215,12 +221,13 @@ class _Tables:
     ``moves`` holds one ``(feature index, new index, permission table)``
     triple per action in action order: the oracle's own list
     (:func:`_own_actions`), or the ``actions`` a caller passes.  The
-    permission table pairs the written feature with :func:`_may_leave` and
-    adds the guard.  The layer works on endpoints only: which state an
-    action or a repair reaches, never which actions led there.  One object
-    serves one top-level call and remembers two things for it: the repair
-    found from each raw outcome, and the dead states, from which no walk
-    through causally inconsistent states reaches a consistent one.
+    permission table pairs the written feature with its :func:`_may_leave`
+    set for the target and adds the guard.  The layer works on endpoints
+    only: which state an action or a repair reaches, never which actions
+    led there.  One object serves one top-level call and remembers two
+    things for it: the repair found from each raw outcome, and the dead
+    states, from which no walk through causally inconsistent states reaches
+    a consistent one.
     """
 
     __slots__ = ("causal", "decision", "moves", "_repairs", "_dead")
@@ -231,7 +238,8 @@ class _Tables:
         self.causal, self.decision = _rule_tables(problem)
         listed = (_own_actions(problem) if actions is None
                   else ((a.feature_index, a.new_index, _table(domains, a.guard)) for a in actions))
-        self.moves = tuple((fi, target, ((fi, _may_leave(domains[fi], target)),) + guard)
+        leave = [_may_leave(f.mutable, f.monotonicity, f.size) for f in domains]
+        self.moves = tuple((fi, target, ((fi, leave[fi][target]),) + guard)
                            for fi, target, guard in listed)
         self._repairs: dict[Index, Index] = {}
         self._dead: set[Index] = set()

@@ -199,6 +199,20 @@ decision still_old :- age > 60.
 constraint nondecreasing age.
 initial { age = 70, income = low }.
 """,
+    # rating can only fall, from fair (neither end) to poor only: from poor
+    # every reachable state is refused, though the states above it hold
+    # goals; from fair, pledging collateral breaks long_term, and the repair
+    # chain sets term
+    "nonincreasing feature": """\
+feature rating: categorical {poor, fair, good}.
+feature collateral: categorical {none, pledged}.
+feature term: categorical {short, long}.
+decision low_rating :- rating = poor.
+decision unsecured :- collateral = none, rating != good.
+causal long_term: term = long :- collateral = pledged.
+constraint nonincreasing rating.
+initial { rating = fair, collateral = none, term = short }.
+""",
     # every numeric comparator: no scenario or generated problem uses <, >=
     # or a numeric !=
     "comparators": """\

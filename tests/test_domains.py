@@ -99,6 +99,28 @@ def test_state_rejects_value_indices_outside_the_domain(idx, message):
         State(d, idx)
 
 
+def test_with_value_is_construction_with_one_value_written():
+    # every position, negative ones too, and every value index one past each end
+    d = Domains((
+        FeatureDomain("a", "categorical", labels=("x", "y", "z")),
+        FeatureDomain("b", "numeric", intervals=partition_range(0, 10, {5})),
+    ))
+    state = State(d, (1, 0), (None, 3))
+    for fi in range(-2, 2):
+        for vi in range(-1, d.sizes[fi] + 1):
+            idx, reps = list(state.idx), list(state.reps)
+            idx[fi], reps[fi] = vi, None
+            try:
+                expected = State(d, tuple(idx), tuple(reps))
+            except ValueError as error:
+                with pytest.raises(ValueError) as caught:
+                    state.with_value(fi, vi)
+                assert str(caught.value) == str(error)
+                continue
+            moved = state.with_value(fi, vi)
+            assert moved.domains is d and (moved.idx, moved.reps) == (expected.idx, expected.reps)
+
+
 def test_make_state_maps_numeric_to_interval():
     d = Domains((
         FeatureDomain("gain", "numeric", intervals=partition_range(0, 99999, {6849})),

@@ -1,15 +1,16 @@
 """The compiled kernel agrees with the State-level rule and action API, and
 its doomed-state test with its reach box, on seeded random problems (the
 named problems run the same checks in ``tests/test_contract.py``); the
-doomed test's box counts and search budgets."""
+doomed test's box counts and search budgets; the per-shape tables every
+problem shares."""
 
 import dataclasses
 import sys
 
 import pytest
 
-from recourseplan import kernel
-from recourseplan.actions import build_actions
+from recourseplan import domains as domains_module, kernel, oracle
+from recourseplan.actions import Action, build_actions
 from recourseplan.domains import FeatureDomain
 from recourseplan.dsl import parse_problem
 from recourseplan.generate import random_problem
@@ -18,7 +19,7 @@ from recourseplan.kernel import MAX_SPLITS, CompiledProblem
 from recourseplan.oracle import bfs_shortest_path, enumerate_causally_consistent
 from recourseplan.planner import get_path
 from recourseplan.rules import ProblemSpec
-from tests.contract import check_doomed, check_kernel, goal
+from tests.contract import check_doomed, check_kernel, goal, reachable_values
 
 
 @pytest.mark.parametrize("seed", (0, 5, 6, 12, 27, 30), ids=lambda seed: f"random {seed}")
@@ -160,3 +161,37 @@ def test_ids_are_formatted_on_first_use(name, monkeypatch):
     last_first = [kernel.action_id(k) for k in reversed(range(len(kernel.moves)))]
     assert kernel.ids == tuple(reversed(last_first))
     assert kernel.ids == tuple(a.id for a in build_actions(problem))
+
+
+# one feature position and size under each of its four constraint settings
+SHAPE_TEXT = """\
+feature x: categorical {{a, b, c}}.
+feature y: categorical {{f, t}}.
+causal r: y = t :- x = c.
+{}initial {{ x = b, y = f }}.
+"""
+SHAPE_CONSTRAINTS = ("", "constraint nondecreasing x.\n", "constraint nonincreasing x.\n",
+                     "constraint immutable x.\n")
+
+
+@pytest.mark.parametrize("order", (1, -1), ids=("forward", "backward"))
+def test_per_shape_tables_are_shared_exactly(order):
+    # the memos start empty, and each problem meets the tables the ones
+    # before it left; a memo that drops monotonicity or mutability from its
+    # key hands one of them another's tables
+    for memo in (kernel._values, kernel._direct_moves, domains_module._reaches, oracle._may_leave):
+        memo.cache_clear()
+    problems = [parse_problem(SHAPE_TEXT.format(c)) for c in SHAPE_CONSTRAINTS[::order]]
+    for problem in problems:
+        features = problem.domains.features
+        check_kernel(problem)
+        assert problem.domains.reaches == tuple(
+            tuple(reachable_values(f, vi) for vi in range(f.size)) for f in features)
+        # every direct move the oracle can be handed, on immutable x too
+        listed = [Action(f"direct:{f.name}:{vi}", "direct", f.name, fi, vi)
+                  for fi, f in enumerate(features) for vi in range(f.size)]
+        for fi, target, ((i, leave), *guard) in oracle._Tables(problem, listed).moves:
+            f = features[fi]
+            assert (i, guard) == (fi, [])
+            assert leave == {vi for vi in range(f.size)
+                             if vi != target and target in reachable_values(f, vi)}

@@ -85,6 +85,8 @@ BAD_VALUES = [
      ValueError, "state arity does not match the declared features"),
     ("witness arity", lambda: recourseplan.State(_DOMAINS, (0,), (None, None)),
      ValueError, "witness arity does not match the declared features"),
+    ("moved value out of range", lambda: _INITIAL.with_value(-1, 2),
+     ValueError, "x: value index 2 out of range"),
     ("no initial state", lambda: recourseplan.ProblemSpec(_DOMAINS),
      errors.SemanticError, "missing-initial: problem has no initial state"),
     ("rule under the wrong role",
@@ -132,6 +134,80 @@ def test_package_imports_only_itself_and_the_standard_library():
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert len(SOURCES) > 10
     assert foreign == []
+
+
+# the unbounded caches src/ may hold; every other memo states its bound
+UNBOUNDED_CACHES = {("cli", "_build_parser"), ("rules", "literal_support"),
+                    ("rules", "compile_rule")}
+
+
+def _unbounded(maker: ast.expr) -> bool:
+    """``maker`` makes an unbounded cache: ``functools.cache``, or
+    ``lru_cache`` given a maxsize of ``None``."""
+    call = maker if isinstance(maker, ast.Call) else None
+    func = call.func if call else maker
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if call is None:
+        return name == "cache"
+    if name != "lru_cache":
+        return False
+    size = call.args[0] if call.args else next(
+        (k.value for k in call.keywords if k.arg == "maxsize"), None)
+    return isinstance(size, ast.Constant) and size.value is None
+
+
+def _unbounded_caches(module: str, source: str) -> set[tuple[str, str]]:
+    """Each unbounded cache in ``source``, as decorator or as call, named by
+    the function it decorates or the name the call is assigned to."""
+    tree = ast.parse(source)
+    assigned = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((module, node.name) for deco in node.decorator_list if _unbounded(deco))
+        elif isinstance(node, ast.Call) and _unbounded(node.func):
+            found.add((module, assigned.get(id(node), f"line {node.lineno}")))
+    return found
+
+
+def test_only_the_listed_caches_are_unbounded():
+    found = set().union(*(_unbounded_caches(source.stem, source.read_text()) for source in SOURCES))
+    assert found <= UNBOUNDED_CACHES
+
+
+PLANTED_CACHES = """\
+import functools
+from functools import cache, lru_cache
+
+@functools.lru_cache(maxsize=None)
+def a(): pass
+
+@lru_cache(None)
+def b(): pass
+
+@cache
+def c(): pass
+
+@functools.cache
+def d(): pass
+
+e = lru_cache(maxsize=None)(len)
+f = functools.cache(len)
+
+@lru_cache
+def bounded_default(): pass
+
+@lru_cache(maxsize=64)
+def bounded(): pass
+
+g = lru_cache(16)(len)
+"""
+
+
+def test_the_cache_check_finds_each_planted_unbounded_cache():
+    assert _unbounded_caches("planted", PLANTED_CACHES) == {
+        ("planted", name) for name in "abcdef"}
 
 
 def test_demos_are_found():

@@ -336,7 +336,7 @@ def test_seed_459_raw_outcome_is_unrepairable_though_no_rule_is_broken_throughou
            if nxt is not None and not none_holds(kernel.causal, nxt)]
     # the second inconsistent raw outcome in action order: two causal rules
     # cover its reach box between them, and the box test alone cuts it
-    reach = list(map(kernel_module._reach, problem.domains.features, raw[1], problem.domains.sizes))
+    reach = list(map(reachable_values, problem.domains.features, raw[1]))
     assert kernel_module._decide(kernel.causal, reach) is not True
     assert kernel.unrepairable(raw[1])
 
