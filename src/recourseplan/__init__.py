@@ -21,7 +21,7 @@ from .oracle import (StateSetReport, ValidationReport, bfs_shortest_path,
                      enumerate_states, state_set_report, validate_solution_path)
 from .planner import (CandidatePath, PathTrace, TraceEntry, extract_candidate_path,
                       get_path)
-from .rules import (Literal, ProblemSpec, Rule, eval_rule, is_causally_consistent,
+from .rules import (Literal, Model, ProblemSpec, Rule, eval_rule, is_causally_consistent,
                     is_counterfactual, satisfies_decision)
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Action", "CandidatePath", "CapExceeded", "CompiledProblem", "Domains",
     "EmptyRange", "EmptySequenceError", "FeatureDomain", "GoldenStep",
-    "Interval", "Literal", "NotApplicable", "NotASolution", "OutOfDomain",
+    "Interval", "Literal", "Model", "NotApplicable", "NotASolution", "OutOfDomain",
     "ParseError", "PathTrace", "ProblemSpec",
     "RecourseError", "Rule", "SCENARIO_NAMES", "Scenario", "SemanticError",
     "State", "StateSetReport", "TraceEntry", "UnknownScenario",

@@ -69,7 +69,7 @@ def _load_problem(ns: argparse.Namespace) -> tuple[str, ProblemSpec]:
         problem = scenario.problem
         name = scenario.name
     if ns.budget is not None:
-        problem = dataclasses.replace(problem, action_budget=ns.budget)
+        problem = problem.model.problem(problem.initial, ns.budget)
     return name, problem
 
 

@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .domains import Domains, FeatureDomain, Interval, State, partition_range
-from .rules import Literal, ProblemSpec, Rule, _causal_tables, none_holds
+from .rules import Literal, Model, ProblemSpec, Rule, none_holds
 
 # sampled states before a problem gives up its causal rules for want of a
 # consistent initial state
@@ -64,8 +64,9 @@ def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
     Draws, in this order: the features' values, the causal rules, the
     decision rules, one constraint roll per feature, then initial states.
     Each feature and the domains are built once, with their constraints,
-    after the rolls; the initial state is sampled on those final domains and
-    is the problem's own.  ``max_features`` and ``max_values`` must be at
+    after the rolls, and the rules are compiled once, into the problem's
+    model; the initial state is sampled on those final domains against the
+    model's tables and is the problem's own.  ``max_features`` and ``max_values`` must be at
     least 2 and ``max_causal`` at least 0, or :class:`ValueError` names the
     argument.
     """
@@ -93,32 +94,25 @@ def random_problem(seed: int, *, max_features: int = 5, max_values: int = 4,
         decision.append(Rule(f"q{k}", "decision", body))
 
     domains = Domains(tuple(_constrained_feature(rng, part) for part in parts))
-    initial = _consistent_initial(rng, domains, tuple(causal))
+    model = Model(domains, tuple(causal), tuple(decision))
+    initial = _consistent_initial(rng, model)
     if initial is None:
         # no consistent state found by sampling; drop the causal layer so the
         # instance stays usable and deterministic
-        causal = []
+        model = Model(domains, (), model.decision_rules)
         initial = State(domains, tuple(rng.randrange(size) for size in domains.sizes))
-
-    return ProblemSpec(
-        domains=domains,
-        causal_rules=tuple(causal),
-        decision_rules=tuple(decision),
-        initial=initial,
-    )
+    return model.problem(initial)
 
 
-def _consistent_initial(rng: random.Random, domains: Domains,
-                        causal: tuple[Rule, ...]) -> Optional[State]:
+def _consistent_initial(rng: random.Random, model: Model) -> Optional[State]:
     """The first of :data:`INITIAL_TRIES` sampled states that satisfies every causal rule.
 
-    Samples index tuples on the problem's final domains against the rules
-    compiled once, and builds a :class:`State` for the accepted tuple only.
+    Samples index tuples on the model's domains against its compiled causal
+    tables, and builds a :class:`State` for the accepted tuple only.
     """
-    tables = _causal_tables(domains, causal)
-    sizes, randrange = domains.sizes, rng.randrange
+    tables, sizes, randrange = model.causal_tables, model.domains.sizes, rng.randrange
     for _ in range(INITIAL_TRIES):
         idx = tuple([randrange(size) for size in sizes])
         if none_holds(tables, idx):
-            return State(domains, idx)
+            return State(model.domains, idx)
     return None

@@ -12,7 +12,7 @@ list too (:func:`_own_actions`), in the order ``build_actions`` lists the
 planner's, so a fault in the planner's repair sweep shows as a path the
 oracle refuses; path validation builds it only when the path has a step to
 check, and counting never.  ``delta_oracle`` and ``bfs_shortest_path`` also
-take a caller's list.  The rule tables are compiled once per problem
+take a caller's list.  The rule tables are compiled once per model
 (:func:`_rule_tables`).  The oracle answers membership, counts and lengths:
 the states it returns carry no numeric witnesses, and a verdict never reads
 one (``State`` equality ignores them).
@@ -33,14 +33,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Protocol, Sequence, Union
 
 from .domains import CandidatePath, Domains, Monotonicity, State
 from .errors import CapExceeded
-from .rules import Literal, ProblemSpec
+from .rules import Literal, Model, ProblemSpec
 
 DEFAULT_STATE_CAP = 10**7
 
@@ -153,26 +152,21 @@ class ListedAction(Protocol):
 
 
 RuleTables = tuple[tuple[Table, ...], tuple[Table, ...]]
-# the one problem whose rule tables were compiled last, and those tables
-_compiled: tuple[Optional[weakref.ref], RuleTables] = (None, ((), ()))
 
 
-def _rule_tables(problem: ProblemSpec) -> RuleTables:
-    """The problem's causal and decision tables (see :class:`_Tables`),
-    compiled once for the last problem asked about, so the calls one
-    ``validate`` makes share them.  A problem is immutable, and the memo
-    holds it by a weak reference, so a new problem never meets another's
-    tables.  The tables are immutable too; two threads racing here at worst
-    both compile them."""
-    global _compiled
-    ref, tables = _compiled
-    if ref is None or ref() is not problem:
-        domains = problem.domains
-        tables = (tuple((_literal_table(domains, r.head, negated=True),) + _table(domains, r.body)
-                        for r in problem.causal_rules),
-                  tuple(_table(domains, r.body) for r in problem.decision_rules))
-        _compiled = weakref.ref(problem), tables
-    return tables
+@lru_cache(maxsize=1)
+def _rule_tables(model: Model) -> RuleTables:
+    """The model's causal and decision tables (see :class:`_Tables`),
+    compiled once for the last model asked about, so the calls one
+    ``validate`` makes and the starts of a model asked about in turn share
+    them.  A model is immutable and equal only to itself, so a new model
+    never meets another's tables.  One entry: a model the memo keeps alive
+    outlives its problem, and a memo of 64 models made ``validate`` calls
+    on a stream of new problems about 3% slower."""
+    domains = model.domains
+    return (tuple((_literal_table(domains, r.head, negated=True),) + _table(domains, r.body)
+                  for r in model.causal_rules),
+            tuple(_table(domains, r.body) for r in model.decision_rules))
 
 
 def _own_actions(problem: ProblemSpec) -> Iterator[tuple[int, int, Table]]:
@@ -190,7 +184,7 @@ def _own_actions(problem: ProblemSpec) -> Iterator[tuple[int, int, Table]]:
     table misses.
     """
     domains = problem.domains
-    causal = _rule_tables(problem)[0]
+    causal = _rule_tables(problem.model)[0]
     full = [frozenset(range(n)) for n in domains.sizes]
     for table in causal:
         (fi, refused), guard = table[0], table[1:]
@@ -235,7 +229,7 @@ class _Tables:
     def __init__(self, problem: ProblemSpec,
                  actions: Optional[Sequence[ListedAction]] = None) -> None:
         domains = problem.domains
-        self.causal, self.decision = _rule_tables(problem)
+        self.causal, self.decision = _rule_tables(problem.model)
         listed = (_own_actions(problem) if actions is None
                   else ((a.feature_index, a.new_index, _table(domains, a.guard)) for a in actions))
         leave = [_may_leave(f.mutable, f.monotonicity, f.size) for f in domains]
@@ -354,7 +348,7 @@ def _leaves(problem: ProblemSpec, cap: Optional[int] = None) -> list[tuple[Box, 
     body may be longer than the recursion limit."""
     domains = problem.domains
     _check_cap(domains, cap)
-    causal, decision = _rule_tables(problem)
+    causal, decision = _rule_tables(problem.model)
     leaves: list[tuple[Box, bool]] = []
     stack = [(tuple(frozenset(range(n)) for n in domains.sizes), causal, decision)]
     while stack:

@@ -143,17 +143,6 @@ def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
     return tuple(body.items()), None if rule.head is None else pair(rule.head)
 
 
-def _causal_tables(domains: Domains, rules: Sequence[Rule]) -> tuple[Pairs, ...]:
-    """Each causal rule compiled once (:func:`_compile_rule`) into its
-    breaking table: the head position with the values the head literal
-    refuses, then the body pairs.  The table holds exactly where the rule is
-    broken, so it has the shape of a decision rule's body pairs."""
-    sizes = domains.sizes
-    compiled = (_compile_rule(domains, rule) for rule in rules)
-    return tuple(((head, frozenset(range(sizes[head])) - allowed),) + body
-                 for body, (head, allowed) in compiled)
-
-
 def none_holds(tables: Sequence[Pairs], idx: tuple[int, ...]) -> bool:
     """No table holds at the index tuple: each has a pair whose values miss
     the tuple's value there.  On breaking tables this says every causal rule
@@ -206,53 +195,32 @@ def is_counterfactual(state: State, causal_rules: Sequence[Rule],
             and not satisfies_decision(state, decision_rules))
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A complete recourse planning problem.
+@dataclass(frozen=True, eq=False)
+class Model:
+    """The feature domains and the rules of a problem, without its start.
 
-    Holds the feature domains, the causal rules, the decision rules that
-    currently fire for the individual, the initial state, and an optional cap
-    on planner expansions.  The plausibility constraints live on the domains
-    alone, as each feature's ``mutable`` and ``monotonicity``, set when a
-    feature is built (:func:`~recourseplan.dsl.parse_problem` and
-    :func:`~recourseplan.generate.random_problem` do so; code that builds a
-    problem passes them to :class:`~recourseplan.domains.FeatureDomain`).
-    Construction re-binds the initial state to ``domains`` when it sits on
-    other domains that declare the same features with the same labels or
-    intervals, in order (their constraint flags may differ), and raises
-    ``ValueError`` naming the first feature that differs otherwise.  The
-    state must satisfy every causal rule, and construction rejects it
-    otherwise.  A rule id may be declared once, over
-    the causal and decision rules together.
+    Construction checks that every rule is listed under its own role and
+    that a rule id is declared once, over the causal and decision rules
+    together.  Then it compiles every rule once against the domains, without
+    a cache, causal rules first: ``causal_tables`` holds each causal rule's
+    breaking table, the head position with the values the head literal
+    refuses and then the body pairs, so it holds exactly where the rule is
+    broken, in the shape of a decision rule's body pairs, which
+    ``decision_bodies`` holds.  A body names each feature once in these
+    tables, with the intersection of its literals on that feature
+    (:func:`_compile_rule`).  :func:`none_holds` reads both.
 
-    Construction compiles every rule once against the domains,
-    without a cache, causal rules first: ``causal_tables`` holds each causal
-    rule's breaking table (:func:`_causal_tables`), which :func:`none_holds`
-    reads for the initial check, and ``decision_bodies`` each decision rule's
-    body pairs.  A body names each feature once in these tables, with the
-    intersection of its literals on that feature (:func:`_compile_rule`).
+    Equality is identity, so a memo keyed by a model never compares rules.
+    :meth:`problem` binds a start to the model and compiles nothing.
     """
 
     domains: Domains
     causal_rules: tuple[Rule, ...] = ()
     decision_rules: tuple[Rule, ...] = ()
-    initial: State = None  # type: ignore[assignment]
-    action_budget: Optional[int] = None
-    causal_tables: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
-                                             repr=False)
-    decision_bodies: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
-                                               repr=False)
+    causal_tables: tuple[Pairs, ...] = field(default=(), init=False, repr=False)
+    decision_bodies: tuple[Pairs, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.initial is None:
-            raise SemanticError("missing-initial", "problem has no initial state")
-        if self.initial.domains is not self.domains:
-            for f, g in zip_longest(self.domains, self.initial.domains):
-                if (f is None or g is None
-                        or (f.name, f.labels, f.intervals) != (g.name, g.labels, g.intervals)):
-                    raise ValueError(f"the initial state's feature {(f or g).name!r} is not the problem's")
-            object.__setattr__(self, "initial",
-                               State(self.domains, self.initial.idx, self.initial.reps))
         seen: set[str] = set()
         for role, rules in (("causal", self.causal_rules), ("decision", self.decision_rules)):
             for rule in rules:
@@ -263,13 +231,92 @@ class ProblemSpec:
                                         f"rule id {rule.id!r} declared twice")
                 seen.add(rule.id)
         # validates features, kinds, alignment
-        causal = _causal_tables(self.domains, self.causal_rules)
-        object.__setattr__(self, "causal_tables", causal)
+        domains, sizes = self.domains, self.domains.sizes
+        compiled = (_compile_rule(domains, rule) for rule in self.causal_rules)
+        object.__setattr__(self, "causal_tables", tuple(
+            ((head, frozenset(range(sizes[head])) - allowed),) + body
+            for body, (head, allowed) in compiled))
         object.__setattr__(self, "decision_bodies", tuple(
-            _compile_rule(self.domains, rule)[0] for rule in self.decision_rules))
+            _compile_rule(domains, rule)[0] for rule in self.decision_rules))
+
+    def problem(self, initial: State, action_budget: Optional[int] = None) -> ProblemSpec:
+        """The problem of this model from ``initial``, under ``action_budget``.
+
+        It equals ``ProblemSpec`` built from the model's domains and rules
+        with that start and budget, and raises the same errors; it shares
+        the model and its tables."""
+        problem = object.__new__(ProblemSpec)
+        vars(problem).update(domains=self.domains, causal_rules=self.causal_rules,
+                             decision_rules=self.decision_rules, initial=initial,
+                             action_budget=action_budget)
+        problem._bind(self)
+        return problem
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """A complete recourse planning problem: a :class:`Model` and one start.
+
+    Holds the feature domains, the causal rules, the decision rules that
+    currently fire for the individual, the initial state, and an optional cap
+    on planner expansions.  The plausibility constraints live on the domains
+    alone, as each feature's ``mutable`` and ``monotonicity``, set when a
+    feature is built (:func:`~recourseplan.dsl.parse_problem` and
+    :func:`~recourseplan.generate.random_problem` do so; code that builds a
+    problem passes them to :class:`~recourseplan.domains.FeatureDomain`).
+
+    Construction builds the problem's ``model`` from its domains and rules,
+    which compiles every rule once, and binds the initial state to it
+    (:meth:`_bind`); :meth:`Model.problem` binds a start to a model that
+    exists.  ``causal_tables`` and ``decision_bodies`` are the model's, kept
+    on the problem for the planner's per-state reads.  The model takes no
+    part in equality: two problems are equal when their domains, rules,
+    start and budget are.
+    """
+
+    domains: Domains
+    causal_rules: tuple[Rule, ...] = ()
+    decision_rules: tuple[Rule, ...] = ()
+    initial: State = None  # type: ignore[assignment]
+    action_budget: Optional[int] = None
+    model: Model = field(default=None, init=False, compare=False,  # type: ignore[assignment]
+                         repr=False)
+    causal_tables: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
+                                             repr=False)
+    decision_bodies: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
+                                               repr=False)
+
+    def __post_init__(self) -> None:
+        self._bind(None)
+
+    def _bind(self, model: Optional[Model]) -> None:
+        """Bind the initial state to ``model``, or to a model compiled from
+        the problem's own domains and rules when it is ``None``.
+
+        The initial state is re-bound to the domains when it sits on other
+        domains that declare the same features with the same labels or
+        intervals, in order (their constraint flags may differ); otherwise
+        ``ValueError`` names the first feature that differs.  A model is
+        compiled after that, so a rule's error comes after the initial
+        state's and before the budget's.  Then the budget must be positive,
+        and the state must satisfy every causal rule."""
+        if self.initial is None:
+            raise SemanticError("missing-initial", "problem has no initial state")
+        if self.initial.domains is not self.domains:
+            for f, g in zip_longest(self.domains, self.initial.domains):
+                if (f is None or g is None
+                        or (f.name, f.labels, f.intervals) != (g.name, g.labels, g.intervals)):
+                    raise ValueError(f"the initial state's feature {(f or g).name!r} is not the problem's")
+            object.__setattr__(self, "initial",
+                               State(self.domains, self.initial.idx, self.initial.reps))
+        if model is None:
+            model = Model(self.domains, self.causal_rules, self.decision_rules)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "causal_tables", model.causal_tables)
+        object.__setattr__(self, "decision_bodies", model.decision_bodies)
         if self.action_budget is not None and self.action_budget <= 0:
             raise ValueError("action budget must be positive")
-        if not none_holds(causal, self.initial.idx):
+        if not none_holds(model.causal_tables, self.initial.idx):
             raise SemanticError("causally-inconsistent-initial",
                                 "initial state violates a causal rule")
 

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import settings
 
-from recourseplan import builtin_scenario
+from recourseplan import builtin_scenario, rules
 from recourseplan.cli import main
 from tests.contract import named_problem
 
@@ -15,6 +15,20 @@ from tests.contract import named_problem
 # own @settings(max_examples=...) inherits this profile
 settings.register_profile("tier-1", deadline=None)
 settings.load_profile("tier-1")
+
+
+@pytest.fixture
+def compiled_rules(monkeypatch):
+    """The rules ``rules._compile_rule`` compiles while the test runs, in order."""
+    compiled = []
+    real_compile = rules._compile_rule
+
+    def counting_compile(domains, rule):
+        compiled.append(rule)
+        return real_compile(domains, rule)
+
+    monkeypatch.setattr(rules, "_compile_rule", counting_compile)
+    return compiled
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 
 from recourseplan import cli, oracle
 from recourseplan.domains import Domains, FeatureDomain, State
-from recourseplan.dsl import pretty_print
+from recourseplan.dsl import parse_problem, pretty_print
 from recourseplan.generate import random_problem
 from recourseplan.ingest import GERMAN_TEXT, SCENARIO_NAMES
 from recourseplan.planner import CandidatePath, get_path
@@ -33,6 +33,15 @@ def test_cli_contract(row, contract_inputs, monkeypatch):
     code, out, err = run_cli(*row.args)
     found = failures(row, code, out, err)
     assert not found, "\n".join([*found, "--- stdout", out, "--- stderr", err])
+
+
+def test_a_budget_rebinds_the_problem_without_recompiling(compiled_rules):
+    # --budget binds the parsed problem's start to its model under the budget
+    german = parse_problem(GERMAN_TEXT)
+    compiled_rules.clear()
+    code, _, _ = run_cli("plan", "--scenario", "german", "--budget", "1")
+    assert code == 3  # budget-exhausted
+    assert compiled_rules == list(german.causal_rules + german.decision_rules)
 
 
 def test_readme_shows_the_german_table_row():

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from recourseplan import generate
 from recourseplan.domains import Domains, FeatureDomain, State
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
@@ -98,6 +99,29 @@ def test_each_problem_builds_its_features_domains_and_state_once(monkeypatch):
         assert built == {FeatureDomain: len(p.domains), Domains: 1, State: 1}, seed
         assert p.initial.domains is p.domains
     assert replaced == []
+
+
+def test_each_problem_compiles_each_rule_once(compiled_rules, monkeypatch):
+    # the start is sampled against the model's tables and bound to the model;
+    # a problem whose sampler gives up compiles its decision rules again
+    found = []
+    real_sample = generate._consistent_initial
+
+    def recording_sample(*args):
+        initial = real_sample(*args)
+        found.append(initial is not None)
+        return initial
+
+    monkeypatch.setattr(generate, "_consistent_initial", recording_sample)
+    checked = 0
+    for seed in range(350):
+        compiled_rules.clear()
+        found.clear()
+        p = random_problem(seed, max_features=8, max_values=5)
+        if found == [True]:
+            assert compiled_rules == list(p.causal_rules + p.decision_rules), seed
+            checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize("arg, value", [("max_features", 1), ("max_values", 1),

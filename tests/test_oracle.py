@@ -215,7 +215,7 @@ def test_box_test_is_exact(monkeypatch):
 
     monkeypatch.setattr(oracle, "_on_boxes", checked_on_boxes)
     for name, problem in _box_test_problems():
-        for table in itertools.chain(*oracle._rule_tables(problem)):
+        for table in itertools.chain(*oracle._rule_tables(problem.model)):
             assert len({i for i, _ in table}) == len(table), name
         state_set_report(problem)
 

@@ -176,6 +176,30 @@ def test_only_the_listed_caches_are_unbounded():
     assert found <= UNBOUNDED_CACHES
 
 
+# the compile step a model owns: no other module of src/ may name it
+COMPILE_STEPS = {"_compile_rule", "_causal_tables"}
+
+
+def _compile_step_names(source: str) -> set[str]:
+    """The compile steps ``source`` names, as a name, attribute or import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found & COMPILE_STEPS
+
+
+def test_only_the_model_compiles_rules():
+    named = {source.stem: _compile_step_names(source.read_text()) for source in SOURCES}
+    assert {module for module, names in named.items() if names} == {"rules"}
+    assert _compile_step_names("from .rules import _causal_tables\nrules._compile_rule(d, r)\n") \
+        == COMPILE_STEPS
+
+
 PLANTED_CACHES = """\
 import functools
 from functools import cache, lru_cache

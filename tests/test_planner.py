@@ -15,7 +15,8 @@ from recourseplan.errors import EmptySequenceError, NotASolution
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
-from recourseplan.oracle import bfs_shortest_path, delta_oracle, validate_solution_path
+from recourseplan.oracle import (bfs_shortest_path, delta_oracle,
+                                 enumerate_causally_consistent, validate_solution_path)
 from recourseplan.planner import (PathTrace, TraceEntry, extract_candidate_path, get_path,
                                   is_counterfactual)
 from recourseplan.rules import ProblemSpec, is_causally_consistent, none_holds
@@ -465,6 +466,24 @@ def test_get_path_compiles_the_problem_once(make, monkeypatch):
     # one kernel for a run that expands, none for a goal or doomed start
     assert len(built) == (1 if trace.expansions else 0)
     assert compiled == []
+
+
+def test_a_start_bound_to_the_model_plans_as_a_rebuilt_problem():
+    # every consistent start of the default tier, bound to its problem's
+    # model or built into a new problem, gives the same run
+    def run(problem):
+        trace = get_path(problem)
+        return trace.status, trace.expansions, [
+            (e.state.idx, e.state.reps, e.actions_taken, e.consistent) for e in trace.entries]
+
+    starts = 0
+    for seed in range(300):
+        problem = random_problem(seed)
+        for state in enumerate_causally_consistent(problem):
+            assert (run(problem.model.problem(state))
+                    == run(dataclasses.replace(problem, initial=state))), (seed, state.idx)
+            starts += 1
+    assert starts > 10_000
 
 
 def test_goal_start_builds_no_action_list(monkeypatch):

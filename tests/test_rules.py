@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from recourseplan import oracle
 from recourseplan.actions import build_actions, is_permitted
 from recourseplan.domains import Domains, FeatureDomain, State, partition_range
 from recourseplan.dsl import parse_problem, pretty_print
@@ -12,7 +14,7 @@ from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
 from recourseplan.oracle import enumerate_causally_consistent, enumerate_states, state_set_report
 from recourseplan.planner import get_path
-from recourseplan.rules import (Literal, ProblemSpec, Rule, compile_rule, eval_rule,
+from recourseplan.rules import (Literal, Model, ProblemSpec, Rule, compile_rule, eval_rule,
                                 is_causally_consistent, literal_support, none_holds,
                                 satisfies_decision)
 from tests.contract import check_rule_tables
@@ -161,6 +163,61 @@ def test_problem_rebinds_an_initial_state_only_from_the_same_features():
     wider = Domains(twin.features + (FeatureDomain("age", "categorical", labels=("young", "old")),))
     with pytest.raises(ValueError, match="'age'"):
         ProblemSpec(domains=income, initial=State(wider, (1, 0)))
+    # binding a start to a model re-binds and refuses the same states
+    model = Model(income)
+    assert model.problem(State(twin, (1,))).initial.domains is income
+    with pytest.raises(ValueError, match="'income'"):
+        model.problem(State(other, (1,)))
+
+
+def test_binding_a_start_compiles_nothing_and_shares_the_tables(compiled_rules, monkeypatch):
+    problem = random_problem(106, max_features=8, max_values=5)
+    model = problem.model
+    assert problem.causal_rules and problem.decision_rules
+    tabled = []
+    real_table = oracle._table
+
+    def counting_table(domains, literals):
+        tabled.append(literals)
+        return real_table(domains, literals)
+
+    monkeypatch.setattr(oracle, "_table", counting_table)
+    compiled_rules.clear()
+    bound = [model.problem(state, 7) for state in enumerate_causally_consistent(problem)]
+    for p in bound:
+        assert p.model is model
+        assert p.causal_tables is model.causal_tables
+        assert p.decision_bodies is model.decision_bodies
+        state_set_report(p)
+    assert compiled_rules == []
+    assert len(bound) > 100
+    # one oracle table per rule, for every start
+    assert len(tabled) == len(problem.causal_rules) + len(problem.decision_rules)
+    for p in bound:
+        assert p == ProblemSpec(problem.domains, problem.causal_rules,
+                                problem.decision_rules, p.initial, 7)
+
+
+def test_binding_a_start_raises_the_constructors_errors():
+    domains = bool_pair()
+    causal = Rule("c", "causal", (Literal("x", "=", "t"),), head=Literal("y", "=", "t"))
+    model = Model(domains, (causal,))
+    good = domains.make_state({"x": "t", "y": "t"})
+    inconsistent = domains.make_state({"x": "t", "y": "f"})
+    for initial, budget, error in [
+            (None, None, (SemanticError, "missing-initial: problem has no initial state")),
+            (inconsistent, None, (SemanticError, "causally-inconsistent-initial: "
+                                                 "initial state violates a causal rule")),
+            (good, 0, (ValueError, "action budget must be positive"))]:
+        raised = []
+        for bind in (lambda: ProblemSpec(domains, (causal,), initial=initial,
+                                         action_budget=budget),
+                     lambda: model.problem(initial, budget)):
+            with pytest.raises((SemanticError, ValueError)) as caught:
+                bind()
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised == [error, error]
+    assert dataclasses.replace(model.problem(good), action_budget=3) == model.problem(good, 3)
 
 
 def test_problem_names_a_rule_id_declared_twice():
