@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -249,12 +248,19 @@ def cmd_validate(ns: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     counts = oracle.state_set_report(problem, cap=ns.max_states)
     if ns.format == "structured":
         _emit_json({"format_version": FORMAT_VERSION, "input": name,
-                    **_validation_record(report), "counts": dataclasses.asdict(counts)}, out)
+                    **_validation_record(report), "counts": _counts_record(counts)}, out)
     else:
         out.write(f"scenario: {name}\n")
         _render_validation(report, out)
         _render_counts(counts, out)
     return EXIT_OK if report.overall else EXIT_FAILURE
+
+
+def _counts_record(counts: oracle.StateSetReport) -> dict:
+    return {"total_states": counts.total_states,
+            "causally_consistent": counts.causally_consistent,
+            "decision_consistent": counts.decision_consistent,
+            "goal": counts.goal}
 
 
 def _render_counts(counts: oracle.StateSetReport, out: TextIO) -> None:
@@ -269,7 +275,7 @@ def cmd_enumerate(ns: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     counts = oracle.state_set_report(problem, cap=ns.max_states)
     if ns.format == "structured":
         _emit_json({"format_version": FORMAT_VERSION, "input": name,
-                    "counts": dataclasses.asdict(counts)}, out)
+                    "counts": _counts_record(counts)}, out)
     else:
         out.write(f"scenario: {name}\n")
         _render_counts(counts, out)

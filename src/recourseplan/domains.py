@@ -145,19 +145,20 @@ class FeatureDomain:
 
 
 @lru_cache(maxsize=256)
-def _reaches(mutable: bool, monotonicity: Monotonicity, size: int) -> tuple[range, ...]:
-    """For each value index of a feature of ``size`` values, the value
+def _reaches(mutable: bool, monotonicity: Monotonicity, size: int) -> tuple[frozenset[int], ...]:
+    """For each value index of a feature of ``size`` values, the set of value
     indices it can take from there on: only itself when it is immutable, else
-    those on the side its monotonicity allows.  Shared by every
-    :class:`Domains` of the process: at most 256 shapes, each holding
-    ``size`` ranges."""
+    those on the side its monotonicity allows, or one full set every value
+    shares when it has no monotonicity.  Shared by every :class:`Domains` of
+    the process: at most 256 shapes, each holding ``size`` sets of at most
+    ``size`` indices."""
     if not mutable:
-        return tuple(range(vi, vi + 1) for vi in range(size))
+        return tuple(frozenset((vi,)) for vi in range(size))
     if monotonicity == "nondecreasing":
-        return tuple(range(vi, size) for vi in range(size))
+        return tuple(frozenset(range(vi, size)) for vi in range(size))
     if monotonicity == "nonincreasing":
-        return tuple(range(vi + 1) for vi in range(size))
-    return (range(size),) * size
+        return tuple(frozenset(range(vi + 1)) for vi in range(size))
+    return (frozenset(range(size)),) * size
 
 
 @dataclass(frozen=True)
@@ -166,15 +167,15 @@ class Domains:
 
     Construction computes the name index, ``sizes`` (each feature's number
     of values, in declaration order) and ``reaches`` (per feature and value
-    index, the values reachable from it, :func:`_reaches`) once; none takes
-    part in equality, hashing or ``repr``.  A feature name declared twice is
-    rejected, by name.
+    index, the set of values reachable from it, :func:`_reaches`) once; none
+    takes part in equality, hashing or ``repr``.  A feature name declared
+    twice is rejected, by name.
     """
 
     features: tuple[FeatureDomain, ...]
     _by_name: dict[str, int] = field(init=False, compare=False, repr=False)
     sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    reaches: tuple[tuple[range, ...], ...] = field(init=False, compare=False, repr=False)
+    reaches: tuple[tuple[frozenset[int], ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         by_name = {f.name: i for i, f in enumerate(self.features)}
@@ -304,7 +305,10 @@ class State:
         if not 0 <= new_index < self.domains.sizes[feature_index]:
             raise ValueError(f"{self.domains[feature_index].name}: value index {new_index} out of range")
         moved = object.__new__(State)
-        vars(moved).update(domains=self.domains, idx=tuple(idx), reps=tuple(reps))
+        fields = moved.__dict__
+        fields["domains"] = self.domains
+        fields["idx"] = tuple(idx)
+        fields["reps"] = tuple(reps)
         return moved
 
     def to_dict(self) -> dict:

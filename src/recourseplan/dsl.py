@@ -1,7 +1,7 @@
 """Textual problem language: parser and printer.
 
-The language is line-oriented with ``%`` comments and ``.``-terminated
-statements::
+The language is free-form: a newline is whitespace, ``%`` starts a comment
+that runs to the end of its line, and each statement ends with ``.``::
 
     feature persons: categorical {2, 4, more}.
     feature duration_months: numeric [1, 72].

@@ -23,7 +23,10 @@ set (:func:`_values`, at most 256 sizes); the reach box reads
 :attr:`~recourseplan.domains.Domains.reaches`, filled at construction from a
 memo of its own.  An entry for a feature of ``n`` values holds ``n`` sets of
 fewer than ``n`` indices, or one set of ``n``, so the two memos retain at
-most 1,024 n² + 256 n indices for features of at most ``n`` values.
+most 1,024 n² + 256 n indices for features of at most ``n`` values.  Every
+box the kernel decides has a ``frozenset`` of value indices on each axis:
+a table's subset and disjointness tests take their fast path only against
+another set.
 
 Two tests rule a state out before any search, both by the one cover test
 :func:`_covered` on the reach box (the values each feature can still reach,
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .domains import Domains, Monotonicity
 from .rules import Pairs, ProblemSpec, Rule, none_holds
@@ -59,15 +62,15 @@ MAX_SPLITS = 2048
 
 
 def _decide(tables: Sequence[Pairs],
-            box: Sequence[Collection[int]]) -> Union[bool, Pair, None]:
+            box: Sequence[frozenset[int]]) -> Union[bool, Pair, None]:
     """Decide every table on ``box`` in one pass, without enumerating it:
     ``True`` when some table holds throughout the box (a causal rule is
     broken or a decision rule fires there), ``None`` when every table fails
     throughout, and otherwise the first pair a table straddles (its axis
     meets the pair's values and leaves them).
 
-    ``box`` holds one non-empty value set or range per feature; the axes
-    vary independently, and a table names each feature once.  So a table
+    ``box`` holds one non-empty value set per feature; the axes vary
+    independently, and a table names each feature once.  So a table
     holds throughout when every axis lies inside its pair's values, and
     fails throughout when one misses them.  Once a cut is found, a later
     table is only checked for holding throughout.
@@ -90,7 +93,7 @@ def _decide(tables: Sequence[Pairs],
     return cut
 
 
-def _covered(tables: Sequence[Pairs], box: Iterable[Collection[int]]) -> bool:
+def _covered(tables: Sequence[Pairs], box: Iterable[frozenset[int]]) -> bool:
     """Every state of ``box`` has some table holding; ``False`` proves nothing.
 
     Each box, ``box`` first, is decided by :func:`_decide`, so an earlier
@@ -98,7 +101,7 @@ def _covered(tables: Sequence[Pairs], box: Iterable[Collection[int]]) -> bool:
     in two along the pair it returns, into the part inside the pair's values
     and the part outside them, and is covered only if both parts are; the
     outside part is decided next and the inside one waits on a stack.  Both
-    parts keep every axis non-empty.  A box on which every table fails
+    parts keep every axis a non-empty set.  A box on which every table fails
     throughout holds an uncovered state, and the test gives up after
     :data:`MAX_SPLITS` boxes.
     """
@@ -117,14 +120,14 @@ def _covered(tables: Sequence[Pairs], box: Iterable[Collection[int]]) -> bool:
         else:
             i, allowed = cut
             part = box.copy()
-            part[i] = frozenset(box[i]) - allowed
-            box[i] = allowed.intersection(box[i])
+            part[i] = box[i] - allowed
+            box[i] = box[i] & allowed
             stack.append(box)
             box = part
     return False
 
 
-def _reach_box(domains: Domains, idx: Index) -> Iterable[range]:
+def _reach_box(domains: Domains, idx: Index) -> Iterable[frozenset[int]]:
     """Each feature's :attr:`~recourseplan.domains.Domains.reaches` axis at
     its value in ``idx``: the box holding every state reachable from
     ``idx``, since every action (a direct move, a causal repair and so every
@@ -309,4 +312,6 @@ class CompiledProblem:
         for i, allowed in pre:
             if idx[i] not in allowed:
                 return None
-        return idx[:fi] + (target,) + idx[fi + 1:]
+        nxt = list(idx)
+        nxt[fi] = target
+        return tuple(nxt)

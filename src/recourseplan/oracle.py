@@ -261,7 +261,9 @@ class _Tables:
                 if idx[i] not in allowed:
                     break
             else:
-                nxt = idx[:fi] + (target,) + idx[fi + 1:]
+                raw = list(idx)
+                raw[fi] = target
+                nxt = tuple(raw)
                 out.append((nxt, self.consistent(nxt)))
         return tuple(out)
 

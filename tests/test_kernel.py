@@ -186,7 +186,8 @@ def test_per_shape_tables_are_shared_exactly(order):
         features = problem.domains.features
         check_kernel(problem)
         assert problem.domains.reaches == tuple(
-            tuple(reachable_values(f, vi) for vi in range(f.size)) for f in features)
+            tuple(frozenset(reachable_values(f, vi)) for vi in range(f.size)) for f in features)
+        assert all(type(axis) is frozenset for axes in problem.domains.reaches for axis in axes)
         # every direct move the oracle can be handed, on immutable x too
         listed = [Action(f"direct:{f.name}:{vi}", "direct", f.name, fi, vi)
                   for fi, f in enumerate(features) for vi in range(f.size)]
