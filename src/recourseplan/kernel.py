@@ -15,18 +15,16 @@ candidate costs one test per causal rule.
 
 What depends on the rules is built per :class:`CompiledProblem`, so once per
 ``get_path`` call that searches: the guard sweep, the action list and the
-run's memos.  What depends only on a feature's shape is built once per
-process, in bounded memos every problem shares: each mutable feature's
-direct moves, keyed by (position, size, monotonicity)
-(:func:`_direct_moves`, at most 1,024 shapes), and each size's full value
-set (:func:`_values`, at most 256 sizes); the reach box reads
-:attr:`~recourseplan.domains.Domains.reaches`, filled at construction from a
-memo of its own.  An entry for a feature of ``n`` values holds ``n`` sets of
-fewer than ``n`` indices, or one set of ``n``, so the two memos retain at
-most 1,024 n² + 256 n indices for features of at most ``n`` values.  Every
-box the kernel decides has a ``frozenset`` of value indices on each axis:
-a table's subset and disjointness tests take their fast path only against
-another set.
+run's memos.  Where a feature can go is stated once, in
+:attr:`~recourseplan.domains.Domains.reaches` (filled at construction from
+a memo of its own): the reach box reads it, and so does the one per-shape
+memo here, each mutable feature's direct moves, keyed by (position, reach
+axes) (:func:`_direct_moves`, at most 1,024 shapes).  An entry for a
+feature of ``n`` values holds ``n`` sets of fewer than ``n`` indices, so
+the memo retains at most 1,024 n² indices for features of at most ``n``
+values; its keys are ``reaches``' own axes.  Every box the kernel decides
+has a ``frozenset`` of value indices on each axis: a table's subset and
+disjointness tests take their fast path only against another set.
 
 Two tests rule a state out before any search, both by the one cover test
 :func:`_covered` on the reach box (the values each feature can still reach,
@@ -45,7 +43,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .domains import Domains, Monotonicity
+from .domains import Domains
 from .rules import Pairs, ProblemSpec, Rule, none_holds
 
 Index = tuple[int, ...]
@@ -131,32 +129,23 @@ def _reach_box(domains: Domains, idx: Index) -> Iterable[frozenset[int]]:
     """Each feature's :attr:`~recourseplan.domains.Domains.reaches` axis at
     its value in ``idx``: the box holding every state reachable from
     ``idx``, since every action (a direct move, a causal repair and so every
-    repair-chain step) keeps to mutability and monotonicity."""
+    repair-chain step) moves a feature only within its axis."""
     return map(tuple.__getitem__, domains.reaches, idx)
 
 
-@lru_cache(maxsize=256)
-def _values(size: int) -> frozenset[int]:
-    """Every value index of a feature of ``size`` values; shared by every
-    problem, for at most 256 sizes."""
-    return frozenset(range(size))
-
-
 @lru_cache(maxsize=1024)
-def _direct_moves(fi: int, size: int, monotonicity: Monotonicity) -> tuple[Move, ...]:
-    """The direct moves of a mutable feature at position ``fi`` with ``size``
-    values, one ``(fi, target, ((fi, sources),))`` triple per target in domain
-    order: ``sources`` are the values that may move to the target under
-    monotonicity.  Shared by every problem: at most 1,024 shapes, each
-    holding ``size`` sets of fewer than ``size`` indices."""
-    if monotonicity == "nondecreasing":
-        sources = [frozenset(range(vi)) for vi in range(size)]
-    elif monotonicity == "nonincreasing":
-        sources = [frozenset(range(vi + 1, size)) for vi in range(size)]
-    else:
-        full = _values(size)
-        sources = [full - {vi} for vi in range(size)]
-    return tuple((fi, vi, ((fi, allowed),)) for vi, allowed in enumerate(sources))
+def _direct_moves(fi: int, axes: tuple[frozenset[int], ...]) -> tuple[Move, ...]:
+    """The direct moves of a mutable feature at position ``fi`` whose
+    :attr:`~recourseplan.domains.Domains.reaches` axes are ``axes``, one
+    ``(fi, target, ((fi, sources),))`` triple per target in domain order:
+    ``sources`` are the other values whose axis holds the target, so a move
+    is permitted exactly where the reach box says the feature can go, and a
+    feature of one value keeps a move that is never permitted.  Shared by
+    every problem: at most 1,024 shapes, each holding ``len(axes)`` sets of
+    fewer than ``len(axes)`` indices."""
+    return tuple((fi, t, ((fi, frozenset(v for v, axis in enumerate(axes)
+                                         if v != t and t in axis)),))
+                 for t in range(len(axes)))
 
 
 def doomed(problem: ProblemSpec, idx: Index) -> bool:
@@ -168,7 +157,8 @@ def doomed(problem: ProblemSpec, idx: Index) -> bool:
     table, the decision tables first, so a decision rule's cut is taken
     before a causal rule's.  A goal in the box need not be reachable.
     """
-    return _covered(problem.decision_bodies + problem.causal_tables,
+    model = problem.model
+    return _covered(model.decision_bodies + model.causal_tables,
                     _reach_box(problem.domains, idx))
 
 
@@ -176,24 +166,28 @@ class CompiledProblem:
     """Rules and actions of one problem, compiled against its domains, for
     one run.
 
-    ``causal`` is the problem's ``causal_tables``, each causal rule's
+    ``causal`` is the problem model's ``causal_tables``, each causal rule's
     breaking table (the head position with the values the head refuses,
     then the body pairs), and ``decision`` its ``decision_bodies``, the body
-    pairs of each decision rule.  They are all that consistency and firing
-    read (:func:`~recourseplan.rules.none_holds`).  :meth:`unrepairable`
-    reads ``causal`` too, with the domains, and keeps no other table.
+    pairs of each decision rule; the kernel reads both from
+    :attr:`~recourseplan.rules.ProblemSpec.model` and copies neither.  They
+    are all that consistency and firing read
+    (:func:`~recourseplan.rules.none_holds`).  :meth:`unrepairable` reads
+    ``causal`` too, with the domains' reach axes, and keeps no other table.
 
     Construction runs the guard sweep, builds the action list and starts
     the run's memos, of :meth:`complete` and :meth:`unrepairable`; the
     direct moves, and so every repair's direct precondition, it reads from
-    :func:`_direct_moves`, which every problem shares.  The list comes in
+    :func:`_direct_moves`, which every problem shares and which derives
+    them from :attr:`~recourseplan.domains.Domains.reaches`.  A feature's
+    ``mutable`` flag decides whether it has direct moves.  The list comes in
     order: verified causal repairs first, then one direct move per (mutable
     feature, value), in declaration then domain order.  ``rules`` holds the
     causal rule each action repairs (``None`` for a direct move), and
     ``moves`` one ``(feature index, new index, precondition pairs)`` triple
     per action.  A precondition holds exactly where the action is permitted:
-    the feature off the target, on the side of it that monotonicity allows,
-    and a repair's guard (its rule's body pairs, the breaking table after
+    the feature off the target, at a value whose reach axis holds it, and a
+    repair's guard (its rule's body pairs, the breaking table after
     the head pair).  Set-up formats no action id: :meth:`action_id` formats
     one when a run records it, and ``ids`` formats them all.
 
@@ -207,20 +201,21 @@ class CompiledProblem:
     """
 
     __slots__ = ("domains", "causal", "decision", "rules", "moves",
-                 "_pinned", "_chains", "_verdicts")
+                 "_chains", "_verdicts")
 
     def __init__(self, problem: ProblemSpec) -> None:
-        domains = self.domains = problem.domains
-        self.causal = problem.causal_tables
-        self.decision = problem.decision_bodies
-        full = list(map(_values, domains.sizes))
+        model = problem.model
+        domains = self.domains = model.domains
+        self.causal = model.causal_tables
+        self.decision = model.decision_bodies
+        full = [frozenset(range(size)) for size in domains.sizes]
         # per mutable feature: its direct moves, one per value
-        direct = [_direct_moves(fi, size, f.monotonicity) if f.mutable else ()
-                  for fi, (f, size) in enumerate(zip(domains, domains.sizes))]
+        direct = [_direct_moves(fi, axes) if f.mutable else ()
+                  for fi, (f, axes) in enumerate(zip(domains, domains.reaches))]
 
         rules: list[Optional[Rule]] = []
         moves: list[Move] = []
-        for rule, table in zip(problem.causal_rules, self.causal):
+        for rule, table in zip(model.causal_rules, self.causal):
             (fi, refused), guard = table[0], table[1:]
             if not domains[fi].mutable:
                 continue
@@ -235,11 +230,9 @@ class CompiledProblem:
                     moves.append((fi, vi, direct[fi][vi][2] + guard))
         self.moves = tuple(moves) + tuple(itertools.chain.from_iterable(direct))
         self.rules = tuple(rules) + (None,) * (len(self.moves) - len(moves))
-        # the run's memos; a verdict's key is the values its reach box depends on
-        self._pinned = tuple(i for i, f in enumerate(domains)
-                             if not f.mutable or f.monotonicity != "none")
+        # the run's memos; a verdict's key is its reach box
         self._chains: dict[Index, Chain] = {}
-        self._verdicts: dict[Index, bool] = {}
+        self._verdicts: dict[tuple[frozenset[int], ...], bool] = {}
 
     def action_id(self, k: int) -> str:
         """Action ``k``'s id, formatted on each call:
@@ -257,12 +250,13 @@ class CompiledProblem:
     def unrepairable(self, idx: Index) -> bool:
         """Every state of the reach box of ``idx`` (:func:`_reach_box`) breaks
         some causal rule, so no action sequence leads to a consistent state;
-        ``False`` proves nothing.  Verdicts last the run, one per reach box;
-        where :func:`_covered` gives up, a failed :meth:`complete` files one."""
-        key = tuple(map(idx.__getitem__, self._pinned))
-        verdict = self._verdicts.get(key)
+        ``False`` proves nothing.  Verdicts last the run, keyed by the reach
+        box itself; where :func:`_covered` gives up, a failed :meth:`complete`
+        files one under the same key."""
+        box = tuple(_reach_box(self.domains, idx))
+        verdict = self._verdicts.get(box)
         if verdict is None:
-            verdict = self._verdicts[key] = _covered(self.causal, _reach_box(self.domains, idx))
+            verdict = self._verdicts[box] = _covered(self.causal, box)
         return verdict
 
     def complete(self, start: Index) -> Optional[Chain]:
@@ -278,9 +272,10 @@ class CompiledProblem:
         chain is a shortest one, and where some action repairs the start in
         one step it is the first such action.  A start that
         :meth:`unrepairable` rules out is not searched, and a search that
-        fails files that verdict: each direct move is unguarded and permitted
-        from every value monotonicity lets its feature leave, so the search
-        entered all of the start's reach box.
+        fails files that verdict: each direct move is unguarded and
+        permitted from every value whose reach axis holds its target
+        (:func:`_direct_moves`), so the search entered all of the start's
+        reach box.
         """
         chain = self._chains.get(start)
         if chain is not None or self.unrepairable(start):
@@ -303,7 +298,7 @@ class CompiledProblem:
                     return chain
                 parent[nxt] = idx, k
                 frontier.append(nxt)
-        self._verdicts[tuple(map(start.__getitem__, self._pinned))] = True
+        self._verdicts[tuple(_reach_box(self.domains, start))] = True
         return None
 
     def step(self, k: int, idx: Index) -> Optional[Index]:

@@ -173,7 +173,7 @@ def get_path(problem: ProblemSpec) -> PathTrace:
     root = problem.initial.idx
     trace = PathTrace([TraceEntry(problem.initial)])
     # construction rejects an inconsistent start, so this is the goal test
-    if none_holds(problem.decision_bodies, root):
+    if none_holds(problem.model.decision_bodies, root):
         trace.status = "success"
         return trace
     if doomed(problem, root):

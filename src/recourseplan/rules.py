@@ -208,7 +208,9 @@ class Model:
     broken, in the shape of a decision rule's body pairs, which
     ``decision_bodies`` holds.  A body names each feature once in these
     tables, with the intersection of its literals on that feature
-    (:func:`_compile_rule`).  :func:`none_holds` reads both.
+    (:func:`_compile_rule`).  :func:`none_holds` reads both.  The model is
+    their only holder: a :class:`ProblemSpec` keeps its model, not a copy
+    of its tables.
 
     Equality is identity, so a memo keyed by a model never compares rules.
     :meth:`problem` binds a start to the model and compiles nothing.
@@ -268,10 +270,11 @@ class ProblemSpec:
     Construction builds the problem's ``model`` from its domains and rules,
     which compiles every rule once, and binds the initial state to it
     (:meth:`_bind`); :meth:`Model.problem` binds a start to a model that
-    exists.  ``causal_tables`` and ``decision_bodies`` are the model's, kept
-    on the problem for the planner's per-state reads.  The model takes no
-    part in equality: two problems are equal when their domains, rules,
-    start and budget are.
+    exists.  The compiled rule tables live on the model alone: the planner
+    and the kernel read ``problem.model.causal_tables`` and
+    ``problem.model.decision_bodies``.  The model takes no part in
+    equality: two problems are equal when their domains, rules, start and
+    budget are.
     """
 
     domains: Domains
@@ -281,10 +284,6 @@ class ProblemSpec:
     action_budget: Optional[int] = None
     model: Model = field(default=None, init=False, compare=False,  # type: ignore[assignment]
                          repr=False)
-    causal_tables: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
-                                             repr=False)
-    decision_bodies: tuple[Pairs, ...] = field(default=(), init=False, compare=False,
-                                               repr=False)
 
     def __post_init__(self) -> None:
         self._bind(None)
@@ -312,8 +311,6 @@ class ProblemSpec:
         if model is None:
             model = Model(self.domains, self.causal_rules, self.decision_rules)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "causal_tables", model.causal_tables)
-        object.__setattr__(self, "decision_bodies", model.decision_bodies)
         if self.action_budget is not None and self.action_budget <= 0:
             raise ValueError("action budget must be positive")
         if not none_holds(model.causal_tables, self.initial.idx):

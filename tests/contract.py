@@ -213,6 +213,25 @@ causal long_term: term = long :- collateral = pledged.
 constraint nonincreasing rating.
 initial { rating = fair, collateral = none, term = short }.
 """,
+    # with k = a, r1 and r2 refuse every value of y and k is immutable, so
+    # the first reach box a chain walk asks about is unrepairable; with
+    # k = b, breaking c1 and c2 together needs two repairs, and the guard
+    # sweep keeps neither, since either leaves the other broken, so a
+    # breadth-first walk takes the first direct move's branch where a
+    # depth-first one would take the last
+    "two-step repairs beside a dead region": """\
+feature k: categorical {a, b}.
+feature y: categorical {f, t}.
+feature u: categorical {f, t}.
+feature v: categorical {f, t}.
+causal r1: y = t :- k = a.
+causal r2: y = f :- k = a.
+causal c1: u = t :- k = b.
+causal c2: v = t :- k = b.
+decision q :- y = f, u = t.
+constraint immutable k.
+initial { k = b, y = f, u = t, v = t }.
+""",
     # every numeric comparator: no scenario or generated problem uses <, >=
     # or a numeric !=
     "comparators": """\
@@ -409,7 +428,7 @@ def reachable_values(feature: FeatureDomain, vi: int) -> range:
 def goal(problem: ProblemSpec, idx: tuple[int, ...]) -> bool:
     """No table of the problem holds at ``idx``: no decision rule fires and
     no causal rule is broken there."""
-    return none_holds(problem.decision_bodies + problem.causal_tables, idx)
+    return none_holds(problem.model.decision_bodies + problem.model.causal_tables, idx)
 
 
 # the checks ----------------------------------------------------------------------------
@@ -436,8 +455,8 @@ def check_rule_tables(problem: ProblemSpec) -> None:
     """Rule by rule, so a wrong table that another rule masks still shows: a
     causal rule's breaking table holds exactly where ``eval_rule`` finds the
     rule false, a decision rule's body exactly where it finds it true."""
-    causal = list(zip(problem.causal_rules, problem.causal_tables))
-    decision = list(zip(problem.decision_rules, problem.decision_bodies))
+    causal = list(zip(problem.causal_rules, problem.model.causal_tables))
+    decision = list(zip(problem.decision_rules, problem.model.decision_bodies))
     for state in enumerate_states(problem.domains):
         idx = state.idx
         for rule, table in causal:

@@ -82,7 +82,7 @@ def _wide_problem():
 def test_kernel_enumerates_no_guard_box(monkeypatch):
     problem = _wide_problem()
     domains = problem.domains
-    _, (a0, support) = problem.causal_tables[0]
+    _, (a0, support) = problem.model.causal_tables[0]
     y = domains.index("y")
     assert math.prod(domains.sizes) // (domains.sizes[a0] * domains.sizes[y]) \
         * len(support) >= BOX_CAP

@@ -179,7 +179,7 @@ def test_per_shape_tables_are_shared_exactly(order):
     # the memos start empty, and each problem meets the tables the ones
     # before it left; a memo that drops monotonicity or mutability from its
     # key hands one of them another's tables
-    for memo in (kernel._values, kernel._direct_moves, domains_module._reaches, oracle._may_leave):
+    for memo in (kernel._direct_moves, domains_module._reaches, oracle._may_leave):
         memo.cache_clear()
     problems = [parse_problem(SHAPE_TEXT.format(c)) for c in SHAPE_CONSTRAINTS[::order]]
     for problem in problems:

@@ -180,8 +180,8 @@ def test_only_the_listed_caches_are_unbounded():
 COMPILE_STEPS = {"_compile_rule", "_causal_tables"}
 
 
-def _compile_step_names(source: str) -> set[str]:
-    """The compile steps ``source`` names, as a name, attribute or import."""
+def _names(source: str) -> set[str]:
+    """Every name ``source`` reads or binds, as a name, attribute or import."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -190,7 +190,12 @@ def _compile_step_names(source: str) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
-    return found & COMPILE_STEPS
+    return found
+
+
+def _compile_step_names(source: str) -> set[str]:
+    """The compile steps ``source`` names, as a name, attribute or import."""
+    return _names(source) & COMPILE_STEPS
 
 
 def test_only_the_model_compiles_rules():
@@ -198,6 +203,20 @@ def test_only_the_model_compiles_rules():
     assert {module for module, names in named.items() if names} == {"rules"}
     assert _compile_step_names("from .rules import _causal_tables\nrules._compile_rule(d, r)\n") \
         == COMPILE_STEPS
+
+
+# where a feature can go: the planner side reads it from ``Domains.reaches``
+# alone, never from a feature's monotonicity flag
+PLANNER_SIDE = {"kernel", "planner"}
+
+
+def test_the_planner_side_reads_no_monotonicity():
+    planner_side = [source for source in SOURCES if source.stem in PLANNER_SIDE]
+    assert {source.stem for source in planner_side} == PLANNER_SIDE
+    for source in planner_side:
+        assert "monotonicity" not in _names(source.read_text()), source.stem
+    assert "monotonicity" in _names("if f.monotonicity == 'nondecreasing': pass\n")
+    assert "monotonicity" in _names("from .domains import monotonicity\n")
 
 
 PLANTED_CACHES = """\

@@ -186,8 +186,8 @@ def test_binding_a_start_compiles_nothing_and_shares_the_tables(compiled_rules, 
     bound = [model.problem(state, 7) for state in enumerate_causally_consistent(problem)]
     for p in bound:
         assert p.model is model
-        assert p.causal_tables is model.causal_tables
-        assert p.decision_bodies is model.decision_bodies
+        assert p.model.causal_tables is model.causal_tables
+        assert p.model.decision_bodies is model.decision_bodies
         state_set_report(p)
     assert compiled_rules == []
     assert len(bound) > 100
@@ -274,11 +274,11 @@ def test_a_body_naming_a_feature_twice_compiles_to_one_intersected_pair():
 
     # a causal rule's breaking table: the head with the values it refuses,
     # then one pair per body feature, in order of first mention
-    assert problem.causal_tables == (
+    assert problem.model.causal_tables == (
         ((y, frozenset({1})), (n, within(3, 7))),
         ((y, frozenset({0})), (n, within(0, 2))),
     )
-    assert problem.decision_bodies == (((n, within(3, 9)), (z, frozenset({0}))),)
+    assert problem.model.decision_bodies == (((n, within(3, 9)), (z, frozenset({0}))),)
     # the strata, and the kernel's tests, agree with the State-level evaluators
     kernel = CompiledProblem(problem)
     consistent = fired = 0
