@@ -6,8 +6,10 @@ rules and step them by actions, millions of times on large spaces.
 indices) pairs the :class:`~recourseplan.rules.ProblemSpec` compiled for
 every rule, one shape for both kinds: a decision rule's table holds where it
 fires, a causal rule's where it is broken.  It tests states with the one
-membership test :func:`~recourseplan.rules.none_holds`, decides whole boxes
-of states with the one box test :func:`_decide` and derives the action list
+membership test :func:`~recourseplan.rules.none_holds`, decides every
+one-move outcome of a state at once with
+:func:`~recourseplan.rules.after_one_move`, decides whole boxes of states
+with the one box test :func:`_decide` and derives the action list
 and every action's precondition from the tables, so those loops never touch
 :class:`~recourseplan.domains.State`, the domain tree or a cache keyed by
 it.  Construction compiles no rule and enumerates no states: each repair
@@ -17,12 +19,14 @@ What depends on the rules is built per :class:`CompiledProblem`, so once per
 ``get_path`` call that searches: the guard sweep, the action list and the
 run's memos.  Where a feature can go is stated once, in
 :attr:`~recourseplan.domains.Domains.reaches` (filled at construction from
-a memo of its own): the reach box reads it, and so does the one per-shape
-memo here, each mutable feature's direct moves, keyed by (position, reach
-axes) (:func:`_direct_moves`, at most 1,024 shapes).  An entry for a
-feature of ``n`` values holds ``n`` sets of fewer than ``n`` indices, so
-the memo retains at most 1,024 n² indices for features of at most ``n``
-values; its keys are ``reaches``' own axes.  Every box the kernel decides
+a memo of its own): the reach box reads it, and so does a per-shape memo
+here, each mutable feature's direct moves, keyed by (position, reach axes)
+(:func:`_direct_moves`, at most 1,024 shapes).  An entry for a feature of
+``n`` values holds ``n`` sets of fewer than ``n`` indices, so the memo
+retains at most 1,024 n² indices for features of at most ``n`` values; its
+keys are ``reaches``' own axes.  The guard sweep's full value sets come
+from the other, keyed by size (:func:`_values`, at most 256 sizes, an entry
+holding ``n`` indices).  Every box the kernel decides
 has a ``frozenset`` of value indices on each axis: a table's subset and
 disjointness tests take their fast path only against another set.
 
@@ -33,7 +37,10 @@ Two tests rule a state out before any search, both by the one cover test
 tables, so a start it rules out needs no kernel, and
 :meth:`~CompiledProblem.unrepairable` (every state of it breaks a causal
 rule).  Every repair chain is walked and memoized here, for one run
-(:meth:`~CompiledProblem.complete`).  ``State`` and
+(:meth:`~CompiledProblem.complete`): the one-move tables of the breaking
+rules at its start pick a one-step repair when one exists, and only
+otherwise does :meth:`~CompiledProblem.unrepairable` run, then the
+breadth-first walk.  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
@@ -44,7 +51,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .domains import Domains
-from .rules import Pairs, ProblemSpec, Rule, none_holds
+from .rules import Pairs, ProblemSpec, Rule, after_one_move, none_holds
 
 Index = tuple[int, ...]
 Pair = tuple[int, frozenset[int]]
@@ -133,6 +140,13 @@ def _reach_box(domains: Domains, idx: Index) -> Iterable[frozenset[int]]:
     return map(tuple.__getitem__, domains.reaches, idx)
 
 
+@lru_cache(maxsize=256)
+def _values(size: int) -> frozenset[int]:
+    """Every value index of a feature of ``size`` values: the guard sweep's
+    full axis.  Shared by every problem: at most 256 sizes."""
+    return frozenset(range(size))
+
+
 @lru_cache(maxsize=1024)
 def _direct_moves(fi: int, axes: tuple[frozenset[int], ...]) -> tuple[Move, ...]:
     """The direct moves of a mutable feature at position ``fi`` whose
@@ -172,7 +186,8 @@ class CompiledProblem:
     pairs of each decision rule; the kernel reads both from
     :attr:`~recourseplan.rules.ProblemSpec.model` and copies neither.  They
     are all that consistency and firing read
-    (:func:`~recourseplan.rules.none_holds`).  :meth:`unrepairable` reads
+    (:func:`~recourseplan.rules.none_holds`,
+    :func:`~recourseplan.rules.after_one_move`).  :meth:`unrepairable` reads
     ``causal`` too, with the domains' reach axes, and keeps no other table.
 
     Construction runs the guard sweep, builds the action list and starts
@@ -208,7 +223,7 @@ class CompiledProblem:
         domains = self.domains = model.domains
         self.causal = model.causal_tables
         self.decision = model.decision_bodies
-        full = [frozenset(range(size)) for size in domains.sizes]
+        full = list(map(_values, domains.sizes))
         # per mutable feature: its direct moves, one per value
         direct = [_direct_moves(fi, axes) if f.mutable else ()
                   for fi, (f, axes) in enumerate(zip(domains, domains.reaches))]
@@ -270,18 +285,37 @@ class CompiledProblem:
         plus the (state, action position) edges leading to it, memoized under
         ``start`` for the run, or ``None`` when no completion exists.  So the
         chain is a shortest one, and where some action repairs the start in
-        one step it is the first such action.  A start that
-        :meth:`unrepairable` rules out is not searched, and a search that
-        fails files that verdict: each direct move is unguarded and
-        permitted from every value whose reach axis holds its target
-        (:func:`_direct_moves`), so the search entered all of the start's
-        reach box.
+        one step it is the first such action.
+
+        That first level is decided before any walk, from the breaking
+        tables' one-move tables at ``start``
+        (:func:`~recourseplan.rules.after_one_move`): a move leaves ``start``
+        consistent exactly when every breaking table names the feature it
+        writes and the value it writes makes no table hold, so the first
+        permitted such move in action order is the walk's own first-level
+        answer.  Only where none exists is :meth:`unrepairable` asked, and
+        a start it rules out is not searched; a search that fails files that
+        verdict: each direct move is unguarded and permitted from every value
+        whose reach axis holds its target (:func:`_direct_moves`), so the
+        search entered all of the start's reach box.
         """
         chain = self._chains.get(start)
-        if chain is not None or self.unrepairable(start):
+        if chain is not None:
             return chain
-        causal, step = self.causal, self.step
-        positions = range(len(self.moves))
+        causal, step, moves = self.causal, self.step, self.moves
+        positions = range(len(moves))
+        # the first level: a move leaves the start consistent exactly when
+        # every breaking table names the feature it writes and its value is
+        # not in ``gain``
+        gain, named = after_one_move(causal, start)
+        for k, (fi, target, _) in enumerate(moves):
+            if fi in named and target not in gain[fi]:
+                nxt = step(k, start)
+                if nxt is not None:
+                    chain = self._chains[start] = nxt, ((start, k),)
+                    return chain
+        if self.unrepairable(start):
+            return None
         # each entered state: the edge it was discovered along
         parent: dict[Index, Optional[ChainEdge]] = {start: None}
         frontier = [start]

@@ -7,10 +7,13 @@ consistent leads there.  One whose outcome breaks a causal rule continues
 through a repair chain, which the kernel walks and memoizes
 (:meth:`~recourseplan.kernel.CompiledProblem.complete`): the first causally
 consistent state in breadth-first order from the raw outcome.  An action
-with no consistent completion leads nowhere.  Every raw outcome is tested
-against every causal rule's breaking table, and every consistent successor
-against the decision rules' tables, by the one membership test
-(:func:`~recourseplan.rules.none_holds`).
+with no consistent completion leads nowhere.  A move writes one feature, so
+one pass over the causal rules' breaking tables and one over the decision
+rules' tables at the expanded state decide every one-move outcome
+(:func:`~recourseplan.rules.after_one_move`): whether it breaks a causal
+rule and, when it does not, whether it is a goal, each by one set lookup.
+Only a repair chain's endpoint is tested against the decision rules' tables
+by the one membership test (:func:`~recourseplan.rules.none_holds`).
 
 A state is tested for the goal when it is discovered, and no state is
 entered twice.  So the found path has the fewest consistent states of any
@@ -40,7 +43,7 @@ from typing import Iterator, NamedTuple, Optional
 from .domains import CandidatePath, State
 from .errors import EmptySequenceError, NotASolution
 from .kernel import CompiledProblem, Index, doomed
-from .rules import ProblemSpec, none_holds
+from .rules import ProblemSpec, after_one_move, none_holds
 from .rules import is_counterfactual as is_counterfactual  # re-export: callers import it from here
 
 
@@ -95,35 +98,46 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
     The frontier is expanded in order, each state by the ordered action list.
     An action's raw outcome is the successor when it is consistent, else the
     end of its repair chain (:meth:`~recourseplan.kernel.CompiledProblem.complete`);
-    an action with no completion is skipped.  A raw outcome is tested
-    against every causal rule.  A successor is tested for the
-    goal when it is discovered, and no state is entered twice.  On success
-    the found path replaces the root entry (:func:`_record_path`).
+    an action with no completion is skipped.  Each expansion builds the
+    one-move tables of the causal and the decision rules at the expanded
+    state (:func:`~recourseplan.rules.after_one_move`), so a raw outcome's
+    consistency and a consistent one's goal test are set lookups, and only a
+    chain's endpoint is tested by :func:`~recourseplan.rules.none_holds`.  A
+    successor is tested for the goal when it is discovered, and no state is
+    entered twice.  On success the found path replaces the root entry
+    (:func:`_record_path`).
     """
     root = trace.entries[0].state.idx
     step, complete, causal, decision = kernel.step, kernel.complete, kernel.causal, kernel.decision
-    positions = range(len(kernel.moves))
+    moves = kernel.moves
     parents: Parents = {root: None}
     frontier = [root]
     for idx in frontier:  # grows while it is read: a queue in discovery order
         if trace.expansions >= budget:
             return "budget-exhausted"
         trace.expansions += 1
-        for k in positions:
+        # idx is consistent and no goal: no breaking table holds there, so an
+        # outcome is inconsistent exactly when its value is in ``breaking``,
+        # and some decision table does, so ``named`` is a set
+        breaking, _ = after_one_move(causal, idx)
+        firing, named = after_one_move(decision, idx)
+        for k, (fi, target, _) in enumerate(moves):
             raw = step(k, idx)
             if raw is None:
                 continue
-            if none_holds(causal, raw):
-                final = raw
-            else:
+            if target in breaking[fi]:
                 chain = complete(raw)
-                if chain is None:
+                if chain is None or chain[0] in parents:
                     continue
                 final = chain[0]
-            if final in parents:
-                continue
+                goal = none_holds(decision, final)
+            else:
+                if raw in parents:
+                    continue
+                final = raw
+                goal = fi in named and target not in firing[fi]
             parents[final] = idx, k
-            if none_holds(decision, final):  # consistent, so a goal
+            if goal:
                 _record_path(trace, kernel, parents, final)
                 return "success"
             frontier.append(final)

@@ -156,6 +156,52 @@ def none_holds(tables: Sequence[Pairs], idx: tuple[int, ...]) -> bool:
     return True
 
 
+_NOTHING: frozenset[int] = frozenset()
+
+
+def after_one_move(tables: Sequence[Pairs],
+                   idx: tuple[int, ...]) -> tuple[list[frozenset[int]], Optional[set[int]]]:
+    """Every one-move successor of ``idx`` decided in one pass over the
+    tables: ``(gain, named)``, where ``gain[j]`` holds the values whose
+    write to feature ``j`` makes some table hold, and ``named`` the features
+    every table holding at ``idx`` names, or ``None`` when none holds.
+
+    Writing value ``v`` to feature ``j`` leaves some table holding exactly
+    when ``v in gain[j]`` or ``named`` is not ``None`` and lacks ``j``.  A
+    move writes one feature and a table has one pair per feature, so:
+
+    - a table that misses ``idx`` on two or more features still misses
+      after any move;
+    - a table that misses only on feature ``j`` holds after the move iff the
+      move writes ``j`` with a value in ``j``'s pair, which ``gain[j]``
+      holds;
+    - a table that holds at ``idx`` keeps holding unless the move writes a
+      feature it names with a value outside that pair: it holds after a
+      write to a feature outside ``named`` (some holding table does not
+      name it), and after a write of ``j`` with a value in the pair of a
+      holding table naming ``j``, which ``gain[j]`` holds too.
+    """
+    gain = [_NOTHING] * len(idx)
+    named: Optional[set[int]] = None
+    for table in tables:
+        missed = None
+        for i, allowed in table:
+            if idx[i] not in allowed:
+                if missed is not None:
+                    break  # missed on two features
+                missed, values = i, allowed
+        else:
+            if missed is not None:
+                gain[missed] = gain[missed] | values if gain[missed] else values
+                continue
+            names = set()
+            for j, allowed in table:
+                names.add(j)
+                gain[j] = gain[j] | allowed if gain[j] else allowed
+            named = names if named is None else named & names
+    return gain, named
+
+
 # Cached views of `_literal_support` and `_compile_rule` for the State-level evaluators
 # (`eval_rule`, `actions.is_permitted`).  Problem construction calls the
 # uncached functions, so it neither hashes a `Domains` tree nor fills these.

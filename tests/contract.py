@@ -4,11 +4,13 @@ references, and one function per check of the program against them.
 Each check walks every state (or every start) of one problem and compares the
 planner's compiled forms and the oracle with a reference that steps
 ``State`` objects through ``is_permitted``/``apply_action`` and tests them
-with the ``rules`` evaluators, or, for the kernel's repair chains and the
-guard sweep, with a plain enumeration over ``kernel.step`` and the breaking
-tables.  ``tests/test_contract.py`` runs every check in :data:`CHECKS` on
-every problem in :data:`NAMED`; the seeded blocks of the other test modules
-run the same functions on ``random_problem`` tiers and pin their totals.
+with the ``rules`` evaluators, or, for the kernel's repair chains, the
+search and the guard sweep, with a plain enumeration over ``kernel.step``
+and the rule tables, or, for the one-move tables, with ``none_holds`` on
+each moved tuple.  ``tests/test_contract.py`` runs every check in
+:data:`CHECKS` on every problem in :data:`NAMED`; the seeded blocks of the
+other test modules run the same functions on ``random_problem`` tiers and
+pin their totals.
 
 To add a named problem, add its text to :data:`TEXTS`.
 """
@@ -31,9 +33,9 @@ from recourseplan.oracle import (_literal_table, _Tables, bfs_shortest_path, com
                                  delta_oracle, enumerate_causally_consistent, enumerate_states,
                                  state_set_report, validate_solution_path)
 from recourseplan.planner import CandidatePath, extract_candidate_path, get_path
-from recourseplan.rules import (ProblemSpec, Rule, eval_rule, is_causally_consistent,
-                                is_counterfactual, literal_support, none_holds,
-                                satisfies_decision)
+from recourseplan.rules import (ProblemSpec, Rule, after_one_move, eval_rule,
+                                is_causally_consistent, is_counterfactual, literal_support,
+                                none_holds, satisfies_decision)
 
 # the named problems ----------------------------------------------------------------
 
@@ -413,6 +415,47 @@ def breadth_first_complete(kernel, start):
     return None
 
 
+def reference_search(kernel: CompiledProblem, problem: ProblemSpec) -> tuple[str, list, int]:
+    """The search stated plainly: breadth-first over consistent states from
+    the start, each expanded by ``kernel.step`` in action order, an
+    inconsistent outcome continued by :func:`breadth_first_complete`, a state
+    tested for the goal by ``none_holds`` when it is discovered, none entered
+    twice, and at most the default budget of expansions.  Returns the status,
+    the trace as (index tuple, action ids, consistent) entries, the root
+    alone unless the run succeeds, and the expansions."""
+    root = problem.initial.idx
+    budget = problem.action_budget or max(1, 10 * len(kernel.moves) * len(problem.domains))
+    alone = [(root, (), True)]
+    if none_holds(kernel.decision, root):
+        return "success", alone, 0
+    parent = {root: None}
+    queue = collections.deque([root])
+    expansions = 0
+    while queue:
+        if expansions == budget:
+            return "budget-exhausted", alone, expansions
+        idx = queue.popleft()
+        expansions += 1
+        for k in range(len(kernel.moves)):
+            raw = kernel.step(k, idx)
+            if raw is None:
+                continue
+            chain = breadth_first_complete(kernel, raw)
+            if chain is None or chain[0] in parent:
+                continue
+            final, edges = chain
+            parent[final] = idx, k, edges
+            if none_holds(kernel.decision, final):
+                entries = [(final, (), True)]
+                while parent[final] is not None:
+                    final, k, edges = parent[final]
+                    entries[:0] = [(final, (kernel.action_id(k),), True)] + [
+                        (state, (kernel.action_id(repair),), False) for state, repair in edges]
+                return "success", entries, expansions
+            queue.append(final)
+    return "failure", alone, expansions
+
+
 def reachable_values(feature: FeatureDomain, vi: int) -> range:
     """The reach box's axis: the values ``feature`` can take from ``vi`` on
     under its mutability and monotonicity."""
@@ -619,6 +662,45 @@ def check_doomed(problem: ProblemSpec) -> int:
     return starts
 
 
+def check_one_move(problem: ProblemSpec) -> None:
+    """On every state, for the breaking tables and for the decision bodies,
+    ``after_one_move`` says a table holds after writing a value to a feature
+    exactly where ``none_holds`` finds one holding at the moved tuple.  Every
+    value is written, the state's own too, so ``named`` is checked at the
+    state itself."""
+    sizes, model = problem.domains.sizes, problem.model
+    for tables in (model.causal_tables, model.decision_bodies):
+        for idx in itertools.product(*map(range, sizes)):
+            gain, named = after_one_move(tables, idx)
+            for fi, size in enumerate(sizes):
+                for vi in range(size):
+                    moved = idx[:fi] + (vi,) + idx[fi + 1:]
+                    holds = vi in gain[fi] or (named is not None and fi not in named)
+                    assert holds != none_holds(tables, moved), (idx, fi, vi)
+
+
+def check_search(problem: ProblemSpec) -> int:
+    """From every consistent start, bound to the problem's model, ``get_path``
+    records the trace :func:`reference_search` makes, with its expansions, or
+    fails without expanding where the start is doomed.  Returns the number
+    of starts."""
+    model, domains = problem.model, problem.domains
+    kernel = CompiledProblem(problem)
+    starts = 0
+    for idx in itertools.product(*map(range, domains.sizes)):
+        if not none_holds(model.causal_tables, idx):
+            continue
+        bound = model.problem(State(domains, idx), problem.action_budget)
+        trace = get_path(bound)
+        status, entries, expansions = reference_search(kernel, bound)
+        assert (trace.status, [(e.state.idx, e.actions_taken, e.consistent)
+                               for e in trace.entries]) == (status, entries), idx
+        skipped = not none_holds(model.decision_bodies, idx) and kernel_module.doomed(bound, idx)
+        assert trace.expansions == (0 if skipped else expansions), idx
+        starts += 1
+    return starts
+
+
 def check_chains(problem: ProblemSpec) -> int:
     """From every inconsistent state, ``complete`` ends where the
     breadth-first chain does, by the same edges, and fails only where
@@ -648,4 +730,6 @@ CHECKS: dict[str, Callable[[ProblemSpec], object]] = {
     "own_list": check_own_list,
     "doomed": check_doomed,
     "chains": check_chains,
+    "one_move": check_one_move,
+    "search": check_search,
 }

@@ -15,7 +15,7 @@ from recourseplan.errors import EmptySequenceError, NotASolution
 from recourseplan.generate import random_problem
 from recourseplan.ingest import SCENARIO_NAMES, builtin_scenario
 from recourseplan.kernel import CompiledProblem
-from recourseplan.oracle import (bfs_shortest_path, delta_oracle,
+from recourseplan.oracle import (_Tables, bfs_shortest_path, delta_oracle,
                                  enumerate_causally_consistent, validate_solution_path)
 from recourseplan.planner import (PathTrace, TraceEntry, extract_candidate_path, get_path,
                                   is_counterfactual)
@@ -360,13 +360,13 @@ def _cap_steps(monkeypatch, cap: int) -> list:
 
 
 def test_seed_459_succeeds_after_one_expansion(monkeypatch):
-    # its first expansion takes 152 steps (110 actions from the root, the
-    # rest in repair chains); a runaway chain passes the cap long before it
-    # fills memory
+    # its first expansion takes 77 steps (73 actions from the root, 4 in the
+    # first levels of repair chains); a runaway chain passes the cap long
+    # before it fills memory
     taken = _cap_steps(monkeypatch, 10_000)
     trace = get_path(_seed_459())
     assert (trace.status, trace.expansions) == ("success", 1)
-    assert len(taken) == 152
+    assert len(taken) == 77
 
 
 def test_failed_chains_file_their_verdict_where_the_cover_test_gives_up(monkeypatch):
@@ -394,15 +394,15 @@ def test_unrepairable_verdicts_last_one_run(monkeypatch):
 
     monkeypatch.setattr(kernel_module, "_covered", counting_covered)
     monkeypatch.setattr(CompiledProblem, "complete", counting_complete)
-    # the root's doomed test, then one reach box shared by the repair chains
-    # of 28 starts (complete is called 32 times, memo hits included)
-    problem = random_problem(202, max_features=8, max_values=5)
+    # the root's doomed test, then one reach box shared by the three of the
+    # repair chains of 15 starts that no one-step repair ends
+    problem = random_problem(297, max_features=8, max_values=5)
     assert get_path(problem).status == "success"
-    assert (len(covered), len(set(completed))) == (2, 28)
+    assert (len(covered), len(set(completed))) == (2, 15)
     # a second run decides that reach box afresh: no verdict outlives its run
     completed.clear()
     get_path(problem)
-    assert (len(covered), len(set(completed))) == (4, 28)
+    assert (len(covered), len(set(completed))) == (4, 15)
     # a goal start tests no box
     covered.clear()
     trace = get_path(random_problem(0, max_features=8, max_values=5))
@@ -583,6 +583,17 @@ def test_search_loop_still_exhausts_formerly_searched_failures(tier, seed, expan
     trace = _search(problem)
     assert (trace.status, trace.expansions) == ("failure", expansions)
     assert bfs_shortest_path(problem) is None
+    # the oracle's one-step relation reaches exactly as many states from the
+    # start, none of them a goal, as the search expanded
+    tables = _Tables(problem)
+    closure = [problem.initial.idx]
+    seen = set(closure)
+    for idx in closure:  # grows while it is read
+        new = tables.canonical(idx, tables.successors(idx)) - seen
+        seen |= new
+        closure += new
+    assert not any(map(tables.goal, closure))
+    assert len(closure) == expansions
 
 
 @pytest.fixture(scope="module")
