@@ -17,14 +17,14 @@ candidate costs one test per causal rule.
 
 What depends on the rules is built per :class:`CompiledProblem`, so once per
 ``get_path`` call that searches: the guard sweep, the action list and the
-run's memos.  Where a feature can go is stated once, in
-:attr:`~recourseplan.domains.Domains.reaches` (filled at construction from
-a memo of its own): the reach box reads it, and so does a per-shape memo
-here, each mutable feature's direct moves, keyed by (position, reach axes)
-(:func:`_direct_moves`, at most 1,024 shapes).  An entry for a feature of
-``n`` values holds ``n`` sets of fewer than ``n`` indices, so the memo
-retains at most 1,024 n² indices for features of at most ``n`` values; its
-keys are ``reaches``' own axes.  The guard sweep's full value sets come
+run's verdicts on unrepairable reach boxes.  Where a feature can go is
+stated once, in :attr:`~recourseplan.domains.Domains.reaches` (filled at
+construction from a memo of its own): the reach box reads it, and so does
+a per-shape memo here, each mutable feature's direct moves, keyed by
+(position, reach axes) (:func:`_direct_moves`, at most 1,024 shapes).  An
+entry for a feature of ``n`` values holds ``n`` sets of fewer than ``n``
+indices, so the memo retains at most 1,024 n² indices for features of at
+most ``n`` values; its keys are ``reaches``' own axes.  The guard sweep's full value sets come
 from the other, keyed by size (:func:`_values`, at most 256 sizes, an entry
 holding ``n`` indices).  Every box the kernel decides
 has a ``frozenset`` of value indices on each axis: a table's subset and
@@ -36,11 +36,12 @@ Two tests rule a state out before any search, both by the one cover test
 :func:`doomed` (no state of it is a goal), which reads only the problem's
 tables, so a start it rules out needs no kernel, and
 :meth:`~CompiledProblem.unrepairable` (every state of it breaks a causal
-rule).  Every repair chain is walked and memoized here, for one run
-(:meth:`~CompiledProblem.complete`): the one-move tables of the breaking
-rules at its start pick a one-step repair when one exists, and only
-otherwise does :meth:`~CompiledProblem.unrepairable` run, then the
-breadth-first walk.  ``State`` and
+rule).  Every repair chain is walked here
+(:meth:`~CompiledProblem.complete`), afresh on each call, and handed back as
+its endpoint and action positions for the caller to keep: the one-move
+tables of the breaking rules at its start pick a one-step repair when one
+exists, and only otherwise does :meth:`~CompiledProblem.unrepairable` run,
+then the breadth-first walk, whose failure files a verdict.  ``State`` and
 :class:`~recourseplan.actions.Action` objects exist only at the API boundary.
 """
 
@@ -57,9 +58,8 @@ Index = tuple[int, ...]
 Pair = tuple[int, frozenset[int]]
 # an action: the feature it writes, the value it writes and its precondition
 Move = tuple[int, int, Pairs]
-# a repair chain: its consistent endpoint, then each step's state and action position
-ChainEdge = tuple[Index, int]
-Chain = tuple[Index, tuple[ChainEdge, ...]]
+# a repair chain: its consistent endpoint, then each step's action position
+Chain = tuple[Index, tuple[int, ...]]
 
 # the most boxes :func:`_covered` decides, the first included, before it
 # gives up; ``doomed`` on the generated tiers needs at most 10 (12/6/C10 seed 150)
@@ -191,7 +191,7 @@ class CompiledProblem:
     ``causal`` too, with the domains' reach axes, and keeps no other table.
 
     Construction runs the guard sweep, builds the action list and starts
-    the run's memos, of :meth:`complete` and :meth:`unrepairable`; the
+    the run's memo of :meth:`unrepairable` verdicts; the
     direct moves, and so every repair's direct precondition, it reads from
     :func:`_direct_moves`, which every problem shares and which derives
     them from :attr:`~recourseplan.domains.Domains.reaches`.  A feature's
@@ -215,8 +215,7 @@ class CompiledProblem:
     no state.
     """
 
-    __slots__ = ("domains", "causal", "decision", "rules", "moves",
-                 "_chains", "_verdicts")
+    __slots__ = ("domains", "causal", "decision", "rules", "moves", "_verdicts")
 
     def __init__(self, problem: ProblemSpec) -> None:
         model = problem.model
@@ -245,8 +244,7 @@ class CompiledProblem:
                     moves.append((fi, vi, direct[fi][vi][2] + guard))
         self.moves = tuple(moves) + tuple(itertools.chain.from_iterable(direct))
         self.rules = tuple(rules) + (None,) * (len(self.moves) - len(moves))
-        # the run's memos; a verdict's key is its reach box
-        self._chains: dict[Index, Chain] = {}
+        # the run's dead regions: a verdict's key is its reach box
         self._verdicts: dict[tuple[frozenset[int], ...], bool] = {}
 
     def action_id(self, k: int) -> str:
@@ -282,10 +280,10 @@ class CompiledProblem:
         list (causal repairs first), and no state is entered twice.  A
         state's consistency is tested when it is discovered: a consistent one
         ends the chain and is never expanded.  Returns the consistent endpoint
-        plus the (state, action position) edges leading to it, memoized under
-        ``start`` for the run, or ``None`` when no completion exists.  So the
-        chain is a shortest one, and where some action repairs the start in
-        one step it is the first such action.
+        plus the positions of the actions leading to it, walked afresh on
+        every call, or ``None`` when no completion exists.  So the chain is a
+        shortest one, and where some action repairs the start in one step it
+        is the first such action.
 
         That first level is decided before any walk, from the breaking
         tables' one-move tables at ``start``
@@ -295,13 +293,11 @@ class CompiledProblem:
         permitted such move in action order is the walk's own first-level
         answer.  Only where none exists is :meth:`unrepairable` asked, and
         a start it rules out is not searched; a search that fails files that
-        verdict: each direct move is unguarded and permitted from every value
-        whose reach axis holds its target (:func:`_direct_moves`), so the
-        search entered all of the start's reach box.
+        verdict, the one thing a call keeps: each direct move is unguarded
+        and permitted from every value whose reach axis holds its target
+        (:func:`_direct_moves`), so the search entered all of the start's
+        reach box.
         """
-        chain = self._chains.get(start)
-        if chain is not None:
-            return chain
         causal, step, moves = self.causal, self.step, self.moves
         positions = range(len(moves))
         # the first level: a move leaves the start consistent exactly when
@@ -312,12 +308,11 @@ class CompiledProblem:
             if fi in named and target not in gain[fi]:
                 nxt = step(k, start)
                 if nxt is not None:
-                    chain = self._chains[start] = nxt, ((start, k),)
-                    return chain
+                    return nxt, (k,)
         if self.unrepairable(start):
             return None
-        # each entered state: the edge it was discovered along
-        parent: dict[Index, Optional[ChainEdge]] = {start: None}
+        # each entered state: the state and action position it was discovered by
+        parent: dict[Index, Optional[tuple[Index, int]]] = {start: None}
         frontier = [start]
         for idx in frontier:  # grows while it is read: a queue in discovery order
             for k in positions:
@@ -325,11 +320,11 @@ class CompiledProblem:
                 if nxt is None or nxt in parent:
                     continue
                 if none_holds(causal, nxt):
-                    edges: list[ChainEdge] = [(idx, k)]
-                    while (edge := parent[edges[-1][0]]) is not None:
-                        edges.append(edge)
-                    chain = self._chains[start] = nxt, tuple(reversed(edges))
-                    return chain
+                    repairs = [k]
+                    while (edge := parent[idx]) is not None:
+                        idx, k = edge
+                        repairs.append(k)
+                    return nxt, tuple(reversed(repairs))
                 parent[nxt] = idx, k
                 frontier.append(nxt)
         self._verdicts[tuple(_reach_box(self.domains, start))] = True

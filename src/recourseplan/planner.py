@@ -4,7 +4,7 @@ The search runs over causally consistent states.  It expands its frontier in
 discovery order, each state by every action in order (causal repairs before
 direct moves, then declaration order).  An action whose outcome is causally
 consistent leads there.  One whose outcome breaks a causal rule continues
-through a repair chain, which the kernel walks and memoizes
+through a repair chain, which the kernel walks afresh
 (:meth:`~recourseplan.kernel.CompiledProblem.complete`): the first causally
 consistent state in breadth-first order from the raw outcome.  An action
 with no consistent completion leads nowhere.  A move writes one feature, so
@@ -19,8 +19,9 @@ A state is tested for the goal when it is discovered, and no state is
 entered twice.  So the found path has the fewest consistent states of any
 path these moves make, and each reachable consistent state is expanded at
 most once, which bounds the whole run.  The trace is the found path with
-each repair chain's inconsistent intermediates; every entry carries the one
-action id that left it.
+each repair chain's inconsistent intermediates, replayed from the repair
+positions its hop recorded; every entry carries the one action id that left
+it.
 
 A run ends in one of three statuses: ``success`` (the last trace state is a
 goal), ``failure`` (the search expanded every reachable consistent state, or
@@ -87,9 +88,10 @@ class PathTrace:
 
 # the algorithm ----------------------------------------------------------------
 
-# each discovered consistent state: the state it was discovered from and the
-# action position that led there (``None`` for the root)
-Parents = dict[Index, Optional[tuple[Index, int]]]
+# each discovered consistent state: the state it was discovered from, the
+# action position that led there and the positions of the repair chain that
+# followed it, if any (``None`` for the root)
+Parents = dict[Index, Optional[tuple[Index, int, tuple[int, ...]]]]
 
 
 def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
@@ -104,8 +106,9 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
     consistency and a consistent one's goal test are set lookups, and only a
     chain's endpoint is tested by :func:`~recourseplan.rules.none_holds`.  A
     successor is tested for the goal when it is discovered, and no state is
-    entered twice.  On success the found path replaces the root entry
-    (:func:`_record_path`).
+    entered twice.  A successor's hop records its predecessor, its action
+    and its chain's repair positions, from which, on success, the found path
+    replaces the root entry (:func:`_record_path`).
     """
     root = trace.entries[0].state.idx
     step, complete, causal, decision = kernel.step, kernel.complete, kernel.causal, kernel.decision
@@ -129,14 +132,14 @@ def _search(trace: PathTrace, kernel: CompiledProblem, budget: int) -> str:
                 chain = complete(raw)
                 if chain is None or chain[0] in parents:
                     continue
-                final = chain[0]
+                final, repairs = chain
                 goal = none_holds(decision, final)
             else:
                 if raw in parents:
                     continue
-                final = raw
+                final, repairs = raw, ()
                 goal = fi in named and target not in firing[fi]
-            parents[final] = idx, k
+            parents[final] = idx, k, repairs
             if goal:
                 _record_path(trace, kernel, parents, final)
                 return "success"
@@ -148,26 +151,25 @@ def _record_path(trace: PathTrace, kernel: CompiledProblem, parents: Parents, go
     """Replace the root entry by the path from it to ``goal``, with every
     repair chain's inconsistent intermediates.
 
-    Each entry's state is its predecessor's moved by the action between them
+    Each hop replays its action, then the repair positions it recorded: a
+    hop's first entry is consistent and its repair entries are not.  Each
+    entry's state is its predecessor's moved by the action between them
     (:meth:`~recourseplan.domains.State.with_value`), so it keeps the
-    predecessor's witnesses except on the feature that action wrote.  A hop
-    whose raw outcome is not its successor ran that outcome's repair chain,
-    which the kernel replays from its memo.
+    predecessor's witnesses except on the feature that action wrote.
     """
     hops = []
     idx = goal
     while (hop := parents[idx]) is not None:
-        hops.append((hop[1], idx))
         idx = hop[0]
+        hops.append(hop)
     moves, entries = kernel.moves, trace.entries
     state = trace.pop_last().state
-    for k, final in reversed(hops):
+    for _, k, repairs in reversed(hops):
         entries.append(TraceEntry(state, (kernel.action_id(k),)))
         state = state.with_value(*moves[k][:2])
-        if state.idx != final:
-            for _, repair in kernel.complete(state.idx)[1]:
-                entries.append(TraceEntry(state, (kernel.action_id(repair),), False))
-                state = state.with_value(*moves[repair][:2])
+        for repair in repairs:
+            entries.append(TraceEntry(state, (kernel.action_id(repair),), False))
+            state = state.with_value(*moves[repair][:2])
     entries.append(TraceEntry(state))
 
 

@@ -392,7 +392,9 @@ def inconsistent_states(problem: ProblemSpec, kernel: CompiledProblem):
 def breadth_first_complete(kernel, start):
     """The repair policy stated plainly: breadth-first over ``kernel.step``
     from ``start``, actions in order, ending at the first consistent state
-    discovered, with no unrepairability test."""
+    discovered, with no unrepairability test.  Returns that state and the
+    positions of the actions leading to it: from a known start they fix
+    every state of the chain."""
     if none_holds(kernel.causal, start):
         return start, ()
     parent = {start: None}
@@ -405,12 +407,12 @@ def breadth_first_complete(kernel, start):
                 continue
             parent[nxt] = (idx, k)
             if none_holds(kernel.causal, nxt):
-                edges = []
+                positions = []
                 node = nxt
                 while parent[node] is not None:
-                    edges.append(parent[node])
-                    node = parent[node][0]
-                return nxt, tuple(reversed(edges))
+                    node, k = parent[node]
+                    positions.append(k)
+                return nxt, tuple(reversed(positions))
             queue.append(nxt)
     return None
 
@@ -420,9 +422,11 @@ def reference_search(kernel: CompiledProblem, problem: ProblemSpec) -> tuple[str
     the start, each expanded by ``kernel.step`` in action order, an
     inconsistent outcome continued by :func:`breadth_first_complete`, a state
     tested for the goal by ``none_holds`` when it is discovered, none entered
-    twice, and at most the default budget of expansions.  Returns the status,
-    the trace as (index tuple, action ids, consistent) entries, the root
-    alone unless the run succeeds, and the expansions."""
+    twice, and at most the default budget of expansions.  A chain's
+    inconsistent entries are rebuilt by stepping its positions from the raw
+    outcome.  Returns the status, the trace as (index tuple, action ids,
+    consistent) entries, the root alone unless the run succeeds, and the
+    expansions."""
     root = problem.initial.idx
     budget = problem.action_budget or max(1, 10 * len(kernel.moves) * len(problem.domains))
     alone = [(root, (), True)]
@@ -443,14 +447,18 @@ def reference_search(kernel: CompiledProblem, problem: ProblemSpec) -> tuple[str
             chain = breadth_first_complete(kernel, raw)
             if chain is None or chain[0] in parent:
                 continue
-            final, edges = chain
-            parent[final] = idx, k, edges
+            final, repairs = chain
+            parent[final] = idx, k, repairs
             if none_holds(kernel.decision, final):
                 entries = [(final, (), True)]
                 while parent[final] is not None:
-                    final, k, edges = parent[final]
-                    entries[:0] = [(final, (kernel.action_id(k),), True)] + [
-                        (state, (kernel.action_id(repair),), False) for state, repair in edges]
+                    final, k, repairs = parent[final]
+                    hop = [(final, (kernel.action_id(k),), True)]
+                    state = kernel.step(k, final)
+                    for repair in repairs:
+                        hop.append((state, (kernel.action_id(repair),), False))
+                        state = kernel.step(repair, state)
+                    entries[:0] = hop
                 return "success", entries, expansions
             queue.append(final)
     return "failure", alone, expansions
@@ -680,30 +688,46 @@ def check_one_move(problem: ProblemSpec) -> None:
 
 
 def check_search(problem: ProblemSpec) -> int:
-    """From every consistent start, bound to the problem's model, ``get_path``
-    records the trace :func:`reference_search` makes, with its expansions, or
-    fails without expanding where the start is doomed.  Returns the number
-    of starts."""
+    """From the problem's own start and from every consistent start bound to
+    the problem's model, ``get_path`` records the trace
+    :func:`reference_search` makes, with its expansions, or fails without
+    expanding where the start is doomed.  Every entry of the own start's
+    trace keeps the start's witness on each feature no earlier action wrote
+    and has none on each feature one did.  Returns the number of bound
+    starts."""
     model, domains = problem.model, problem.domains
     kernel = CompiledProblem(problem)
     starts = 0
     for idx in itertools.product(*map(range, domains.sizes)):
         if not none_holds(model.causal_tables, idx):
             continue
-        bound = model.problem(State(domains, idx), problem.action_budget)
-        trace = get_path(bound)
-        status, entries, expansions = reference_search(kernel, bound)
-        assert (trace.status, [(e.state.idx, e.actions_taken, e.consistent)
-                               for e in trace.entries]) == (status, entries), idx
-        skipped = not none_holds(model.decision_bodies, idx) and kernel_module.doomed(bound, idx)
-        assert trace.expansions == (0 if skipped else expansions), idx
+        _check_trace(kernel, model.problem(State(domains, idx), problem.action_budget))
         starts += 1
+    # the own start carries witnesses
+    written = dict(zip(kernel.ids, (fi for fi, _, _ in kernel.moves)))
+    reps = list(problem.initial.reps)
+    for entry in _check_trace(kernel, problem).entries:
+        assert entry.state.reps == tuple(reps), entry
+        for action_id in entry.actions_taken:
+            reps[written[action_id]] = None
     return starts
+
+
+def _check_trace(kernel: CompiledProblem, problem: ProblemSpec):
+    """``get_path`` on ``problem`` against :func:`reference_search`; the trace."""
+    idx = problem.initial.idx
+    trace = get_path(problem)
+    status, entries, expansions = reference_search(kernel, problem)
+    assert (trace.status, [(e.state.idx, e.actions_taken, e.consistent)
+                           for e in trace.entries]) == (status, entries), idx
+    skipped = not none_holds(kernel.decision, idx) and kernel_module.doomed(problem, idx)
+    assert trace.expansions == (0 if skipped else expansions), idx
+    return trace
 
 
 def check_chains(problem: ProblemSpec) -> int:
     """From every inconsistent state, ``complete`` ends where the
-    breadth-first chain does, by the same edges, and fails only where
+    breadth-first chain does, by the same action positions, and fails only where
     ``unrepairable`` holds.  One kernel serves every call, as in a run, so
     later calls read the verdicts earlier ones filed.  Returns the number of
     inconsistent states."""
