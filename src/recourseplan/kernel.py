@@ -1,7 +1,8 @@
 """One compiled form of a problem for the hot loops.
 
-Search and the causal-repair guard sweep test plain index tuples against the
-rules and step them by actions, millions of times on large spaces.
+The search, its repair chains and the causal-repair guard sweep run here, on
+plain index tuples tested against the rules and stepped by actions, millions
+of times on large spaces.
 :class:`CompiledProblem` reads the tables of (feature position, allowed value
 indices) pairs the :class:`~recourseplan.rules.ProblemSpec` compiled for
 every rule, one shape for both kinds: a decision rule's table holds where it
@@ -36,13 +37,26 @@ Two tests rule a state out before any search, both by the one cover test
 :func:`doomed` (no state of it is a goal), which reads only the problem's
 tables, so a start it rules out needs no kernel, and
 :meth:`~CompiledProblem.unrepairable` (every state of it breaks a causal
-rule).  Every repair chain is walked here
-(:meth:`~CompiledProblem.complete`), afresh on each call, and handed back as
-its endpoint and action positions for the caller to keep: the one-move
-tables of the breaking rules at its start pick a one-step repair when one
-exists, and only otherwise does :meth:`~CompiledProblem.unrepairable` run,
-then the breadth-first walk, whose failure files a verdict.  ``State`` and
-:class:`~recourseplan.actions.Action` objects exist only at the API boundary.
+rule).
+
+The search (:meth:`~CompiledProblem.search`) runs breadth-first over causally
+consistent states, each expanded by every action in order (causal repairs
+before direct moves, then declaration order).  An action whose outcome is
+consistent leads there; one whose outcome breaks a causal rule continues
+through a repair chain (:meth:`~CompiledProblem.complete`), the first
+consistent state in breadth-first order from the raw outcome; one with no
+consistent completion leads nowhere.  A state is tested for the goal when it
+is discovered, and no state is entered twice, so the found path has the
+fewest consistent states of any path these moves make, and each reachable
+consistent state is expanded at most once, which bounds the whole run.  Every repair
+chain is walked afresh on each call and handed back as its endpoint and
+action positions: the one-move tables of the breaking rules at its start
+pick a one-step repair when one exists, and only otherwise does
+:meth:`~CompiledProblem.unrepairable` run, then the breadth-first walk, whose
+failure files a verdict.  The found path comes back as steps, each an action
+position and whether the state it leaves is consistent, for the caller to
+replay.  ``State`` and :class:`~recourseplan.actions.Action` objects exist
+only at the API boundary.
 """
 
 from __future__ import annotations
@@ -60,6 +74,9 @@ Pair = tuple[int, frozenset[int]]
 Move = tuple[int, int, Pairs]
 # a repair chain: its consistent endpoint, then each step's action position
 Chain = tuple[Index, tuple[int, ...]]
+# a found path's step: an action position and whether the state it leaves is
+# causally consistent
+Step = tuple[int, bool]
 
 # the most boxes :func:`_covered` decides, the first included, before it
 # gives up; ``doomed`` on the generated tiers needs at most 10 (12/6/C10 seed 150)
@@ -271,6 +288,65 @@ class CompiledProblem:
         if verdict is None:
             verdict = self._verdicts[box] = _covered(self.causal, box)
         return verdict
+
+    def search(self, root: Index, budget: int) -> tuple[str, int, tuple[Step, ...]]:
+        """Breadth-first search from the consistent, non-goal ``root``; returns
+        the status (``success``, ``failure`` or ``budget-exhausted``), the
+        expansions and, on success, the found path as steps (none otherwise).
+
+        The frontier is expanded in discovery order, at most ``budget``
+        states, each by the ordered action list.  Each expansion builds the
+        one-move tables of the causal and the decision rules at the expanded
+        state (:func:`~recourseplan.rules.after_one_move`), so a raw outcome's
+        consistency and a consistent one's goal test are set lookups, and only
+        a repair chain's endpoint (:meth:`complete`) is tested by
+        :func:`~recourseplan.rules.none_holds`.  Each entered state keeps
+        its predecessor, its action and its chain's repair positions; on
+        success the path is backtracked from them into one step per action,
+        ``(position, consistent)``, where ``consistent`` says whether the
+        state the action leaves is: an action's is, each repair's is not.
+        """
+        step, complete, causal, decision = self.step, self.complete, self.causal, self.decision
+        moves = self.moves
+        # each entered state: the state it was discovered from, the action
+        # position that led there and its repair chain's positions
+        parents: dict[Index, Optional[tuple[Index, int, tuple[int, ...]]]] = {root: None}
+        frontier = [root]
+        expansions = 0
+        for idx in frontier:  # grows while it is read: a queue in discovery order
+            if expansions >= budget:
+                return "budget-exhausted", expansions, ()
+            expansions += 1
+            # idx is consistent and no goal: no breaking table holds there, so an
+            # outcome is inconsistent exactly when its value is in ``breaking``,
+            # and some decision table does, so ``named`` is a set
+            breaking, _ = after_one_move(causal, idx)
+            firing, named = after_one_move(decision, idx)
+            for k, (fi, target, _) in enumerate(moves):
+                raw = step(k, idx)
+                if raw is None:
+                    continue
+                if target in breaking[fi]:
+                    chain = complete(raw)
+                    if chain is None or chain[0] in parents:
+                        continue
+                    final, repairs = chain
+                    goal = none_holds(decision, final)
+                else:
+                    if raw in parents:
+                        continue
+                    final, repairs = raw, ()
+                    goal = fi in named and target not in firing[fi]
+                parents[final] = idx, k, repairs
+                if goal:
+                    steps: list[Step] = []
+                    while (hop := parents[final]) is not None:
+                        final, k, repairs = hop
+                        steps += [(repair, False) for repair in reversed(repairs)]
+                        steps.append((k, True))
+                    return "success", expansions, tuple(reversed(steps))
+                frontier.append(final)
+        return "failure", expansions, ()
 
     def complete(self, start: Index) -> Optional[Chain]:
         """First causally consistent state reachable from ``start``, in

@@ -16,6 +16,7 @@ from recourseplan import errors, rules
 from recourseplan.dsl import pretty_print
 from recourseplan.generate import random_problem
 from tests.conftest import run_cli
+from tests.mutants import ROOT as MUTANTS_ROOT, read_mutants
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 SOURCES = sorted(pathlib.Path(recourseplan.__file__).parent.glob("*.py"))
@@ -219,6 +220,34 @@ def test_the_planner_side_reads_no_monotonicity():
     assert "monotonicity" in _names("from .domains import monotonicity\n")
 
 
+# the index-level search is the kernel's: the planner imports none of its
+# tools and reads no kernel table or walk, only ``moves``, ``action_id`` and
+# ``search``
+SEARCH_TOOLS = {"after_one_move", "Index"}
+KERNEL_INTERNALS = {"causal", "decision", "step", "complete"}
+
+
+def _search_reads(source: str) -> set[str]:
+    """The search tools ``source`` imports and the kernel internals it reads
+    as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name in SEARCH_TOOLS:
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_INTERNALS:
+            found.add(node.attr)
+    return found
+
+
+def test_the_planner_runs_no_search_of_its_own():
+    planner = next(source for source in SOURCES if source.stem == "planner")
+    assert _search_reads(planner.read_text()) == set()
+    assert _search_reads("from .kernel import CompiledProblem, Index\n"
+                         "from .rules import after_one_move\n"
+                         "k.causal, k.decision, k.step(0, i), k.complete(i)\n") \
+        == SEARCH_TOOLS | KERNEL_INTERNALS
+
+
 PLANTED_CACHES = """\
 import functools
 from functools import cache, lru_cache
@@ -251,6 +280,20 @@ g = lru_cache(16)(len)
 def test_the_cache_check_finds_each_planted_unbounded_cache():
     assert _unbounded_caches("planted", PLANTED_CACHES) == {
         ("planted", name) for name in "abcdef"}
+
+
+# every row of tests/mutants.txt still applies: each edit's snippet occurs once
+# in its file, and its test file defines the test it names, so a refactor that
+# moves mutated code fails here and not only in the slow mutant run
+@pytest.mark.parametrize("mutant", read_mutants(), ids=lambda mutant: mutant.name)
+def test_every_mutant_row_applies(mutant):
+    for edit in mutant.edits:
+        assert (MUTANTS_ROOT / edit.path).read_text(encoding="utf-8").count(edit.snippet) == 1, \
+            (edit.path, edit.snippet)
+    path, _, node = mutant.test.partition("::")
+    tree = ast.parse((MUTANTS_ROOT / path).read_text(encoding="utf-8"))
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert node.partition("[")[0] in defined, mutant.test
 
 
 def test_demos_are_found():

@@ -420,8 +420,7 @@ def test_a_forced_walk_keeps_no_repair_chain_in_the_kernel():
     try:
         kernel = CompiledProblem(problem)
         kernel.decision = ((),)
-        trace = PathTrace([TraceEntry(problem.initial)])
-        assert planner._search(trace, kernel, 3_000) == "budget-exhausted"
+        assert kernel.search(problem.initial.idx, 3_000)[0] == "budget-exhausted"
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -554,10 +553,8 @@ def test_get_path_formats_only_the_ids_it_records(make, monkeypatch):
 def _search(problem: ProblemSpec) -> PathTrace:
     """``get_path``'s search loop with no budget, run from a start that is not
     a goal past the doomed-start test."""
-    kernel = CompiledProblem(problem)
-    trace = PathTrace([TraceEntry(problem.initial)])
-    trace.status = planner._search(trace, kernel, sys.maxsize)
-    return trace
+    status, expansions, _ = CompiledProblem(problem).search(problem.initial.idx, sys.maxsize)
+    return PathTrace([TraceEntry(problem.initial)], status, expansions)
 
 
 # one line per run in tests/golden/traces.txt, for the four bundled scenarios
