@@ -15,13 +15,17 @@ Comparators are ``=  !=  =<  <  >=  >``; order comparators are only valid on
 numeric features.  Interval partitions for numeric features are induced from
 every constant mentioned in any rule, so rule truth is constant per interval.
 Parsing is locale-independent; numeric constants are exact integers.
+
+The parser keeps what its statements declare on itself: each feature's labels
+or its values as a ``range``, by name, the causal and decision rules, the
+constraints and the initial values.  :func:`parse_problem` builds the domains
+and the initial state from those fields, then checks the constraints.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar, Union
 
 from .domains import Domains, FeatureDomain, State, partition_range
@@ -78,6 +82,13 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        # what the statements declare, by name and in text order: a
+        # categorical feature's labels, a numeric one's values as a range
+        self.features: dict[str, Union[tuple[str, ...], range]] = {}
+        self.causal: list[Rule] = []
+        self.decision: list[Rule] = []
+        self.constraints: list[tuple[str, str]] = []  # (feature, kind)
+        self.initial: Optional[dict[str, Union[str, int]]] = None
 
     # token plumbing ------------------------------------------------------
 
@@ -137,37 +148,36 @@ class _Parser:
 
     # grammar -------------------------------------------------------------
 
-    def parse(self) -> "_Parsed":
-        parsed = _Parsed()
+    def parse(self) -> None:
         while True:
             keyword = self.tokens[self.pos]
             if not keyword:
-                return parsed
+                return
             if keyword == "feature":
-                self._feature(parsed)
+                self._feature()
             elif keyword == "decision" or keyword == "causal":
-                self._rule(parsed, keyword)
+                self._rule(keyword)
             elif keyword == "constraint":
-                self._constraint(parsed)
+                self._constraint()
             elif keyword == "initial":
-                self._initial(parsed)
+                self._initial()
             else:
                 raise self._fail("one of feature/decision/causal/constraint/initial"
                                  if keyword[:1] in _IDENT_START else "statement keyword")
 
-    def _feature(self, parsed: "_Parsed") -> None:
+    def _feature(self) -> None:
         self.pos += 1
         name = self.take_ident("feature name")
         self.take_punct(":")
         kind = self.take_ident("categorical or numeric")
         if kind == "categorical":
             self.take_punct("{")
-            labels = [str(value) for value in self._items(self.take_value)]
+            values: Union[tuple[str, ...], range] = tuple(
+                str(value) for value in self._items(self.take_value))
             self.take_punct("}")
-            if len(set(labels)) != len(labels):
+            if len(set(values)) != len(values):
                 raise SemanticError("duplicate-declaration",
                                     f"feature {name!r} lists a value twice")
-            decl: _FeatureDecl = _FeatureDecl(name, "categorical", labels=tuple(labels))
         elif kind == "numeric":
             self.take_punct("[")
             lo = self.take_int()
@@ -177,13 +187,13 @@ class _Parser:
             if hi < lo:
                 raise SemanticError("type-mismatch",
                                     f"feature {name!r}: range [{lo}, {hi}] is empty")
-            decl = _FeatureDecl(name, "numeric", lo=lo, hi=hi)
+            values = range(lo, hi + 1)
         else:
             raise self._fail("categorical or numeric")
         self.take_punct(".")
-        if name in parsed.features:
+        if name in self.features:
             raise SemanticError("duplicate-declaration", f"feature {name!r} declared twice")
-        parsed.features[name] = decl
+        self.features[name] = values
 
     def _literal(self) -> Literal:
         feature = self.take_ident("feature name")
@@ -191,7 +201,7 @@ class _Parser:
         const = self.take_value()
         return Literal(feature, op, const)
 
-    def _rule(self, parsed: "_Parsed", role: str) -> None:
+    def _rule(self, role: str) -> None:
         """``decision id :- body.`` or ``causal id: head :- body.``"""
         self.pos += 1
         rid = self.take_ident("rule id")
@@ -202,10 +212,10 @@ class _Parser:
         self.take_punct(":-")
         body = tuple(self._items(self._literal))
         self.take_punct(".")
-        (parsed.causal if role == "causal" else parsed.decision).append(
+        (self.causal if role == "causal" else self.decision).append(
             Rule(rid, role, body, head=head))
 
-    def _constraint(self, parsed: "_Parsed") -> None:
+    def _constraint(self) -> None:
         self.pos += 1
         kind = self.take_ident("immutable, nondecreasing or nonincreasing")
         if kind not in ("immutable", "nondecreasing", "nonincreasing"):
@@ -213,11 +223,11 @@ class _Parser:
             raise self._fail("immutable, nondecreasing or nonincreasing")
         feature = self.take_ident("feature name")
         self.take_punct(".")
-        parsed.constraints.append((feature, kind))
+        self.constraints.append((feature, kind))
 
-    def _initial(self, parsed: "_Parsed") -> None:
+    def _initial(self) -> None:
         self.pos += 1
-        if parsed.initial is not None:
+        if self.initial is not None:
             raise SemanticError("duplicate-declaration", "more than one initial block")
         self.take_punct("{")
         values: dict[str, Union[str, int]] = {}
@@ -234,69 +244,50 @@ class _Parser:
         self._items(entry)
         self.take_punct("}")
         self.take_punct(".")
-        parsed.initial = values
-
-
-@dataclass
-class _FeatureDecl:
-    name: str
-    kind: str
-    labels: tuple[str, ...] = ()
-    lo: int = 0
-    hi: int = 0
-
-
-class _Parsed:
-    def __init__(self) -> None:
-        self.features: dict[str, _FeatureDecl] = {}  # by name, in declaration order
-        self.causal: list[Rule] = []
-        self.decision: list[Rule] = []
-        self.constraints: list[tuple[str, str]] = []  # (feature, kind), in text order
-        self.initial: Optional[dict[str, Union[str, int]]] = None
+        self.initial = values
 
 
 # threshold induction -------------------------------------------------------
 # Each numeric feature is cut at the cuts (``rules._cuts``) of every literal
 # on it, so every rule literal is constant on each of its intervals.
 
-def _build_domains(parsed: _Parsed) -> Domains:
-    thresholds: dict[str, set[int]] = {name: set() for name in parsed.features}
-    for rule in parsed.causal + parsed.decision:
+def _build_domains(parser: _Parser) -> Domains:
+    thresholds: dict[str, set[int]] = {name: set() for name in parser.features}
+    for rule in parser.causal + parser.decision:
         literals = rule.body + ((rule.head,) if rule.head else ())
         for lit in literals:
-            decl = parsed.features.get(lit.feature)
-            if decl is None:
+            if lit.feature not in parser.features:
                 raise SemanticError("undeclared-feature",
                                     f"rule {rule.id!r} mentions undeclared feature {lit.feature!r}")
-            if decl.kind == "numeric":
+            if isinstance(parser.features[lit.feature], range):
                 thresholds[lit.feature].update(_cuts(lit))
 
-    constraint = dict(parsed.constraints)  # checked in parse_problem
+    constraint = dict(parser.constraints)  # checked in parse_problem
     features = []
-    for d in parsed.features.values():
-        kind = constraint.get(d.name, "none")
+    for name, values in parser.features.items():
+        kind = constraint.get(name, "none")
         flags = {"mutable": False} if kind == "immutable" else {"monotonicity": kind}
-        if d.kind == "categorical":
-            features.append(FeatureDomain(d.name, "categorical", labels=d.labels, **flags))
+        if isinstance(values, range):
+            parts = partition_range(values.start, values.stop - 1, thresholds[name])
+            features.append(FeatureDomain(name, "numeric", intervals=parts, **flags))
         else:
-            parts = partition_range(d.lo, d.hi, thresholds[d.name])
-            features.append(FeatureDomain(d.name, "numeric", intervals=parts, **flags))
+            features.append(FeatureDomain(name, "categorical", labels=values, **flags))
     return Domains(tuple(features))
 
 
-def _build_initial(parsed: _Parsed, domains: Domains) -> State:
-    if parsed.initial is None:
+def _build_initial(parser: _Parser, domains: Domains) -> State:
+    if parser.initial is None:
         raise SemanticError("missing-initial", "problem has no initial block")
-    for name in parsed.initial:
-        if name not in parsed.features:
+    for name in parser.initial:
+        if name not in parser.features:
             raise SemanticError("undeclared-feature",
                                 f"initial block mentions undeclared feature {name!r}")
-    missing = [f.name for f in domains if f.name not in parsed.initial]
+    missing = [f.name for f in domains if f.name not in parser.initial]
     if missing:
         raise SemanticError("missing-initial",
                             f"initial block missing features: {', '.join(missing)}")
     try:
-        return domains.make_state(parsed.initial)
+        return domains.make_state(parser.initial)
     except OutOfDomain as exc:
         raise SemanticError("type-mismatch", f"initial {exc}") from None
 
@@ -309,19 +300,20 @@ def parse_problem(text: str) -> ProblemSpec:
     features, type mismatches, duplicate declarations, a missing initial
     block, or an initial state that violates a causal rule).
     """
-    parsed = _Parser(text).parse()
-    domains = _build_domains(parsed)
-    initial = _build_initial(parsed, domains)
+    parser = _Parser(text)
+    parser.parse()
+    domains = _build_domains(parser)
+    initial = _build_initial(parser, domains)
     seen: set[str] = set()  # a feature takes at most one constraint
-    for feature, _ in parsed.constraints:
-        if feature not in parsed.features:
+    for feature, _ in parser.constraints:
+        if feature not in parser.features:
             raise SemanticError("undeclared-feature", f"feature {feature!r} is not declared")
         if feature in seen:
             raise SemanticError("duplicate-declaration",
                                 f"more than one constraint on feature {feature!r}")
         seen.add(feature)
-    return ProblemSpec(domains=domains, causal_rules=tuple(parsed.causal),
-                       decision_rules=tuple(parsed.decision), initial=initial)
+    return ProblemSpec(domains=domains, causal_rules=tuple(parser.causal),
+                       decision_rules=tuple(parser.decision), initial=initial)
 
 
 def pretty_print(problem: ProblemSpec) -> str:

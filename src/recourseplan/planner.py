@@ -24,7 +24,7 @@ whether its state is causally consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .domains import CandidatePath, State
@@ -48,7 +48,7 @@ class TraceEntry(NamedTuple):
 
 @dataclass
 class PathTrace:
-    """Mutable record of one planning run.
+    """Record of one finished planning run; mutable, so a caller may truncate it.
 
     ``entries`` holds the found path in order.  Each consistent state carries
     the id of the action that left it, each causally inconsistent
@@ -59,8 +59,8 @@ class PathTrace:
     the search expanded.
     """
 
-    entries: list[TraceEntry] = field(default_factory=list)
-    status: str = "in-progress"  # then: success | failure | budget-exhausted
+    entries: list[TraceEntry]
+    status: str  # success | failure | budget-exhausted
     expansions: int = 0
 
     def pop_last(self) -> TraceEntry:

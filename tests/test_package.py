@@ -248,6 +248,30 @@ def test_the_planner_runs_no_search_of_its_own():
         == SEARCH_TOOLS | KERNEL_INTERNALS
 
 
+# what a parse read is the parser's own: the problem language defines no
+# record besides its parser, and no dataclass
+def _classes_and_dataclass_imports(source: str) -> tuple[list[str], int]:
+    """The classes ``source`` defines, and how many of its imports read
+    ``dataclasses``."""
+    classes, imports = [], 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            classes.append(node.name)
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            imports += 1
+        elif isinstance(node, ast.Import):
+            imports += sum(alias.name == "dataclasses" for alias in node.names)
+    return classes, imports
+
+
+def test_the_parser_keeps_what_a_parse_read():
+    dsl = next(source for source in SOURCES if source.stem == "dsl")
+    assert _classes_and_dataclass_imports(dsl.read_text()) == (["_Parser"], 0)
+    assert _classes_and_dataclass_imports(
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "class _Parser: pass\nclass _Parsed: pass\n") == (["_Parser", "_Parsed"], 2)
+
+
 PLANTED_CACHES = """\
 import functools
 from functools import cache, lru_cache

@@ -181,7 +181,7 @@ def test_live_consistent_states_are_distinct():
 
 def test_pop_last_on_an_empty_trace_raises():
     with pytest.raises(EmptySequenceError):
-        PathTrace().pop_last()
+        PathTrace([], "failure").pop_last()
 
 
 # candidate path extraction ----------------------------------------------------------
