@@ -19,7 +19,8 @@ Parsing is locale-independent; numeric constants are exact integers.
 The parser keeps what its statements declare on itself: each feature's labels
 or its values as a ``range``, by name, the causal and decision rules, the
 constraints and the initial values.  :func:`parse_problem` builds the domains
-and the initial state from those fields, then checks the constraints.
+and the model from those fields, then the initial state, then checks the
+constraints, so every rule error ranks before the initial block's.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Callable, Optional, TypeVar, Union
 
 from .domains import Domains, FeatureDomain, State, partition_range
 from .errors import OutOfDomain, ParseError, SemanticError
-from .rules import COMPARATORS, Literal, ProblemSpec, Rule, _cuts
+from . import rules
+from .rules import COMPARATORS, Literal, Model, Rule, _cuts
 
 # One ``findall`` returns the lexemes: a match is a token and the whitespace
 # and comments after it (``_SKIP_RE`` skips those before the first).  The empty
@@ -249,17 +251,13 @@ class _Parser:
 
 # threshold induction -------------------------------------------------------
 # Each numeric feature is cut at the cuts (``rules._cuts``) of every literal
-# on it, so every rule literal is constant on each of its intervals.
+# on it with an integer constant; the model reports every other literal.
 
 def _build_domains(parser: _Parser) -> Domains:
     thresholds: dict[str, set[int]] = {name: set() for name in parser.features}
     for rule in parser.causal + parser.decision:
-        literals = rule.body + ((rule.head,) if rule.head else ())
-        for lit in literals:
-            if lit.feature not in parser.features:
-                raise SemanticError("undeclared-feature",
-                                    f"rule {rule.id!r} mentions undeclared feature {lit.feature!r}")
-            if isinstance(parser.features[lit.feature], range):
+        for lit in rule.body + ((rule.head,) if rule.head else ()):
+            if isinstance(parser.features.get(lit.feature), range) and isinstance(lit.const, int):
                 thresholds[lit.feature].update(_cuts(lit))
 
     constraint = dict(parser.constraints)  # checked in parse_problem
@@ -292,31 +290,31 @@ def _build_initial(parser: _Parser, domains: Domains) -> State:
         raise SemanticError("type-mismatch", f"initial {exc}") from None
 
 
-def parse_problem(text: str) -> ProblemSpec:
-    """Parse problem text into a validated :class:`ProblemSpec`.
+def parse_problem(text: str) -> rules.ProblemSpec:
+    """Parse problem text into its :class:`~recourseplan.rules.Model` bound to its start.
 
     Raises :class:`ParseError` with position information for malformed text
-    and :class:`SemanticError` for well-formedness violations (undeclared
-    features, type mismatches, duplicate declarations, a missing initial
-    block, or an initial state that violates a causal rule).
+    and :class:`SemanticError` for a well-formedness violation.  Those met
+    while reading come in text order; after them every rule error (the
+    model's), then the initial block's, a constraint's, and last a start
+    that violates a causal rule.
     """
     parser = _Parser(text)
     parser.parse()
     domains = _build_domains(parser)
+    model = Model(domains, tuple(parser.causal), tuple(parser.decision))
     initial = _build_initial(parser, domains)
     seen: set[str] = set()  # a feature takes at most one constraint
     for feature, _ in parser.constraints:
-        if feature not in parser.features:
-            raise SemanticError("undeclared-feature", f"feature {feature!r} is not declared")
+        domains.index(feature)  # raises on an undeclared feature
         if feature in seen:
             raise SemanticError("duplicate-declaration",
                                 f"more than one constraint on feature {feature!r}")
         seen.add(feature)
-    return ProblemSpec(domains=domains, causal_rules=tuple(parser.causal),
-                       decision_rules=tuple(parser.decision), initial=initial)
+    return model.problem(initial)
 
 
-def pretty_print(problem: ProblemSpec) -> str:
+def pretty_print(problem: rules.ProblemSpec) -> str:
     """Render a problem back to canonical text.
 
     For a parsed problem the output reparses to a structurally identical

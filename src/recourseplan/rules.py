@@ -80,8 +80,8 @@ def _cuts(lit: Literal) -> tuple[int, ...]:
     A cut at ``t`` parts the integers ``=< t`` from those ``> t``: ``=<`` and
     ``>`` cut at ``c``, ``<`` and ``>=`` at ``c - 1``, and ``=`` and ``!=``
     at both, isolating ``(c - 1, c]``.  The parser cuts each numeric feature
-    at the cuts of every literal on it; :func:`_literal_support` rejects a
-    partition that is not cut there.
+    at the cuts of every literal on it with an integer constant;
+    :func:`_literal_support` rejects a partition that is not cut there.
     """
     if not isinstance(lit.const, int) or isinstance(lit.const, bool):
         raise SemanticError("type-mismatch", f"{lit}: numeric feature needs an integer constant")
@@ -135,7 +135,11 @@ def _compile_rule(domains: Domains, rule: Rule) -> CompiledRule:
     body feature in order of first mention with its literals intersected, and
     its head pair when it has one."""
     def pair(lit: Literal) -> tuple[int, frozenset[int]]:
-        i = domains.index(lit.feature)
+        try:
+            i = domains.index(lit.feature)
+        except SemanticError:
+            message = f"rule {rule.id!r} mentions undeclared feature {lit.feature!r}"
+            raise SemanticError("undeclared-feature", message) from None
         return i, _literal_support(domains[i], lit)
     body: dict[int, frozenset[int]] = {}
     for i, allowed in map(pair, rule.body):
@@ -248,15 +252,15 @@ class Model:
     Construction checks that every rule is listed under its own role and
     that a rule id is declared once, over the causal and decision rules
     together.  Then it compiles every rule once against the domains, without
-    a cache, causal rules first: ``causal_tables`` holds each causal rule's
-    breaking table, the head position with the values the head literal
-    refuses and then the body pairs, so it holds exactly where the rule is
-    broken, in the shape of a decision rule's body pairs, which
-    ``decision_bodies`` holds.  A body names each feature once in these
-    tables, with the intersection of its literals on that feature
-    (:func:`_compile_rule`).  :func:`none_holds` reads both.  The model is
-    their only holder: a :class:`ProblemSpec` keeps its model, not a copy
-    of its tables.
+    a cache, causal rules first, and so reports a literal they refuse:
+    ``causal_tables`` holds each causal rule's breaking table, the head
+    position with the values the head literal refuses and then the body
+    pairs, so it holds exactly where the rule is broken, in the shape of a
+    decision rule's body pairs, which ``decision_bodies`` holds.  A body
+    names each feature once in these tables, with the intersection of its
+    literals on that feature (:func:`_compile_rule`).  :func:`none_holds`
+    reads both.  The model is their only holder: a :class:`ProblemSpec`
+    keeps its model, not a copy of its tables.
 
     Equality is identity, so a memo keyed by a model never compares rules.
     :meth:`problem` binds a start to the model and compiles nothing.
@@ -309,14 +313,12 @@ class ProblemSpec:
     currently fire for the individual, the initial state, and an optional cap
     on planner expansions.  The plausibility constraints live on the domains
     alone, as each feature's ``mutable`` and ``monotonicity``, set when a
-    feature is built (:func:`~recourseplan.dsl.parse_problem` and
-    :func:`~recourseplan.generate.random_problem` do so; code that builds a
-    problem passes them to :class:`~recourseplan.domains.FeatureDomain`).
+    :class:`~recourseplan.domains.FeatureDomain` is built.
 
     Construction builds the problem's ``model`` from its domains and rules,
     which compiles every rule once, and binds the initial state to it
     (:meth:`_bind`); :meth:`Model.problem` binds a start to a model that
-    exists.  The compiled rule tables live on the model alone: the planner
+    exists, as the parser and the generator do.  The compiled rule tables live on the model alone: the planner
     and the kernel read ``problem.model.causal_tables`` and
     ``problem.model.decision_bodies``.  The model takes no part in
     equality: two problems are equal when their domains, rules, start and

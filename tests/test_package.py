@@ -272,6 +272,50 @@ def test_the_parser_keeps_what_a_parse_read():
         "class _Parser: pass\nclass _Parsed: pass\n") == (["_Parser", "_Parsed"], 2)
 
 
+# every rule error is the model's: the problem language's domain builder
+# raises nothing, its model is built before the start is read, and it binds
+# a start to that model rather than building a problem itself
+def _rule_check_boundary(source: str) -> tuple[int, bool, bool]:
+    """How many ``raise`` statements ``_build_domains`` holds, whether
+    ``parse_problem`` calls ``Model(`` before ``_build_initial(``, and
+    whether ``source`` imports ``ProblemSpec``."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    raises = sum(isinstance(node, ast.Raise) for node in ast.walk(functions["_build_domains"]))
+    calls = [name for _, _, name in sorted(
+        (node.lineno, node.col_offset, ast.unparse(node.func))
+        for node in ast.walk(functions["parse_problem"]) if isinstance(node, ast.Call))]
+    model_first = {"Model", "_build_initial"} <= set(calls) \
+        and calls.index("Model") < calls.index("_build_initial")
+    imports = any(isinstance(node, ast.alias) and node.name == "ProblemSpec"
+                  for node in ast.walk(tree))
+    return raises, model_first, imports
+
+
+PLANTED_PARSE = """\
+from .rules import Model, ProblemSpec
+
+def _build_domains(parser):
+    for lit in parser.literals:
+        if lit.feature not in parser.features:
+            raise SemanticError("undeclared-feature", lit.feature)
+    return Domains(())
+
+def parse_problem(text):
+    parser = _Parser(text)
+    domains = _build_domains(parser)
+    initial = _build_initial(parser, domains)
+    model = Model(domains, tuple(parser.causal), tuple(parser.decision))
+    return ProblemSpec(domains, model.causal_rules, model.decision_rules, initial)
+"""
+
+
+def test_the_model_owns_every_rule_check():
+    dsl = next(source for source in SOURCES if source.stem == "dsl")
+    assert _rule_check_boundary(dsl.read_text()) == (0, True, False)
+    assert _rule_check_boundary(PLANTED_PARSE) == (1, False, True)
+
+
 PLANTED_CACHES = """\
 import functools
 from functools import cache, lru_cache

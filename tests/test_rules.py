@@ -146,6 +146,7 @@ def test_problem_rejects_undeclared_feature():
         ProblemSpec(domains=domains, decision_rules=(rule,),
                     initial=domains.make_state({"x": "f", "y": "f"}))
     assert exc.value.kind == "undeclared-feature"
+    assert str(exc.value) == "undeclared-feature: rule 'q' mentions undeclared feature 'missing'"
 
 
 def test_problem_rebinds_an_initial_state_only_from_the_same_features():
