@@ -330,8 +330,6 @@ def main(argv: Optional[Sequence[str]] = None,
         return EXIT_USAGE if exc.code else EXIT_OK
     handler = {"plan": cmd_plan, "validate": cmd_validate, "enumerate": cmd_enumerate}[ns.command]
     try:
-        if ns.budget is not None and ns.budget <= 0:
-            raise ValueError("budget must be positive")
         if ns.max_states is not None and ns.max_states <= 0:
             raise ValueError(f"--max-states must be a positive integer, got {ns.max_states}")
         if ns.seed is not None and ns.scenario != "random":

@@ -295,8 +295,9 @@ class Model:
         """The problem of this model from ``initial``, under ``action_budget``.
 
         It equals ``ProblemSpec`` built from the model's domains and rules
-        with that start and budget, and raises the same errors; it shares
-        the model and its tables."""
+        with that start and budget, and raises the same errors in the same
+        order (:meth:`ProblemSpec._bind`); it shares the model and its
+        tables."""
         problem = object.__new__(ProblemSpec)
         vars(problem).update(domains=self.domains, causal_rules=self.causal_rules,
                              decision_rules=self.decision_rules, initial=initial,
@@ -316,13 +317,14 @@ class ProblemSpec:
     :class:`~recourseplan.domains.FeatureDomain` is built.
 
     Construction builds the problem's ``model`` from its domains and rules,
-    which compiles every rule once, and binds the initial state to it
-    (:meth:`_bind`); :meth:`Model.problem` binds a start to a model that
-    exists, as the parser and the generator do.  The compiled rule tables live on the model alone: the planner
-    and the kernel read ``problem.model.causal_tables`` and
-    ``problem.model.decision_bodies``.  The model takes no part in
-    equality: two problems are equal when their domains, rules, start and
-    budget are.
+    which compiles every rule once, and then binds the initial state to it
+    (:meth:`_bind`), so every rule error ranks before any error of the start
+    or the budget; :meth:`Model.problem` binds a start to a model that
+    exists, as the parser and the generator do.  The compiled rule tables
+    live on the model alone: the planner and the kernel read
+    ``problem.model.causal_tables`` and ``problem.model.decision_bodies``.
+    The model takes no part in equality: two problems are equal when their
+    domains, rules, start and budget are.
     """
 
     domains: Domains
@@ -334,19 +336,19 @@ class ProblemSpec:
                          repr=False)
 
     def __post_init__(self) -> None:
-        self._bind(None)
+        self._bind(Model(self.domains, self.causal_rules, self.decision_rules))
 
-    def _bind(self, model: Optional[Model]) -> None:
-        """Bind the initial state to ``model``, or to a model compiled from
-        the problem's own domains and rules when it is ``None``.
+    def _bind(self, model: Model) -> None:
+        """Bind the initial state to ``model``, which holds the problem's
+        domains and rules and has reported their errors.
 
         The initial state is re-bound to the domains when it sits on other
         domains that declare the same features with the same labels or
         intervals, in order (their constraint flags may differ); otherwise
-        ``ValueError`` names the first feature that differs.  A model is
-        compiled after that, so a rule's error comes after the initial
-        state's and before the budget's.  Then the budget must be positive,
-        and the state must satisfy every causal rule."""
+        ``ValueError`` names the first feature that differs.  Errors rank
+        in one order: the model's rule errors, raised before this runs, then
+        a missing or foreign start, then a budget that is not positive, then
+        a start that breaks a causal rule."""
         if self.initial is None:
             raise SemanticError("missing-initial", "problem has no initial state")
         if self.initial.domains is not self.domains:
@@ -356,8 +358,6 @@ class ProblemSpec:
                     raise ValueError(f"the initial state's feature {(f or g).name!r} is not the problem's")
             object.__setattr__(self, "initial",
                                State(self.domains, self.initial.idx, self.initial.reps))
-        if model is None:
-            model = Model(self.domains, self.causal_rules, self.decision_rules)
         object.__setattr__(self, "model", model)
         if self.action_budget is not None and self.action_budget <= 0:
             raise ValueError("action budget must be positive")

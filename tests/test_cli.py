@@ -361,7 +361,7 @@ def test_plan_output_on_scenarios_and_seeds_0_to_119_is_pinned(printed_sources, 
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_non_positive_budget_is_usage_error(command, budget):
     assert run_cli(command, "--scenario", "german", "--budget", budget) == (
-        1, "", "error: budget must be positive\n")
+        1, "", "error: action budget must be positive\n")
 
 
 # one parser per process -------------------------------------------------------------

@@ -316,6 +316,57 @@ def test_the_model_owns_every_rule_check():
     assert _rule_check_boundary(PLANTED_PARSE) == (1, False, True)
 
 
+# a start is bound by one path: a problem builds its model and then binds the
+# start to it, and the command line leaves the budget check to that binder
+def _start_binding_boundary(rules_source: str, cli_source: str) -> tuple[bool, bool, bool, bool]:
+    """Whether ``ProblemSpec.__post_init__`` calls ``Model(``, whether
+    ``ProblemSpec._bind`` calls ``Model(``, whether it tests ``model is
+    None``, and whether ``main`` in ``cli_source`` compares a budget with a
+    number."""
+    spec = next(node for node in ast.parse(rules_source).body
+                if isinstance(node, ast.ClassDef) and node.name == "ProblemSpec")
+    methods = {node.name: node for node in spec.body if isinstance(node, ast.FunctionDef)}
+
+    def calls_model(function: ast.FunctionDef) -> bool:
+        return any(isinstance(node, ast.Call) and ast.unparse(node.func) == "Model"
+                   for node in ast.walk(function))
+
+    tests_none = any(isinstance(node, ast.Compare) and ast.unparse(node) == "model is None"
+                     for node in ast.walk(methods["_bind"]))
+    main = next(node for node in ast.parse(cli_source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    compares_budget = any(
+        isinstance(node, ast.Compare) and "budget" in ast.unparse(node)
+        and any(isinstance(o, ast.Constant) and type(o.value) is int
+                for o in (node.left, *node.comparators))
+        for node in ast.walk(main))
+    return (calls_model(methods["__post_init__"]), calls_model(methods["_bind"]), tests_none,
+            compares_budget)
+
+
+PLANTED_BIND = """\
+class ProblemSpec:
+    def __post_init__(self):
+        self._bind(None)
+
+    def _bind(self, model):
+        if model is None:
+            model = Model(self.domains, self.causal_rules, self.decision_rules)
+
+def main(argv=None):
+    ns = parser.parse_args(argv)
+    if ns.budget is not None and ns.budget <= 0:
+        raise ValueError("budget must be positive")
+"""
+
+
+def test_a_start_is_bound_to_a_model_built_first():
+    rules_text, cli_text = (next(source for source in SOURCES if source.stem == stem).read_text()
+                            for stem in ("rules", "cli"))
+    assert _start_binding_boundary(rules_text, cli_text) == (True, False, False, False)
+    assert _start_binding_boundary(PLANTED_BIND, PLANTED_BIND) == (False, True, True, True)
+
+
 PLANTED_CACHES = """\
 import functools
 from functools import cache, lru_cache

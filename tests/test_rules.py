@@ -221,6 +221,36 @@ def test_binding_a_start_raises_the_constructors_errors():
     assert dataclasses.replace(model.problem(good), action_budget=3) == model.problem(good, 3)
 
 
+# a rule error ranks before every fault of the start, from a hand-built
+# problem as from the parser: one model-first bind
+RANKED_TEXT = ("feature a: categorical {x, y}.\nfeature b: categorical {f, t}.\n"
+               "causal c: b = t :- a = y.\ndecision q :- a =< x.\n")
+RANKED_DOMAINS = Domains((FeatureDomain("a", "categorical", labels=("x", "y")),
+                          FeatureDomain("b", "categorical", labels=("f", "t"))))
+FOREIGN = Domains((FeatureDomain("z", "categorical", labels=("x", "y")),))
+START_FAULTS = {
+    "no start": {},
+    "foreign start": {"initial": State(FOREIGN, (0,))},
+    "zero budget": {"initial": RANKED_DOMAINS.make_state({"a": "x", "b": "f"}),
+                    "action_budget": 0},
+    "inconsistent start": {"initial": RANKED_DOMAINS.make_state({"a": "y", "b": "f"})},
+}
+
+
+@pytest.mark.parametrize("fault", START_FAULTS)
+def test_a_rule_error_ranks_before_each_start_fault(fault):
+    causal = (Rule("c", "causal", (Literal("a", "=", "y"),), head=Literal("b", "=", "t")),)
+    decision = (Rule("q", "decision", (Literal("a", "=<", "x"),)),)
+    raised = []
+    for build in (lambda: Model(RANKED_DOMAINS, causal, decision),
+                  lambda: ProblemSpec(RANKED_DOMAINS, causal, decision, **START_FAULTS[fault]),
+                  lambda: parse_problem(RANKED_TEXT)):
+        with pytest.raises(SemanticError) as caught:
+            build()
+        raised.append(str(caught.value))
+    assert raised == ["type-mismatch: a =< x: order comparison on categorical feature"] * 3
+
+
 def test_problem_names_a_rule_id_declared_twice():
     # the one duplicate-id check, for parsed and code-built problems alike
     domains = bool_pair()
